@@ -69,6 +69,12 @@ def _check_r(parser, args, length: int) -> None:
         parser.error(f"--r={args.r} contradicts a length-{length} vector argument")
 
 
+def _check_point(parser, args) -> None:
+    _check_r(parser, args, len(args.n))
+    if len(args.x) != len(args.n):
+        parser.error("--x must have as many coordinates as --n")
+
+
 def _eval_value(parser, args):
     fn = args.fn
     if fn == "gegenbauer":
@@ -86,24 +92,18 @@ def _eval_value(parser, args):
             continuous_hahn(args.n[0], args.x[0], (args.a, args.b, args.c, args.d))
     if fn == "ball":
         _require(parser, args, ("n", "mu", "x"))
-        _check_r(parser, args, len(args.n))
-        if len(args.x) != len(args.n):
-            parser.error("--x must have as many coordinates as --n")
+        _check_point(parser, args)
         return {"fn": fn, "n": list(args.n), "mu": args.mu, "x": list(args.x)}, \
             ball_basis_eval(args.n, args.mu, np.array(args.x))
     if fn == "f_r":
         _require(parser, args, ("n", "a", "mu", "x"))
-        _check_r(parser, args, len(args.n))
-        if len(args.x) != len(args.n):
-            parser.error("--x must have as many coordinates as --n")
+        _check_point(parser, args)
         params = FamilyParams(args.a, args.mu, args.n)
         return {"fn": fn, "n": list(args.n), "a": args.a, "mu": args.mu,
                 "x": list(args.x)}, family_eval(np.array(args.x), params)
     if fn == "d_family":
         _require(parser, args, ("n", "a1", "a2", "x"))
-        _check_r(parser, args, len(args.n))
-        if len(args.x) != len(args.n):
-            parser.error("--x must have as many coordinates as --n")
+        _check_point(parser, args)
         params = DParams(args.a1, args.a2, args.n)
         return {"fn": fn, "n": list(args.n), "a1": args.a1, "a2": args.a2,
                 "x": list(args.x)}, d_family_eval(np.array(args.x, dtype=complex), params)
@@ -135,14 +135,14 @@ def _cmd_fourier(parser, args) -> int:
     }
     status = 0
     if args.check:
-        oracle = complex(quad.fourier_numeric(params, np.array(args.xi)))
-        scale = max(abs(closed), abs(oracle))
-        rel = float(abs(closed - oracle) / scale) if scale > 0 else 0.0
         tolerance = args.tolerance if args.tolerance is not None else 1e-6
-        passed = bool(rel <= tolerance or abs(closed - oracle) <= 1e-9)
-        record.update({"oracle_re": oracle.real, "oracle_im": oracle.imag,
-                       "rel_error": rel, "tolerance": tolerance, "passed": passed})
-        if not passed:
+        report = quad.make_report("fourier", record["inputs"], closed,
+                                  quad.fourier_numeric(params, np.array(args.xi)),
+                                  tolerance, abs_floor=1e-9)
+        record.update({"oracle_re": report.rhs.real, "oracle_im": report.rhs.imag,
+                       "rel_error": report.rel_error, "tolerance": tolerance,
+                       "passed": report.passed})
+        if not report.passed:
             status = VERIFY_FAILURE
     _write_output(json.dumps(record, sort_keys=True), args.output)
     return status

@@ -22,6 +22,7 @@ from .ball import ball_norm, tail_sum, validate_multi_index
 from .hypergeometric import _terminating_sum
 from .classical import continuous_hahn
 from .special import gamma, log_gamma, pochhammer
+from .tanh_family import axis_parameters
 
 __all__ = [
     "DParams",
@@ -61,25 +62,14 @@ class DParams:
         return self.a1 + self.a2 - 0.5
 
 
-def _axis_pieces(j: int, r: int, x_j, n, a1: float, a2: float):
-    if not 1 <= j <= r:
-        raise ValueError("axis index out of range")
-    m = tail_sum(n, j + 1)
-    q = (r - j) / 4.0
-    s = a1 + a2
-    x_j = np.asarray(x_j)
-    gminus = a1 + (m - x_j) / 2.0 + q
-    gplus = a1 + (m + x_j) / 2.0 + q
-    upper2 = n[j - 1] + 2.0 * (m + s + (r - j - 1) / 2.0)
-    lower1 = m + s + (r - j) / 2.0
-    lower2 = m + 2.0 * a1 + (r - j) / 2.0
-    return m, q, gminus, gplus, upper2, lower1, lower2
-
-
 def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
-    """Axis-j factor: gamma pair times terminating 3F2.  Vectorized in x_j."""
+    """Axis-j factor: gamma pair times terminating 3F2.  Vectorized in x_j.
+
+    This is the theta factor's 3F2 with the gamma pair in place of the beta
+    factor, under a -> a1 and mu -> a1 + a2 - 1/2."""
     nj = n[j - 1]
-    _, _, gminus, gplus, upper2, lower1, lower2 = _axis_pieces(j, r, x_j, n, a1, a2)
+    _, _, gplus, gminus, upper2, lower1, lower2 = axis_parameters(
+        j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
     series, _ = _terminating_sum([-float(nj), upper2, gplus], [lower1, lower2], 1.0, nj)
     return gamma(gminus) * gamma(gplus) * series[()]
 
@@ -87,7 +77,8 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):
     """Axis-j factor in continuous-Hahn form; must equal :func:`d_axis_factor`."""
     nj = n[j - 1]
-    m, q, gminus, gplus, _, lower1, lower2 = _axis_pieces(j, r, x_j, n, a1, a2)
+    m, q, gplus, gminus, _, lower1, lower2 = axis_parameters(
+        j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
     big_a1 = a1 + m / 2.0 + q
     big_a2 = a2 + m / 2.0 + q
     prefactor = (math.factorial(nj) * (1j ** (-nj))

@@ -18,6 +18,7 @@ produce bit-identical results regardless of scheduling.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,12 +50,9 @@ __all__ = [
     "parseval_ball_value",
 ]
 
-_RULES = ("gauss_legendre",)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node budget, truncation and rule family for the oracle.
+    """Node budget and truncation for the oracle.
 
     ``nodes_per_axis`` is the total node count along one axis; line rules
     spread it over ``panels`` equal Gauss-Legendre panels.
@@ -62,7 +60,6 @@ class QuadratureSpec:
 
     nodes_per_axis: int = 1024
     truncation_halfwidth: float = 40.0
-    rule: str = "gauss_legendre"
     panels: int = 64
 
     def __post_init__(self) -> None:
@@ -70,8 +67,6 @@ class QuadratureSpec:
             raise ValueError("nodes_per_axis must be at least 2")
         if not self.truncation_halfwidth > 0:
             raise ValueError("truncation_halfwidth must be positive")
-        if self.rule not in _RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
         if self.panels < 1:
             raise ValueError("panels must be at least 1")
 
@@ -100,7 +95,7 @@ def doubled_spec(spec: QuadratureSpec) -> QuadratureSpec:
     before issuing a verdict."""
     return QuadratureSpec(nodes_per_axis=2 * spec.nodes_per_axis,
                           truncation_halfwidth=spec.truncation_halfwidth,
-                          rule=spec.rule, panels=2 * spec.panels)
+                          panels=2 * spec.panels)
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +306,17 @@ def _ball_grid(r: int, mu: float, nodes: int):
     return x, w
 
 
-def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None) -> float:
-    """Weighted ball inner product of two basis polynomials by quadrature."""
+def _index_pair(n, m):
     n = validate_multi_index(n)
     m = validate_multi_index(m)
     if len(n) != len(m):
         raise ValueError("multi-indices must have equal length")
-    r = len(n)
+    return n, m, len(n)
+
+
+def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None) -> float:
+    """Weighted ball inner product of two basis polynomials by quadrature."""
+    n, m, r = _index_pair(n, m)
     if spec is None:
         spec = ball_default_spec(r)
     x, w = _ball_grid(r, float(mu), spec.nodes_per_axis)
@@ -383,11 +382,7 @@ def d_biorthogonality_integral(n, m, a1: float, a2: float,
     """Pairing integral of the gamma-pair family member indexed by ``n`` at
     +ix (parameters a1, a2) against the member indexed by ``m`` at -ix with
     parameters swapped, over R^r."""
-    n = validate_multi_index(n)
-    m = validate_multi_index(m)
-    if len(n) != len(m):
-        raise ValueError("multi-indices must have equal length")
-    r = len(n)
+    n, m, r = _index_pair(n, m)
     if spec is None:
         spec = _d_pair_spec(a1, a2)
     x, w = _line_rule(spec)
@@ -436,42 +431,20 @@ class VerificationReport:
 
 def make_report(identity_name: str, parameters: dict, lhs, rhs, tolerance: float,
                 abs_floor: float = 0.0, low_confidence: bool = False) -> VerificationReport:
-    """Build a report; passed means rel_error <= tolerance or
-    abs_error <= abs_floor."""
+    """Build a report; passed means both sides are finite and rel_error <=
+    tolerance or abs_error <= abs_floor.  A non-finite side fails the check,
+    is flagged low-confidence and has rel_error NaN."""
     lhs = complex(lhs)
     rhs = complex(rhs)
+    finite = cmath.isfinite(lhs) and cmath.isfinite(rhs)
     abs_error = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
-    rel_error = abs_error / scale if scale > 0.0 else 0.0
-    passed = bool(rel_error <= tolerance or abs_error <= abs_floor)
+    rel_error = (abs_error / scale if scale > 0.0 else 0.0) if finite else math.nan
+    passed = finite and bool(rel_error <= tolerance or abs_error <= abs_floor)
     return VerificationReport(identity_name=identity_name, parameters=dict(parameters),
                               lhs=lhs, rhs=rhs, abs_error=abs_error, rel_error=rel_error,
                               tolerance=tolerance, passed=passed,
-                              low_confidence=low_confidence)
-
-
-def _parseval_x_side(n, m, a1, a2, mu, spec: QuadratureSpec) -> float:
-    r = len(n)
-    x, w = _line_rule(spec)
-    fp = FamilyParams(a1, mu, n)
-    gp = FamilyParams(a2, mu, m)
-    value = 1.0
-    for j in range(1, r + 1):
-        value *= float(np.sum(w * family_axis_factor(j, fp, x) * family_axis_factor(j, gp, x)))
-    return value
-
-
-def _parseval_xi_side(n, m, a1, a2, mu, spec: QuadratureSpec) -> complex:
-    r = len(n)
-    xi, w = _line_rule(spec)
-    fp = FamilyParams(a1, mu, n)
-    gp = FamilyParams(a2, mu, m)
-    value = complex(fourier_prefactor(fp)) * complex(fourier_prefactor(gp))
-    for j in range(1, r + 1):
-        tn = theta_factor(j, r, fp, xi)
-        tm = theta_factor(j, r, gp, xi)
-        value *= np.sum(w * tn * np.conj(tm))
-    return complex(value)
+                              low_confidence=low_confidence or not finite)
 
 
 def parseval_check(n, m, a1: float, a2: float,
@@ -480,24 +453,26 @@ def parseval_check(n, m, a1: float, a2: float,
     """Check the Parseval pairing for the coupled weight mu = a1 + a2 - 1/2.
 
     Reports (2 pi)^r <f, g>_x as lhs against the xi-side pairing of the
-    closed-form transforms as rhs.  Both sides equal the ball norm times a
-    multi-Kronecker delta; that comparison is reported separately by the
-    verification suites.
+    closed-form transforms as rhs, both as tensor-product sums over the line
+    rule of ``spec`` evaluated one axis at a time.  Both sides equal the ball
+    norm times a multi-Kronecker delta; that comparison is reported
+    separately by the verification suites.
     """
-    n = validate_multi_index(n)
-    m = validate_multi_index(m)
-    if len(n) != len(m):
-        raise ValueError("multi-indices must have equal length")
-    r = len(n)
-    params = DParams(a1, a2, (0,) * r)  # validates a1, a2 and the coupling
-    mu = params.mu
+    n, m, r = _index_pair(n, m)
+    mu = DParams(a1, a2, (0,) * r).mu  # validates a1, a2 and the coupling
     if spec is None:
         spec = default_spec(r)
-    lhs = (2.0 * math.pi) ** r * _parseval_x_side(n, m, a1, a2, mu, spec)
-    rhs = _parseval_xi_side(n, m, a1, a2, mu, spec)
+    x, w = _line_rule(spec)
+    fp = FamilyParams(a1, mu, n)
+    gp = FamilyParams(a2, mu, m)
+    x_side = 1.0
+    xi_side = complex(fourier_prefactor(fp)) * complex(fourier_prefactor(gp))
+    for j in range(1, r + 1):
+        x_side *= float(np.sum(w * family_axis_factor(j, fp, x) * family_axis_factor(j, gp, x)))
+        xi_side *= np.sum(w * theta_factor(j, r, fp, x) * np.conj(theta_factor(j, r, gp, x)))
     return make_report(
         "parseval", {"r": r, "n": list(n), "m": list(m), "a1": a1, "a2": a2},
-        lhs, rhs, tolerance, abs_floor=abs_floor)
+        (2.0 * math.pi) ** r * x_side, xi_side, tolerance, abs_floor=abs_floor)
 
 
 def parseval_ball_value(n, m, a1: float, a2: float) -> float:

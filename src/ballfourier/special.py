@@ -82,15 +82,17 @@ def _log_gamma_complex(z: np.ndarray) -> np.ndarray:
     ``log Gamma(z) = log Gamma(z + k) - sum_j log(z + j)``, which tracks the
     principal branch exactly (both sides share the cut on the negative real
     axis and are analytic elsewhere), unlike a naive sine-reflection which
-    needs explicit unwinding.
+    needs explicit unwinding.  Non-finite entries skip the recurrence (a
+    shift by one never moves them) and come back non-finite.
     """
     z = np.array(z, dtype=np.complex128)
     shift = np.zeros_like(z)
-    left = z.real < 0.5
+    finite = np.isfinite(z)
+    left = finite & (z.real < 0.5)
     while np.any(left):
         shift[left] += np.log(z[left])
         z[left] += 1.0
-        left = z.real < 0.5
+        left = finite & (z.real < 0.5)
     return _log_gamma_right(z - 1.0) - shift
 
 
@@ -163,13 +165,8 @@ def beta(a, b):
 
     Raises :class:`PoleError` if ``a``, ``b`` or ``a + b`` hits a gamma pole.
     """
-    a_arr = np.asarray(a)
-    b_arr = np.asarray(b)
-    _check_poles(a_arr + b_arr)
-    if (not np.iscomplexobj(a_arr) and not np.iscomplexobj(b_arr)
-            and np.all(a_arr > 0) and np.all(b_arr > 0)):
-        return np.exp(log_gamma(a) + log_gamma(b) - log_gamma(a_arr + b_arr))
-    return np.exp(log_gamma(a_arr) + log_gamma(b_arr) - log_gamma(a_arr + b_arr))
+    _check_poles(np.asarray(a) + np.asarray(b))
+    return np.exp(log_beta(a, b))
 
 
 def pochhammer(base, order: int):

@@ -32,6 +32,7 @@ __all__ = [
     "theta_factor",
     "theta_factor_hahn",
     "theta_hyp_spec",
+    "axis_parameters",
     "fourier_prefactor",
     "fourier_closed_form",
     "fourier_via_recursion",
@@ -89,13 +90,12 @@ def family_eval_peel_first(x, params: FamilyParams):
     """Same value as :func:`family_eval`, built by peeling x_1 recursively."""
     x = np.asarray(x, dtype=np.float64)
     r = params.r
-    if r == 1:
-        sech2 = 1.0 / np.cosh(x[..., 0]) ** 2
-        return sech2 ** params.a * gegenbauer(params.n[0], params.mu, np.tanh(x[..., 0]))
     m = tail_sum(params.n, 2)
     sech2 = 1.0 / np.cosh(x[..., 0]) ** 2
     head = (sech2 ** (params.a + m / 2.0 + (r - 1) / 4.0)
             * gegenbauer(params.n[0], m + params.mu + (r - 1) / 2.0, np.tanh(x[..., 0])))
+    if r == 1:
+        return head
     rest = FamilyParams(params.a, params.mu, params.n[1:])
     return head * family_eval_peel_first(x[..., 1:], rest)
 
@@ -132,21 +132,30 @@ def family_axis_factor(j: int, params: FamilyParams, x):
             * gegenbauer(params.n[j - 1], lam, np.tanh(x)))
 
 
-def _theta_pieces(j: int, r: int, params: FamilyParams, xi):
-    n = params.n
+def axis_parameters(j: int, r: int, n, a: float, mu: float, z):
+    """Per-axis parameter algebra of the theta factors and the gamma-pair
+    family: ``(m, q, arg_plus, arg_minus, upper2, lower1, lower2)`` with
+    m = |n^{j+1}|, q = (r - j)/4, gamma arguments a + (m +- z)/2 + q and the
+    3F2(-n_j, upper2, arg_plus; lower1, lower2; 1) parameters.  Theta takes
+    z = i xi; the gamma-pair family takes z = x_j, a = a1, mu = a1 + a2 - 1/2.
+    """
     if len(n) != r:
-        raise ValueError("params.n must have length r")
+        raise ValueError("n must have length r")
     if not 1 <= j <= r:
         raise ValueError("axis index out of range")
     m = tail_sum(n, j + 1)
     q = (r - j) / 4.0
-    xi = np.asarray(xi, dtype=np.float64)
-    arg_plus = params.a + (m + 1j * xi) / 2.0 + q
-    arg_minus = params.a + (m - 1j * xi) / 2.0 + q
-    upper2 = n[j - 1] + 2.0 * (m + params.mu + (r - j) / 2.0)
-    lower1 = m + params.mu + (r - j + 1) / 2.0
-    lower2 = m + 2.0 * params.a + (r - j) / 2.0
+    arg_plus = a + (m + z) / 2.0 + q
+    arg_minus = a + (m - z) / 2.0 + q
+    upper2 = n[j - 1] + 2.0 * (m + mu + (r - j) / 2.0)
+    lower1 = m + mu + (r - j + 1) / 2.0
+    lower2 = m + 2.0 * a + (r - j) / 2.0
     return m, q, arg_plus, arg_minus, upper2, lower1, lower2
+
+
+def _theta_pieces(j: int, r: int, params: FamilyParams, xi):
+    return axis_parameters(j, r, params.n, params.a, params.mu,
+                           1j * np.asarray(xi, dtype=np.float64))
 
 
 def theta_hyp_spec(j: int, r: int, params: FamilyParams, xi: float) -> HypergeometricSpec:
@@ -217,6 +226,20 @@ def fourier_closed_form(params: FamilyParams, xi) -> complex:
     return value
 
 
+def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_j):
+    """Transform at xi_j of the one-axis factor
+    sech(x)^(2a + m + k/2) C_nj^(m + mu + k/2)(tanh x): the factor split
+    off by peel-first with m = |n^2| and k = r - 1 further axes, and the
+    whole r = 1 member (and the peel-last factor) at m = k = 0."""
+    ap = a + (m + 1j * xi_j) / 2.0 + k / 4.0
+    am = a + (m - 1j * xi_j) / 2.0 + k / 4.0
+    lam = m + mu + k / 2.0
+    series = hyp3f2_unit(nj, nj + 2.0 * lam, ap, m + 2.0 * a + k / 2.0,
+                         m + mu + (k + 1) / 2.0)
+    return (2.0 ** (m + 2.0 * a + (k - 2) / 2.0) * pochhammer(2.0 * lam, nj)
+            / math.factorial(nj) * np.exp(log_beta(ap, am)) * series)
+
+
 def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") -> complex:
     """Fourier transform through the one-axis-at-a-time recursions.
 
@@ -232,28 +255,14 @@ def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") ->
     if mode not in ("peel_first", "peel_last"):
         raise ValueError("mode must be 'peel_first' or 'peel_last'")
     a, mu, n = params.a, params.mu, params.n
-    if r == 1:
-        ap = a + 0.5j * xi[0]
-        am = a + -0.5j * xi[0]
-        series = hyp3f2_unit(n[0], n[0] + 2.0 * mu, ap, 2.0 * a, mu + 0.5)
-        return (2.0 ** (2.0 * a - 1.0) * pochhammer(2.0 * mu, n[0]) / math.factorial(n[0])
-                * np.exp(log_beta(ap, am)) * series)
     if mode == "peel_first":
-        m = tail_sum(n, 2)
-        ap = a + (m + 1j * xi[0]) / 2.0 + (r - 1) / 4.0
-        am = a + (m - 1j * xi[0]) / 2.0 + (r - 1) / 4.0
-        series = hyp3f2_unit(n[0], n[0] + 2.0 * (m + mu + (r - 1) / 2.0), ap,
-                             m + 2.0 * a + (r - 1) / 2.0, m + mu + r / 2.0)
-        head = (2.0 ** (m + 2.0 * a + (r - 3) / 2.0)
-                * pochhammer(2.0 * (m + mu + (r - 1) / 2.0), n[0]) / math.factorial(n[0])
-                * np.exp(log_beta(ap, am)) * series)
-        rest = FamilyParams(a, mu, n[1:])
-        return head * fourier_via_recursion(rest, xi[1:], mode)
-    nr = n[-1]
-    ap = a + 0.5j * xi[-1]
-    am = a + -0.5j * xi[-1]
-    series = hyp3f2_unit(nr, nr + 2.0 * mu, ap, 2.0 * a, mu + 0.5)
-    tail_factor = (2.0 ** (2.0 * a - 1.0) * pochhammer(2.0 * mu, nr) / math.factorial(nr)
-                   * np.exp(log_beta(ap, am)) * series)
-    rest = FamilyParams(a + nr / 2.0 + 0.25, mu + nr + 0.5, n[:-1])
+        head = _sech_gegenbauer_transform(a, mu, n[0], tail_sum(n, 2), r - 1, xi[0])
+        if r == 1:
+            return head
+        return head * fourier_via_recursion(FamilyParams(a, mu, n[1:]), xi[1:], mode)
+    tail_factor = _sech_gegenbauer_transform(a, mu, n[-1], 0, 0, xi[-1])
+    if r == 1:
+        return tail_factor
+    rest = FamilyParams(a + n[-1] / 2.0 + 0.25, mu + n[-1] + 0.5, n[:-1])
     return tail_factor * fourier_via_recursion(rest, xi[:-1], mode)
+

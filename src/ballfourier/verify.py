@@ -36,22 +36,19 @@ __all__ = ["SplitMix64", "SUITE_NAMES", "run_suite", "report_to_dict",
 _LOW_CONFIDENCE_RATIO = 1e-10
 
 
-def _gated_report(name, parameters, coarse, fine, target, tolerance,
-                  abs_floor=0.0, low_confidence=False):
-    """Report with the node-doubling stability gate applied first: the
-    verdict is issued on the base-resolution value only if doubling the rule
-    moves it by less than the verdict tolerance; otherwise the report fails
-    and is flagged low-confidence."""
-    coarse = complex(coarse)
-    fine = complex(fine)
-    drift = abs(coarse - fine)
-    stable = drift <= max(tolerance * max(abs(coarse), abs(fine)), abs_floor)
-    report = make_report(name, parameters, coarse, target, tolerance,
-                         abs_floor=abs_floor,
-                         low_confidence=low_confidence or not stable)
-    if not stable:
-        report = dataclasses.replace(report, passed=False)
-    return report
+def _gated_report(name, parameters, lhs, rhs, tolerance, abs_floor, resolutions):
+    """Report on lhs against rhs behind the node-doubling stability gate:
+    ``resolutions`` holds a (base, doubled-rule) pair per quadrature value
+    the verdict rests on.  The verdict stands only if doubling moves each by
+    at most the tolerance (relative) or the floor; otherwise the report
+    fails and is flagged low-confidence."""
+    stable = all(abs(complex(base) - complex(doubled))
+                 <= max(tolerance * max(abs(complex(base)), abs(complex(doubled))),
+                        abs_floor)
+                 for base, doubled in resolutions)
+    report = make_report(name, parameters, lhs, rhs, tolerance, abs_floor=abs_floor,
+                         low_confidence=not stable)
+    return report if stable else dataclasses.replace(report, passed=False)
 
 
 class SplitMix64:
@@ -115,7 +112,7 @@ def _suite_gegenbauer_ort(seed: int, r_max: int, tolerance: float | None):
                 floor = 0.0 if n == m else 1e-10 * gegenbauer_norm(n, lam)
                 reports.append(_gated_report(
                     "gegenbauer-ort", {"lambda": lam, "n": n, "m": m},
-                    coarse, fine, target, tol, abs_floor=floor))
+                    coarse, target, tol, floor, [(coarse, fine)]))
     return reports
 
 
@@ -135,7 +132,7 @@ def _suite_ball_ort(seed: int, r_max: int, tolerance: float | None):
                          else 1e-8 * math.sqrt(ball_norm(n, mu) * ball_norm(m, mu)))
                 reports.append(_gated_report(
                     "ball-ort", {"r": 2, "mu": mu, "n": list(n), "m": list(m)},
-                    gram[p, q], gram_fine[p, q], target, tol, abs_floor=floor))
+                    gram[p, q], target, tol, floor, [(gram[p, q], gram_fine[p, q])]))
     if r_max >= 3:
         spec = quad.ball_default_spec(3)
         for n, m in (((0, 0, 0), (0, 0, 0)), ((1, 0, 1), (1, 0, 1)),
@@ -147,8 +144,8 @@ def _suite_ball_ort(seed: int, r_max: int, tolerance: float | None):
             floor = 0.0 if n == m else 1e-6 * math.sqrt(ball_norm(n, mu) * ball_norm(m, mu))
             reports.append(_gated_report(
                 "ball-ort", {"r": 3, "mu": mu, "n": list(n), "m": list(m)},
-                value, fine, target, tolerance if tolerance is not None else 1e-6,
-                abs_floor=floor))
+                value, target, tolerance if tolerance is not None else 1e-6, floor,
+                [(value, fine)]))
     return reports
 
 
@@ -193,12 +190,21 @@ def _suite_ball_pde(seed: int, r_max: int, tolerance: float | None):
     return reports
 
 
-def _theta_low_confidence(params: FamilyParams, xi) -> bool:
-    for j in range(1, params.r + 1):
-        value, peak = pfq_diagnostics(theta_hyp_spec(j, params.r, params, float(xi[j - 1])))
-        if abs(value) < _LOW_CONFIDENCE_RATIO * peak:
-            return True
-    return False
+def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
+    """One pass over the theta 3F2 diagnostics at ``xi``: the value scale of
+    :func:`fourier_value_scale`, and whether any axis series is
+    cancellation-risky (its value below a fixed fraction of its peak
+    partial sum)."""
+    r = params.r
+    scale = float(fourier_prefactor(params))
+    low_confidence = False
+    for j in range(1, r + 1):
+        xi_j = float(xi[j - 1])
+        value, peak = pfq_diagnostics(theta_hyp_spec(j, r, params, xi_j))
+        low_confidence = low_confidence or abs(value) < _LOW_CONFIDENCE_RATIO * peak
+        _, _, arg_plus, arg_minus, _, _, _ = _theta_pieces(j, r, params, xi_j)
+        scale *= abs(np.exp(log_beta(arg_plus, arg_minus))) * peak
+    return scale, low_confidence
 
 
 def fourier_value_scale(params: FamilyParams, xi) -> float:
@@ -209,13 +215,7 @@ def fourier_value_scale(params: FamilyParams, xi) -> float:
     against this scale (prefactor times beta magnitudes times the peak
     partial sums), not in relative terms against the suppressed value.
     """
-    scale = float(fourier_prefactor(params))
-    for j in range(1, params.r + 1):
-        _, _, arg_plus, arg_minus, _, _, _ = _theta_pieces(
-            j, params.r, params, float(xi[j - 1]))
-        _, peak = pfq_diagnostics(theta_hyp_spec(j, params.r, params, float(xi[j - 1])))
-        scale *= abs(np.exp(log_beta(arg_plus, arg_minus))) * peak
-    return scale
+    return _theta_diagnostics(params, xi)[0]
 
 
 def _random_family_params(rng: SplitMix64, r: int, max_total: int) -> FamilyParams:
@@ -226,22 +226,21 @@ def _random_family_params(rng: SplitMix64, r: int, max_total: int) -> FamilyPara
     return FamilyParams(a, mu, _random_multi_index(rng, r, max_total))
 
 
-def _suite_fourier_paths(seed: int, r_max: int, tolerance: float | None, draws: int = 120):
+def _suite_fourier_paths(seed: int, r_max: int, tolerance: float | None):
     tol = tolerance if tolerance is not None else 1e-11
     rng = SplitMix64(seed)
     reports = []
-    for _ in range(draws):
+    for _ in range(120):
         r = rng.integer(1, min(3, r_max))
         params = _random_family_params(rng, r, 4)
         xi = np.array([rng.uniform(-3.0, 3.0) for _ in range(r)])
         closed = fourier_closed_form(params, xi)
-        low_conf = _theta_low_confidence(params, xi)
+        scale, low_conf = _theta_diagnostics(params, xi)
         f1 = fourier_via_recursion(params, xi, "peel_first")
         f2 = fourier_via_recursion(params, xi, "peel_last")
         hahn = complex(fourier_prefactor(params))
         for j in range(1, r + 1):
             hahn *= theta_factor_hahn(j, r, params, float(xi[j - 1]))
-        scale = fourier_value_scale(params, xi)
         base = {"r": r, "n": list(params.n), "a": params.a, "mu": params.mu,
                 "xi": [float(v) for v in xi]}
         for label, other in (("peel-first", f1), ("peel-last", f2), ("hahn-form", hahn)):
@@ -257,45 +256,35 @@ _FOURIER_GRID_XI = {1: (-3.0, -1.0, 0.0, 0.5, 2.0, 3.0),
 
 
 def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
-                          max_total: int = 4, quick: bool = False):
+                          quick: bool = False):
     tol = tolerance if tolerance is not None else 1e-6
     reports = []
     a_values = (0.5, 1.0, 1.75)
     mu_values = (0.5, 1.25)
     for r in range(1, min(3, r_max) + 1):
         spec = quad.default_spec(r)
-        fine_spec = quad.doubled_spec(spec)
         xi_axis = _FOURIER_GRID_XI[r]
-        indices = _multi_indices(r, 2 if quick else max_total)
+        indices = _multi_indices(r, 2 if quick else 4)
         if quick:
             indices = indices[: 4]
         for n in indices:
             for a in a_values[:2] if quick else a_values:
                 for mu in mu_values[:1] if quick else mu_values:
                     params = FamilyParams(a, mu, n)
-                    axis_cache, fine_cache = {}, {}
-                    for j in range(1, r + 1):
-                        axis_cache[j] = {x: quad._fourier_axis_integral(j, params, x, spec)
-                                         for x in xi_axis}
-                        fine_cache[j] = {x: quad._fourier_axis_integral(j, params, x, fine_spec)
-                                         for x in xi_axis}
+                    # per-axis oracle integrals at the base and doubled rules
+                    axes = [{(j, x): quad._fourier_axis_integral(j, params, x, s)
+                             for j in range(1, r + 1) for x in xi_axis}
+                            for s in (spec, quad.doubled_spec(spec))]
                     for xi in itertools.product(xi_axis, repeat=r):
-                        oracle = 1.0 + 0.0j
-                        fine = 1.0 + 0.0j
+                        oracle, fine = 1.0 + 0.0j, 1.0 + 0.0j
                         for j in range(1, r + 1):
-                            oracle *= axis_cache[j][xi[j - 1]]
-                            fine *= fine_cache[j][xi[j - 1]]
-                        closed = fourier_closed_form(params, np.array(xi))
-                        drift = abs(oracle - fine)
-                        stable = drift <= max(tol * max(abs(oracle), abs(fine)), 1e-9)
-                        report = make_report(
+                            oracle *= axes[0][j, xi[j - 1]]
+                            fine *= axes[1][j, xi[j - 1]]
+                        reports.append(_gated_report(
                             "fourier-oracle",
                             {"r": r, "n": list(n), "a": a, "mu": mu, "xi": list(xi)},
-                            closed, oracle, tol, abs_floor=1e-9,
-                            low_confidence=not stable)
-                        if not stable:
-                            report = dataclasses.replace(report, passed=False)
-                        reports.append(report)
+                            fourier_closed_form(params, np.array(xi)), oracle, tol, 1e-9,
+                            [(oracle, fine)]))
     return reports
 
 
@@ -315,7 +304,7 @@ def _suite_hahn_ort(seed: int, r_max: int, tolerance: float | None):
                                           * hahn_orthogonality_constant(m, a1, a2)))
                 reports.append(_gated_report(
                     "hahn-ort", {"a1": a1, "a2": a2, "n": n, "m": m},
-                    value, fine, target, tol, abs_floor=floor))
+                    value, target, tol, floor, [(value, fine)]))
     return reports
 
 
@@ -331,20 +320,11 @@ def _transform_pair_constant(params: FamilyParams) -> float:
 
 def _parseval_case(n, m, a1, a2, tol, floor):
     spec = quad.default_spec(len(n))
-    fine_spec = quad.doubled_spec(spec)
-    mu = a1 + a2 - 0.5
-    lhs = (2.0 * math.pi) ** len(n) * quad._parseval_x_side(n, m, a1, a2, mu, spec)
-    lhs_fine = (2.0 * math.pi) ** len(n) * quad._parseval_x_side(n, m, a1, a2, mu, fine_spec)
-    rhs = quad._parseval_xi_side(n, m, a1, a2, mu, spec)
-    rhs_fine = quad._parseval_xi_side(n, m, a1, a2, mu, fine_spec)
-    base = {"r": len(n), "n": list(n), "m": list(m), "a1": a1, "a2": a2}
-    stable = (abs(lhs - lhs_fine) <= max(tol * abs(lhs), floor)
-              and abs(rhs - rhs_fine) <= max(tol * abs(rhs), floor))
-    report = make_report("parseval", base, lhs, rhs, tol, abs_floor=floor,
-                         low_confidence=not stable)
-    if not stable:
-        report = dataclasses.replace(report, passed=False)
-    out = [report]
+    coarse, fine = (quad.parseval_check(n, m, a1, a2, s, tol, floor)
+                    for s in (spec, quad.doubled_spec(spec)))
+    base, lhs, rhs = coarse.parameters, coarse.lhs, coarse.rhs
+    out = [_gated_report("parseval", base, lhs, rhs, tol, floor,
+                         [(lhs, fine.lhs), (rhs, fine.rhs)])]
     target = quad.parseval_ball_value(n, m, a1, a2)
     out.append(make_report("parseval-ball-value", base, lhs, target, tol,
                            abs_floor=floor))
@@ -354,24 +334,21 @@ def _parseval_case(n, m, a1, a2, tol, floor):
     k_m = _transform_pair_constant(FamilyParams(a2, a1 + a2 - 0.5, m))
     pair_target = d_orthogonality_constant(n, a1, a2) if n == m else 0.0
     out.append(make_report("parseval-pair-constant", base,
-                           complex(rhs) / (k_n * k_m), pair_target, tol,
+                           rhs / (k_n * k_m), pair_target, tol,
                            abs_floor=floor * 4.0 * math.pi / abs(k_n * k_m)))
     return out
 
 
 def _suite_parseval(seed: int, r_max: int, tolerance: float | None):
     reports = []
-    cases_r1 = (((0,), (0,), 0.5, 0.5), ((1,), (0,), 0.5, 0.5), ((1,), (1,), 1.0, 0.75),
-                ((3,), (3,), 0.5, 0.5), ((2,), (0,), 1.0, 0.75))
-    for n, m, a1, a2 in cases_r1:
-        tol = tolerance if tolerance is not None else 1e-8
-        reports.extend(_parseval_case(n, m, a1, a2, tol, 1e-8))
-    if r_max >= 2:
-        cases_r2 = (((0, 0), (0, 0), 0.5, 0.5), ((1, 0), (1, 0), 1.0, 0.5),
-                    ((1, 0), (0, 1), 1.0, 0.5), ((1, 1), (1, 1), 1.0, 0.75))
-        for n, m, a1, a2 in cases_r2:
-            tol = tolerance if tolerance is not None else 1e-6
-            reports.extend(_parseval_case(n, m, a1, a2, tol, 1e-6))
+    cases = {1: (((0,), (0,), 0.5, 0.5), ((1,), (0,), 0.5, 0.5), ((1,), (1,), 1.0, 0.75),
+                 ((3,), (3,), 0.5, 0.5), ((2,), (0,), 1.0, 0.75)),
+             2: (((0, 0), (0, 0), 0.5, 0.5), ((1, 0), (1, 0), 1.0, 0.5),
+                 ((1, 0), (0, 1), 1.0, 0.5), ((1, 1), (1, 1), 1.0, 0.75))}
+    for r, floor in ((1, 1e-8), (2, 1e-6))[:r_max]:
+        tol = tolerance if tolerance is not None else floor
+        for n, m, a1, a2 in cases[r]:
+            reports.extend(_parseval_case(n, m, a1, a2, tol, floor))
     return reports
 
 
@@ -386,26 +363,16 @@ def _dfamily_pair_report(n, m, a1, a2, tolerance):
                               * d_orthogonality_constant(m, a1, a2)))
     return _gated_report(
         "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)},
-        value, fine, target, tol, abs_floor=floor)
+        value, target, tol, floor, [(value, fine)])
 
 
 def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
-    reports = []
-    for a1, a2 in ((0.5, 0.5), (1.0, 0.75)):
-        indices = [(n,) for n in range(4)]
-        for n in indices:
-            for m in indices:
-                if m < n:
-                    continue
-                reports.append(_dfamily_pair_report(n, m, a1, a2, tolerance))
+    cases = [((0.5, 0.5), _multi_indices(1, 3)), ((1.0, 0.75), _multi_indices(1, 3))]
     if r_max >= 2:
-        indices = _multi_indices(2, 2)
-        for n in indices:
-            for m in indices:
-                if m < n:
-                    continue
-                reports.append(_dfamily_pair_report(n, m, 1.0, 0.75, tolerance))
-    return reports
+        cases.append(((1.0, 0.75), _multi_indices(2, 2)))
+    return [_dfamily_pair_report(n, m, a1, a2, tolerance)
+            for (a1, a2), indices in cases
+            for n, m in itertools.combinations_with_replacement(indices, 2)]
 
 
 _SUITES = {
@@ -430,20 +397,17 @@ def canonical_sort(reports):
 
 def run_suite(name: str, seed: int = 0, r_max: int = 3,
               tolerance: float | None = None, quick: bool = False):
-    """Run one named suite (or 'all') and return canonically sorted reports."""
-    if name == "all":
-        reports = []
-        for suite_name, runner in _SUITES.items():
-            if suite_name == "fourier-oracle":
-                reports.extend(runner(seed, r_max, tolerance, quick=quick))
-            else:
-                reports.extend(runner(seed, r_max, tolerance))
-        return canonical_sort(reports)
-    if name not in _SUITES:
+    """Run one named suite (or 'all') and return canonically sorted reports;
+    ``quick`` trims the fourier-oracle grid for smoke runs."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if name == "fourier-oracle":
-        return canonical_sort(_SUITES[name](seed, r_max, tolerance, quick=quick))
-    return canonical_sort(_SUITES[name](seed, r_max, tolerance))
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
+    reports = []
+    for suite_name in _SUITES if name == "all" else (name,):
+        options = {"quick": quick} if suite_name == "fourier-oracle" else {}
+        reports.extend(_SUITES[suite_name](seed, r_max, tolerance, **options))
+    return canonical_sort(reports)
 
 
 # ---------------------------------------------------------------------------

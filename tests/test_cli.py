@@ -83,10 +83,23 @@ class TestFourier:
         assert json.loads(out)["passed"] is False
 
 
+    def test_nan_frequency_check_exits_1(self, capsys):
+        code, out = run_cli(["fourier", "--n", "1", "--a", "1", "--mu", "0.5",
+                             "--xi", "nan", "--check"], capsys)
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+
+
 class TestVerify:
     def test_bad_suite_exits_2(self, capsys):
         code, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["ball-pde", "fourier-oracle"])
+    def test_r_max_below_one_exits_2(self, capsys, suite):
+        code, out = run_cli(["verify", "--suite", suite, "--r-max", "0"], capsys)
+        assert code == 2
+        assert out == ""
 
     def test_suite_passes_and_writes_json(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -89,6 +89,16 @@ class TestLogGamma:
             assert rel_err(log_gamma(z), ref) <= 1e-13
 
 
+    def test_non_finite_input_returns_non_finite(self):
+        # the shift recurrence toward Re z >= 1/2 never moves Re z = -inf
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert not np.isfinite(log_gamma(complex(-np.inf, 1.0)))
+            values = log_gamma(np.array([complex(-np.inf, 1.0), complex(np.nan, 1.0),
+                                         -2.5 + 0.1j, complex(1.0, np.inf)]))
+        assert not np.any(np.isfinite(values[[0, 1, 3]]))
+        assert values[2] == log_gamma(-2.5 + 0.1j)
+
+
 class TestGamma:
     def test_trivial_values(self):
         assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ballfourier.verify import (SUITE_NAMES, SplitMix64, canonical_sort,
-                                report_from_dict, report_to_dict,
+from ballfourier.quadrature import make_report
+from ballfourier.verify import (SUITE_NAMES, SplitMix64, _gated_report,
+                                canonical_sort, report_from_dict, report_to_dict,
                                 reports_from_json, reports_to_json, run_suite)
 
 
@@ -30,10 +31,48 @@ class TestSplitMix64:
         assert [a.next_raw() for _ in range(10)] == [b.next_raw() for _ in range(10)]
 
 
+class TestStabilityGate:
+    def test_stable_case_keeps_make_report_verdict(self):
+        for lhs, rhs in ((1.0, 1.0 + 1e-9), (1.0, 2.0)):
+            gated = _gated_report("x", {"k": 1}, lhs, rhs, 1e-6, 1e-12,
+                                  [(lhs, lhs * (1.0 + 1e-12))])
+            assert gated == make_report("x", {"k": 1}, lhs, rhs, 1e-6, abs_floor=1e-12)
+
+    def test_gated_value_differs_from_lhs(self):
+        # fourier-oracle style: lhs is the closed form, the gate watches the
+        # oracle (rhs) alone
+        closed, oracle = 2.0 + 1.0j, 2.0 + 1.0j + 1e-9
+        stable = _gated_report("x", {}, closed, oracle, 1e-6, 1e-12,
+                               [(oracle, oracle + 1e-13)])
+        assert stable.passed and not stable.low_confidence
+        drifting = _gated_report("x", {}, closed, oracle, 1e-6, 1e-12,
+                                 [(oracle, oracle + 1e-3)])
+        assert not drifting.passed and drifting.low_confidence
+        assert drifting.lhs == closed and drifting.rhs == oracle
+
+    def test_only_second_pair_drifts(self):
+        # Parseval style: both sides are gated; a drift in either fails
+        lhs, rhs = 3.0, 3.0 + 1e-10
+        report = _gated_report("x", {}, lhs, rhs, 1e-8, 1e-8,
+                               [(lhs, lhs + 1e-12), (rhs, rhs + 1e-2)])
+        assert not report.passed
+        assert report.low_confidence
+        assert make_report("x", {}, lhs, rhs, 1e-8, abs_floor=1e-8).passed
+
+    def test_non_finite_doubled_value_fails(self):
+        report = _gated_report("x", {}, 1.0, 1.0, 1e-6, 1.0, [(1.0, float("nan"))])
+        assert not report.passed and report.low_confidence
+
+
 class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    def test_r_max_below_one_rejected(self):
+        for name in ("ball-pde", "fourier-oracle", "all"):
+            with pytest.raises(ValueError):
+                run_suite(name, r_max=0)
 
     @pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "all"])
     def test_suite_passes(self, name):
