@@ -1,8 +1,16 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# pyproject's pytest `pythonpath` covers this process only; CLI tests start
+# `python -m ballfourier.cli` subprocesses, which need src on PYTHONPATH too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
