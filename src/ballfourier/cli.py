@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,6 +27,8 @@ from .verify import SUITE_NAMES, report_to_dict, reports_to_json, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+# most rows a table may compute; a ball table counts all grid x grid points
+_TABLE_ROW_LIMIT = 1_000_000
 
 
 def _parse_multi_index(text: str) -> tuple[int, ...]:
@@ -35,11 +38,18 @@ def _parse_multi_index(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad multi-index {text!r}") from exc
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
+def _finite_float(text: str) -> float:
     try:
-        return tuple(float(part) for part in text.split(","))
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad vector {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_vector(text: str) -> tuple[float, ...]:
+    return tuple(_finite_float(part) for part in text.split(","))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -75,18 +85,26 @@ def _check_point(parser, args) -> None:
         parser.error("--x must have as many coordinates as --n")
 
 
+def _check_scalar(parser, args) -> None:
+    if len(args.n) != 1 or len(args.x) != 1:
+        parser.error(f"--fn {args.fn} takes a single --n and a single --x entry")
+
+
 def _eval_value(parser, args):
     fn = args.fn
     if fn == "gegenbauer":
         _require(parser, args, ("n", "lam", "x"))
+        _check_scalar(parser, args)
         return {"fn": fn, "n": args.n[0], "lambda": args.lam, "x": args.x[0]}, \
             gegenbauer(args.n[0], args.lam, args.x[0])
     if fn == "jacobi":
         _require(parser, args, ("n", "alpha", "beta", "x"))
+        _check_scalar(parser, args)
         return {"fn": fn, "n": args.n[0], "alpha": args.alpha, "beta": args.beta,
                 "x": args.x[0]}, jacobi(args.n[0], args.alpha, args.beta, args.x[0])
     if fn == "hahn":
         _require(parser, args, ("n", "x", "a", "b", "c", "d"))
+        _check_scalar(parser, args)
         return {"fn": fn, "n": args.n[0], "x": args.x[0],
                 "a": args.a, "b": args.b, "c": args.c, "d": args.d}, \
             continuous_hahn(args.n[0], args.x[0], (args.a, args.b, args.c, args.d))
@@ -205,6 +223,8 @@ def _cmd_table(parser, args) -> int:
         _require(parser, args, ("n", "mu", "grid"))
         if len(args.n) != 2:
             parser.error("--fn ball tables are 2-dimensional; give --n with two entries")
+        if args.grid ** 2 > _TABLE_ROW_LIMIT:
+            parser.error(f"--grid {args.grid} gives more than {_TABLE_ROW_LIMIT} grid points")
         writer.writerow(["x1", "x2", "value_re", "value_im"])
         axis = np.linspace(-1.0, 1.0, args.grid)
         for x1 in axis:
@@ -240,7 +260,10 @@ def _cmd_table(parser, args) -> int:
 def _grid(start: float, stop: float, step: float):
     if step <= 0:
         raise ValueError("--step must be positive")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step
+    if span >= _TABLE_ROW_LIMIT:
+        raise ValueError(f"--step gives more than {_TABLE_ROW_LIMIT} rows")
+    count = int(round(span))
     return [start + k * step for k in range(count + 1)
             if start + k * step <= stop + 1e-12]
 
@@ -262,28 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fn", required=True,
                         choices=("gegenbauer", "jacobi", "hahn", "ball", "f_r", "d_family"))
     p_eval.add_argument("--n", type=_parse_multi_index, help="degree or multi-index (comma separated)")
-    p_eval.add_argument("--lambda", dest="lam", type=float, help="Gegenbauer parameter")
-    p_eval.add_argument("--alpha", type=float)
-    p_eval.add_argument("--beta", type=float)
-    p_eval.add_argument("--a", type=float)
-    p_eval.add_argument("--b", type=float)
-    p_eval.add_argument("--c", type=float)
-    p_eval.add_argument("--d", type=float)
-    p_eval.add_argument("--mu", type=float)
-    p_eval.add_argument("--a1", type=float)
-    p_eval.add_argument("--a2", type=float)
+    p_eval.add_argument("--lambda", dest="lam", type=_finite_float, help="Gegenbauer parameter")
+    p_eval.add_argument("--alpha", type=_finite_float)
+    p_eval.add_argument("--beta", type=_finite_float)
+    p_eval.add_argument("--a", type=_finite_float)
+    p_eval.add_argument("--b", type=_finite_float)
+    p_eval.add_argument("--c", type=_finite_float)
+    p_eval.add_argument("--d", type=_finite_float)
+    p_eval.add_argument("--mu", type=_finite_float)
+    p_eval.add_argument("--a1", type=_finite_float)
+    p_eval.add_argument("--a2", type=_finite_float)
     p_eval.add_argument("--x", type=_parse_vector, help="evaluation point (comma separated)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_fourier = sub.add_parser("fourier", help="closed-form transform, optionally checked")
     add_common(p_fourier)
     p_fourier.add_argument("--n", type=_parse_multi_index, required=True)
-    p_fourier.add_argument("--a", type=float, required=True)
-    p_fourier.add_argument("--mu", type=float, required=True)
+    p_fourier.add_argument("--a", type=_finite_float, required=True)
+    p_fourier.add_argument("--mu", type=_finite_float, required=True)
     p_fourier.add_argument("--xi", type=_parse_vector, required=True)
     p_fourier.add_argument("--check", action="store_true",
                            help="compare against the quadrature oracle")
-    p_fourier.add_argument("--tolerance", type=float, default=None)
+    p_fourier.add_argument("--tolerance", type=_finite_float, default=None)
     p_fourier.set_defaults(func=_cmd_fourier)
 
     p_verify = sub.add_parser("verify", help="run an identity-verification suite")
@@ -302,16 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--fn", required=True,
                          choices=("theta", "ball", "gegenbauer", "d_family"))
     p_table.add_argument("--n", type=_parse_multi_index)
-    p_table.add_argument("--lambda", dest="lam", type=float)
-    p_table.add_argument("--a", type=float)
-    p_table.add_argument("--mu", type=float)
-    p_table.add_argument("--a1", type=float)
-    p_table.add_argument("--a2", type=float)
+    p_table.add_argument("--lambda", dest="lam", type=_finite_float)
+    p_table.add_argument("--a", type=_finite_float)
+    p_table.add_argument("--mu", type=_finite_float)
+    p_table.add_argument("--a1", type=_finite_float)
+    p_table.add_argument("--a2", type=_finite_float)
     p_table.add_argument("--axis", type=int, default=None,
                          help="theta axis index j (default 1)")
-    p_table.add_argument("--start", type=float)
-    p_table.add_argument("--stop", type=float)
-    p_table.add_argument("--step", type=float)
+    p_table.add_argument("--start", type=_finite_float)
+    p_table.add_argument("--stop", type=_finite_float)
+    p_table.add_argument("--step", type=_finite_float)
     p_table.add_argument("--grid", type=int, help="grid points per axis (ball tables)")
     p_table.set_defaults(func=_cmd_table)
     return parser

@@ -6,11 +6,16 @@ These engines are the ground truth the closed forms are checked against:
   (the integrands are analytic with exponential decay, so panelled rules
   reach near machine precision);
 * ball integrals use the nested radius parameterization with per-axis
-  Gauss-Jacobi rules that absorb the weight exactly;
+  Gauss-Jacobi rules that absorb the weight exactly; in those coordinates a
+  product of two basis polynomials is a product of one-variable factors
+  (1 - t_j^2)^((|n^{j+1}| + |m^{j+1}|)/2) C_{n_j}(t_j) C_{m_j}(t_j), so the
+  tensor sum is evaluated one axis at a time, with the dense grid through
+  the ball basis retained as a small-r cross-check (``mode="tensor"``);
 * Fourier integrals are tensor-product quadratures; because every family
   member separates across axes, the tensor sum is normally evaluated in
-  factored per-axis form, with a dense tensor mode and a tanh-substituted
-  mode retained as independent cross-checks.
+  factored per-axis form (one reduction per axis for a whole set of
+  frequencies), with a dense tensor mode and a tanh-substituted mode
+  retained as independent cross-checks.
 
 Accumulation uses numpy's fixed pairwise reductions, so identical inputs
 produce bit-identical results regardless of scheduling.
@@ -26,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import ball_basis_eval, ball_norm, validate_multi_index
+from .ball import _check_mu, ball_basis_eval, ball_norm, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .dfamily import DParams, d_axis_factor
 from .errors import NonFiniteIntegrandError
@@ -207,11 +212,16 @@ def _tanh_rule(levels: int = 120, nodes_per_panel: int = 16, central_panels: int
 _TENSOR_GRID_LIMIT = 8_000_000
 
 
-def _fourier_axis_integral(j: int, params: FamilyParams, xi_j: float,
-                           spec: QuadratureSpec) -> complex:
+def _fourier_axis_integral(j: int, params: FamilyParams, xi_j, spec: QuadratureSpec):
+    """Axis-j quadrature of the transform at frequency ``xi_j``, a scalar
+    (complex result) or an array (one value per entry).  Each entry is the
+    same pairwise node sum a scalar call makes, so batching does not change
+    a bit."""
     x, w = _line_rule(spec)
-    phi = family_axis_factor(j, params, x)
-    return complex(np.sum(w * phi * np.exp(-1j * xi_j * x)))
+    wphi = w * family_axis_factor(j, params, x)
+    xi_j = np.asarray(xi_j, dtype=np.float64)
+    values = np.sum(wphi * np.exp(-1j * xi_j[..., None] * x), axis=-1)
+    return complex(values) if values.ndim == 0 else values
 
 
 def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None,
@@ -277,20 +287,23 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
 # Ball inner products
 # ---------------------------------------------------------------------------
 
-def _ball_grid(r: int, mu: float, nodes: int):
-    """Tensor grid for the nested-radius parameterization of the ball.
+def _ball_rules(r: int, mu: float, nodes: int):
+    """Per-axis rules of the nested-radius parameterization of the ball.
 
     Axis j carries the Gauss-Jacobi rule with exponent mu - 1/2 + (r - j)/2,
     so the measure, weight and radius Jacobians are absorbed exactly; what is
     left of the integrand is polynomial and integrates exactly.
-    Returns (points, weights) with points of shape (nodes^r, r).
     """
-    axes = []
-    weights = []
-    for j in range(1, r + 1):
-        t, w = _jacgauss_cached(nodes, mu - 0.5 + (r - j) / 2.0, mu - 0.5 + (r - j) / 2.0)
-        axes.append(t)
-        weights.append(w)
+    return [_jacgauss_cached(nodes, mu - 0.5 + (r - j) / 2.0, mu - 0.5 + (r - j) / 2.0)
+            for j in range(1, r + 1)]
+
+
+def _ball_grid(r: int, mu: float, nodes: int):
+    """Dense tensor grid of :func:`_ball_rules` mapped into the ball:
+    (points, weights) with points of shape (nodes^r, r)."""
+    if nodes ** r > _TENSOR_GRID_LIMIT:
+        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
+    axes, weights = zip(*_ball_rules(r, mu, nodes))
     grids = np.meshgrid(*axes, indexing="ij")
     wgrids = np.meshgrid(*weights, indexing="ij")
     t = np.stack([g.ravel() for g in grids], axis=-1)
@@ -306,6 +319,51 @@ def _ball_grid(r: int, mu: float, nodes: int):
     return x, w
 
 
+def _ball_axis_factors(n, mu: float, rules):
+    """The basis polynomial ``n`` in nested-radius coordinates, one factor
+    per axis: (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j) on the nodes
+    of axis j, lambda_j = mu + |n^{j+1}| + (r - j)/2.  Their product over j
+    is the basis polynomial at the mapped point."""
+    r = len(n)
+    factors = []
+    for j, (t, _) in enumerate(rules, start=1):
+        m = tail_sum(n, j + 1)
+        factors.append((1.0 - t * t) ** (m / 2.0)
+                       * gegenbauer(n[j - 1], mu + m + (r - j) / 2.0, t))
+    return factors
+
+
+def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: str):
+    """(rules, factors) for ball integrals of the basis polynomials
+    ``indices``: the rules the integral is summed on and, per index, its
+    factor on each rule, evaluated once per distinct index.  ``separated``
+    has one Gauss-Jacobi rule per axis and the per-axis factors;
+    ``tensor`` has the dense grid as its one rule and the basis values on
+    it."""
+    if mode not in ("separated", "tensor"):
+        raise ValueError("mode must be 'separated' or 'tensor'")
+    mu = _check_mu(mu)
+    r = len(indices[0])
+    if spec is None:
+        spec = ball_default_spec(r)
+    if mode == "tensor":
+        x, w = _ball_grid(r, mu, spec.nodes_per_axis)
+        rules = [(x, w)]
+        unique = {ix: [ball_basis_eval(ix, mu, x)] for ix in dict.fromkeys(indices)}
+    else:
+        rules = _ball_rules(r, mu, spec.nodes_per_axis)
+        unique = {ix: _ball_axis_factors(ix, mu, rules) for ix in dict.fromkeys(indices)}
+    return rules, [unique[ix] for ix in indices]
+
+
+def _ball_pairing(fn, fm, rules) -> float:
+    """Product over the rules of the weighted node sums of fn * fm."""
+    value = 1.0
+    for f, g, (_, w) in zip(fn, fm, rules):
+        value *= float(np.sum(w * f * g))
+    return value
+
+
 def _index_pair(n, m):
     n = validate_multi_index(n)
     m = validate_multi_index(m)
@@ -314,32 +372,33 @@ def _index_pair(n, m):
     return n, m, len(n)
 
 
-def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None) -> float:
-    """Weighted ball inner product of two basis polynomials by quadrature."""
-    n, m, r = _index_pair(n, m)
-    if spec is None:
-        spec = ball_default_spec(r)
-    x, w = _ball_grid(r, float(mu), spec.nodes_per_axis)
-    pn = ball_basis_eval(n, mu, x)
-    pm = pn if m == n else ball_basis_eval(m, mu, x)
-    return float(np.sum(w * pn * pm))
+def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None,
+                               mode: str = "separated") -> float:
+    """Weighted ball inner product of two basis polynomials by quadrature.
+
+    ``separated`` (default) sums the per-axis factors of the integrand on
+    the per-axis Gauss-Jacobi rules, at per-axis cost; ``tensor`` sums the
+    same rule as a dense grid of nodes^r <= 8e6 points through
+    :func:`ball_basis_eval`, as an independent check.
+    """
+    n, m, _ = _index_pair(n, m)
+    rules, (fn, fm) = _ball_factor_table([n, m], mu, spec, mode)
+    return _ball_pairing(fn, fm, rules)
 
 
-def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Gram matrix of several basis polynomials on one shared grid."""
+def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
+                     mode: str = "separated") -> np.ndarray:
+    """Gram matrix of several basis polynomials on one shared rule (modes
+    as in :func:`ball_inner_product_numeric`)."""
     indices = [validate_multi_index(ix) for ix in indices]
-    r = len(indices[0])
-    if any(len(ix) != r for ix in indices):
+    if any(len(ix) != len(indices[0]) for ix in indices):
         raise ValueError("all multi-indices must have equal length")
-    if spec is None:
-        spec = ball_default_spec(r)
-    x, w = _ball_grid(r, float(mu), spec.nodes_per_axis)
-    basis = np.stack([ball_basis_eval(ix, mu, x) for ix in indices])
+    rules, basis = _ball_factor_table(indices, mu, spec, mode)
     count = len(indices)
     gram = np.empty((count, count))
     for p in range(count):
         for q in range(p, count):
-            gram[p, q] = gram[q, p] = float(np.sum(w * basis[p] * basis[q]))
+            gram[p, q] = gram[q, p] = _ball_pairing(basis[p], basis[q], rules)
     return gram
 
 

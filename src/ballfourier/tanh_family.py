@@ -211,18 +211,21 @@ def fourier_prefactor(params: FamilyParams) -> float:
     return value
 
 
-def fourier_closed_form(params: FamilyParams, xi) -> complex:
+def fourier_closed_form(params: FamilyParams, xi):
     """Closed-form Fourier transform of the family member at frequency ``xi``.
 
-    ``xi`` is a length-r frequency vector.  This is the default production
-    path; the recursive forms exist for cross-validation.
+    ``xi`` has shape (..., r): one length-r frequency vector gives a complex
+    scalar, a batch of them an array of shape ``xi.shape[:-1]``.  This is
+    the default production path; the recursive forms exist for
+    cross-validation.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (params.r,):
-        raise ValueError(f"frequency vector must have length {params.r}")
+    r = params.r
+    if xi.ndim == 0 or xi.shape[-1] != r:
+        raise ValueError(f"frequency vectors must have length {r} on the last axis")
     value = complex(fourier_prefactor(params))
-    for j in range(1, params.r + 1):
-        value *= theta_factor(j, params.r, params, float(xi[j - 1]))
+    for j in range(1, r + 1):
+        value = value * theta_factor(j, r, params, xi[..., j - 1])
     return value
 
 

@@ -264,6 +264,8 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
     for r in range(1, min(3, r_max) + 1):
         spec = quad.default_spec(r)
         xi_axis = _FOURIER_GRID_XI[r]
+        grid = list(itertools.product(xi_axis, repeat=r))
+        cells = list(itertools.product(range(len(xi_axis)), repeat=r))
         indices = _multi_indices(r, 2 if quick else 4)
         if quick:
             indices = indices[: 4]
@@ -271,20 +273,21 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
             for a in a_values[:2] if quick else a_values:
                 for mu in mu_values[:1] if quick else mu_values:
                     params = FamilyParams(a, mu, n)
-                    # per-axis oracle integrals at the base and doubled rules
-                    axes = [{(j, x): quad._fourier_axis_integral(j, params, x, s)
-                             for j in range(1, r + 1) for x in xi_axis}
+                    # per-axis oracle integrals at the base and doubled rules,
+                    # one call per axis and rule on all grid frequencies
+                    axes = [[quad._fourier_axis_integral(j, params, xi_axis, s)
+                             for j in range(1, r + 1)]
                             for s in (spec, quad.doubled_spec(spec))]
-                    for xi in itertools.product(xi_axis, repeat=r):
+                    closed = fourier_closed_form(params, grid)
+                    for xi, cell, lhs in zip(grid, cells, closed):
                         oracle, fine = 1.0 + 0.0j, 1.0 + 0.0j
-                        for j in range(1, r + 1):
-                            oracle *= axes[0][j, xi[j - 1]]
-                            fine *= axes[1][j, xi[j - 1]]
+                        for j, k in enumerate(cell):
+                            oracle *= complex(axes[0][j][k])
+                            fine *= complex(axes[1][j][k])
                         reports.append(_gated_report(
                             "fourier-oracle",
                             {"r": r, "n": list(n), "a": a, "mu": mu, "xi": list(xi)},
-                            fourier_closed_form(params, np.array(xi)), oracle, tol, 1e-9,
-                            [(oracle, fine)]))
+                            lhs, oracle, tol, 1e-9, [(oracle, fine)]))
     return reports
 
 

@@ -50,6 +50,18 @@ class TestEval:
                            "--x", "0.9,0.9"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--fn", "gegenbauer", "--n", "1,2", "--lambda", "1", "--x", "0.3"],
+        ["--fn", "gegenbauer", "--n", "1", "--lambda", "1", "--x", "0.3,0.4"],
+        ["--fn", "jacobi", "--n", "2,0", "--alpha", "1", "--beta", "0", "--x", "0.3"],
+        ["--fn", "hahn", "--n", "1", "--x", "0.3,0.2",
+         "--a", "1", "--b", "1", "--c", "1", "--d", "1"],
+    ])
+    def test_scalar_functions_reject_extra_entries(self, capsys, args):
+        code, out = run_cli(["eval", *args], capsys)
+        assert code == 2
+        assert out == ""
+
 
 class TestFourier:
     def test_check_passes(self, capsys):
@@ -83,11 +95,42 @@ class TestFourier:
         assert json.loads(out)["passed"] is False
 
 
-    def test_nan_frequency_check_exits_1(self, capsys):
+    @pytest.mark.filterwarnings("error")
+    def test_nan_frequency_check_exits_2(self, capsys):
         code, out = run_cli(["fourier", "--n", "1", "--a", "1", "--mu", "0.5",
                              "--xi", "nan", "--check"], capsys)
-        assert code == 1
-        assert json.loads(out)["passed"] is False
+        assert code == 2
+        assert out == ""
+
+
+_NON_FINITE_CASES = [
+    ["eval", "--fn", "gegenbauer", "--n", "1", "--lambda", "1.5", "--x", "{v}"],
+    ["eval", "--fn", "gegenbauer", "--n", "1", "--lambda={v}", "--x", "0.4"],
+    ["eval", "--fn", "ball", "--n", "0,1", "--mu", "1", "--x", "0.3,{v}"],
+    ["eval", "--fn", "f_r", "--n", "0", "--a={v}", "--mu", "0.5", "--x", "0"],
+    ["eval", "--fn", "d_family", "--n", "1", "--a1", "1", "--a2={v}", "--x", "0.5"],
+    ["fourier", "--n", "1", "--a", "1", "--mu", "0.5", "--xi", "{v}"],
+    ["fourier", "--n", "1,0", "--a", "1", "--mu={v}", "--xi", "0.5,1"],
+    ["fourier", "--n", "1", "--a", "1", "--mu", "0.5", "--xi", "0", "--check",
+     "--tolerance={v}"],
+    ["table", "--fn", "theta", "--n", "2", "--a", "1", "--mu", "1",
+     "--start", "0", "--stop={v}", "--step", "0.5"],
+    ["table", "--fn", "gegenbauer", "--n", "2", "--lambda", "1",
+     "--start={v}", "--stop", "1", "--step", "0.5"],
+    ["table", "--fn", "d_family", "--n", "1", "--a1", "1", "--a2", "0.75",
+     "--start", "0", "--stop", "1", "--step={v}"],
+]
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("case", range(len(_NON_FINITE_CASES)))
+    def test_usage_error(self, capsys, case, value):
+        args = [arg.format(v=value) for arg in _NON_FINITE_CASES[case]]
+        code, out = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestVerify:
@@ -173,3 +216,21 @@ class TestTable:
                            "--mu", "1", "--start", "0", "--stop", "1",
                            "--step", "-0.5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--fn", "theta", "--n", "2", "--a", "1", "--mu", "1",
+         "--start", "0", "--stop", "1", "--step", "1e-6"],
+        ["--fn", "gegenbauer", "--n", "2", "--lambda", "1",
+         "--start", "-1", "--stop", "1", "--step", "1e-300"],
+        ["--fn", "ball", "--n", "1,1", "--mu", "0.5", "--grid", "1001"],
+    ])
+    def test_row_limit_exits_2(self, capsys, args):
+        code, out = run_cli(["table", *args], capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_fine_step_within_limit(self, capsys):
+        code, out = run_cli(["table", "--fn", "gegenbauer", "--n", "1", "--lambda", "1",
+                             "--start", "0", "--stop", "1", "--step", "1e-4"], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 10001

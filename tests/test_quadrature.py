@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          fourier_numeric, hahn_orthogonality_constant,
                          hahn_orthogonality_integral, integrate_line,
                          parseval_check)
-from ballfourier.quadrature import (_line_rule, ball_default_spec,
+from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
+                                    _line_rule, ball_default_spec,
                                     ball_gram_matrix, ball_inner_product_numeric,
                                     d_biorthogonality_integral, default_spec,
                                     make_report, parseval_ball_value)
@@ -127,6 +129,52 @@ class TestBallInnerProduct:
                 direct = ball_inner_product_numeric(n, m, 0.5,
                                                     spec=ball_default_spec(2))
                 assert abs(gram[p, q] - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+    @pytest.mark.parametrize("r, mu", [(1, 0.5), (1, -0.3), (2, 1.5), (3, 0.5), (3, 0.8)])
+    def test_separated_matches_tensor(self, r, mu):
+        spec = QuadratureSpec(nodes_per_axis=12, panels=1)
+        indices = [n for n in itertools.product(range(4), repeat=r) if sum(n) <= 3]
+        sep = ball_gram_matrix(indices, mu, spec)
+        dense = ball_gram_matrix(indices, mu, spec, mode="tensor")
+        norms = np.sqrt([ball_norm(n, mu) for n in indices])
+        assert np.all(np.abs(sep - dense) <= 1e-14 * np.outer(norms, norms))
+        for p, q in ((0, 0), (1, 1), (0, len(indices) - 1), (2, 3)):
+            n, m = indices[p], indices[q]
+            one = ball_inner_product_numeric(n, m, mu, spec)
+            one_dense = ball_inner_product_numeric(n, m, mu, spec, mode="tensor")
+            assert abs(one - one_dense) <= 1e-14 * norms[p] * norms[q]
+            assert one == sep[p, q]
+
+    def test_tensor_mode_grid_limit(self):
+        assert 64 ** 4 > _TENSOR_GRID_LIMIT
+        with pytest.raises(ValueError):
+            ball_inner_product_numeric((0,) * 4, (0,) * 4, 0.5, mode="tensor")
+        with pytest.raises(ValueError):
+            ball_gram_matrix([(0, 0, 0)], 0.5, QuadratureSpec(256, panels=1), mode="tensor")
+        # the separated default reaches the same r at per-axis cost
+        value = ball_inner_product_numeric((1, 0, 0, 1), (1, 0, 0, 1), 0.5)
+        assert rel_err(value, ball_norm((1, 0, 0, 1), 0.5)) <= 1e-12
+
+    def test_rejects_bad_mode_and_mu(self):
+        with pytest.raises(ValueError):
+            ball_inner_product_numeric((0, 0), (0, 0), 0.5, mode="dense")
+        with pytest.raises(ValueError):
+            ball_gram_matrix([(0, 0)], -0.5)
+
+
+class TestFourierAxisIntegral:
+    def test_batched_equals_per_frequency_bitwise(self, rng):
+        spec = default_spec(2)
+        params = FamilyParams(0.75, 1.25, (2, 1))
+        xi = rng.uniform(-3.0, 3.0, size=9)
+        for j in (1, 2):
+            batched = _fourier_axis_integral(j, params, xi, spec)
+            assert batched.shape == xi.shape
+            for value, x in zip(batched, xi):
+                single = _fourier_axis_integral(j, params, float(x), spec)
+                assert isinstance(single, complex)
+                assert complex(value) == single
 
 
 class TestHahnIntegral:

@@ -9,6 +9,7 @@ from ballfourier import (FamilyParams, beta, family_eval, family_eval_peel_first
                          pochhammer, tanh_ball_map, theta_factor,
                          theta_factor_hahn)
 from ballfourier.tanh_family import family_axis_factor, fourier_prefactor
+from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
 
 # frozen direct arithmetic: tanh(1), tanh(1)*sech(1)
@@ -264,3 +265,39 @@ class TestFourierClosedForm:
         params = FamilyParams(1.0, 0.5, (1, 0))
         with pytest.raises(ValueError):
             fourier_closed_form(params, [0.1])
+
+    def test_bad_last_axis_raises(self):
+        params = FamilyParams(1.0, 0.5, (1, 0))
+        for xi in (0.1, np.zeros((4, 3)), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError):
+                fourier_closed_form(params, xi)
+
+
+class TestBatchedClosedForm:
+    """Grids of frequency vectors, shape (..., r), through one call."""
+
+    def _check_grid(self, params, grid):
+        batched = fourier_closed_form(params, grid)
+        assert batched.shape == grid.shape[:-1]
+        for index in np.ndindex(grid.shape[:-1]):
+            single = fourier_closed_form(params, grid[index])
+            assert np.ndim(single) == 0
+            scale = fourier_value_scale(params, grid[index])
+            assert abs(batched[index] - single) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_flat_grid(self, rng, r):
+        for _ in range(4):
+            n = tuple(int(v) for v in rng.integers(0, 3, size=r))
+            params = FamilyParams(rng.uniform(0.3, 2.0), rng.uniform(0.2, 2.0), n)
+            self._check_grid(params, rng.uniform(-3.0, 3.0, size=(7, r)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_two_batch_axes(self, rng, r):
+        n = tuple(int(v) for v in rng.integers(0, 3, size=r))
+        params = FamilyParams(rng.uniform(0.3, 2.0), rng.uniform(0.2, 2.0), n)
+        self._check_grid(params, rng.uniform(-3.0, 3.0, size=(3, 4, r)))
+
+    def test_single_vector_is_complex_scalar(self):
+        value = fourier_closed_form(FamilyParams(1.0, 0.5, (1, 2)), [0.5, -1.0])
+        assert isinstance(value, complex)
