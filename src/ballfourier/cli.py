@@ -204,8 +204,6 @@ def _float_repr(value: float) -> str:
 
 
 def _cmd_table(parser, args) -> int:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     fn = args.fn
     if fn == "theta":
         _require(parser, args, ("n", "a", "mu", "start", "stop", "step"))
@@ -214,45 +212,42 @@ def _cmd_table(parser, args) -> int:
         j = args.axis if args.axis is not None else 1
         if not 1 <= j <= r:
             parser.error("--axis out of range")
-        writer.writerow(["xi", "value_re", "value_im"])
-        for xi in _grid(args.start, args.stop, args.step):
-            value = complex(theta_factor(j, r, params, xi))
-            writer.writerow([_float_repr(xi), _float_repr(value.real),
-                             _float_repr(value.imag)])
+        header = ["xi"]
+        points = np.array(_grid(args.start, args.stop, args.step)).reshape(-1, 1)
+        values = theta_factor(j, r, params, points[:, 0])
     elif fn == "ball":
         _require(parser, args, ("n", "mu", "grid"))
         if len(args.n) != 2:
             parser.error("--fn ball tables are 2-dimensional; give --n with two entries")
         if args.grid ** 2 > _TABLE_ROW_LIMIT:
             parser.error(f"--grid {args.grid} gives more than {_TABLE_ROW_LIMIT} grid points")
-        writer.writerow(["x1", "x2", "value_re", "value_im"])
+        header = ["x1", "x2"]
         axis = np.linspace(-1.0, 1.0, args.grid)
-        for x1 in axis:
-            for x2 in axis:
-                if x1 * x1 + x2 * x2 > 1.0:
-                    continue
-                value = complex(ball_basis_eval(args.n, args.mu, np.array([x1, x2])))
-                writer.writerow([_float_repr(x1), _float_repr(x2),
-                                 _float_repr(value.real), _float_repr(value.imag)])
+        x1, x2 = (c.reshape(-1) for c in np.meshgrid(axis, axis, indexing="ij"))
+        points = np.stack([x1, x2], axis=-1)[x1 * x1 + x2 * x2 <= 1.0]
+        values = ball_basis_eval(args.n, args.mu, points)
     elif fn == "gegenbauer":
         _require(parser, args, ("n", "lam", "start", "stop", "step"))
-        writer.writerow(["x", "value_re", "value_im"])
-        for x in _grid(args.start, args.stop, args.step):
-            value = complex(gegenbauer(args.n[0], args.lam, x))
-            writer.writerow([_float_repr(x), _float_repr(value.real),
-                             _float_repr(value.imag)])
+        if len(args.n) != 1:
+            parser.error("--fn gegenbauer tables take a single --n entry")
+        header = ["x"]
+        points = np.array(_grid(args.start, args.stop, args.step)).reshape(-1, 1)
+        values = gegenbauer(args.n[0], args.lam, points[:, 0])
     elif fn == "d_family":
         _require(parser, args, ("n", "a1", "a2", "start", "stop", "step"))
         if len(args.n) != 1:
             parser.error("--fn d_family tables are 1-dimensional; give a single --n entry")
         params = DParams(args.a1, args.a2, args.n)
-        writer.writerow(["x", "value_re", "value_im"])
-        for x in _grid(args.start, args.stop, args.step):
-            value = complex(d_family_eval(np.array([x], dtype=complex), params))
-            writer.writerow([_float_repr(x), _float_repr(value.real),
-                             _float_repr(value.imag)])
+        header = ["x"]
+        points = np.array(_grid(args.start, args.stop, args.step)).reshape(-1, 1)
+        values = d_family_eval(points.astype(complex), params)
     else:
         parser.error(f"unknown table function {fn!r}")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header + ["value_re", "value_im"])
+    for point, value in zip(points.tolist(), np.asarray(values, dtype=complex).tolist()):
+        writer.writerow([_float_repr(c) for c in (*point, value.real, value.imag)])
     _write_output(buffer.getvalue(), args.output)
     return 0
 
@@ -314,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--r-max", dest="r_max", type=int, default=3)
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=_finite_float, default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller grids for smoke runs")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenominatorPoleError
+from .special import _blockwise
 
 __all__ = ["HypergeometricSpec", "pfq_terminating", "pfq_diagnostics", "hyp3f2_unit"]
 
@@ -52,14 +53,9 @@ class HypergeometricSpec:
                     f"denominator parameter {d} vanishes within the summation range")
 
 
-def _terminating_sum(numerators, denominators, argument, order: int):
-    """Forward Kahan-compensated sum of a terminating pFq series.
-
-    Parameters may be scalars or broadcastable numpy arrays.  Returns the
-    value together with the largest partial-sum magnitude seen, which the
-    verification layer uses to flag cancellation-heavy results.
-    """
-    arrays = [np.asarray(p) for p in numerators + denominators + [argument]]
+def _series_block(numerators, denominators, argument, order: int):
+    """Forward Kahan-compensated sum of one block of a terminating pFq."""
+    arrays = (*numerators, *denominators, argument)
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     dtype = np.result_type(np.float64, *(a.dtype for a in arrays))
 
@@ -67,12 +63,12 @@ def _terminating_sum(numerators, denominators, argument, order: int):
     total = np.ones(shape, dtype=dtype)
     comp = np.zeros(shape, dtype=dtype)
     max_partial = np.ones(shape, dtype=np.float64)
-    for k in range(int(order)):
-        ratio = np.asarray(argument) / (k + 1.0)
+    for k in range(order):
+        ratio = argument / (k + 1.0)
         for p in numerators:
-            ratio = ratio * (np.asarray(p) + k)
+            ratio = ratio * (p + k)
         for q in denominators:
-            den = np.asarray(q) + k
+            den = q + k
             if np.any(den == 0):
                 raise DenominatorPoleError(
                     f"denominator Pochhammer factor vanished at term {k + 1}")
@@ -84,6 +80,22 @@ def _terminating_sum(numerators, denominators, argument, order: int):
         total = t
         max_partial = np.maximum(max_partial, np.abs(total))
     return total, max_partial
+
+
+def _terminating_sum(numerators, denominators, argument, order: int):
+    """Forward Kahan-compensated sum of a terminating pFq series.
+
+    Parameters may be scalars or broadcastable numpy arrays; the sum runs
+    cache-blocked (see :func:`special._blockwise`).  Returns the value
+    together with the largest partial-sum magnitude seen, which the
+    verification layer uses to flag cancellation-heavy results.
+    """
+    p, q = len(numerators), len(denominators)
+
+    def kernel(*params):
+        return _series_block(params[:p], params[p:p + q], params[-1], int(order))
+
+    return _blockwise(kernel, *numerators, *denominators, argument)
 
 
 def pfq_terminating(spec: HypergeometricSpec):

@@ -9,6 +9,10 @@ overflow of intermediate products.
 
 Poles are errors, never infinities: every formula in scope has pole-free
 parameter ranges, so hitting a pole signals a caller bug.
+
+Complex log-gamma (and so complex gamma) runs cache-blocked: arrays larger
+than ``_BLOCK`` entries are evaluated in flat slices by :func:`_blockwise`,
+which the terminating-series kernel in :mod:`hypergeometric` shares.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "gamma",
     "beta",
     "log_beta",
+    "beta_conjugate",
     "pochhammer",
     "generalized_binomial",
 ]
@@ -48,8 +53,18 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _LOG_SQRT_TWO_PI = 0.91893853320467274178
+_LOG_PI = 1.1447298858494001741
+_LOG_TWO = 0.69314718055994530942
 # exp() overflows double beyond this; gamma() raises OverflowError instead.
 _LOG_DBL_MAX = 709.782712893384
+# flat slice length of the blocked kernels: the temporaries of one slice of
+# complex log-gamma or of a terminating series stay in cache
+_BLOCK = 8192
+# complex log-gamma shifts Re z up to 0.5 by the recurrence from
+# Re z >= -_SHIFT_CAP and reflects further left
+_SHIFT_CAP = 16.0
+# |Im z| beyond which log sin(pi z) is taken from its exponential asymptote
+_SIN_ASYMPTOTIC = 20.0
 
 
 def _check_poles(z: np.ndarray) -> None:
@@ -75,25 +90,104 @@ def _log_gamma_right(zz):
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(_lanczos_sum(zz))
 
 
-def _log_gamma_complex(z: np.ndarray) -> np.ndarray:
-    """Analytic-continuation branch of log Gamma for complex input.
+def _blockwise(kernel, *args):
+    """Evaluate the elementwise ``kernel`` over the broadcast of ``args``.
 
-    For Re(z) < 0.5 the value is obtained through the recurrence
-    ``log Gamma(z) = log Gamma(z + k) - sum_j log(z + j)``, which tracks the
-    principal branch exactly (both sides share the cut on the negative real
-    axis and are analytic elsewhere), unlike a naive sine-reflection which
-    needs explicit unwinding.  Non-finite entries skip the recurrence (a
-    shift by one never moves them) and come back non-finite.
+    ``kernel`` takes arrays and returns a tuple of arrays of their broadcast
+    shape.  Up to ``_BLOCK`` entries it runs once on ``args`` as given, so a
+    0-d call is the one-block case of the same code.  Beyond that it runs on
+    flat ``_BLOCK``-sized slices written into preallocated outputs, so every
+    temporary of the kernel stays in cache; inputs of size one are passed
+    whole to every slice, and each entry comes out bit-identical to an
+    unblocked call.
+    """
+    arrays = [np.asarray(a) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    size = math.prod(shape)
+    if size <= _BLOCK:
+        return kernel(*arrays)
+    # a 0-d input stays 0-d and a size-one array becomes shape (1,), so the
+    # slices see the same kinds of operand as an unblocked call
+    flat = [a.reshape((1,) * min(a.ndim, 1)) if a.size == 1
+            else np.broadcast_to(a, shape).reshape(-1) for a in arrays]
+    outs = None
+    for start in range(0, size, _BLOCK):
+        stop = start + _BLOCK
+        parts = kernel(*(a if a.size == 1 else a[start:stop] for a in flat))
+        if outs is None:
+            outs = tuple(np.empty(size, dtype=part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[start:stop] = part
+    return tuple(out.reshape(shape) for out in outs)
+
+
+def _log_sin_pi(z: np.ndarray) -> np.ndarray:
+    """Principal log sin(pi z), without overflow for large |Im z|."""
+    # sin(pi z) has period 2; Re z - 2 round(Re z / 2) is exact and in [-1, 1]
+    zr = z - 2.0 * np.round(z.real / 2.0)
+    big = np.abs(zr.imag) > _SIN_ASYMPTOTIC
+    # large-|Im| entries go through sin as real numbers only to keep the
+    # overflowing cosh out; their value is set below
+    out = np.log(np.sin(np.pi * np.where(big, zr.real, zr)))
+    if np.any(big):
+        # |sin(pi z)| = exp(pi |y|) / 2 and arg = sign(y) (pi/2 - pi x), up to
+        # a relative exp(-2 pi |y|) that is below double precision here
+        zb = zr[big]
+        phase = np.copysign(1.0, zb.imag) * (0.5 - zb.real) * np.pi
+        phase -= 2.0 * np.pi * np.round(phase / (2.0 * np.pi))
+        out[big] = (np.pi * np.abs(zb.imag) - _LOG_TWO) + 1j * phase
+    return out
+
+
+def _log_gamma_block(z) -> tuple[np.ndarray]:
+    """Principal-branch log Gamma of one block of complex input.
+
+    For -``_SHIFT_CAP`` <= Re(z) < 0.5 the value is obtained through the
+    recurrence ``log Gamma(z) = log Gamma(z + k) - sum_j log(z + j)``, which
+    tracks the principal branch exactly (both sides share the cut on the
+    negative real axis and are analytic elsewhere).  Further left, where the
+    recurrence would take O(|Re z|) steps, the reflection formula
+    ``log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)`` is unwound
+    onto the principal branch by adding
+    ``2 pi i sign(Im z) floor(Re z / 2 + 1/4)`` (D. E. G. Hare, "Computing
+    the principal branch of log-Gamma", J. Algorithms 25, 1997), so the cost
+    no longer grows with |Re z|.  Non-finite entries skip both (a shift by
+    one never moves them) and come back non-finite.
     """
     z = np.array(z, dtype=np.complex128)
+    flat = z.reshape(-1)  # a view: index work on it writes through to z
+    finite = np.isfinite(flat)
+    reflect = np.flatnonzero(finite & (flat.real < -_SHIFT_CAP))
+    if reflect.size:
+        z_left = flat[reflect]
+        flat[reflect] = 1.0 - z_left
     shift = np.zeros_like(z)
-    finite = np.isfinite(z)
-    left = finite & (z.real < 0.5)
-    while np.any(left):
-        shift[left] += np.log(z[left])
-        z[left] += 1.0
-        left = finite & (z.real < 0.5)
-    return _log_gamma_right(z - 1.0) - shift
+    left = np.flatnonzero(finite & (flat.real < 0.5))
+    if left.size:
+        # sorted by Re z, the entries still left of 0.5 stay a prefix, so
+        # every step works on one contiguous slice
+        left = left[np.argsort(flat.real[left], kind="stable")]
+        moved = flat[left]
+        logs = np.zeros_like(moved)
+        count = moved.size
+        while count:
+            logs[:count] += np.log(moved[:count])
+            moved[:count] += 1.0
+            count = np.count_nonzero(moved.real[:count] < 0.5)
+        flat[left] = moved
+        shift.reshape(-1)[left] = logs
+    out = _log_gamma_right(z - 1.0) - shift
+    if reflect.size:
+        out = np.asarray(out)  # 0-d input gives a numpy scalar
+        unwind = np.copysign(2.0 * np.pi, z_left.imag) * np.floor(0.5 * z_left.real + 0.25)
+        out.reshape(-1)[reflect] = ((_LOG_PI + 1j * unwind) - _log_sin_pi(z_left)
+                                    - out.reshape(-1)[reflect])
+    return (out,)
+
+
+def _log_gamma_complex(z) -> np.ndarray:
+    """Principal-branch log Gamma for complex input, cache-blocked."""
+    return _blockwise(_log_gamma_block, z)[0]
 
 
 def log_gamma(z):
@@ -167,6 +261,18 @@ def beta(a, b):
     """
     _check_poles(np.asarray(a) + np.asarray(b))
     return np.exp(log_beta(a, b))
+
+
+def beta_conjugate(z):
+    """B(z, conj z) = |Gamma(z)|^2 / Gamma(2 Re z), real.
+
+    The beta function of a conjugate pair, as in the theta factors at real
+    frequency: ``exp(2 Re log Gamma(z) - log Gamma(2 Re z))``, one complex
+    and one real log-gamma per point instead of the three complex ones of
+    ``beta(z, conj(z))``.  Raises :class:`PoleError` at a gamma pole.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    return np.exp(2.0 * np.real(log_gamma(z)) - log_gamma(2.0 * z.real))
 
 
 def pochhammer(base, order: int):

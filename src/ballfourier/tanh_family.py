@@ -20,7 +20,7 @@ import numpy as np
 from .ball import ball_basis_eval, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .hypergeometric import HypergeometricSpec, _terminating_sum, hyp3f2_unit
-from .special import log_beta, pochhammer
+from .special import beta_conjugate, pochhammer
 
 __all__ = [
     "FamilyParams",
@@ -171,18 +171,19 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     """Axis-j theta factor: beta factor times terminating 3F2 at unit argument.
 
     ``xi`` may be a scalar or an array (the transform of axis j is evaluated
-    at every entry).  The beta factor is combined in log space.
+    at every entry).  At real ``xi`` the two beta arguments are a conjugate
+    pair, so the beta factor is :func:`special.beta_conjugate`.
     """
-    m, q, arg_plus, arg_minus, upper2, lower1, lower2 = _theta_pieces(j, r, params, xi)
+    _, _, arg_plus, _, upper2, lower1, lower2 = _theta_pieces(j, r, params, xi)
     nj = params.n[j - 1]
     series, _ = _terminating_sum([-float(nj), upper2, arg_plus], [lower1, lower2], 1.0, nj)
-    return np.exp(log_beta(arg_plus, arg_minus)) * series[()]
+    return beta_conjugate(arg_plus) * series[()]
 
 
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
     """The same theta factor written through a continuous Hahn polynomial
     evaluated at xi/2.  Must agree with :func:`theta_factor`."""
-    m, q, arg_plus, arg_minus, upper2, lower1, lower2 = _theta_pieces(j, r, params, xi)
+    m, q, arg_plus, _, _, lower1, lower2 = _theta_pieces(j, r, params, xi)
     nj = params.n[j - 1]
     big_a = params.a + m / 2.0 + q
     big_b = params.mu - params.a + (m + 1.0) / 2.0 + q
@@ -191,7 +192,7 @@ def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
                                       * pochhammer(complex(lower2), nj))
     hahn = continuous_hahn(nj, np.asarray(xi, dtype=np.float64) / 2.0,
                            (big_a, big_b, big_b, big_a))
-    return prefactor * np.exp(log_beta(arg_plus, arg_minus)) * hahn
+    return prefactor * beta_conjugate(arg_plus) * hahn
 
 
 def fourier_prefactor(params: FamilyParams) -> float:
@@ -235,12 +236,11 @@ def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_
     off by peel-first with m = |n^2| and k = r - 1 further axes, and the
     whole r = 1 member (and the peel-last factor) at m = k = 0."""
     ap = a + (m + 1j * xi_j) / 2.0 + k / 4.0
-    am = a + (m - 1j * xi_j) / 2.0 + k / 4.0
     lam = m + mu + k / 2.0
     series = hyp3f2_unit(nj, nj + 2.0 * lam, ap, m + 2.0 * a + k / 2.0,
                          m + mu + (k + 1) / 2.0)
     return (2.0 ** (m + 2.0 * a + (k - 2) / 2.0) * pochhammer(2.0 * lam, nj)
-            / math.factorial(nj) * np.exp(log_beta(ap, am)) * series)
+            / math.factorial(nj) * beta_conjugate(ap) * series)
 
 
 def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") -> complex:

@@ -22,7 +22,7 @@ from .classical import gegenbauer, gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
 from .hypergeometric import pfq_diagnostics
 from .quadrature import VerificationReport, make_report
-from .special import gamma, log_beta
+from .special import beta_conjugate, gamma
 from .tanh_family import (FamilyParams, _theta_pieces, fourier_closed_form,
                           fourier_prefactor, fourier_via_recursion,
                           theta_factor_hahn, theta_hyp_spec)
@@ -202,8 +202,8 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
         xi_j = float(xi[j - 1])
         value, peak = pfq_diagnostics(theta_hyp_spec(j, r, params, xi_j))
         low_confidence = low_confidence or abs(value) < _LOW_CONFIDENCE_RATIO * peak
-        _, _, arg_plus, arg_minus, _, _, _ = _theta_pieces(j, r, params, xi_j)
-        scale *= abs(np.exp(log_beta(arg_plus, arg_minus))) * peak
+        arg_plus = _theta_pieces(j, r, params, xi_j)[2]
+        scale *= abs(beta_conjugate(arg_plus)) * peak
     return scale, low_confidence
 
 

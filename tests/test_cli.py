@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from ballfourier import cli
+from ballfourier import FamilyParams, ball_basis_eval, cli, theta_factor
 
 
 def run_cli(args, capsys):
@@ -119,6 +120,7 @@ _NON_FINITE_CASES = [
      "--start={v}", "--stop", "1", "--step", "0.5"],
     ["table", "--fn", "d_family", "--n", "1", "--a1", "1", "--a2", "0.75",
      "--start", "0", "--stop", "1", "--step={v}"],
+    ["verify", "--suite", "hahn-ort", "--tolerance={v}"],
 ]
 
 
@@ -210,6 +212,44 @@ class TestTable:
             # identical code path, identical floats
             assert repr(record["value_re"]) == value_re
             assert repr(record["value_im"]) == value_im
+
+    def test_gegenbauer_rejects_extra_degrees(self, capsys):
+        code, out = run_cli(["table", "--fn", "gegenbauer", "--n", "1,5", "--lambda", "1",
+                             "--start", "0", "--stop", "0.5", "--step", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+
+    @staticmethod
+    def _values(out, coords):
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        points = np.array([[float(c) for c in row[:coords]] for row in rows])
+        values = np.array([complex(float(row[coords]), float(row[coords + 1]))
+                           for row in rows])
+        return points, values
+
+    def test_theta_rows_are_one_batched_call(self, capsys):
+        code, out = run_cli(["table", "--fn", "theta", "--n", "3,1", "--a", "0.8",
+                             "--mu", "0.6", "--axis", "2", "--start", "-3",
+                             "--stop", "3", "--step", "0.25"], capsys)
+        assert code == 0
+        points, values = self._values(out, 1)
+        params = FamilyParams(0.8, 0.6, (3, 1))
+        assert np.array_equal(values, theta_factor(2, 2, params, points[:, 0]))
+
+    def test_ball_rows_are_one_batched_call(self, capsys):
+        code, out = run_cli(["table", "--fn", "ball", "--n", "2,1", "--mu", "0.7",
+                             "--grid", "9"], capsys)
+        assert code == 0
+        points, values = self._values(out, 2)
+        assert np.all(np.sum(points * points, axis=1) <= 1.0)
+        assert np.array_equal(values, ball_basis_eval((2, 1), 0.7, points))
+
+    def test_empty_grid_writes_header_only(self, capsys):
+        code, out = run_cli(["table", "--fn", "theta", "--n", "2", "--a", "1",
+                             "--mu", "1", "--start", "1", "--stop", "0",
+                             "--step", "0.5"], capsys)
+        assert code == 0
+        assert out == "xi,value_re,value_im\n"
 
     def test_bad_grid_exits_2(self, capsys):
         code, _ = run_cli(["table", "--fn", "theta", "--n", "2", "--a", "1",

@@ -1,12 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballfourier import (PoleError, beta, gamma, generalized_binomial,
+from ballfourier import (PoleError, beta, gamma, generalized_binomial, log_beta,
                          log_gamma, pochhammer)
+from ballfourier.special import beta_conjugate
 from conftest import rel_err, ulp_diff
 
 # frozen from the 50-digit Stirling/reflection oracle (mpmath, dps=50)
@@ -98,6 +100,33 @@ class TestLogGamma:
         assert not np.any(np.isfinite(values[[0, 1, 3]]))
         assert values[2] == log_gamma(-2.5 + 0.1j)
 
+    def test_left_half_plane_matches_mpmath(self):
+        # far left of the shift recurrence's reach: the reflection formula
+        # with the principal-branch correction, on and off the real axis and
+        # past the |Im z| where sin(pi z) overflows
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        reals = (-16.5, -17.25, -19.75, -50.5, -101.3, -1000.25, -12345.6789,
+                 -2e5 + 0.5, -2e5 - 0.3)
+        imags = (0.0, 0.1, -0.1, 1.0, -3.0, 7.5, -20.1, 25.0, -40.0, 300.0)
+        for x in reals:
+            for y in imags:
+                ref = complex(mp.loggamma(mp.mpc(x, y)))
+                assert rel_err(log_gamma(complex(x, y)), ref) <= 1e-14, (x, y)
+            ref = complex(mp.loggamma(mp.mpf(x)))
+            assert rel_err(log_gamma(x), ref) <= 1e-14, x
+
+    def test_left_half_plane_keeps_conjugate_symmetry(self):
+        for z in (-20.5 + 0.0j, -333.7 + 2.5j, -2e5 + 0.5 + 0.1j):
+            assert log_gamma(z.conjugate()) == np.conj(log_gamma(z))
+
+    def test_cost_does_not_grow_with_distance_left(self):
+        # the recurrence alone took seconds at Re z = -2e5
+        start = time.perf_counter()
+        for x in (-2e3, -2e5):
+            assert np.isfinite(log_gamma(complex(x + 0.5, 0.1)))
+        assert time.perf_counter() - start < 0.5
+
 
 class TestGamma:
     def test_trivial_values(self):
@@ -178,6 +207,27 @@ class TestBeta:
             a = complex(rng.uniform(0.2, 4.0), rng.uniform(-2, 2))
             b = complex(rng.uniform(0.2, 4.0), rng.uniform(-2, 2))
             assert rel_err(beta(a, b), gamma(a) * gamma(b) / gamma(a + b)) <= 1e-12
+
+    def test_conjugate_pair_matches_log_beta(self, rng):
+        for _ in range(200):
+            z = complex(rng.uniform(0.2, 4.0), rng.uniform(-6.0, 6.0))
+            ref = np.exp(log_beta(z, z.conjugate()))
+            value = beta_conjugate(z)
+            assert isinstance(value, (float, np.floating))
+            assert rel_err(value, ref) <= 1e-14
+
+    def test_conjugate_pair_matches_mpmath(self, rng):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        zs = rng.uniform(0.2, 4.0, 50) + 1j * rng.uniform(-6.0, 6.0, 50)
+        values = beta_conjugate(zs)
+        for z, value in zip(zs, values):
+            ref = mp.beta(mp.mpc(z.real, z.imag), mp.mpc(z.real, -z.imag))
+            assert rel_err(value, complex(ref)) <= 1e-13
+
+    def test_conjugate_pair_pole_raises(self):
+        with pytest.raises(PoleError):
+            beta_conjugate(-1.0 + 0j)
 
     def test_log_space_survives_large_arguments(self):
         # direct Gamma(400.5) overflows double range; the log-space route
