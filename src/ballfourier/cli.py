@@ -27,8 +27,14 @@ from .verify import SUITE_NAMES, report_to_dict, reports_to_json, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
-# most rows a table may compute; a ball table counts all grid x grid points
-_TABLE_ROW_LIMIT = 1_000_000
+# work bounds, each keeping one call near 1 s: table rows (a ball table
+# counts all grid x grid points), table rows x total degree, the total degree
+# of one call, and the degree of the exact Jacobi sum, whose cost also grows
+# with the bit length of the inputs (subnormal ones are the worst case)
+_TABLE_ROW_LIMIT = 100_000
+_TABLE_TERM_LIMIT = 10_000_000
+_DEGREE_LIMIT = 20_000
+_JACOBI_DEGREE_LIMIT = 40
 
 
 def _parse_multi_index(text: str) -> tuple[int, ...]:
@@ -85,6 +91,16 @@ def _check_point(parser, args) -> None:
         parser.error("--x must have as many coordinates as --n")
 
 
+def _check_degree(parser, n, limit: int) -> None:
+    if sum(n) > limit:
+        parser.error(f"total degree {sum(n)} exceeds the limit {limit}")
+
+
+def _check_finite(parser, values) -> None:
+    if not np.all(np.isfinite(values)):
+        parser.error("the computed value is not finite at these inputs")
+
+
 def _check_scalar(parser, args) -> None:
     if len(args.n) != 1 or len(args.x) != 1:
         parser.error(f"--fn {args.fn} takes a single --n and a single --x entry")
@@ -129,10 +145,14 @@ def _eval_value(parser, args):
 
 
 def _cmd_eval(parser, args) -> int:
+    if args.n is not None:
+        _check_degree(parser, args.n,
+                      _JACOBI_DEGREE_LIMIT if args.fn == "jacobi" else _DEGREE_LIMIT)
     try:
         inputs, value = _eval_value(parser, args)
     except (ValueError, DomainError) as exc:
         parser.error(str(exc))
+    _check_finite(parser, value)
     _write_output(_json_value_record(inputs, value), args.output)
     return 0
 
@@ -141,11 +161,13 @@ def _cmd_fourier(parser, args) -> int:
     if len(args.xi) != len(args.n):
         parser.error("--xi must have as many components as --n")
     _check_r(parser, args, len(args.n))
+    _check_degree(parser, args.n, _DEGREE_LIMIT)
     try:
         params = FamilyParams(args.a, args.mu, args.n)
         closed = fourier_closed_form(params, np.array(args.xi))
     except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
+    _check_finite(parser, closed)
     record = {
         "inputs": {"n": list(args.n), "a": args.a, "mu": args.mu, "xi": list(args.xi)},
         "closed_re": closed.real,
@@ -157,6 +179,7 @@ def _cmd_fourier(parser, args) -> int:
         report = quad.make_report("fourier", record["inputs"], closed,
                                   quad.fourier_numeric(params, np.array(args.xi)),
                                   tolerance, abs_floor=1e-9)
+        _check_finite(parser, report.rhs)
         record.update({"oracle_re": report.rhs.real, "oracle_im": report.rhs.imag,
                        "rel_error": report.rel_error, "tolerance": tolerance,
                        "passed": report.passed})
@@ -199,12 +222,10 @@ def _cmd_verify(parser, args) -> int:
     return 0 if failed == 0 else VERIFY_FAILURE
 
 
-def _float_repr(value: float) -> str:
-    return repr(float(value))
-
-
 def _cmd_table(parser, args) -> int:
     fn = args.fn
+    if args.n is not None:
+        _check_degree(parser, args.n, _DEGREE_LIMIT)
     if fn == "theta":
         _require(parser, args, ("n", "a", "mu", "start", "stop", "step"))
         params = FamilyParams(args.a, args.mu, args.n)
@@ -213,14 +234,13 @@ def _cmd_table(parser, args) -> int:
         if not 1 <= j <= r:
             parser.error("--axis out of range")
         header = ["xi"]
-        points = np.array(_grid(args.start, args.stop, args.step)).reshape(-1, 1)
+        points = _grid(args.start, args.stop, args.step, sum(args.n))
         values = theta_factor(j, r, params, points[:, 0])
     elif fn == "ball":
         _require(parser, args, ("n", "mu", "grid"))
         if len(args.n) != 2:
             parser.error("--fn ball tables are 2-dimensional; give --n with two entries")
-        if args.grid ** 2 > _TABLE_ROW_LIMIT:
-            parser.error(f"--grid {args.grid} gives more than {_TABLE_ROW_LIMIT} grid points")
+        _check_table_size(args.grid ** 2, sum(args.n))
         header = ["x1", "x2"]
         axis = np.linspace(-1.0, 1.0, args.grid)
         x1, x2 = (c.reshape(-1) for c in np.meshgrid(axis, axis, indexing="ij"))
@@ -231,7 +251,7 @@ def _cmd_table(parser, args) -> int:
         if len(args.n) != 1:
             parser.error("--fn gegenbauer tables take a single --n entry")
         header = ["x"]
-        points = np.array(_grid(args.start, args.stop, args.step)).reshape(-1, 1)
+        points = _grid(args.start, args.stop, args.step, args.n[0])
         values = gegenbauer(args.n[0], args.lam, points[:, 0])
     elif fn == "d_family":
         _require(parser, args, ("n", "a1", "a2", "start", "stop", "step"))
@@ -239,28 +259,36 @@ def _cmd_table(parser, args) -> int:
             parser.error("--fn d_family tables are 1-dimensional; give a single --n entry")
         params = DParams(args.a1, args.a2, args.n)
         header = ["x"]
-        points = np.array(_grid(args.start, args.stop, args.step)).reshape(-1, 1)
+        points = _grid(args.start, args.stop, args.step, args.n[0])
         values = d_family_eval(points.astype(complex), params)
     else:
         parser.error(f"unknown table function {fn!r}")
+    _check_finite(parser, values)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header + ["value_re", "value_im"])
     for point, value in zip(points.tolist(), np.asarray(values, dtype=complex).tolist()):
-        writer.writerow([_float_repr(c) for c in (*point, value.real, value.imag)])
+        writer.writerow([repr(float(c)) for c in (*point, value.real, value.imag)])
     _write_output(buffer.getvalue(), args.output)
     return 0
 
 
-def _grid(start: float, stop: float, step: float):
+def _check_table_size(rows, degree: int) -> None:
+    if rows > _TABLE_ROW_LIMIT:
+        raise ValueError(f"the table would have more than {_TABLE_ROW_LIMIT} rows")
+    if rows * degree > _TABLE_TERM_LIMIT:
+        raise ValueError(f"rows times total degree exceeds the limit {_TABLE_TERM_LIMIT}")
+
+
+def _grid(start: float, stop: float, step: float, degree: int):
+    """Column of the row points start, start + step, ... <= stop."""
     if step <= 0:
         raise ValueError("--step must be positive")
     span = (stop - start) / step
-    if span >= _TABLE_ROW_LIMIT:
-        raise ValueError(f"--step gives more than {_TABLE_ROW_LIMIT} rows")
+    _check_table_size(span + 1.0, degree)
     count = int(round(span))
-    return [start + k * step for k in range(count + 1)
-            if start + k * step <= stop + 1e-12]
+    return np.array([start + k * step for k in range(count + 1)
+                     if start + k * step <= stop + 1e-12]).reshape(-1, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--output", default=None, help="write output to this path")
-        p.add_argument("--r", type=int, default=None,
-                       help="dimension; cross-checked against vector arguments")
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
     add_common(p_eval)
@@ -303,8 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compare against the quadrature oracle")
     p_fourier.add_argument("--tolerance", type=_finite_float, default=None)
     p_fourier.set_defaults(func=_cmd_fourier)
+    for p in (p_eval, p_fourier):
+        p.add_argument("--r", type=int, default=None,
+                       help="dimension; cross-checked against vector arguments")
 
-    p_verify = sub.add_parser("verify", help="run an identity-verification suite")
+    # no abbreviated flags, so a stray --r is not read as --r-max
+    p_verify = sub.add_parser("verify", help="run an identity-verification suite",
+                              allow_abbrev=False)
     add_common(p_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0)
@@ -339,7 +370,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        # non-finite results are reported as usage errors, not as warnings
+        with np.errstate(all="ignore"):
+            return args.func(parser, args)
     except (ValueError, DomainError, OverflowError) as exc:
         parser.exit(USAGE_ERROR, f"error: {exc}\n")
 

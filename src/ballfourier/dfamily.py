@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import ball_norm, tail_sum, validate_multi_index
-from .hypergeometric import _terminating_sum
 from .classical import continuous_hahn
 from .special import gamma, log_gamma, pochhammer
-from .tanh_family import axis_parameters
+from .tanh_family import axis_parameters, axis_series
 
 __all__ = [
     "DParams",
@@ -67,11 +66,8 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 
     This is the theta factor's 3F2 with the gamma pair in place of the beta
     factor, under a -> a1 and mu -> a1 + a2 - 1/2."""
-    nj = n[j - 1]
-    _, _, gplus, gminus, upper2, lower1, lower2 = axis_parameters(
-        j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
-    series, _ = _terminating_sum([-float(nj), upper2, gplus], [lower1, lower2], 1.0, nj)
-    return gamma(gminus) * gamma(gplus) * series[()]
+    gplus, gminus, series, _ = axis_series(j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
+    return gamma(gminus) * gamma(gplus) * series
 
 
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):

@@ -98,21 +98,19 @@ def _terminating_sum(numerators, denominators, argument, order: int):
     return _blockwise(kernel, *numerators, *denominators, argument)
 
 
-def pfq_terminating(spec: HypergeometricSpec):
-    """Evaluate the terminating series described by ``spec``."""
-    value, _ = _terminating_sum(list(spec.numerator_params),
-                                list(spec.denominator_params),
-                                spec.argument, spec.termination_order)
-    return value[()]
-
-
 def pfq_diagnostics(spec: HypergeometricSpec):
-    """Like :func:`pfq_terminating` but also returns the peak partial-sum
-    magnitude (for cancellation/low-confidence flagging downstream)."""
+    """The value of the terminating series described by ``spec`` and its
+    peak partial-sum magnitude (for cancellation/low-confidence flagging
+    downstream)."""
     value, max_partial = _terminating_sum(list(spec.numerator_params),
                                           list(spec.denominator_params),
                                           spec.argument, spec.termination_order)
     return value[()], float(max_partial[()])
+
+
+def pfq_terminating(spec: HypergeometricSpec):
+    """Evaluate the terminating series described by ``spec``."""
+    return pfq_diagnostics(spec)[0]
 
 
 def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):

@@ -224,15 +224,29 @@ def _fourier_axis_integral(j: int, params: FamilyParams, xi_j, spec: QuadratureS
     return complex(values) if values.ndim == 0 else values
 
 
+def _tanh_axis_integral(j: int, params: FamilyParams, xi_j):
+    """Axis-j transform at the frequency array ``xi_j`` on the
+    tanh-substituted node set of :func:`_tanh_rule`."""
+    u, om2, xmap, w = _tanh_rule()
+    r = params.r
+    m = tail_sum(params.n, j + 1)
+    lam = params.mu + m + (r - j) / 2.0
+    integrand = (om2 ** (params.a + (r - j) / 4.0 + m / 2.0 - 1.0)
+                 * gegenbauer(params.n[j - 1], lam, u)
+                 * np.exp(-1j * xi_j[..., None] * xmap))
+    return np.sum(w * integrand, axis=-1)
+
+
 def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None,
-                    mode: str = "separated") -> complex:
+                    mode: str = "separated"):
     """Numerical Fourier transform of a family member (kernel exp(-i xi.x)).
 
-    Modes:
+    ``xi`` has shape (..., r): one length-r frequency vector gives a complex
+    scalar, a batch of them an array of shape ``xi.shape[:-1]``.  Modes:
 
     * ``separated`` (default): the tensor-product quadrature sum evaluated in
       factored per-axis form — exact reordering of the same sum, at per-axis
-      cost.
+      cost; each axis is integrated once on its distinct frequencies.
     * ``tensor``: dense tensor-product sum; the integrand is evaluated
       through the ball-basis route, making no use of separability.
     * ``tanh``: per axis, substitute u = tanh x and integrate over (-1, 1)
@@ -244,15 +258,10 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
     """
     r = params.r
     xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (r,):
-        raise ValueError(f"frequency vector must have length {r}")
+    if xi.ndim == 0 or xi.shape[-1] != r:
+        raise ValueError(f"frequency vectors must have length {r} on the last axis")
     if spec is None:
         spec = default_spec(r)
-    if mode == "separated":
-        value = 1.0 + 0.0j
-        for j in range(1, r + 1):
-            value *= _fourier_axis_integral(j, params, float(xi[j - 1]), spec)
-        return value
     if mode == "tensor":
         x, w = _line_rule(spec)
         if len(x) ** r > _TENSOR_GRID_LIMIT:
@@ -262,25 +271,24 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
         values = family_eval(points, params)
         if not np.all(np.isfinite(values)):
             raise NonFiniteIntegrandError("family evaluation produced non-finite values")
-        acc = values.astype(np.complex128)
-        for j in range(r):
-            phase = w * np.exp(-1j * xi[j] * x)
-            shape = [1] * r
-            shape[j] = len(x)
-            acc = acc * phase.reshape(shape)
-        return complex(np.sum(acc))
-    if mode == "tanh":
-        u, om2, xmap, w = _tanh_rule()
-        value = 1.0 + 0.0j
+        out = np.empty(xi.shape[:-1], dtype=np.complex128)
+        for index in np.ndindex(out.shape):
+            acc = values.astype(np.complex128)
+            for j in range(r):
+                shape = [1] * r
+                shape[j] = len(x)
+                acc = acc * (w * np.exp(-1j * xi[index][j] * x)).reshape(shape)
+            out[index] = np.sum(acc)
+    elif mode in ("separated", "tanh"):
+        out = np.ones(xi.shape[:-1], dtype=np.complex128)
         for j in range(1, r + 1):
-            m = sum(params.n[j:])
-            lam = params.mu + m + (r - j) / 2.0
-            integrand = (om2 ** (params.a + (r - j) / 4.0 + m / 2.0 - 1.0)
-                         * gegenbauer(params.n[j - 1], lam, u)
-                         * np.exp(-1j * xi[j - 1] * xmap))
-            value *= np.sum(w * integrand)
-        return complex(value)
-    raise ValueError("mode must be 'separated', 'tensor' or 'tanh'")
+            distinct, inverse = np.unique(xi[..., j - 1], return_inverse=True)
+            axis = (_fourier_axis_integral(j, params, distinct, spec) if mode == "separated"
+                    else _tanh_axis_integral(j, params, distinct))
+            out = out * axis[inverse.reshape(out.shape)]
+    else:
+        raise ValueError("mode must be 'separated', 'tensor' or 'tanh'")
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def _log_gamma_block(z) -> tuple[np.ndarray]:
         count = moved.size
         while count:
             logs[:count] += np.log(moved[:count])
-            moved[:count] += 1.0
+            moved.real[:count] += 1.0
             count = np.count_nonzero(moved.real[:count] < 0.5)
         flat[left] = moved
         shift.reshape(-1)[left] = logs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ball import ball_basis_eval, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
-from .hypergeometric import HypergeometricSpec, _terminating_sum, hyp3f2_unit
+from .hypergeometric import _terminating_sum, hyp3f2_unit
 from .special import beta_conjugate, pochhammer
 
 __all__ = [
@@ -31,8 +31,8 @@ __all__ = [
     "family_axis_factor",
     "theta_factor",
     "theta_factor_hahn",
-    "theta_hyp_spec",
     "axis_parameters",
+    "axis_series",
     "fourier_prefactor",
     "fourier_closed_form",
     "fourier_via_recursion",
@@ -153,18 +153,20 @@ def axis_parameters(j: int, r: int, n, a: float, mu: float, z):
     return m, q, arg_plus, arg_minus, upper2, lower1, lower2
 
 
+def axis_series(j: int, r: int, n, a: float, mu: float, z):
+    """The per-axis terminating 3F2 at unit argument shared by the theta
+    factors and the gamma-pair family: ``(arg_plus, arg_minus, value,
+    peak)`` with the gamma arguments of :func:`axis_parameters`, the series
+    value and its peak partial-sum magnitude (cancellation diagnostics)."""
+    _, _, arg_plus, arg_minus, upper2, lower1, lower2 = axis_parameters(j, r, n, a, mu, z)
+    nj = n[j - 1]
+    value, peak = _terminating_sum([-float(nj), upper2, arg_plus], [lower1, lower2], 1.0, nj)
+    return arg_plus, arg_minus, value[()], peak[()]
+
+
 def _theta_pieces(j: int, r: int, params: FamilyParams, xi):
     return axis_parameters(j, r, params.n, params.a, params.mu,
                            1j * np.asarray(xi, dtype=np.float64))
-
-
-def theta_hyp_spec(j: int, r: int, params: FamilyParams, xi: float) -> HypergeometricSpec:
-    """The terminating 3F2 inside the axis-j theta factor, as a spec object
-    (used by the verification layer for cancellation diagnostics)."""
-    _, _, arg_plus, _, upper2, lower1, lower2 = _theta_pieces(j, r, params, float(xi))
-    nj = params.n[j - 1]
-    return HypergeometricSpec((-float(nj), upper2, complex(arg_plus)),
-                              (lower1, lower2), 1.0, nj)
 
 
 def theta_factor(j: int, r: int, params: FamilyParams, xi):
@@ -174,10 +176,9 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     at every entry).  At real ``xi`` the two beta arguments are a conjugate
     pair, so the beta factor is :func:`special.beta_conjugate`.
     """
-    _, _, arg_plus, _, upper2, lower1, lower2 = _theta_pieces(j, r, params, xi)
-    nj = params.n[j - 1]
-    series, _ = _terminating_sum([-float(nj), upper2, arg_plus], [lower1, lower2], 1.0, nj)
-    return beta_conjugate(arg_plus) * series[()]
+    arg_plus, _, series, _ = axis_series(j, r, params.n, params.a, params.mu,
+                                         1j * np.asarray(xi, dtype=np.float64))
+    return beta_conjugate(arg_plus) * series
 
 
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):

@@ -4,7 +4,9 @@ Each suite machine-checks one family of identities at desk scale and returns
 a canonically ordered list of reports (sorted by identity name, then by the
 JSON encoding of the parameters), so output files are byte-stable across
 runs.  Random parameter sweeps draw from SplitMix64, a documented 64-bit
-generator, making sweeps reproducible from the seed alone.
+generator, making sweeps reproducible from the seed alone.  A suite holds
+its case table and verdicts only: every number comes from a public route of
+the library, and every quadrature verdict passes one node-doubling gate.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ import numpy as np
 
 from . import quadrature as quad
 from .ball import ball_norm, ball_operator_residual, tail_sum
-from .classical import gegenbauer, gegenbauer_norm, hahn_orthogonality_constant
+from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
-from .hypergeometric import pfq_diagnostics
 from .quadrature import VerificationReport, make_report
 from .special import beta_conjugate, gamma
-from .tanh_family import (FamilyParams, _theta_pieces, fourier_closed_form,
-                          fourier_prefactor, fourier_via_recursion,
-                          theta_factor_hahn, theta_hyp_spec)
+from .tanh_family import (FamilyParams, axis_series, fourier_closed_form,
+                          fourier_prefactor, fourier_via_recursion, theta_factor_hahn)
 
 __all__ = ["SplitMix64", "SUITE_NAMES", "run_suite", "report_to_dict",
            "report_from_dict", "reports_to_json", "reports_from_json",
@@ -49,6 +49,23 @@ def _gated_report(name, parameters, lhs, rhs, tolerance, abs_floor, resolutions)
     report = make_report(name, parameters, lhs, rhs, tolerance, abs_floor=abs_floor,
                          low_confidence=not stable)
     return report if stable else dataclasses.replace(report, passed=False)
+
+
+def _base_and_doubled(spec, integral):
+    """``integral`` on the rule ``spec`` and on its node-doubled rule."""
+    return [integral(s) for s in (spec, quad.doubled_spec(spec))]
+
+
+def _ort_report(name, parameters, n, m, norm, values, tolerance, floor_factor):
+    """Orthogonality verdict on the (base, doubled-rule) quadrature values of
+    <p_n, p_m>: the target is norm(n) on the diagonal and 0 off it, where
+    the floor is ``floor_factor`` * sqrt(norm(n) norm(m))."""
+    value, fine = values
+    if n == m:
+        target, floor = norm(n), 0.0
+    else:
+        target, floor = 0.0, floor_factor * math.sqrt(norm(n) * norm(m))
+    return _gated_report(name, parameters, value, target, tolerance, floor, [(value, fine)])
 
 
 class SplitMix64:
@@ -76,15 +93,8 @@ class SplitMix64:
 
 
 def _multi_indices(r: int, max_total: int):
-    """All multi-indices of length r with total degree <= max_total."""
-    out = []
-    for total in range(max_total + 1):
-        for combo in itertools.combinations_with_replacement(range(r), total):
-            counts = [0] * r
-            for c in combo:
-                counts[c] += 1
-            out.append(tuple(counts))
-    return sorted(set(out))
+    """All multi-indices of length r with total degree <= max_total, sorted."""
+    return [n for n in itertools.product(range(max_total + 1), repeat=r) if sum(n) <= max_total]
 
 
 def _random_multi_index(rng: SplitMix64, r: int, max_total: int) -> tuple[int, ...]:
@@ -99,61 +109,40 @@ def _random_multi_index(rng: SplitMix64, r: int, max_total: int) -> tuple[int, .
 # ---------------------------------------------------------------------------
 
 def _suite_gegenbauer_ort(seed: int, r_max: int, tolerance: float | None):
+    # a degree-n Gegenbauer polynomial is the r = 1 ball basis member (n,)
     tol = tolerance if tolerance is not None else 1e-10
     reports = []
     for lam in (0.3, 1.0, 2.5):
-        rules = [quad._jacgauss_cached(k, lam - 0.5, lam - 0.5) for k in (200, 400)]
-        values = [[gegenbauer(k, lam, nodes) for k in range(7)] for nodes, _ in rules]
-        for n in range(7):
-            for m in range(n, 7):
-                coarse, fine = (float(np.sum(w * vals[n] * vals[m]))
-                                for (_, w), vals in zip(rules, values))
-                target = gegenbauer_norm(n, lam) if n == m else 0.0
-                floor = 0.0 if n == m else 1e-10 * gegenbauer_norm(n, lam)
-                reports.append(_gated_report(
-                    "gegenbauer-ort", {"lambda": lam, "n": n, "m": m},
-                    coarse, target, tol, floor, [(coarse, fine)]))
+        grams = _base_and_doubled(quad.ball_default_spec(1), lambda s: quad.ball_gram_matrix(
+            [(k,) for k in range(7)], lam, s))
+        for n, m in itertools.combinations_with_replacement(range(7), 2):
+            reports.append(_ort_report(
+                "gegenbauer-ort", {"lambda": lam, "n": n, "m": m}, n, m,
+                lambda k: gegenbauer_norm(k, lam), [g[n, m] for g in grams], tol, 1e-10))
     return reports
 
 
 def _suite_ball_ort(seed: int, r_max: int, tolerance: float | None):
-    tol = tolerance if tolerance is not None else 1e-8
-    reports = []
-    for mu in (0.5, 1.5):
-        indices = _multi_indices(2, 3)
-        spec = quad.ball_default_spec(2)
-        gram = quad.ball_gram_matrix(indices, mu, spec)
-        gram_fine = quad.ball_gram_matrix(indices, mu, quad.doubled_spec(spec))
-        for p, n in enumerate(indices):
-            for q in range(p, len(indices)):
-                m = indices[q]
-                target = ball_norm(n, mu) if n == m else 0.0
-                floor = (0.0 if n == m
-                         else 1e-8 * math.sqrt(ball_norm(n, mu) * ball_norm(m, mu)))
-                reports.append(_gated_report(
-                    "ball-ort", {"r": 2, "mu": mu, "n": list(n), "m": list(m)},
-                    gram[p, q], target, tol, floor, [(gram[p, q], gram_fine[p, q])]))
+    pairs2 = list(itertools.combinations_with_replacement(_multi_indices(2, 3), 2))
+    # (r, mu, tolerance, floor factor, index pairs)
+    cases = [(2, 0.5, 1e-8, 1e-8, pairs2), (2, 1.5, 1e-8, 1e-8, pairs2)]
     if r_max >= 3:
-        spec = quad.ball_default_spec(3)
-        for n, m in (((0, 0, 0), (0, 0, 0)), ((1, 0, 1), (1, 0, 1)),
-                     ((2, 0, 0), (0, 0, 2)), ((0, 1, 1), (0, 1, 1))):
-            mu = 0.5
-            value = quad.ball_inner_product_numeric(n, m, mu, spec)
-            fine = quad.ball_inner_product_numeric(n, m, mu, quad.doubled_spec(spec))
-            target = ball_norm(n, mu) if n == m else 0.0
-            floor = 0.0 if n == m else 1e-6 * math.sqrt(ball_norm(n, mu) * ball_norm(m, mu))
-            reports.append(_gated_report(
-                "ball-ort", {"r": 3, "mu": mu, "n": list(n), "m": list(m)},
-                value, target, tolerance if tolerance is not None else 1e-6, floor,
-                [(value, fine)]))
+        cases.append((3, 0.5, 1e-6, 1e-6, [((0, 0, 0), (0, 0, 0)), ((1, 0, 1), (1, 0, 1)),
+                                           ((2, 0, 0), (0, 0, 2)), ((0, 1, 1), (0, 1, 1))]))
+    reports = []
+    for r, mu, default_tol, floor_factor, pairs in cases:
+        # Gram indices in order of first appearance, so each listed pair is
+        # an upper-triangle entry summed in its own (n, m) order
+        position = {ix: k for k, ix in
+                    enumerate(dict.fromkeys(ix for pair in pairs for ix in pair))}
+        grams = _base_and_doubled(quad.ball_default_spec(r), lambda s: quad.ball_gram_matrix(
+            list(position), mu, s))
+        for n, m in pairs:
+            reports.append(_ort_report(
+                "ball-ort", {"r": r, "mu": mu, "n": list(n), "m": list(m)}, n, m,
+                lambda ix: ball_norm(ix, mu), [g[position[n], position[m]] for g in grams],
+                tolerance if tolerance is not None else default_tol, floor_factor))
     return reports
-
-
-def _slope(hs, residuals):
-    logs_h = np.log(np.asarray(hs))
-    logs_r = np.log(np.asarray(residuals))
-    slope, _ = np.polyfit(logs_h, logs_r, 1)
-    return float(slope)
 
 
 def _suite_ball_pde(seed: int, r_max: int, tolerance: float | None):
@@ -181,7 +170,7 @@ def _suite_ball_pde(seed: int, r_max: int, tolerance: float | None):
                              "quantity": "residual"},
                 residuals[0], 0.0, 1.0, abs_floor=1e-8))
         else:
-            slope = _slope(hs, residuals)
+            slope = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
             reports.append(make_report(
                 "ball-pde", {"r": r, "n": list(n), "mu": mu, "point": list(point),
                              "quantity": "richardson-slope"},
@@ -199,11 +188,10 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     scale = float(fourier_prefactor(params))
     low_confidence = False
     for j in range(1, r + 1):
-        xi_j = float(xi[j - 1])
-        value, peak = pfq_diagnostics(theta_hyp_spec(j, r, params, xi_j))
+        arg_plus, _, value, peak = axis_series(j, r, params.n, params.a, params.mu,
+                                               1j * float(xi[j - 1]))
         low_confidence = low_confidence or abs(value) < _LOW_CONFIDENCE_RATIO * peak
-        arg_plus = _theta_pieces(j, r, params, xi_j)[2]
-        scale *= abs(beta_conjugate(arg_plus)) * peak
+        scale *= abs(beta_conjugate(arg_plus)) * float(peak)
     return scale, low_confidence
 
 
@@ -262,10 +250,7 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
     a_values = (0.5, 1.0, 1.75)
     mu_values = (0.5, 1.25)
     for r in range(1, min(3, r_max) + 1):
-        spec = quad.default_spec(r)
-        xi_axis = _FOURIER_GRID_XI[r]
-        grid = list(itertools.product(xi_axis, repeat=r))
-        cells = list(itertools.product(range(len(xi_axis)), repeat=r))
+        grid = list(itertools.product(_FOURIER_GRID_XI[r], repeat=r))
         indices = _multi_indices(r, 2 if quick else 4)
         if quick:
             indices = indices[: 4]
@@ -273,21 +258,14 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
             for a in a_values[:2] if quick else a_values:
                 for mu in mu_values[:1] if quick else mu_values:
                     params = FamilyParams(a, mu, n)
-                    # per-axis oracle integrals at the base and doubled rules,
-                    # one call per axis and rule on all grid frequencies
-                    axes = [[quad._fourier_axis_integral(j, params, xi_axis, s)
-                             for j in range(1, r + 1)]
-                            for s in (spec, quad.doubled_spec(spec))]
                     closed = fourier_closed_form(params, grid)
-                    for xi, cell, lhs in zip(grid, cells, closed):
-                        oracle, fine = 1.0 + 0.0j, 1.0 + 0.0j
-                        for j, k in enumerate(cell):
-                            oracle *= complex(axes[0][j][k])
-                            fine *= complex(axes[1][j][k])
+                    oracle, fine = _base_and_doubled(
+                        quad.default_spec(r), lambda s: quad.fourier_numeric(params, grid, s))
+                    for xi, lhs, rhs, rhs_fine in zip(grid, closed, oracle, fine):
                         reports.append(_gated_report(
                             "fourier-oracle",
                             {"r": r, "n": list(n), "a": a, "mu": mu, "xi": list(xi)},
-                            lhs, oracle, tol, 1e-9, [(oracle, fine)]))
+                            lhs, rhs, tol, 1e-9, [(rhs, rhs_fine)]))
     return reports
 
 
@@ -296,18 +274,12 @@ def _suite_hahn_ort(seed: int, r_max: int, tolerance: float | None):
     spec = quad.QuadratureSpec(nodes_per_axis=768, truncation_halfwidth=12.0, panels=48)
     reports = []
     for a1, a2 in ((0.5, 0.5), (1.0, 0.75)):
-        for n in range(5):
-            for m in range(n, 5):
-                value = quad.hahn_orthogonality_integral(n, m, a1, a2, spec)
-                fine = quad.hahn_orthogonality_integral(n, m, a1, a2,
-                                                        quad.doubled_spec(spec))
-                target = hahn_orthogonality_constant(n, a1, a2) if n == m else 0.0
-                floor = (0.0 if n == m else
-                         1e-6 * math.sqrt(hahn_orthogonality_constant(n, a1, a2)
-                                          * hahn_orthogonality_constant(m, a1, a2)))
-                reports.append(_gated_report(
-                    "hahn-ort", {"a1": a1, "a2": a2, "n": n, "m": m},
-                    value, target, tol, floor, [(value, fine)]))
+        for n, m in itertools.combinations_with_replacement(range(5), 2):
+            reports.append(_ort_report(
+                "hahn-ort", {"a1": a1, "a2": a2, "n": n, "m": m}, n, m,
+                lambda k: hahn_orthogonality_constant(k, a1, a2),
+                _base_and_doubled(spec, lambda s: quad.hahn_orthogonality_integral(
+                    n, m, a1, a2, s)), tol, 1e-6))
     return reports
 
 
@@ -322,9 +294,8 @@ def _transform_pair_constant(params: FamilyParams) -> float:
 
 
 def _parseval_case(n, m, a1, a2, tol, floor):
-    spec = quad.default_spec(len(n))
-    coarse, fine = (quad.parseval_check(n, m, a1, a2, s, tol, floor)
-                    for s in (spec, quad.doubled_spec(spec)))
+    coarse, fine = _base_and_doubled(quad.default_spec(len(n)), lambda s: quad.parseval_check(
+        n, m, a1, a2, s, tol, floor))
     base, lhs, rhs = coarse.parameters, coarse.lhs, coarse.rhs
     out = [_gated_report("parseval", base, lhs, rhs, tol, floor,
                          [(lhs, fine.lhs), (rhs, fine.rhs)])]
@@ -355,27 +326,18 @@ def _suite_parseval(seed: int, r_max: int, tolerance: float | None):
     return reports
 
 
-def _dfamily_pair_report(n, m, a1, a2, tolerance):
-    spec = quad._d_pair_spec(a1, a2)
-    value = quad.d_biorthogonality_integral(n, m, a1, a2, spec)
-    fine = quad.d_biorthogonality_integral(n, m, a1, a2, quad.doubled_spec(spec))
-    target = d_orthogonality_constant(n, a1, a2) if n == m else 0.0
-    tol = tolerance if tolerance is not None else 1e-4
-    floor = (0.0 if n == m else
-             1e-5 * math.sqrt(d_orthogonality_constant(n, a1, a2)
-                              * d_orthogonality_constant(m, a1, a2)))
-    return _gated_report(
-        "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)},
-        value, target, tol, floor, [(value, fine)])
-
-
 def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
+    tol = tolerance if tolerance is not None else 1e-4
     cases = [((0.5, 0.5), _multi_indices(1, 3)), ((1.0, 0.75), _multi_indices(1, 3))]
     if r_max >= 2:
         cases.append(((1.0, 0.75), _multi_indices(2, 2)))
-    return [_dfamily_pair_report(n, m, a1, a2, tolerance)
-            for (a1, a2), indices in cases
-            for n, m in itertools.combinations_with_replacement(indices, 2)]
+    return [_ort_report(
+        "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)}, n, m,
+        lambda ix: d_orthogonality_constant(ix, a1, a2),
+        _base_and_doubled(quad._d_pair_spec(a1, a2), lambda s: quad.d_biorthogonality_integral(
+            n, m, a1, a2, s)), tol, 1e-5)
+        for (a1, a2), indices in cases
+        for n, m in itertools.combinations_with_replacement(indices, 2)]
 
 
 _SUITES = {

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballfourier import FamilyParams, ball_basis_eval, cli, theta_factor
 
@@ -274,3 +278,162 @@ class TestTable:
                              "--start", "0", "--stop", "1", "--step", "1e-4"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 10001
+
+
+class TestDimensionOption:
+    @pytest.mark.parametrize("args", [
+        ["verify", "--suite", "hahn-ort", "--r", "7"],
+        ["table", "--fn", "gegenbauer", "--n", "1", "--lambda", "1", "--start", "0",
+         "--stop", "1", "--step", "0.5", "--r", "9"],
+    ])
+    def test_rejected_where_unused(self, capsys, args):
+        code, out = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("fn, limit, extra", [
+        ("gegenbauer", cli._DEGREE_LIMIT, ["--lambda", "1.5", "--x", "0.3"]),
+        ("jacobi", cli._JACOBI_DEGREE_LIMIT, ["--alpha", "0.5", "--beta", "1.5", "--x", "0.3"]),
+    ])
+    def test_eval_degree_boundary(self, capsys, fn, limit, extra):
+        code, out = run_cli(["eval", "--fn", fn, "--n", str(limit), *extra], capsys)
+        assert code == 0 and json.loads(out)["inputs"]["n"] == limit
+        code, out = run_cli(["eval", "--fn", fn, "--n", str(limit + 1), *extra], capsys)
+        assert code == 2 and out == ""
+
+    def test_fourier_total_degree_beyond_limit(self, capsys):
+        half = cli._DEGREE_LIMIT // 2
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fourier", "--n", f"{half},{half + 1}", "--a", "1", "--mu", "1",
+                      "--xi", "0,0"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert f"total degree {cli._DEGREE_LIMIT + 1} exceeds" in captured.err
+
+    def test_table_degree_beyond_limit(self, capsys):
+        code, out = run_cli(["table", "--fn", "theta", "--n", str(cli._DEGREE_LIMIT + 1),
+                             "--a", "1", "--mu", "1", "--start", "0", "--stop", "0",
+                             "--step", "1"], capsys)
+        assert code == 2 and out == ""
+
+    def test_table_row_boundary(self, capsys):
+        stop = cli._TABLE_ROW_LIMIT - 1
+        args = ["table", "--fn", "gegenbauer", "--n", "0", "--lambda", "1",
+                "--start", "0", "--step", "1", "--stop"]
+        code, out = run_cli(args + [str(stop)], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + cli._TABLE_ROW_LIMIT
+        code, out = run_cli(args + [str(stop + 1)], capsys)
+        assert code == 2 and out == ""
+
+    def test_table_rows_times_degree_boundary(self, capsys):
+        # 10,000 rows on an exact step of 2^-13, at exactly rows x degree = the limit
+        rows = 10_000
+        degree = cli._TABLE_TERM_LIMIT // rows
+        args = ["table", "--fn", "gegenbauer", "--lambda", "1", "--start", "-0.5",
+                "--stop", repr(-0.5 + (rows - 1) * 2.0 ** -13), "--step", repr(2.0 ** -13)]
+        code, out = run_cli(args + ["--n", str(degree)], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + rows
+        code, out = run_cli(args + ["--n", str(degree + 1)], capsys)
+        assert code == 2 and out == ""
+
+
+class TestNonFiniteResults:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ["eval", "--fn", "d_family", "--n", "1000", "--a1", "1", "--a2", "1", "--x", "0.3"],
+        ["fourier", "--n", "3", "--a", "1", "--mu", "1", "--xi", "1e300"],
+        ["fourier", "--n", "3", "--a", "1", "--mu", "1", "--xi", "1e300", "--check"],
+        ["table", "--fn", "theta", "--n", "1000", "--a", "1", "--mu", "1",
+         "--start", "0", "--stop", "1", "--step", "0.5"],
+    ])
+    def test_usage_error_without_warnings(self, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            cli.main(args)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
+        assert "Warning" not in captured.err
+
+
+_GOOD_NUMBERS = ["0.3", "0.5", "1", "1.75", "2.5", "-0.25", "0"]
+_BAD_NUMBERS = ["-3", "12", "1e-300", "5e-324", "1e300", "-1e300", "1e400", "nan", "inf",
+                "-inf", "x", ""]
+# valid values first and much more likely, so most argument vectors get
+# past argparse into the library
+_NUMBERS = st.sampled_from(_GOOD_NUMBERS * 12 + _BAD_NUMBERS)
+_INTEGERS = st.sampled_from(["1", "2", "3", "0", "7", "-1", "1.5", "99999999999999"])
+_BAD_INDICES = ["-1", "1,", ",", "1.5", "x", "1000", "25000", "99999999999999999999",
+                "1,2,3,4"]
+_OFTEN = st.sampled_from([True, True, True, False])
+_RANGE = ("--start", "--stop", "--step")
+# (command, --fn or --suite value, dimensions, the flags that call reads)
+_CALLS = [
+    ("eval", "gegenbauer", (1,), ("--n", "--lambda", "--x")),
+    ("eval", "jacobi", (1,), ("--n", "--alpha", "--beta", "--x")),
+    ("eval", "hahn", (1,), ("--n", "--x", "--a", "--b", "--c", "--d")),
+    ("eval", "ball", (1, 2, 3), ("--n", "--mu", "--x", "--r")),
+    ("eval", "f_r", (1, 2, 3), ("--n", "--a", "--mu", "--x", "--r")),
+    ("eval", "d_family", (1, 2, 3), ("--n", "--a1", "--a2", "--x", "--r")),
+    ("fourier", None, (1, 2, 3), ("--n", "--a", "--mu", "--xi", "--check", "--tolerance",
+                                  "--r")),
+    ("table", "theta", (1, 2, 3), ("--n", "--a", "--mu", "--axis") + _RANGE),
+    ("table", "ball", (2,), ("--n", "--mu", "--grid")),
+    ("table", "gegenbauer", (1,), ("--n", "--lambda") + _RANGE),
+    ("table", "d_family", (1,), ("--n", "--a1", "--a2") + _RANGE),
+    ("verify", "hahn-ort", (1,), ("--seed", "--r-max", "--tolerance", "--format", "--quick")),
+    ("verify", "parseval", (1,), ("--seed", "--r-max", "--tolerance", "--format", "--quick")),
+]
+_ALL_FLAGS = sorted({flag for *_, flags in _CALLS for flag in flags} | {"--bogus"})
+
+
+def _flag_value(draw, flag: str, r: int):
+    """A value for ``flag`` in an r-dimensional call, usually a valid one."""
+    if flag == "--n":
+        if draw(_OFTEN):
+            return ",".join(draw(st.sampled_from("0123")) for _ in range(r))
+        return draw(st.sampled_from(_BAD_INDICES))
+    if flag in ("--x", "--xi"):
+        length = r if draw(_OFTEN) else draw(st.integers(1, 4))
+        return ",".join(draw(_NUMBERS) for _ in range(length))
+    if flag == "--r":
+        return str(r) if draw(_OFTEN) else draw(_INTEGERS)
+    if flag in ("--axis", "--grid", "--seed", "--r-max"):
+        return draw(_INTEGERS)
+    if flag == "--format":
+        return draw(st.sampled_from(["json", "csv", "xml"]))
+    return draw(_NUMBERS)
+
+
+@st.composite
+def _argv(draw):
+    command, selector, dims, flags = draw(st.sampled_from(_CALLS))
+    r = draw(st.sampled_from(dims))
+    argv = [command]
+    if selector is not None and draw(st.sampled_from([True] * 19 + [False])):
+        argv.append(("--suite=" if command == "verify" else "--fn=") + selector)
+    # each flag the call reads is present nine times in ten; a stray flag
+    # from another call joins a third of the time
+    chosen = [flag for flag in flags if draw(st.sampled_from([True] * 9 + [False]))]
+    if draw(st.sampled_from([False, False, True])):
+        chosen.append(draw(st.sampled_from(_ALL_FLAGS)))
+    for flag in chosen:
+        argv.append(flag if flag in ("--check", "--quick")
+                    else f"{flag}={_flag_value(draw, flag, r)}")
+    return argv
+
+
+class TestArgumentVectors:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=5000)
+    @given(_argv())
+    def test_exit_code_is_0_1_or_2(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv

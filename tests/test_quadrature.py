@@ -177,6 +177,57 @@ class TestFourierAxisIntegral:
                 assert complex(value) == single
 
 
+class TestBatchedFourierNumeric:
+    @pytest.mark.parametrize("mode, spec", [
+        ("separated", None),
+        ("tanh", None),
+        ("tensor", QuadratureSpec(nodes_per_axis=48, panels=3)),
+    ])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_batch_entries_match_per_vector_calls(self, rng, mode, spec, r):
+        params = FamilyParams(0.8, 0.6, tuple(int(v) for v in rng.integers(0, 3, size=r)))
+        xi = rng.uniform(-3.0, 3.0, size=(6, r))
+        xi[3] = xi[0]  # a repeated frequency vector
+        xi[4, 0] = xi[1, 0]  # a frequency shared on one axis only
+        flat = fourier_numeric(params, xi, spec, mode)
+        grid = fourier_numeric(params, xi.reshape(2, 3, r), spec, mode)
+        assert flat.shape == (6,) and grid.shape == (2, 3)
+        for k in range(6):
+            single = fourier_numeric(params, xi[k], spec, mode)
+            assert isinstance(single, complex)
+            for batched in (flat[k], grid.reshape(-1)[k]):
+                assert abs(batched - single) <= 1e-15 * abs(single)
+
+    def test_axis_integrals_on_distinct_frequencies_only(self, monkeypatch):
+        from ballfourier import quadrature
+        calls = []
+        original = quadrature._fourier_axis_integral
+
+        def recording(j, params, xi_j, spec):
+            calls.append((j, np.asarray(xi_j).size))
+            return original(j, params, xi_j, spec)
+
+        monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording)
+        grid = list(itertools.product((-3.0, 0.5, 2.0), repeat=2))
+        fourier_numeric(FamilyParams(1.0, 0.5, (1, 2)), grid)
+        assert calls == [(1, 3), (2, 3)]
+
+    def test_tanh_axis_integral_batched_equals_per_frequency_bitwise(self, rng):
+        from ballfourier.quadrature import _tanh_axis_integral
+        params = FamilyParams(0.9, 1.1, (2, 1))
+        xi = rng.uniform(-3.0, 3.0, size=5)
+        for j in (1, 2):
+            batched = _tanh_axis_integral(j, params, xi)
+            for value, x in zip(batched, xi):
+                assert value == _tanh_axis_integral(j, params, np.float64(x))
+
+    def test_rejects_wrong_vector_length(self):
+        with pytest.raises(ValueError):
+            fourier_numeric(FamilyParams(1.0, 0.5, (1, 0)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            fourier_numeric(FamilyParams(1.0, 0.5, (1,)), 0.5)
+
+
 class TestHahnIntegral:
     def test_known_diagonal(self):
         value = hahn_orthogonality_integral(0, 0, 0.5, 0.5)

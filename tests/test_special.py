@@ -120,6 +120,20 @@ class TestLogGamma:
         for z in (-20.5 + 0.0j, -333.7 + 2.5j, -2e5 + 0.5 + 0.1j):
             assert log_gamma(z.conjugate()) == np.conj(log_gamma(z))
 
+    def test_signed_zero_imaginary_part_picks_its_side_of_the_cut(self):
+        # on the cut the sign of a zero imaginary part selects the one-sided
+        # limit, in the shift range and in the reflection range alike
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        reals = (-0.5, -2.5, -7.25, -15.5, -20.25)
+        for x in reals:
+            for side in (1.0, -1.0):
+                ref = complex(mp.loggamma(mp.mpc(x, side * mp.mpf("1e-40"))))
+                z = complex(x, math.copysign(0.0, side))
+                assert rel_err(log_gamma(z), ref) <= 1e-14, (x, side)
+                batch = log_gamma(np.array([z, 3.0 + 1.0j]))
+                assert rel_err(batch[0], ref) <= 1e-14, (x, side)
+
     def test_cost_does_not_grow_with_distance_left(self):
         # the recurrence alone took seconds at Re z = -2e5
         start = time.perf_counter()

@@ -8,7 +8,8 @@ from ballfourier import (FamilyParams, beta, family_eval, family_eval_peel_first
                          fourier_via_recursion, gegenbauer, hyp3f2_unit,
                          pochhammer, tanh_ball_map, theta_factor,
                          theta_factor_hahn)
-from ballfourier.tanh_family import family_axis_factor, fourier_prefactor
+from ballfourier.tanh_family import (axis_parameters, axis_series, family_axis_factor,
+                                     fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
 
@@ -101,6 +102,37 @@ class TestFamilyEval:
             product = np.prod([family_axis_factor(j, params, x[j - 1])
                                for j in range(1, r + 1)])
             assert rel_err(product, family_eval(x, params)) <= 1e-12
+
+
+class TestAxisSeries:
+    def test_matches_the_spec_route(self, rng):
+        # value and peak are those of the 3F2 written out as a spec object
+        from ballfourier.hypergeometric import HypergeometricSpec, pfq_diagnostics
+        for _ in range(40):
+            r = int(rng.integers(1, 4))
+            params = random_params(rng, r, max_total=6)
+            j = int(rng.integers(1, r + 1))
+            z = 1j * float(rng.uniform(-3, 3))
+            ap, am, value, peak = axis_series(j, r, params.n, params.a, params.mu, z)
+            _, _, ap2, am2, upper2, lower1, lower2 = axis_parameters(
+                j, r, params.n, params.a, params.mu, z)
+            nj = params.n[j - 1]
+            spec = HypergeometricSpec((-float(nj), upper2, ap2), (lower1, lower2), 1.0, nj)
+            assert (ap, am) == (ap2, am2)
+            assert (value, peak) == pfq_diagnostics(spec)
+
+    def test_theta_and_d_factors_share_it(self, rng):
+        from ballfourier.dfamily import d_axis_factor
+        from ballfourier.special import beta_conjugate, gamma
+        params = random_params(rng, 3, max_total=5)
+        xi = rng.uniform(-3, 3, size=7)
+        x = rng.uniform(-2, 2, size=7)
+        for j in (1, 2, 3):
+            ap, _, series, _ = axis_series(j, 3, params.n, params.a, params.mu, 1j * xi)
+            assert np.array_equal(theta_factor(j, 3, params, xi), beta_conjugate(ap) * series)
+            gp, gm, series, _ = axis_series(j, 3, params.n, 0.7, 0.7 + 0.9 - 0.5, x)
+            assert np.array_equal(d_axis_factor(j, 3, x, params.n, 0.7, 0.9),
+                                  gamma(gm) * gamma(gp) * series)
 
 
 class TestThetaFactor:

@@ -1,6 +1,10 @@
+import ast
+import inspect
 import json
 
 import pytest
+
+from ballfourier import verify
 
 from ballfourier.quadrature import make_report
 from ballfourier.verify import (SUITE_NAMES, SplitMix64, _gated_report,
@@ -97,6 +101,30 @@ class TestSuites:
     def test_tolerance_override_can_fail(self):
         reports = run_suite("gegenbauer-ort", tolerance=1e-18)
         assert any(not r.passed for r in reports)
+
+
+class TestLayering:
+    def test_no_private_library_routes(self):
+        # the suites reach quadrature and the families through public names;
+        # the pair spec is the one (a1, a2)-dependent default a suite doubles
+        tree = ast.parse(inspect.getsource(verify))
+        private = {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "quad" and node.attr.startswith("_")}
+        private |= {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module in (
+                        "quadrature", "tanh_family")
+                    for alias in node.names if alias.name.startswith("_")}
+        assert private == {"_d_pair_spec"}
+
+    def test_ball_ort_entries_are_the_pair_integrals(self):
+        from ballfourier.quadrature import ball_default_spec, ball_inner_product_numeric
+        spec = ball_default_spec(3)
+        for report in run_suite("ball-ort", r_max=3):
+            params = report.parameters
+            if params["r"] == 3:
+                assert report.lhs == ball_inner_product_numeric(
+                    params["n"], params["m"], params["mu"], spec)
 
 
 class TestSerialization:
