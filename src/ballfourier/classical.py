@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,32 +43,40 @@ def _check_gegenbauer_lambda(lam: float) -> float:
     return float(lam)
 
 
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers N_i and one exponent e with values[i] = N_i / 2**e exactly
+    (every finite float is a dyadic rational)."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
+
+
 def jacobi(n: int, alpha: float, beta: float, x: float) -> float:
     """Jacobi polynomial P_n^(alpha,beta)(x) by the explicit binomial sum.
 
     Cross-check path only, so it favours exactness over speed: the sum is
-    evaluated in rational arithmetic over the float-rounded inputs and
-    rounded once at the end.  The alternating binomial terms cancel by
-    several orders of magnitude at moderate degree, which a plain float
-    loop cannot survive at the tolerances the identity tests use.
+    evaluated exactly over the float-rounded inputs and rounded once at the
+    end.  The alternating binomial terms cancel by several orders of
+    magnitude at moderate degree, which a plain float loop cannot survive at
+    the tolerances the identity tests use.  With alpha = A/2^e,
+    beta = B/2^e and x = X/2^e over one power of two,
+    2^(2en+n) n! P_n = sum_k C(n,k) prod_{i<k}((n-i)2^e + A)
+    prod_{i<n-k}((n-i)2^e + B) (X + 2^e)^k (X - 2^e)^(n-k) is an integer,
+    so the sum runs in Python integers with no gcd per operation.
     """
     n = _check_degree(n)
     if alpha <= -1 or beta <= -1:
         raise ValueError("Jacobi parameters must satisfy alpha, beta > -1")
-    xf = Fraction(float(x))
-    af = Fraction(float(alpha))
-    bf = Fraction(float(beta))
-    total = Fraction(0)
-    for k in range(n + 1):
-        coeff = Fraction(1)
-        for i in range(k):
-            coeff *= n + af - i
-        coeff /= math.factorial(k)
-        for i in range(n - k):
-            coeff *= n + bf - i
-        coeff /= math.factorial(n - k)
-        total += coeff * (xf + 1) ** k * (xf - 1) ** (n - k)
-    return float(total / 2 ** n)
+    (a, b, xx), e = _dyadic((alpha, beta, x))
+    one = 1 << e
+    # prefix products over i < k of ((n-i)2^e + A)(X + 2^e) and of
+    # ((n-i)2^e + B)(X - 2^e): one large product per term of the sum
+    head, tail = [1], [1]
+    for i in range(n):
+        head.append(head[-1] * ((((n - i) << e) + a) * (xx + one)))
+        tail.append(tail[-1] * ((((n - i) << e) + b) * (xx - one)))
+    total = sum(math.comb(n, k) * head[k] * tail[n - k] for k in range(n + 1))
+    return total / (math.factorial(n) << (2 * e * n + n))
 
 
 def gegenbauer(n: int, lam: float, x):

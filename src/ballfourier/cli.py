@@ -34,7 +34,7 @@ VERIFY_FAILURE = 1
 _TABLE_ROW_LIMIT = 100_000
 _TABLE_TERM_LIMIT = 10_000_000
 _DEGREE_LIMIT = 20_000
-_JACOBI_DEGREE_LIMIT = 40
+_JACOBI_DEGREE_LIMIT = 120
 
 
 def _parse_multi_index(text: str) -> tuple[int, ...]:

@@ -66,7 +66,7 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 
     This is the theta factor's 3F2 with the gamma pair in place of the beta
     factor, under a -> a1 and mu -> a1 + a2 - 1/2."""
-    gplus, gminus, series, _ = axis_series(j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
+    gplus, gminus, series = axis_series(j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
     return gamma(gminus) * gamma(gplus) * series
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ball import ball_basis_eval, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
-from .hypergeometric import _terminating_sum, hyp3f2_unit
+from .hypergeometric import hyp3f2_unit
 from .special import beta_conjugate, pochhammer
 
 __all__ = [
@@ -155,13 +155,13 @@ def axis_parameters(j: int, r: int, n, a: float, mu: float, z):
 
 def axis_series(j: int, r: int, n, a: float, mu: float, z):
     """The per-axis terminating 3F2 at unit argument shared by the theta
-    factors and the gamma-pair family: ``(arg_plus, arg_minus, value,
-    peak)`` with the gamma arguments of :func:`axis_parameters`, the series
-    value and its peak partial-sum magnitude (cancellation diagnostics)."""
+    factors and the gamma-pair family: ``(arg_plus, arg_minus, value)``
+    with the gamma arguments of :func:`axis_parameters` and the value of
+    3F2(-n_j, upper2, arg_plus; lower1, lower2; 1) from :func:`hyp3f2_unit`
+    (here s = upper2 - n_j + 1 = 2m + 2mu + r - j + 1 > 0, so the degree
+    recurrence)."""
     _, _, arg_plus, arg_minus, upper2, lower1, lower2 = axis_parameters(j, r, n, a, mu, z)
-    nj = n[j - 1]
-    value, peak = _terminating_sum([-float(nj), upper2, arg_plus], [lower1, lower2], 1.0, nj)
-    return arg_plus, arg_minus, value[()], peak[()]
+    return arg_plus, arg_minus, hyp3f2_unit(n[j - 1], upper2, arg_plus, lower1, lower2)
 
 
 def _theta_pieces(j: int, r: int, params: FamilyParams, xi):
@@ -176,8 +176,8 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     at every entry).  At real ``xi`` the two beta arguments are a conjugate
     pair, so the beta factor is :func:`special.beta_conjugate`.
     """
-    arg_plus, _, series, _ = axis_series(j, r, params.n, params.a, params.mu,
-                                         1j * np.asarray(xi, dtype=np.float64))
+    arg_plus, _, series = axis_series(j, r, params.n, params.a, params.mu,
+                                      1j * np.asarray(xi, dtype=np.float64))
     return beta_conjugate(arg_plus) * series
 
 

@@ -22,17 +22,18 @@ from . import quadrature as quad
 from .ball import ball_norm, ball_operator_residual, tail_sum
 from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
+from .hypergeometric import hyp3f2_unit
 from .quadrature import VerificationReport, make_report
 from .special import beta_conjugate, gamma
-from .tanh_family import (FamilyParams, axis_series, fourier_closed_form,
+from .tanh_family import (FamilyParams, axis_parameters, fourier_closed_form,
                           fourier_prefactor, fourier_via_recursion, theta_factor_hahn)
 
 __all__ = ["SplitMix64", "SUITE_NAMES", "run_suite", "report_to_dict",
            "report_from_dict", "reports_to_json", "reports_from_json",
            "canonical_sort"]
 
-# result magnitude below this fraction of the peak partial sum marks a
-# cancellation-risky series value
+# a 3F2 value below this fraction of the largest |F_k|, k <= n, of its
+# degree recurrence marks a cancellation-risky series value
 _LOW_CONFIDENCE_RATIO = 1e-10
 
 
@@ -182,15 +183,20 @@ def _suite_ball_pde(seed: int, r_max: int, tolerance: float | None):
 def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     """One pass over the theta 3F2 diagnostics at ``xi``: the value scale of
     :func:`fourier_value_scale`, and whether any axis series is
-    cancellation-risky (its value below a fixed fraction of its peak
-    partial sum)."""
+    cancellation-risky (its value below a fixed fraction of its peak).  The
+    peak of axis j is max over k <= n_j of |F_k|, the same 3F2 at the lower
+    degrees k with s held fixed, i.e. the recurrence's own trajectory."""
     r = params.r
     scale = float(fourier_prefactor(params))
     low_confidence = False
     for j in range(1, r + 1):
-        arg_plus, _, value, peak = axis_series(j, r, params.n, params.a, params.mu,
-                                               1j * float(xi[j - 1]))
-        low_confidence = low_confidence or abs(value) < _LOW_CONFIDENCE_RATIO * peak
+        nj = params.n[j - 1]
+        _, _, arg_plus, _, upper2, lower1, lower2 = axis_parameters(
+            j, r, params.n, params.a, params.mu, 1j * float(xi[j - 1]))
+        values = [hyp3f2_unit(k, upper2 - nj + k, arg_plus, lower1, lower2)
+                  for k in range(nj + 1)]
+        peak = max(abs(v) for v in values)
+        low_confidence = low_confidence or abs(values[-1]) < _LOW_CONFIDENCE_RATIO * peak
         scale *= abs(beta_conjugate(arg_plus)) * float(peak)
     return scale, low_confidence
 
@@ -201,7 +207,8 @@ def fourier_value_scale(params: FamilyParams, xi) -> float:
     The series inside each theta factor can sit near a polynomial zero, in
     which case path-equivalence comparisons are meaningful in absolute terms
     against this scale (prefactor times beta magnitudes times the peak
-    partial sums), not in relative terms against the suppressed value.
+    3F2 magnitudes over the lower degrees), not in relative terms against
+    the suppressed value.
     """
     return _theta_diagnostics(params, xi)[0]
 

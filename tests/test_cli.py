@@ -342,11 +342,11 @@ class TestWorkBounds:
 class TestNonFiniteResults:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args", [
-        ["eval", "--fn", "d_family", "--n", "1000", "--a1", "1", "--a2", "1", "--x", "0.3"],
+        ["eval", "--fn", "d_family", "--n", "1000", "--a1", "1", "--a2", "1", "--x", "300.3"],
         ["fourier", "--n", "3", "--a", "1", "--mu", "1", "--xi", "1e300"],
         ["fourier", "--n", "3", "--a", "1", "--mu", "1", "--xi", "1e300", "--check"],
         ["table", "--fn", "theta", "--n", "1000", "--a", "1", "--mu", "1",
-         "--start", "0", "--stop", "1", "--step", "0.5"],
+         "--start", "0", "--stop", "1e4", "--step", "5e3"],
     ])
     def test_usage_error_without_warnings(self, capsys, args):
         with pytest.raises(SystemExit) as info:

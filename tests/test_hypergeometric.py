@@ -67,15 +67,27 @@ class TestHyp3f2Unit:
         # 1 - (2 mu + 1) a / (l1 l2) at mu=0.5, a=1, l1=2, l2=1
         assert hyp3f2_unit(1, 2.0, 1.0, 2.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
-    def test_bit_for_bit_equals_pfq(self, rng):
-        for _ in range(20):
-            u2 = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
-            u3 = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
-            l1 = complex(rng.uniform(0.5, 3), rng.uniform(-2, 2))
-            l2 = complex(rng.uniform(0.5, 3), rng.uniform(-2, 2))
-            direct = hyp3f2_unit(3, u2, u3, l1, l2)
-            spec = HypergeometricSpec((-3.0, u2, u3), (l1, l2), 1.0, 3)
-            assert complex(direct) == complex(pfq_terminating(spec))
+    def test_cross_checks_pfq(self, rng):
+        # s = upper2 - n + 1: Re s <= 0 takes the forward series, bit for bit
+        # the spec route; Re s > 0 the degree recurrence, which at degree
+        # <= 6 agrees with the forward series to 1e-9 relative
+        routes = set()
+        for n in range(1, 7):
+            for _ in range(20):
+                u2 = complex(rng.uniform(-4, 8), rng.uniform(-2, 2))
+                u3 = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+                l1 = complex(rng.uniform(0.5, 3), rng.uniform(-2, 2))
+                l2 = complex(rng.uniform(0.5, 3), rng.uniform(-2, 2))
+                direct = complex(hyp3f2_unit(n, u2, u3, l1, l2))
+                spec = HypergeometricSpec((-float(n), u2, u3), (l1, l2), 1.0, n)
+                forward = complex(pfq_terminating(spec))
+                if (u2 - n + 1).real <= 0:
+                    routes.add("forward")
+                    assert direct == forward
+                else:
+                    routes.add("recurrence")
+                    assert rel_err(direct, forward) <= 1e-9, (n, u2, u3, l1, l2)
+        assert routes == {"forward", "recurrence"}
 
     @given(st.integers(min_value=0, max_value=8),
            st.floats(min_value=-3, max_value=3, allow_nan=False),
