@@ -15,8 +15,7 @@ from .quadrature import (QuadratureSpec, VerificationReport,
                          ball_inner_product_numeric, d_biorthogonality_integral,
                          fourier_numeric, hahn_orthogonality_integral,
                          integrate_line, parseval_check)
-from .special import (beta, gamma, generalized_binomial, log_beta, log_gamma,
-                      pochhammer)
+from .special import gamma, log_gamma, pochhammer
 from .tanh_family import (FamilyParams, family_eval, family_eval_peel_first,
                           family_eval_peel_last, fourier_closed_form,
                           fourier_via_recursion, tanh_ball_map, theta_factor,
@@ -28,7 +27,7 @@ __all__ = [
     "FamilyParams", "DParams", "HahnParameters", "HypergeometricSpec",
     "QuadratureSpec", "VerificationReport",
     "PoleError", "DenominatorPoleError", "DomainError", "NonFiniteIntegrandError",
-    "log_gamma", "gamma", "beta", "log_beta", "pochhammer", "generalized_binomial",
+    "log_gamma", "gamma", "pochhammer",
     "pfq_terminating", "hyp3f2_unit",
     "jacobi", "gegenbauer", "gegenbauer_series", "gegenbauer_norm", "continuous_hahn",
     "hahn_orthogonality_constant",

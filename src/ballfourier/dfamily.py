@@ -20,7 +20,7 @@ import numpy as np
 
 from .ball import ball_norm, tail_sum, validate_multi_index
 from .classical import continuous_hahn
-from .special import gamma, log_gamma, pochhammer
+from .special import gamma, gamma_pair, log_gamma, pochhammer
 from .tanh_family import axis_parameters, axis_series
 
 __all__ = [
@@ -67,7 +67,7 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
     This is the theta factor's 3F2 with the gamma pair in place of the beta
     factor, under a -> a1 and mu -> a1 + a2 - 1/2."""
     gplus, gminus, series = axis_series(j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
-    return gamma(gminus) * gamma(gplus) * series
+    return gamma_pair(gminus, gplus) * series
 
 
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):

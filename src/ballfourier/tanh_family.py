@@ -154,8 +154,9 @@ def axis_parameters(j: int, r: int, n, a: float, mu: float, z):
 
 
 def axis_series(j: int, r: int, n, a: float, mu: float, z):
-    """The per-axis terminating 3F2 at unit argument shared by the theta
-    factors and the gamma-pair family: ``(arg_plus, arg_minus, value)``
+    """The per-axis terminating 3F2 at unit argument of the gamma-pair
+    family, the same series as in :func:`theta_factor` (which also needs
+    m and q for its beta factor): ``(arg_plus, arg_minus, value)``
     with the gamma arguments of :func:`axis_parameters` and the value of
     3F2(-n_j, upper2, arg_plus; lower1, lower2; 1) from :func:`hyp3f2_unit`
     (here s = upper2 - n_j + 1 = 2m + 2mu + r - j + 1 > 0, so the degree
@@ -174,26 +175,28 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
 
     ``xi`` may be a scalar or an array (the transform of axis j is evaluated
     at every entry).  At real ``xi`` the two beta arguments are a conjugate
-    pair, so the beta factor is :func:`special.beta_conjugate`.
+    pair a + m/2 + q +- i xi/2, so the beta factor is
+    :func:`special.beta_conjugate` with one real part for all of ``xi``.
     """
-    arg_plus, _, series = axis_series(j, r, params.n, params.a, params.mu,
-                                      1j * np.asarray(xi, dtype=np.float64))
-    return beta_conjugate(arg_plus) * series
+    xi = np.asarray(xi, dtype=np.float64)
+    m, q, arg_plus, _, upper2, lower1, lower2 = _theta_pieces(j, r, params, xi)
+    series = hyp3f2_unit(params.n[j - 1], upper2, arg_plus, lower1, lower2)
+    return beta_conjugate(params.a + m / 2.0 + q, xi / 2.0) * series
 
 
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
     """The same theta factor written through a continuous Hahn polynomial
     evaluated at xi/2.  Must agree with :func:`theta_factor`."""
-    m, q, arg_plus, _, _, lower1, lower2 = _theta_pieces(j, r, params, xi)
+    xi = np.asarray(xi, dtype=np.float64)
+    m, q, _, _, _, lower1, lower2 = _theta_pieces(j, r, params, xi)
     nj = params.n[j - 1]
     big_a = params.a + m / 2.0 + q
     big_b = params.mu - params.a + (m + 1.0) / 2.0 + q
     prefactor = math.factorial(nj) / ((1j ** nj)
                                       * pochhammer(complex(lower1), nj)
                                       * pochhammer(complex(lower2), nj))
-    hahn = continuous_hahn(nj, np.asarray(xi, dtype=np.float64) / 2.0,
-                           (big_a, big_b, big_b, big_a))
-    return prefactor * beta_conjugate(arg_plus) * hahn
+    hahn = continuous_hahn(nj, xi / 2.0, (big_a, big_b, big_b, big_a))
+    return prefactor * beta_conjugate(big_a, xi / 2.0) * hahn
 
 
 def fourier_prefactor(params: FamilyParams) -> float:
@@ -241,7 +244,8 @@ def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_
     series = hyp3f2_unit(nj, nj + 2.0 * lam, ap, m + 2.0 * a + k / 2.0,
                          m + mu + (k + 1) / 2.0)
     return (2.0 ** (m + 2.0 * a + (k - 2) / 2.0) * pochhammer(2.0 * lam, nj)
-            / math.factorial(nj) * beta_conjugate(ap) * series)
+            / math.factorial(nj) * beta_conjugate(a + m / 2.0 + k / 4.0, xi_j / 2.0)
+            * series)
 
 
 def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") -> complex:

@@ -197,7 +197,7 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
                   for k in range(nj + 1)]
         peak = max(abs(v) for v in values)
         low_confidence = low_confidence or abs(values[-1]) < _LOW_CONFIDENCE_RATIO * peak
-        scale *= abs(beta_conjugate(arg_plus)) * float(peak)
+        scale *= abs(beta_conjugate(arg_plus.real, arg_plus.imag)) * float(peak)
     return scale, low_confidence
 
 

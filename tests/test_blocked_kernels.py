@@ -7,11 +7,13 @@ alone, whichever slice it falls in, and an error or a non-finite value in a
 later slice must still surface.
 
 The reference for an entry is the same function called on a one-entry
-array (a batch of one).  A 0-d call agrees with it bit for bit where the
-kernel's arithmetic is real; with complex parameters the two can differ in
-the last bit, because numpy turns 0-d results into numpy scalars, whose
-complex multiply is unfused while the array loops fuse it.  That is numpy's
-behaviour, not the blocking's, and it is what the parent code did too.
+array (a batch of one).  For complex log-gamma a 0-d call agrees with it
+bit for bit too, since that kernel's arithmetic is real
+(``tests/test_special.py::TestScalarIsBatchOfOne``).  For the 3F2 kernels
+with complex parameters the two can differ in the last bit, because numpy
+turns 0-d results into numpy scalars, whose complex multiply is unfused
+while the array loops fuse it.  That is numpy's behaviour, not the
+blocking's.
 """
 
 import numpy as np

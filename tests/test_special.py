@@ -1,14 +1,14 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballfourier import (PoleError, beta, gamma, generalized_binomial, log_beta,
-                         log_gamma, pochhammer)
-from ballfourier.special import beta_conjugate
+from ballfourier import PoleError, gamma, log_gamma, pochhammer
+from ballfourier.special import beta_conjugate, gamma_pair
 from conftest import rel_err, ulp_diff
 
 # frozen from the 50-digit Stirling/reflection oracle (mpmath, dps=50)
@@ -203,30 +203,31 @@ class TestGamma:
 
 class TestBeta:
     def test_trivial(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-13)
+        assert beta_conjugate(1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert beta_conjugate(2.0, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-13)
 
     def test_symmetric_complex_pair(self):
         # B(a + i xi/2, a - i xi/2) at a = 1/2, xi = 0
-        assert rel_err(beta(0.5 + 0j, 0.5 - 0j), math.pi) <= 1e-13
+        assert rel_err(beta_conjugate(0.5, 0.0), math.pi) <= 1e-13
 
     def test_pole_propagates(self):
         with pytest.raises(PoleError):
-            beta(0.0, 1.0)
+            beta_conjugate(0.0, 0.0)
         with pytest.raises(PoleError):
-            beta(1.5, -1.5)  # a + b = 0
+            beta_conjugate(0.0, 1.5)  # a + b = 0
 
     def test_against_gamma_ratio(self, rng):
         for _ in range(50):
-            a = complex(rng.uniform(0.2, 4.0), rng.uniform(-2, 2))
-            b = complex(rng.uniform(0.2, 4.0), rng.uniform(-2, 2))
-            assert rel_err(beta(a, b), gamma(a) * gamma(b) / gamma(a + b)) <= 1e-12
+            z = complex(rng.uniform(0.2, 4.0), rng.uniform(-2, 2))
+            ref = gamma(z) * gamma(z.conjugate()) / gamma(2.0 * z.real)
+            assert rel_err(beta_conjugate(z.real, z.imag), ref) <= 1e-12
 
     def test_conjugate_pair_matches_log_beta(self, rng):
+        # log B(z, conj z) = log Gamma(z) + log Gamma(conj z) - log Gamma(2 Re z)
         for _ in range(200):
             z = complex(rng.uniform(0.2, 4.0), rng.uniform(-6.0, 6.0))
-            ref = np.exp(log_beta(z, z.conjugate()))
-            value = beta_conjugate(z)
+            ref = np.exp(log_gamma(z) + log_gamma(z.conjugate()) - log_gamma(2.0 * z.real))
+            value = beta_conjugate(z.real, z.imag)
             assert isinstance(value, (float, np.floating))
             assert rel_err(value, ref) <= 1e-14
 
@@ -234,33 +235,168 @@ class TestBeta:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
         zs = rng.uniform(0.2, 4.0, 50) + 1j * rng.uniform(-6.0, 6.0, 50)
-        values = beta_conjugate(zs)
+        values = beta_conjugate(zs.real, zs.imag)
         for z, value in zip(zs, values):
             ref = mp.beta(mp.mpc(z.real, z.imag), mp.mpc(z.real, -z.imag))
             assert rel_err(value, complex(ref)) <= 1e-13
 
     def test_conjugate_pair_pole_raises(self):
         with pytest.raises(PoleError):
-            beta_conjugate(-1.0 + 0j)
+            beta_conjugate(-1.0, 0.0)
 
     def test_log_space_survives_large_arguments(self):
-        # direct Gamma(400.5) overflows double range; the log-space route
-        # must not; oracle value from mpmath (dps=50)
-        value = beta(400.5, 321.5)
+        # direct Gamma(400.5 + 80.25i) overflows double range; the log-space
+        # route must not; oracle value from mpmath (dps=50)
+        value = beta_conjugate(400.5, 80.25)
         assert np.isfinite(value)
-        assert rel_err(value, 6.467799744599955e-217) <= 1e-12
+        assert rel_err(value, 1.5044383137785506e-249) <= 1e-12
+
+    def test_one_scalar_real_part_for_many_imaginary_parts(self, rng):
+        y = rng.uniform(-6.0, 6.0, 40)
+        batch = beta_conjugate(1.375, y)
+        assert batch.shape == y.shape
+        assert np.array_equal(batch, beta_conjugate(np.full(40, 1.375), y))
 
 
-class TestGeneralizedBinomial:
-    def test_zero_index(self):
-        assert generalized_binomial(3.3, 0) == 1.0
+def _seeded_complex_points(count=300, seed=7):
+    """Re z in [-40, 40], |Im z| <= 60; a third of them on or next to the
+    real axis, with both signs of zero, kept off the poles."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-40.0, 40.0, count) + 1j * rng.uniform(-60.0, 60.0, count)
+    axis = np.arange(0, count, 3)
+    z[axis] = np.floor(z[axis].real) + rng.uniform(0.05, 0.95, axis.size) + 0j
+    z[axis[::2]] = np.conj(z[axis[::2]])
+    return z
 
-    def test_integer(self):
-        assert generalized_binomial(4.0, 2) == pytest.approx(6.0, rel=1e-15)
 
-    def test_fractional(self):
-        assert generalized_binomial(2.5, 2) == pytest.approx(1.875, rel=1e-15)
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            generalized_binomial(1.0, -2)
+
+class TestScalarIsBatchOfOne:
+    """A 0-d call runs the batch kernel on numpy scalars: every entry of a
+    batch is bit-identical to the 0-d call on that entry."""
+
+    def test_log_gamma(self):
+        z = _seeded_complex_points()
+        batch = log_gamma(z)
+        for i, value in enumerate(z):
+            assert _same_bits(log_gamma(value), batch[i]), value
+
+    def test_gamma(self):
+        z = _seeded_complex_points()
+        batch = gamma(z)
+        for i, value in enumerate(z):
+            assert _same_bits(gamma(value), batch[i]), value
+
+    def test_beta_conjugate(self):
+        # real parts mirrored to x > 0, where the callers use it and the
+        # batch stays real (Gamma(2x) < 0 somewhere would make it complex)
+        z = _seeded_complex_points()
+        z = np.abs(z.real) + 1j * z.imag
+        batch = beta_conjugate(z.real, z.imag)
+        for i, value in enumerate(z):
+            assert _same_bits(beta_conjugate(value.real, value.imag), batch[i]), value
+
+    def test_gamma_pair(self):
+        z = _seeded_complex_points()
+        w = z[::-1] / 2.0
+        batch = gamma_pair(z, w)
+        for i in range(z.size):
+            assert _same_bits(gamma_pair(z[i], w[i]), batch[i]), (z[i], w[i])
+
+
+class TestComplexLogGammaRange:
+    """The real-plane kernel against 50-digit mpmath at the edges of its
+    range: huge, subnormal and signed-zero imaginary parts, poles inside a
+    batch, and non-finite entries."""
+
+    @pytest.mark.parametrize("z", [1e200 + 1e200j, 3.0 + 1e250j, 3.0 + 1e160j,
+                                   3.0 - 1e250j, 1e300 + 0.5j])
+    def test_huge_arguments_without_warning(self, z):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_gamma(z)
+            batch = log_gamma(np.array([z, 2.5 + 1.0j]))
+        assert rel_err(value, ref) <= 1e-15
+        assert _same_bits(batch[0], value)
+
+    def test_subnormal_imaginary_part(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        z = complex(0.7, 1e-310)
+        ref = complex(mp.loggamma(mp.mpc(z.real, mp.mpf(z.imag))))
+        value = log_gamma(z)
+        assert rel_err(value, ref) <= 1e-15
+        # the imaginary part psi(0.7) * 1e-310 keeps its sign and leading digits
+        assert abs(value.imag - ref.imag) <= 1e-6 * abs(ref.imag)
+
+    @pytest.mark.parametrize("x", [-2.5, -17.5])
+    def test_signed_zeros_keep_conjugate_symmetry(self, x):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        upper, lower = complex(x, 0.0), complex(x, -0.0)
+        batch = log_gamma(np.array([upper, lower, 1.5 + 2.0j]))
+        for value in (log_gamma(upper), batch[0]):
+            assert log_gamma(lower) == np.conj(value)
+            assert batch[1] == np.conj(value)
+        for z, side in ((upper, 1), (lower, -1)):
+            ref = complex(mp.loggamma(mp.mpc(x, side * mp.mpf("1e-40"))))
+            assert rel_err(log_gamma(z), ref) <= 1e-14
+
+    @pytest.mark.parametrize("poles", [(-3.0,), (-20.0,), (-3.0, -20.0)])
+    def test_poles_inside_a_batch_raise(self, poles):
+        z = np.array([1.5 + 0.5j, -3.5 + 0.0j, -20.5 - 0.0j, 7.0 + 2.0j, *poles])
+        with pytest.raises(PoleError):
+            log_gamma(z)
+        with pytest.raises(PoleError):
+            gamma(z)
+        with pytest.raises(PoleError):
+            beta_conjugate(z.real, z.imag)
+
+    def test_non_finite_entries_come_back_non_finite(self):
+        bad = [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 2.0),
+               complex(0.5, np.inf), complex(-3.5, -np.inf), complex(3.0, np.nan),
+               complex(-30.0, np.nan), complex(np.nan, np.nan)]
+        good = np.array([2.5 + 1.0j, -4.25 + 0.5j, -25.5 + 3.0j])
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            values = log_gamma(np.array(bad + list(good)))
+            for z in bad:
+                assert not np.isfinite(log_gamma(z)), z
+        assert not np.any(np.isfinite(values[:len(bad)]))
+        assert _same_bits(values[len(bad):], log_gamma(good))
+
+
+class TestAccuracyAgainstMpmath:
+    """Bounds of the complex kernel on Re z in [-40, 40], |Im z| <= 60 and
+    next to the real axis in [0.5, 3]."""
+
+    @staticmethod
+    def _draws(count=600, near_axis=100):
+        rng = np.random.default_rng(11)
+        wide = rng.uniform(-40.0, 40.0, count) + 1j * rng.uniform(-60.0, 60.0, count)
+        axis = rng.uniform(0.5, 3.0, near_axis) + 1j * rng.uniform(-1e-3, 1e-3, near_axis)
+        return np.concatenate([wide, axis])
+
+    def test_log_gamma(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        z = self._draws()
+        values = log_gamma(z)
+        for value, point in zip(values, z):
+            ref = complex(mp.loggamma(mp.mpc(point.real, point.imag)))
+            assert abs(value - ref) / max(abs(ref), 1.0) <= 2e-15, point
+
+    def test_gamma(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        z = self._draws()
+        z = z[np.abs(z) < 30.0]
+        values = gamma(z)
+        for value, point in zip(values, z):
+            ref = complex(mp.gamma(mp.mpc(point.real, point.imag)))
+            assert rel_err(value, ref) <= 3e-14, point
