@@ -14,7 +14,7 @@ from .hypergeometric import HypergeometricSpec, hyp3f2_unit, pfq_terminating
 from .quadrature import (QuadratureSpec, VerificationReport,
                          ball_inner_product_numeric, d_biorthogonality_integral,
                          fourier_numeric, hahn_orthogonality_integral,
-                         integrate_line, parseval_check)
+                         parseval_check)
 from .special import gamma, log_gamma, pochhammer
 from .tanh_family import (FamilyParams, family_eval, family_eval_peel_first,
                           family_eval_peel_last, fourier_closed_form,
@@ -36,7 +36,7 @@ __all__ = [
     "tanh_ball_map", "family_eval", "family_eval_peel_first", "family_eval_peel_last",
     "theta_factor", "theta_factor_hahn", "fourier_closed_form", "fourier_via_recursion",
     "d_family_eval", "d_family_eval_hahn", "d_orthogonality_constant",
-    "integrate_line", "fourier_numeric", "ball_inner_product_numeric",
+    "fourier_numeric", "ball_inner_product_numeric",
     "hahn_orthogonality_integral", "d_biorthogonality_integral", "parseval_check",
     "__version__",
 ]

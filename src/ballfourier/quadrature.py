@@ -17,6 +17,19 @@ These engines are the ground truth the closed forms are checked against:
   frequencies), with a dense tensor mode and a tanh-substituted mode
   retained as independent cross-checks.
 
+Tables that depend only on the rule are built once per process.  The rules
+themselves are cached by their parameters.  The Fourier phase rows
+exp(-i xi x) of a line rule are kept in a bounded LRU cache keyed by
+(:class:`QuadratureSpec`, xi) and handed out read-only: at most
+``_PHASE_ROWS`` (128) rows of rules with at most ``_PHASE_ROW_NODES``
+(4096) nodes, 16 bytes per node, so never more than 8 MiB; a rule with more
+nodes computes its phases on each call.  The Gram routes
+(:func:`ball_gram_matrix`, :func:`hahn_gram_matrix` and
+:func:`d_biorthogonality_gram`) evaluate each index's factors, and the Hahn
+weight, once per rule.  Every entry of the Hahn and D matrices, and every
+upper-triangle entry of the ball matrix (its lower triangle is the
+mirror), is bit-identical to the pairwise call on the same rule.
+
 Accumulation uses numpy's fixed pairwise reductions, so identical inputs
 produce bit-identical results regardless of scheduling.
 """
@@ -33,7 +46,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .ball import _check_mu, ball_basis_eval, ball_norm, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
-from .dfamily import DParams, d_axis_factor
+from .dfamily import DParams, d_axis_factor, d_family_eval
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
 from .tanh_family import (FamilyParams, family_axis_factor, family_eval,
@@ -45,12 +58,14 @@ __all__ = [
     "make_report",
     "default_spec",
     "ball_default_spec",
-    "integrate_line",
+    "hahn_default_spec",
     "fourier_numeric",
     "ball_inner_product_numeric",
     "ball_gram_matrix",
     "hahn_orthogonality_integral",
+    "hahn_gram_matrix",
     "d_biorthogonality_integral",
+    "d_biorthogonality_gram",
     "parseval_check",
     "parseval_ball_value",
 ]
@@ -157,17 +172,6 @@ def _line_rule(spec: QuadratureSpec):
                            spec.panels, nodes_per_panel)
 
 
-def integrate_line(f, spec: QuadratureSpec):
-    """Composite Gauss-Legendre estimate of the integral of ``f`` over
-    [-T, T].  ``f`` must accept a node array; any non-finite node value
-    raises :class:`NonFiniteIntegrandError`."""
-    x, w = _line_rule(spec)
-    y = np.asarray(f(x))
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteIntegrandError("integrand produced a non-finite value")
-    return np.sum(w * y)
-
-
 # ---------------------------------------------------------------------------
 # tanh-substituted node set
 # ---------------------------------------------------------------------------
@@ -211,16 +215,36 @@ def _tanh_rule(levels: int = 120, nodes_per_panel: int = 16, central_panels: int
 
 _TENSOR_GRID_LIMIT = 8_000_000
 
+# the phase-row cache holds at most _PHASE_ROWS rows of line rules with at
+# most _PHASE_ROW_NODES nodes, 16 bytes per node: 8 MiB at most
+_PHASE_ROWS = 128
+_PHASE_ROW_NODES = 4096
+
+
+@lru_cache(maxsize=_PHASE_ROWS)
+def _phase_row(spec: QuadratureSpec, xi: float):
+    """exp(-i xi x) on the nodes of the line rule of ``spec``, read-only."""
+    x, _ = _line_rule(spec)
+    row = np.exp(-1j * xi * x)
+    row.setflags(write=False)
+    return row
+
 
 def _fourier_axis_integral(j: int, params: FamilyParams, xi_j, spec: QuadratureSpec):
     """Axis-j quadrature of the transform at frequency ``xi_j``, a scalar
     (complex result) or an array (one value per entry).  Each entry is the
     same pairwise node sum a scalar call makes, so batching does not change
-    a bit."""
+    a bit.  The phase rows come from the :func:`_phase_row` cache for rules
+    of at most ``_PHASE_ROW_NODES`` nodes and are computed uncached beyond
+    that."""
     x, w = _line_rule(spec)
     wphi = w * family_axis_factor(j, params, x)
     xi_j = np.asarray(xi_j, dtype=np.float64)
-    values = np.sum(wphi * np.exp(-1j * xi_j[..., None] * x), axis=-1)
+    phase_row = _phase_row if len(x) <= _PHASE_ROW_NODES else _phase_row.__wrapped__
+    phases = np.empty(xi_j.shape + x.shape, dtype=np.complex128)
+    for row, xi in zip(phases.reshape(-1, len(x)), xi_j.ravel().tolist()):
+        row[...] = phase_row(spec, xi)
+    values = np.sum(wphi * phases, axis=-1)
     return complex(values) if values.ndim == 0 else values
 
 
@@ -380,6 +404,13 @@ def _index_pair(n, m):
     return n, m, len(n)
 
 
+def _index_list(indices):
+    indices = [validate_multi_index(ix) for ix in indices]
+    if any(len(ix) != len(indices[0]) for ix in indices):
+        raise ValueError("all multi-indices must have equal length")
+    return indices
+
+
 def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None,
                                mode: str = "separated") -> float:
     """Weighted ball inner product of two basis polynomials by quadrature.
@@ -398,9 +429,7 @@ def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
                      mode: str = "separated") -> np.ndarray:
     """Gram matrix of several basis polynomials on one shared rule (modes
     as in :func:`ball_inner_product_numeric`)."""
-    indices = [validate_multi_index(ix) for ix in indices]
-    if any(len(ix) != len(indices[0]) for ix in indices):
-        raise ValueError("all multi-indices must have equal length")
+    indices = _index_list(indices)
     rules, basis = _ball_factor_table(indices, mu, spec, mode)
     count = len(indices)
     gram = np.empty((count, count))
@@ -414,24 +443,10 @@ def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
 # Hahn weight integral and the gamma-pair family pairing
 # ---------------------------------------------------------------------------
 
-def hahn_orthogonality_integral(n: int, m: int, a1: float, a2: float,
-                                spec: QuadratureSpec | None = None) -> complex:
-    """Real-line integral of the gamma-product Hahn weight against
-    p_n p_m with the (a1, a2, a2, a1) parameter pattern.
-
-    The weight decays like exp(-2 pi |x|); the default truncates at |x| = 12.
-    """
-    if spec is None:
-        spec = QuadratureSpec(nodes_per_axis=768, truncation_halfwidth=12.0, panels=48)
-    x, w = _line_rule(spec)
-    weight = np.exp(2.0 * np.real(log_gamma(a1 + 1j * x)) + 2.0 * np.real(log_gamma(a2 + 1j * x)))
-    params = (a1, a2, a2, a1)
-    pn = continuous_hahn(n, x, params)
-    pm = pn if m == n else continuous_hahn(m, x, params)
-    y = weight * pn * pm
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteIntegrandError("Hahn weight integrand non-finite")
-    return complex(np.sum(w * y))
+def hahn_default_spec() -> QuadratureSpec:
+    """Default line rule of the Hahn weight integrals: the weight decays like
+    exp(-2 pi |x|), so the rule truncates at |x| = 12."""
+    return QuadratureSpec(nodes_per_axis=768, truncation_halfwidth=12.0, panels=48)
 
 
 def _d_pair_spec(a1: float, a2: float) -> QuadratureSpec:
@@ -443,38 +458,105 @@ def _d_pair_spec(a1: float, a2: float) -> QuadratureSpec:
                           truncation_halfwidth=40.0 / (a1 + a2))
 
 
+def _hahn_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
+    """Hahn weight integrals of p_n, n in ``rows``, against p_m, m in
+    ``cols``, on one rule: the weight is evaluated once, each degree's
+    polynomial once, and each row's weighted polynomial once."""
+    if spec is None:
+        spec = hahn_default_spec()
+    x, w = _line_rule(spec)
+    weight = np.exp(2.0 * np.real(log_gamma(a1 + 1j * x)) + 2.0 * np.real(log_gamma(a2 + 1j * x)))
+    params = (a1, a2, a2, a1)
+    poly = {k: continuous_hahn(k, x, params) for k in dict.fromkeys([*rows, *cols])}
+    weighted = {n: weight * poly[n] for n in dict.fromkeys(rows)}
+    out = np.empty((len(rows), len(cols)), dtype=np.complex128)
+    for p, n in enumerate(rows):
+        for q, m in enumerate(cols):
+            y = weighted[n] * poly[m]
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteIntegrandError("Hahn weight integrand non-finite")
+            out[p, q] = np.sum(w * y)
+    return out
+
+
+def hahn_orthogonality_integral(n: int, m: int, a1: float, a2: float,
+                                spec: QuadratureSpec | None = None) -> complex:
+    """Real-line integral of the gamma-product Hahn weight against
+    p_n p_m with the (a1, a2, a2, a1) parameter pattern, on
+    :func:`hahn_default_spec` by default."""
+    return complex(_hahn_pairings([n], [m], a1, a2, spec)[0, 0])
+
+
+def hahn_gram_matrix(degrees, a1: float, a2: float,
+                     spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Gram matrix of the Hahn polynomials of ``degrees`` on one rule: entry
+    [p, q] is :func:`hahn_orthogonality_integral` of degrees[p] and
+    degrees[q], bit for bit."""
+    degrees = list(degrees)
+    return _hahn_pairings(degrees, degrees, a1, a2, spec)
+
+
+def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
+    """Pairing integrals of the members ``rows`` at +ix (parameters a1, a2)
+    against the members ``cols`` at -ix (parameters swapped), summed one
+    axis at a time on one rule; each index's axis factors are evaluated
+    once per sign."""
+    r = len(rows[0])
+    if spec is None:
+        spec = _d_pair_spec(a1, a2)
+    x, w = _line_rule(spec)
+    plus = {n: [w * d_axis_factor(j, r, 1j * x, n, a1, a2) for j in range(1, r + 1)]
+            for n in dict.fromkeys(rows)}
+    minus = {m: [d_axis_factor(j, r, -1j * x, m, a2, a1) for j in range(1, r + 1)]
+             for m in dict.fromkeys(cols)}
+    out = np.empty((len(rows), len(cols)), dtype=np.complex128)
+    for p, n in enumerate(rows):
+        for q, m in enumerate(cols):
+            value = 1.0 + 0.0j
+            for wfn, fm in zip(plus[n], minus[m]):
+                value *= np.sum(wfn * fm)
+            out[p, q] = value
+    return out
+
+
 def d_biorthogonality_integral(n, m, a1: float, a2: float,
                                spec: QuadratureSpec | None = None,
                                mode: str = "separated") -> complex:
     """Pairing integral of the gamma-pair family member indexed by ``n`` at
     +ix (parameters a1, a2) against the member indexed by ``m`` at -ix with
-    parameters swapped, over R^r."""
+    parameters swapped, over R^r.  ``separated`` (default) is the one-entry
+    case of :func:`d_biorthogonality_gram`; ``tensor`` sums the same rule
+    as a dense grid through :func:`d_family_eval`, as an independent check."""
     n, m, r = _index_pair(n, m)
+    if mode == "separated":
+        return complex(_d_pairings([n], [m], a1, a2, spec)[0, 0])
+    if mode != "tensor":
+        raise ValueError("mode must be 'separated' or 'tensor'")
     if spec is None:
         spec = _d_pair_spec(a1, a2)
     x, w = _line_rule(spec)
-    if mode == "separated":
-        value = 1.0 + 0.0j
-        for j in range(1, r + 1):
-            fn = d_axis_factor(j, r, 1j * x, n, a1, a2)
-            fm = d_axis_factor(j, r, -1j * x, m, a2, a1)
-            value *= np.sum(w * fn * fm)
-        return complex(value)
-    if mode == "tensor":
-        if len(x) ** r > _TENSOR_GRID_LIMIT:
-            raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
-        from .dfamily import d_family_eval
-        grids = np.meshgrid(*([x] * r), indexing="ij")
-        points = np.stack(grids, axis=-1).astype(np.complex128)
-        fn = d_family_eval(1j * points, DParams(a1, a2, n))
-        fm = d_family_eval(-1j * points, DParams(a2, a1, m))
-        acc = fn * fm
-        for j in range(r):
-            shape = [1] * r
-            shape[j] = len(x)
-            acc = acc * w.reshape(shape)
-        return complex(np.sum(acc))
-    raise ValueError("mode must be 'separated' or 'tensor'")
+    if len(x) ** r > _TENSOR_GRID_LIMIT:
+        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
+    grids = np.meshgrid(*([x] * r), indexing="ij")
+    points = np.stack(grids, axis=-1).astype(np.complex128)
+    fn = d_family_eval(1j * points, DParams(a1, a2, n))
+    fm = d_family_eval(-1j * points, DParams(a2, a1, m))
+    acc = fn * fm
+    for j in range(r):
+        shape = [1] * r
+        shape[j] = len(x)
+        acc = acc * w.reshape(shape)
+    return complex(np.sum(acc))
+
+
+def d_biorthogonality_gram(indices, a1: float, a2: float,
+                           spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Matrix of the pairings of the members ``indices`` on one rule: entry
+    [p, q] is the separated :func:`d_biorthogonality_integral` of
+    indices[p] against indices[q], bit for bit.  The pairing is not
+    symmetric, so every entry is summed."""
+    indices = _index_list(indices)
+    return _d_pairings(indices, indices, a1, a2, spec)
 
 
 # ---------------------------------------------------------------------------

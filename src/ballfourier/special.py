@@ -346,11 +346,18 @@ def beta_conjugate(x, y):
     frequency: ``exp(2 Re log Gamma(x + iy) - log Gamma(2x))``, one complex
     log-gamma per point.  ``x`` and ``y`` broadcast; the theta factors pass
     one real part per call, so log Gamma(2x) is then a single scalar
-    evaluation.  Raises :class:`PoleError` at a gamma pole.
+    evaluation.  The result is real, and negative where Gamma(2x) is: for
+    2x < 0 that is when ceil(-2x) is odd.  Raises :class:`PoleError` at a
+    gamma pole.
     """
     x = np.asarray(x, dtype=np.float64)
     lg = _blockwise(_log_gamma_block, x, y)[0]
-    return np.exp(2.0 * lg.real - log_gamma(2.0 * x))
+    lg2 = log_gamma(2.0 * x)
+    if not np.iscomplexobj(lg2):
+        return np.exp(2.0 * lg.real - lg2)
+    # some 2x < 0, where log Gamma(2x) is complex: keep its modulus and sign
+    sign = np.where((x < 0.0) & (np.ceil(-2.0 * x) % 2.0 == 1.0), -1.0, 1.0)
+    return sign * np.exp(2.0 * lg.real - lg2.real)
 
 
 def pochhammer(base, order: int):

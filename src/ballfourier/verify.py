@@ -278,15 +278,16 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
 
 def _suite_hahn_ort(seed: int, r_max: int, tolerance: float | None):
     tol = tolerance if tolerance is not None else 1e-6
-    spec = quad.QuadratureSpec(nodes_per_axis=768, truncation_halfwidth=12.0, panels=48)
+    degrees = range(5)
     reports = []
     for a1, a2 in ((0.5, 0.5), (1.0, 0.75)):
-        for n, m in itertools.combinations_with_replacement(range(5), 2):
+        grams = _base_and_doubled(quad.hahn_default_spec(), lambda s: quad.hahn_gram_matrix(
+            degrees, a1, a2, s))
+        for n, m in itertools.combinations_with_replacement(degrees, 2):
             reports.append(_ort_report(
                 "hahn-ort", {"a1": a1, "a2": a2, "n": n, "m": m}, n, m,
-                lambda k: hahn_orthogonality_constant(k, a1, a2),
-                _base_and_doubled(spec, lambda s: quad.hahn_orthogonality_integral(
-                    n, m, a1, a2, s)), tol, 1e-6))
+                lambda k: hahn_orthogonality_constant(k, a1, a2), [g[n, m] for g in grams],
+                tol, 1e-6))
     return reports
 
 
@@ -338,13 +339,16 @@ def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
     cases = [((0.5, 0.5), _multi_indices(1, 3)), ((1.0, 0.75), _multi_indices(1, 3))]
     if r_max >= 2:
         cases.append(((1.0, 0.75), _multi_indices(2, 2)))
-    return [_ort_report(
-        "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)}, n, m,
-        lambda ix: d_orthogonality_constant(ix, a1, a2),
-        _base_and_doubled(quad._d_pair_spec(a1, a2), lambda s: quad.d_biorthogonality_integral(
-            n, m, a1, a2, s)), tol, 1e-5)
-        for (a1, a2), indices in cases
-        for n, m in itertools.combinations_with_replacement(indices, 2)]
+    reports = []
+    for (a1, a2), indices in cases:
+        grams = _base_and_doubled(quad._d_pair_spec(a1, a2), lambda s: quad.d_biorthogonality_gram(
+            indices, a1, a2, s))
+        for (p, n), (q, m) in itertools.combinations_with_replacement(enumerate(indices), 2):
+            reports.append(_ort_report(
+                "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)},
+                n, m, lambda ix: d_orthogonality_constant(ix, a1, a2), [g[p, q] for g in grams],
+                tol, 1e-5))
+    return reports
 
 
 _SUITES = {

@@ -7,14 +7,23 @@ import pytest
 from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          ball_norm, family_eval, fourier_closed_form,
                          fourier_numeric, hahn_orthogonality_constant,
-                         hahn_orthogonality_integral, integrate_line,
-                         parseval_check)
-from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
-                                    _line_rule, ball_default_spec,
-                                    ball_gram_matrix, ball_inner_product_numeric,
+                         hahn_orthogonality_integral, parseval_check)
+from ballfourier.quadrature import (_PHASE_ROW_NODES, _PHASE_ROWS, _TENSOR_GRID_LIMIT,
+                                    _fourier_axis_integral, _line_rule, _phase_row,
+                                    ball_default_spec, ball_gram_matrix,
+                                    ball_inner_product_numeric, d_biorthogonality_gram,
                                     d_biorthogonality_integral, default_spec,
+                                    doubled_spec, hahn_default_spec, hahn_gram_matrix,
                                     make_report, parseval_ball_value)
+from ballfourier.tanh_family import family_axis_factor
 from conftest import rel_err
+
+
+def _same_bits(a, b) -> bool:
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    return a.shape == b.shape and np.array_equal(np.atleast_1d(a).view(np.int64),
+                                                 np.atleast_1d(b).view(np.int64))
 
 
 class TestQuadratureSpec:
@@ -25,24 +34,6 @@ class TestQuadratureSpec:
             QuadratureSpec(truncation_halfwidth=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(panels=0)
-
-
-class TestIntegrateLine:
-    def test_sech_integral(self):
-        value = integrate_line(lambda x: 1.0 / np.cosh(x), default_spec(1))
-        assert rel_err(value, math.pi) <= 1e-12
-
-    def test_zero_integrand(self):
-        assert integrate_line(np.zeros_like, default_spec(1)) == 0.0
-
-    def test_sech_squared_scaled(self):
-        value = integrate_line(lambda x: 1.0 / np.cosh(np.pi * x / 2.0) ** 2,
-                               default_spec(1))
-        assert rel_err(value, 4.0 / math.pi) <= 1e-12
-
-    def test_nonfinite_integrand_raises(self):
-        with pytest.raises(NonFiniteIntegrandError):
-            integrate_line(lambda x: np.full_like(x, np.inf), default_spec(1))
 
 
 class TestFourierNumeric:
@@ -175,6 +166,120 @@ class TestFourierAxisIntegral:
                 single = _fourier_axis_integral(j, params, float(x), spec)
                 assert isinstance(single, complex)
                 assert complex(value) == single
+
+
+class TestPhaseCache:
+    def test_axis_integral_equals_uncached_sum_bitwise(self, rng):
+        # the reference is the phase table computed in one expression
+        params = FamilyParams(1.25, 0.5, (3, 1))
+        xi = np.concatenate([[0.0, -0.0, 3.0], rng.uniform(-3.0, 3.0, size=6)])
+        for spec in (default_spec(2), doubled_spec(default_spec(2))):
+            x, w = _line_rule(spec)
+            for j in (1, 2):
+                wphi = w * family_axis_factor(j, params, x)
+                reference = np.sum(wphi * np.exp(-1j * xi[..., None] * x), axis=-1)
+                assert _same_bits(_fourier_axis_integral(j, params, xi, spec), reference)
+
+    def test_cold_and_warm_cache_bit_identical(self, rng):
+        params = FamilyParams(0.75, 1.25, (2, 0, 1))
+        xi = rng.uniform(-3.0, 3.0, size=(4, 3))
+        xi[1, 2] = 0.0
+        _phase_row.cache_clear()
+        cold_batch = fourier_numeric(params, xi)
+        _phase_row.cache_clear()
+        cold_one = fourier_numeric(params, xi[1])
+        assert _phase_row.cache_info().currsize == 3
+        warm_batch = fourier_numeric(params, xi)
+        warm_one = fourier_numeric(params, xi[1])
+        assert _phase_row.cache_info().hits >= 3
+        assert _same_bits(cold_batch, warm_batch)
+        assert isinstance(warm_one, complex)
+        assert _same_bits(cold_one, warm_one)
+
+    def test_cached_rows_are_read_only(self):
+        row = _phase_row(default_spec(1), 0.5)
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        assert row is _phase_row(default_spec(1), 0.5)
+
+    def test_cache_stays_within_bound(self):
+        # 8 MiB at most: the row count and the node count per row are capped
+        assert _PHASE_ROWS * _PHASE_ROW_NODES * 16 <= 8 * 2 ** 20
+        params = FamilyParams(1.0, 0.5, (1,))
+        spec = QuadratureSpec(nodes_per_axis=256, panels=16)
+        _phase_row.cache_clear()
+        for chunk in np.linspace(-3.0, 3.0, 10 * _PHASE_ROWS).reshape(10, -1):
+            _fourier_axis_integral(1, params, chunk, spec)
+        info = _phase_row.cache_info()
+        assert info.misses == 10 * _PHASE_ROWS
+        assert info.currsize == _PHASE_ROWS
+        # a rule over the node cap computes its phases per call, uncached
+        big = QuadratureSpec(nodes_per_axis=2 * _PHASE_ROW_NODES, panels=256)
+        assert len(_line_rule(big)[0]) > _PHASE_ROW_NODES
+        x, w = _line_rule(big)
+        value = _fourier_axis_integral(1, params, 0.5, big)
+        assert _phase_row.cache_info() == info
+        assert value == complex(np.sum(w * family_axis_factor(1, params, x)
+                                       * np.exp(-1j * 0.5 * x)))
+
+
+class TestGramRoutes:
+    @pytest.mark.parametrize("a1, a2", [(0.5, 0.5), (1.0, 0.75)])
+    def test_hahn_gram_entries_are_pairwise_integrals(self, a1, a2):
+        degrees = [0, 1, 2, 3, 4, 2]
+        for spec in (hahn_default_spec(), doubled_spec(hahn_default_spec())):
+            gram = hahn_gram_matrix(degrees, a1, a2, spec)
+            assert gram.shape == (6, 6)
+            for (p, n), (q, m) in itertools.product(enumerate(degrees), repeat=2):
+                assert _same_bits(gram[p, q], hahn_orthogonality_integral(n, m, a1, a2, spec))
+        assert _same_bits(hahn_gram_matrix([3, 1], a1, a2)[0, 1],
+                          hahn_orthogonality_integral(3, 1, a1, a2, hahn_default_spec()))
+
+    @pytest.mark.parametrize("a1, a2, r", [(1.0, 0.75, 1), (1.0, 0.75, 2), (0.5, 0.5, 1)])
+    def test_d_gram_entries_are_pairwise_integrals(self, a1, a2, r):
+        indices = [n for n in itertools.product(range(3), repeat=r) if sum(n) <= 2]
+        base = QuadratureSpec(nodes_per_axis=800, panels=50, truncation_halfwidth=40.0 / (a1 + a2))
+        for spec in (base, doubled_spec(base)):
+            gram = d_biorthogonality_gram(indices, a1, a2, spec)
+            assert gram.shape == (len(indices), len(indices))
+            for (p, n), (q, m) in itertools.product(enumerate(indices), repeat=2):
+                assert _same_bits(gram[p, q], d_biorthogonality_integral(n, m, a1, a2, spec))
+        # the default rule, an off-diagonal pair with n != m and a1 != a2
+        n, m = indices[1], indices[-1]
+        assert _same_bits(d_biorthogonality_gram([n, m], a1, a2)[0, 1],
+                          d_biorthogonality_integral(n, m, a1, a2))
+
+    def test_pairings_equal_reference_sums_bitwise(self):
+        # the reference evaluates each pair's integrand in one expression
+        from ballfourier.classical import continuous_hahn
+        from ballfourier.dfamily import d_axis_factor
+        from ballfourier.special import log_gamma
+        a1, a2 = 1.0, 0.75
+        x, w = _line_rule(hahn_default_spec())
+        weight = np.exp(2.0 * np.real(log_gamma(a1 + 1j * x))
+                        + 2.0 * np.real(log_gamma(a2 + 1j * x)))
+        gram = hahn_gram_matrix([1, 3], a1, a2)
+        p1, p3 = (continuous_hahn(k, x, (a1, a2, a2, a1)) for k in (1, 3))
+        assert _same_bits(gram[0, 1], np.sum(w * (weight * p1 * p3)))
+        assert _same_bits(gram[1, 1], np.sum(w * (weight * p3 * p3)))
+        n, m = (1, 1), (0, 2)
+        x, w = _line_rule(QuadratureSpec(800, 40.0 / (a1 + a2), 50))
+        reference = 1.0 + 0.0j
+        for j in (1, 2):
+            reference *= np.sum(w * d_axis_factor(j, 2, 1j * x, n, a1, a2)
+                                * d_axis_factor(j, 2, -1j * x, m, a2, a1))
+        assert _same_bits(d_biorthogonality_gram([n, m], a1, a2)[0, 1], reference)
+
+    def test_d_gram_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError):
+            d_biorthogonality_gram([(0,), (0, 1)], 1.0, 0.75)
+
+    def test_non_finite_hahn_integrand_raises(self):
+        # p_100 is not finite on the default rule
+        with pytest.raises(NonFiniteIntegrandError):
+            hahn_orthogonality_integral(100, 0, 1.0, 0.75)
+        with pytest.raises(NonFiniteIntegrandError):
+            hahn_gram_matrix([0, 100], 1.0, 0.75)
 
 
 class TestBatchedFourierNumeric:

@@ -244,6 +244,31 @@ class TestBeta:
         with pytest.raises(PoleError):
             beta_conjugate(-1.0, 0.0)
 
+    def test_nonpositive_real_part_gives_real_output(self):
+        # B(z, conj z) is real, negative where Gamma(2 Re z) is
+        value = beta_conjugate(np.array([1.5, -0.75]), np.array([0.3, 0.3]))
+        assert value.dtype == np.float64
+        assert isinstance(beta_conjugate(-0.2, 1.0), np.float64)
+
+    def test_nonpositive_real_part_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        x = np.array([1.5, -0.75, -0.2, -1.3, -2.6, -3.9, -0.45])
+        y = np.array([0.3, 0.3, 1.0, 0.4, 2.0, 0.1, 5.0])
+        values = beta_conjugate(x, y)
+        assert values.dtype == np.float64
+        for xv, yv, value in zip(x, y, values):
+            ref = mp.beta(mp.mpc(xv, yv), mp.mpc(xv, -yv))
+            assert abs(ref.imag) <= 1e-40 * abs(ref.real)
+            assert rel_err(value, float(ref.real)) <= 1e-13, (xv, yv)
+        assert np.sum(values < 0.0) == 3
+
+    @pytest.mark.parametrize("x, y", [(-1.0, 0.0), (-0.5, 0.0), (-0.5, 0.7), (-2.0, 1.0)])
+    def test_nonpositive_real_part_poles_raise(self, x, y):
+        # a pole of Gamma(z) or of Gamma(2 Re z)
+        with pytest.raises(PoleError):
+            beta_conjugate(np.array([1.5, x]), np.array([0.3, y]))
+
     def test_log_space_survives_large_arguments(self):
         # direct Gamma(400.5 + 80.25i) overflows double range; the log-space
         # route must not; oracle value from mpmath (dps=50)
