@@ -13,13 +13,13 @@ from .errors import (DenominatorPoleError, DomainError,
 from .hypergeometric import HypergeometricSpec, hyp3f2_unit, pfq_terminating
 from .quadrature import (QuadratureSpec, VerificationReport,
                          ball_inner_product_numeric, d_biorthogonality_integral,
-                         fourier_numeric, hahn_orthogonality_integral,
-                         parseval_check)
+                         fourier_numeric, fourier_numeric_table,
+                         hahn_orthogonality_integral, parseval_check)
 from .special import gamma, log_gamma, pochhammer
 from .tanh_family import (FamilyParams, family_eval, family_eval_peel_first,
                           family_eval_peel_last, fourier_closed_form,
-                          fourier_via_recursion, tanh_ball_map, theta_factor,
-                          theta_factor_hahn)
+                          fourier_closed_form_table, fourier_via_recursion,
+                          tanh_ball_map, theta_factor, theta_factor_hahn)
 
 __version__ = "0.1.0"
 
@@ -34,9 +34,10 @@ __all__ = [
     "tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",
     "ball_norm", "ball_operator_residual",
     "tanh_ball_map", "family_eval", "family_eval_peel_first", "family_eval_peel_last",
-    "theta_factor", "theta_factor_hahn", "fourier_closed_form", "fourier_via_recursion",
+    "theta_factor", "theta_factor_hahn", "fourier_closed_form", "fourier_closed_form_table",
+    "fourier_via_recursion",
     "d_family_eval", "d_family_eval_hahn", "d_orthogonality_constant",
-    "fourier_numeric", "ball_inner_product_numeric",
+    "fourier_numeric", "fourier_numeric_table", "ball_inner_product_numeric",
     "hahn_orthogonality_integral", "d_biorthogonality_integral", "parseval_check",
     "__version__",
 ]

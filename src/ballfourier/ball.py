@@ -43,6 +43,16 @@ def validate_multi_index(n) -> tuple[int, ...]:
     return entries
 
 
+def _index_list(indices) -> list[tuple[int, ...]]:
+    """Validate a non-empty list of multi-indices of one common length r."""
+    indices = [validate_multi_index(ix) for ix in indices]
+    if not indices:
+        raise ValueError("an empty list has no dimension r")
+    if any(len(ix) != len(indices[0]) for ix in indices):
+        raise ValueError("all multi-indices must have equal length")
+    return indices
+
+
 def tail_sum(n, j: int) -> int:
     """|n^j| = n_j + ... + n_r for 1-based j; j = r+1 gives 0."""
     return int(sum(n[j - 1:]))

@@ -15,7 +15,10 @@ These engines are the ground truth the closed forms are checked against:
   member separates across axes, the tensor sum is normally evaluated in
   factored per-axis form (one reduction per axis for a whole set of
   frequencies), with a dense tensor mode and a tanh-substituted mode
-  retained as independent cross-checks.
+  retained as independent cross-checks; the axis-j integral depends on the
+  member only through (n_j, |n^{j+1}|), so a table over many multi-indices
+  (:func:`fourier_numeric_table`, separated and tanh modes) computes it
+  once per distinct axis key.
 
 Tables that depend only on the rule are built once per process.  The rules
 themselves are cached by their parameters.  The Fourier phase rows
@@ -44,13 +47,15 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import _check_mu, ball_basis_eval, ball_norm, tail_sum, validate_multi_index
+from .ball import (_check_mu, _index_list, ball_basis_eval, ball_norm, tail_sum,
+                   validate_multi_index)
 from .classical import continuous_hahn, gegenbauer
 from .dfamily import DParams, d_axis_factor, d_family_eval
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
-from .tanh_family import (FamilyParams, family_axis_factor, family_eval,
-                          fourier_prefactor, theta_factor)
+from .tanh_family import (FamilyParams, _axis_product_table, _frequency_vectors,
+                          family_axis_factor, family_eval, fourier_prefactor,
+                          theta_factor)
 
 __all__ = [
     "QuadratureSpec",
@@ -60,6 +65,7 @@ __all__ = [
     "ball_default_spec",
     "hahn_default_spec",
     "fourier_numeric",
+    "fourier_numeric_table",
     "ball_inner_product_numeric",
     "ball_gram_matrix",
     "hahn_orthogonality_integral",
@@ -261,6 +267,30 @@ def _tanh_axis_integral(j: int, params: FamilyParams, xi_j):
     return np.sum(w * integrand, axis=-1)
 
 
+def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
+    """Separated or tanh-mode transforms of each member of ``members``
+    (parameters sharing a, mu and r) at the frequency vectors ``xi``, shape
+    (len(members),) + xi.shape[:-1]: one axis integral per axis key, on the
+    distinct frequencies of that axis (one ``np.unique`` per axis)."""
+    if mode not in ("separated", "tanh"):
+        raise ValueError("mode must be 'separated' or 'tanh'")
+    r = members[0].r
+    xi = _frequency_vectors(xi, r)
+    if spec is None:
+        spec = default_spec(r)
+    shape = xi.shape[:-1]
+    columns = [np.unique(xi[..., j - 1], return_inverse=True) for j in range(1, r + 1)]
+
+    def axis_factor(j, params):
+        distinct, inverse = columns[j - 1]
+        axis = (_fourier_axis_integral(j, params, distinct, spec) if mode == "separated"
+                else _tanh_axis_integral(j, params, distinct))
+        return axis[inverse.reshape(shape)]
+
+    return _axis_product_table(members, shape,
+                               lambda params: np.ones(shape, dtype=np.complex128), axis_factor)
+
+
 def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None,
                     mode: str = "separated"):
     """Numerical Fourier transform of a family member (kernel exp(-i xi.x)).
@@ -278,15 +308,16 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
       endpoint-clustered panels.
 
     All modes agree to quadrature accuracy; the extra modes exist as
-    independent checks of the default.
+    independent checks of the default.  ``separated`` and ``tanh`` are the
+    one-member case of :func:`fourier_numeric_table`.
     """
-    r = params.r
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.ndim == 0 or xi.shape[-1] != r:
-        raise ValueError(f"frequency vectors must have length {r} on the last axis")
-    if spec is None:
-        spec = default_spec(r)
-    if mode == "tensor":
+    if mode in ("separated", "tanh"):
+        out = _separated_table([params], xi, spec, mode)[0]
+    elif mode == "tensor":
+        r = params.r
+        xi = _frequency_vectors(xi, r)
+        if spec is None:
+            spec = default_spec(r)
         x, w = _line_rule(spec)
         if len(x) ** r > _TENSOR_GRID_LIMIT:
             raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
@@ -303,16 +334,23 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
                 shape[j] = len(x)
                 acc = acc * (w * np.exp(-1j * xi[index][j] * x)).reshape(shape)
             out[index] = np.sum(acc)
-    elif mode in ("separated", "tanh"):
-        out = np.ones(xi.shape[:-1], dtype=np.complex128)
-        for j in range(1, r + 1):
-            distinct, inverse = np.unique(xi[..., j - 1], return_inverse=True)
-            axis = (_fourier_axis_integral(j, params, distinct, spec) if mode == "separated"
-                    else _tanh_axis_integral(j, params, distinct))
-            out = out * axis[inverse.reshape(out.shape)]
     else:
         raise ValueError("mode must be 'separated', 'tensor' or 'tanh'")
     return complex(out) if out.ndim == 0 else out
+
+
+def fourier_numeric_table(indices, a: float, mu: float, xi,
+                          spec: QuadratureSpec | None = None, mode: str = "separated"):
+    """Numerical transforms of the members ``indices`` (multi-indices of one
+    length r) with parameters (a, mu) at the frequency vectors ``xi`` of
+    shape (..., r), in the ``separated`` or ``tanh`` mode of
+    :func:`fourier_numeric`: an array of shape (len(indices),) +
+    xi.shape[:-1] whose row p is :func:`fourier_numeric` of indices[p],
+    bit for bit.  Each axis integral is computed once per distinct axis key
+    (j, n_j, |n^{j+1}|), so the cost grows with the number of keys, not with
+    the number of indices."""
+    members = [FamilyParams(a, mu, n) for n in _index_list(indices)]
+    return _separated_table(members, xi, spec, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +440,6 @@ def _index_pair(n, m):
     if len(n) != len(m):
         raise ValueError("multi-indices must have equal length")
     return n, m, len(n)
-
-
-def _index_list(indices):
-    indices = [validate_multi_index(ix) for ix in indices]
-    if any(len(ix) != len(indices[0]) for ix in indices):
-        raise ValueError("all multi-indices must have equal length")
-    return indices
 
 
 def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None,

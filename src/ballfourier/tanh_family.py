@@ -5,7 +5,11 @@ sech powers produces an integrable family on R^r whose Fourier transform has
 a closed form: a power of two, Pochhammer prefactors, and one theta factor
 per axis.  Each theta factor is a beta function times a terminating 3F2 at
 unit argument, and can equivalently be written through a continuous Hahn
-polynomial; both routes are implemented and cross-checked.
+polynomial; both routes are implemented and cross-checked.  The theta
+factor of axis j depends on the member only through (n_j, |n^{j+1}|), so a
+table of transforms over many multi-indices
+(:func:`fourier_closed_form_table`) evaluates each distinct axis factor
+once; a single member is the one-index table.
 
 Transform convention: forward kernel exp(-i xi . x), no 1/(2 pi) prefactor.
 """
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import ball_basis_eval, tail_sum, validate_multi_index
+from .ball import _index_list, ball_basis_eval, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .hypergeometric import hyp3f2_unit
 from .special import beta_conjugate, pochhammer
@@ -35,6 +39,7 @@ __all__ = [
     "axis_series",
     "fourier_prefactor",
     "fourier_closed_form",
+    "fourier_closed_form_table",
     "fourier_via_recursion",
 ]
 
@@ -216,22 +221,66 @@ def fourier_prefactor(params: FamilyParams) -> float:
     return value
 
 
+def _frequency_vectors(xi, r: int) -> np.ndarray:
+    """``xi`` as a float array of length-r frequency vectors, shape (..., r)."""
+    xi = np.asarray(xi, dtype=np.float64)
+    if xi.ndim == 0 or xi.shape[-1] != r:
+        raise ValueError(f"frequency vectors must have length {r} on the last axis")
+    return xi
+
+
+def _axis_product_table(members, shape, head, axis_factor):
+    """Rows head(member) * f_1 * ... * f_r of shape ``shape`` for members
+    sharing a, mu and r.  The axis-j factor depends on a member only through
+    its axis key (j, n_j, |n^{j+1}|), so ``axis_factor(j, member)`` runs
+    once per distinct key; each row multiplies in axis order, as a
+    one-member table does, so batching changes no bit."""
+    factors = {}
+    out = np.empty((len(members),) + shape, dtype=np.complex128)
+    for p, params in enumerate(members):
+        value = head(params)
+        for j in range(1, params.r + 1):
+            key = (j, params.n[j - 1], tail_sum(params.n, j + 1))
+            if key not in factors:
+                factors[key] = axis_factor(j, params)
+            value = value * factors[key]
+        out[p] = value
+    return out
+
+
+def _closed_form_table(members, xi):
+    """Closed form of each member of ``members`` (parameters sharing a, mu
+    and r) at the frequency vectors ``xi``, shape (len(members),) +
+    xi.shape[:-1]: one theta factor per axis key, on the column
+    xi[..., j - 1]."""
+    r = members[0].r
+    xi = _frequency_vectors(xi, r)
+    return _axis_product_table(members, xi.shape[:-1],
+                               lambda params: complex(fourier_prefactor(params)),
+                               lambda j, params: theta_factor(j, r, params, xi[..., j - 1]))
+
+
 def fourier_closed_form(params: FamilyParams, xi):
     """Closed-form Fourier transform of the family member at frequency ``xi``.
 
     ``xi`` has shape (..., r): one length-r frequency vector gives a complex
     scalar, a batch of them an array of shape ``xi.shape[:-1]``.  This is
-    the default production path; the recursive forms exist for
+    the default production path, the one-member case of
+    :func:`fourier_closed_form_table`; the recursive forms exist for
     cross-validation.
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    r = params.r
-    if xi.ndim == 0 or xi.shape[-1] != r:
-        raise ValueError(f"frequency vectors must have length {r} on the last axis")
-    value = complex(fourier_prefactor(params))
-    for j in range(1, r + 1):
-        value = value * theta_factor(j, r, params, xi[..., j - 1])
-    return value
+    return _closed_form_table([params], xi)[0]
+
+
+def fourier_closed_form_table(indices, a: float, mu: float, xi):
+    """Closed-form transforms of the members ``indices`` (multi-indices of
+    one length r) with parameters (a, mu) at the frequency vectors ``xi``
+    of shape (..., r): an array of shape (len(indices),) + xi.shape[:-1]
+    whose row p is :func:`fourier_closed_form` of indices[p], bit for bit.
+    Each theta factor is evaluated once per distinct axis key
+    (j, n_j, |n^{j+1}|), so the cost grows with the number of keys, not
+    with the number of indices."""
+    return _closed_form_table([FamilyParams(a, mu, n) for n in _index_list(indices)], xi)
 
 
 def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_j):

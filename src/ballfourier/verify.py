@@ -26,7 +26,8 @@ from .hypergeometric import hyp3f2_unit
 from .quadrature import VerificationReport, make_report
 from .special import beta_conjugate, gamma
 from .tanh_family import (FamilyParams, axis_parameters, fourier_closed_form,
-                          fourier_prefactor, fourier_via_recursion, theta_factor_hahn)
+                          fourier_closed_form_table, fourier_prefactor,
+                          fourier_via_recursion, theta_factor_hahn)
 
 __all__ = ["SplitMix64", "SUITE_NAMES", "run_suite", "report_to_dict",
            "report_from_dict", "reports_to_json", "reports_from_json",
@@ -261,14 +262,15 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
         indices = _multi_indices(r, 2 if quick else 4)
         if quick:
             indices = indices[: 4]
-        for n in indices:
-            for a in a_values[:2] if quick else a_values:
-                for mu in mu_values[:1] if quick else mu_values:
-                    params = FamilyParams(a, mu, n)
-                    closed = fourier_closed_form(params, grid)
-                    oracle, fine = _base_and_doubled(
-                        quad.default_spec(r), lambda s: quad.fourier_numeric(params, grid, s))
-                    for xi, lhs, rhs, rhs_fine in zip(grid, closed, oracle, fine):
+        for a in a_values[:2] if quick else a_values:
+            for mu in mu_values[:1] if quick else mu_values:
+                # one table per route: each per-axis factor once per rule
+                closed = fourier_closed_form_table(indices, a, mu, grid)
+                oracle, fine = _base_and_doubled(
+                    quad.default_spec(r),
+                    lambda s: quad.fourier_numeric_table(indices, a, mu, grid, s))
+                for n, lhs_row, rhs_row, fine_row in zip(indices, closed, oracle, fine):
+                    for xi, lhs, rhs, rhs_fine in zip(grid, lhs_row, rhs_row, fine_row):
                         reports.append(_gated_report(
                             "fourier-oracle",
                             {"r": r, "n": list(n), "a": a, "mu": mu, "xi": list(xi)},

@@ -144,22 +144,22 @@ def test_criterion_05_fourier_closed_form_vs_oracle():
     for r in (1, 2, 3):
         spec = quad.default_spec(r)
         grid = np.array(list(itertools.product(FOURIER_GRID_XI[r], repeat=r)))
-        for n in _multi_indices(r, 4):
-            for a in (0.5, 1.0, 1.75):
-                for mu in (0.5, 1.25):
-                    params = bf.FamilyParams(a, mu, n)
-                    # one batched call per route on the whole frequency grid
-                    oracle = bf.fourier_numeric(params, grid, spec)
-                    closed = bf.fourier_closed_form(params, grid)
-                    abs_err = np.abs(closed - oracle)
-                    scale = np.maximum(np.abs(closed), np.abs(oracle))
-                    rel = np.divide(abs_err, scale, out=np.zeros_like(abs_err),
-                                    where=scale > 0)
-                    ok = (rel <= 1e-6) | (abs_err <= 1e-9)
-                    assert ok.all(), (r, n, a, mu, grid[~ok][0])
-                    if (abs_err > 1e-9).any():
-                        worst = max(worst, float(rel[abs_err > 1e-9].max()))
-                    checks += len(grid)
+        indices = _multi_indices(r, 4)
+        for a in (0.5, 1.0, 1.75):
+            for mu in (0.5, 1.25):
+                # one table call per route: every index on the whole grid
+                oracle = bf.fourier_numeric_table(indices, a, mu, grid, spec)
+                closed = bf.fourier_closed_form_table(indices, a, mu, grid)
+                abs_err = np.abs(closed - oracle)
+                scale = np.maximum(np.abs(closed), np.abs(oracle))
+                rel = np.divide(abs_err, scale, out=np.zeros_like(abs_err),
+                                where=scale > 0)
+                ok = (rel <= 1e-6) | (abs_err <= 1e-9)
+                bad = np.argwhere(~ok)
+                assert not bad.size, (r, indices[bad[0, 0]], a, mu, grid[bad[0, 1]])
+                if (abs_err > 1e-9).any():
+                    worst = max(worst, float(rel[abs_err > 1e-9].max()))
+                checks += closed.size
     # dense-tensor spot checks: the oracle evaluated with no use of separability
     tensor_spec = quad.QuadratureSpec(nodes_per_axis=384, panels=24)
     for r, n, a, mu, xi in [(2, (1, 1), 1.0, 0.5, (0.5, -1.0)),

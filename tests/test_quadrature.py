@@ -6,8 +6,9 @@ import pytest
 
 from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          ball_norm, family_eval, fourier_closed_form,
-                         fourier_numeric, hahn_orthogonality_constant,
-                         hahn_orthogonality_integral, parseval_check)
+                         fourier_closed_form_table, fourier_numeric,
+                         fourier_numeric_table, hahn_orthogonality_constant,
+                         hahn_orthogonality_integral, parseval_check, tail_sum)
 from ballfourier.quadrature import (_PHASE_ROW_NODES, _PHASE_ROWS, _TENSOR_GRID_LIMIT,
                                     _fourier_axis_integral, _line_rule, _phase_row,
                                     ball_default_spec, ball_gram_matrix,
@@ -15,7 +16,7 @@ from ballfourier.quadrature import (_PHASE_ROW_NODES, _PHASE_ROWS, _TENSOR_GRID_
                                     d_biorthogonality_integral, default_spec,
                                     doubled_spec, hahn_default_spec, hahn_gram_matrix,
                                     make_report, parseval_ball_value)
-from ballfourier.tanh_family import family_axis_factor
+from ballfourier.tanh_family import family_axis_factor, fourier_prefactor, theta_factor
 from conftest import rel_err
 
 
@@ -274,6 +275,17 @@ class TestGramRoutes:
         with pytest.raises(ValueError):
             d_biorthogonality_gram([(0,), (0, 1)], 1.0, 0.75)
 
+    def test_empty_index_lists_rejected(self):
+        # an empty list of multi-indices has no dimension r
+        with pytest.raises(ValueError, match="empty list"):
+            ball_gram_matrix([], 0.5)
+        with pytest.raises(ValueError, match="empty list"):
+            d_biorthogonality_gram([], 1.0, 0.75)
+
+    def test_hahn_gram_of_no_degrees_is_empty(self):
+        # degrees, not multi-indices: no r to infer, so the matrix is (0, 0)
+        assert hahn_gram_matrix([], 1.0, 0.75).shape == (0, 0)
+
     def test_non_finite_hahn_integrand_raises(self):
         # p_100 is not finite on the default rule
         with pytest.raises(NonFiniteIntegrandError):
@@ -331,6 +343,115 @@ class TestBatchedFourierNumeric:
             fourier_numeric(FamilyParams(1.0, 0.5, (1, 0)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             fourier_numeric(FamilyParams(1.0, 0.5, (1,)), 0.5)
+
+
+class TestFourierTables:
+    """One row per multi-index, each per-axis factor once per axis key."""
+
+    # indices sharing axis keys (j, n_j, |n^{j+1}|), with one index repeated
+    INDICES = {1: [(0,), (2,), (1,), (2,)],
+               2: [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 0)],
+               3: [(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0), (0, 0, 2), (1, 1, 0),
+                   (1, 0, 1)]}
+
+    @staticmethod
+    def _frequencies(rng, r):
+        grid = rng.uniform(-3.0, 3.0, size=(2, 3, r))
+        grid[1, 2] = grid[0, 0]  # a repeated frequency vector
+        grid[0, 1, 0] = grid[1, 1, 0]  # a frequency shared on one axis only
+        return rng.uniform(-3.0, 3.0, size=r), grid
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_rows_are_the_per_index_calls(self, rng, r):
+        a, mu = 0.9, 1.1
+        indices = self.INDICES[r]
+        for xi in self._frequencies(rng, r):
+            shape = (len(indices),) + xi.shape[:-1]
+            closed = fourier_closed_form_table(indices, a, mu, xi)
+            assert closed.shape == shape
+            for row, n in zip(closed, indices):
+                assert _same_bits(row, fourier_closed_form(FamilyParams(a, mu, n), xi))
+            for spec, mode in ((default_spec(r), "separated"),
+                               (doubled_spec(default_spec(r)), "separated"),
+                               (None, "tanh")):
+                numeric = fourier_numeric_table(indices, a, mu, xi, spec, mode)
+                assert numeric.shape == shape
+                for row, n in zip(numeric, indices):
+                    assert _same_bits(row, fourier_numeric(FamilyParams(a, mu, n), xi,
+                                                           spec, mode))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_rows_are_the_per_axis_products(self, rng, r):
+        # reference: the per-index products written out, axis by axis
+        a, mu = 1.2, 0.7
+        indices = self.INDICES[r]
+        _, xi = self._frequencies(rng, r)
+        spec = default_spec(r)
+        closed = fourier_closed_form_table(indices, a, mu, xi)
+        numeric = fourier_numeric_table(indices, a, mu, xi, spec)
+        for p, n in enumerate(indices):
+            params = FamilyParams(a, mu, n)
+            value = complex(fourier_prefactor(params))
+            oracle = np.ones(xi.shape[:-1], dtype=np.complex128)
+            for j in range(1, r + 1):
+                value = value * theta_factor(j, r, params, xi[..., j - 1])
+                distinct, inverse = np.unique(xi[..., j - 1], return_inverse=True)
+                axis = _fourier_axis_integral(j, params, distinct, spec)
+                oracle = oracle * axis[inverse.reshape(oracle.shape)]
+            assert _same_bits(closed[p], value)
+            assert _same_bits(numeric[p], oracle)
+
+    def test_one_factor_per_axis_key(self, monkeypatch):
+        from ballfourier import quadrature, tanh_family
+        axis_calls, theta_calls = [], []
+        axis_integral, theta = quadrature._fourier_axis_integral, tanh_family.theta_factor
+
+        def recording_axis(j, params, xi_j, spec):
+            axis_calls.append((j, params.n[j - 1], tail_sum(params.n, j + 1), np.shape(xi_j)))
+            return axis_integral(j, params, xi_j, spec)
+
+        def recording_theta(j, r, params, xi):
+            theta_calls.append((j, params.n[j - 1], tail_sum(params.n, j + 1), np.shape(xi)))
+            return theta(j, r, params, xi)
+
+        monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording_axis)
+        monkeypatch.setattr(tanh_family, "theta_factor", recording_theta)
+        indices = self.INDICES[3]
+        grid = np.array(list(itertools.product((-3.0, 2.0), repeat=3)))
+        fourier_numeric_table(indices, 1.0, 0.5, grid)
+        fourier_closed_form_table(indices, 1.0, 0.5, grid)
+        keys = {(j, n[j - 1], tail_sum(n, j + 1)) for n in indices for j in (1, 2, 3)}
+        assert len(keys) < 3 * len(indices)
+        # the oracle integrates each key once, on the axis's distinct frequencies
+        assert sorted(call[:3] for call in axis_calls) == sorted(keys)
+        assert {call[3] for call in axis_calls} == {(2,)}
+        # the closed form takes the grid column a per-index call uses
+        assert sorted(call[:3] for call in theta_calls) == sorted(keys)
+        assert {call[3] for call in theta_calls} == {(8,)}
+
+    @pytest.mark.parametrize("table", [fourier_closed_form_table, fourier_numeric_table])
+    def test_rejects_bad_input(self, table):
+        with pytest.raises(ValueError, match="empty list"):
+            table([], 1.0, 0.5, [0.1])
+        with pytest.raises(ValueError):
+            table([(0,), (0, 1)], 1.0, 0.5, [0.1, 0.2])  # mixed index lengths
+        for a, mu in ((0.0, 0.5), (-1.0, 0.5), (1.0, -0.5), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                table([(1,)], a, mu, [0.1])
+        for xi in ([0.1], 0.1, np.zeros((3, 3))):
+            with pytest.raises(ValueError):
+                table([(1, 0)], 1.0, 0.5, xi)  # wrong frequency vector length
+
+    def test_tensor_mode_is_per_index_only(self):
+        with pytest.raises(ValueError):
+            fourier_numeric_table([(1,)], 1.0, 0.5, [0.1], mode="tensor")
+
+    def test_single_vector_calls_stay_complex_scalars(self):
+        params = FamilyParams(1.0, 0.5, (1, 2))
+        for mode in ("separated", "tanh"):
+            assert isinstance(fourier_numeric(params, [0.5, -1.0], mode=mode), complex)
+        assert isinstance(fourier_closed_form(params, [0.5, -1.0]), complex)
+        assert fourier_closed_form_table([(1, 2)], 1.0, 0.5, [0.5, -1.0]).shape == (1,)
 
 
 class TestHahnIntegral:
