@@ -3,7 +3,7 @@ transforms, and a quadrature oracle that machine-checks the identities."""
 
 from .ball import (ball_basis_eval, ball_norm, ball_operator_residual,
                    ball_space_dim, tail_sum, validate_multi_index)
-from .classical import (HahnParameters, continuous_hahn, gegenbauer,
+from .classical import (continuous_hahn, gegenbauer,
                         gegenbauer_norm, gegenbauer_series,
                         hahn_orthogonality_constant, jacobi)
 from .dfamily import (DParams, d_family_eval, d_family_eval_hahn,
@@ -24,7 +24,7 @@ from .tanh_family import (FamilyParams, family_eval, family_eval_peel_first,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FamilyParams", "DParams", "HahnParameters", "HypergeometricSpec",
+    "FamilyParams", "DParams", "HypergeometricSpec",
     "QuadratureSpec", "VerificationReport",
     "PoleError", "DenominatorPoleError", "DomainError", "NonFiniteIntegrandError",
     "log_gamma", "gamma", "pochhammer",

@@ -9,7 +9,6 @@ cross-check path only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "gegenbauer",
     "gegenbauer_series",
     "gegenbauer_norm",
-    "HahnParameters",
     "continuous_hahn",
     "hahn_orthogonality_constant",
 ]
@@ -139,42 +137,16 @@ def gegenbauer_norm(n: int, lam: float) -> float:
                  / (math.factorial(n) * (n + lam)))
 
 
-@dataclass(frozen=True)
-class HahnParameters:
-    """Continuous-Hahn parameter quadruple with positive real parts.
-
-    Positivity is what the orthogonality weight integral requires.  Plain
-    evaluation of the polynomials does not need it: pass a bare 4-tuple to
-    :func:`continuous_hahn` for parameter regimes outside this class (the
-    theta-factor Hahn form legitimately uses Re <= 0 entries).
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            value = complex(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not value.real > 0.0:
-                raise ValueError(f"Hahn parameter {name} must have positive real part")
-
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
-
-
 def continuous_hahn(n: int, x, params):
     """Continuous Hahn polynomial p_n(x; a, b, c, d).
 
-    ``params`` is a :class:`HahnParameters` or a plain 4-sequence (a, b, c, d).
+    ``params`` is a 4-sequence (a, b, c, d).
     ``x`` may be complex or an array.  The definition is symmetric under
     swapping c and d: both orderings that appear in the Hahn-form identities
     evaluate identically.
     """
     n = _check_degree(n)
-    a, b, c, d = params.as_tuple() if isinstance(params, HahnParameters) else map(complex, params)
+    a, b, c, d = map(complex, params)
     for lower in (a + c, a + d):
         if lower.imag == 0.0 and lower.real <= 0.0 and lower.real == int(lower.real) and lower.real > -n:
             raise DenominatorPoleError(

@@ -54,6 +54,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
+    return value
+
+
 def _parse_vector(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(part) for part in text.split(","))
 
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.add_argument("--xi", type=_parse_vector, required=True)
     p_fourier.add_argument("--check", action="store_true",
                            help="compare against the quadrature oracle")
-    p_fourier.add_argument("--tolerance", type=_finite_float, default=None)
+    p_fourier.add_argument("--tolerance", type=_tolerance, default=None)
     p_fourier.set_defaults(func=_cmd_fourier)
     for p in (p_eval, p_fourier):
         p.add_argument("--r", type=int, default=None,
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--r-max", dest="r_max", type=int, default=3)
-    p_verify.add_argument("--tolerance", type=_finite_float, default=None)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller grids for smoke runs")

@@ -21,13 +21,10 @@ These engines are the ground truth the closed forms are checked against:
   once per distinct axis key.
 
 Tables that depend only on the rule are built once per process.  The rules
-themselves are cached by their parameters.  The Fourier phase rows
-exp(-i xi x) of a line rule are kept in a bounded LRU cache keyed by
-(:class:`QuadratureSpec`, xi) and handed out read-only: at most
-``_PHASE_ROWS`` (128) rows of rules with at most ``_PHASE_ROW_NODES``
-(4096) nodes, 16 bytes per node, so never more than 8 MiB; a rule with more
-nodes computes its phases on each call.  The Gram routes
-(:func:`ball_gram_matrix`, :func:`hahn_gram_matrix` and
+themselves are cached by their parameters; they are the only state kept
+between calls.  The Fourier phase rows exp(-i xi x) are formed once per
+table call for each axis, on that axis's distinct frequencies.  The Gram
+routes (:func:`ball_gram_matrix`, :func:`hahn_gram_matrix` and
 :func:`d_biorthogonality_gram`) evaluate each index's factors, and the Hahn
 weight, once per rule.  Every entry of the Hahn and D matrices, and every
 upper-triangle entry of the ball matrix (its lower triangle is the
@@ -221,74 +218,57 @@ def _tanh_rule(levels: int = 120, nodes_per_panel: int = 16, central_panels: int
 
 _TENSOR_GRID_LIMIT = 8_000_000
 
-# the phase-row cache holds at most _PHASE_ROWS rows of line rules with at
-# most _PHASE_ROW_NODES nodes, 16 bytes per node: 8 MiB at most
-_PHASE_ROWS = 128
-_PHASE_ROW_NODES = 4096
 
-
-@lru_cache(maxsize=_PHASE_ROWS)
-def _phase_row(spec: QuadratureSpec, xi: float):
-    """exp(-i xi x) on the nodes of the line rule of ``spec``, read-only."""
-    x, _ = _line_rule(spec)
-    row = np.exp(-1j * xi * x)
-    row.setflags(write=False)
-    return row
-
-
-def _fourier_axis_integral(j: int, params: FamilyParams, xi_j, spec: QuadratureSpec):
-    """Axis-j quadrature of the transform at frequency ``xi_j``, a scalar
-    (complex result) or an array (one value per entry).  Each entry is the
-    same pairwise node sum a scalar call makes, so batching does not change
-    a bit.  The phase rows come from the :func:`_phase_row` cache for rules
-    of at most ``_PHASE_ROW_NODES`` nodes and are computed uncached beyond
-    that."""
+def _fourier_axis_integral(j: int, params: FamilyParams, phases, spec: QuadratureSpec):
+    """Axis-j quadrature of the transform against ``phases``, the rows
+    exp(-i xi x) on the nodes of the line rule of ``spec``, one row per
+    frequency: one pairwise node sum per row, so a row's value does not
+    depend on the other rows."""
     x, w = _line_rule(spec)
-    wphi = w * family_axis_factor(j, params, x)
-    xi_j = np.asarray(xi_j, dtype=np.float64)
-    phase_row = _phase_row if len(x) <= _PHASE_ROW_NODES else _phase_row.__wrapped__
-    phases = np.empty(xi_j.shape + x.shape, dtype=np.complex128)
-    for row, xi in zip(phases.reshape(-1, len(x)), xi_j.ravel().tolist()):
-        row[...] = phase_row(spec, xi)
-    values = np.sum(wphi * phases, axis=-1)
-    return complex(values) if values.ndim == 0 else values
+    return np.sum((w * family_axis_factor(j, params, x)) * phases, axis=-1)
 
 
-def _tanh_axis_integral(j: int, params: FamilyParams, xi_j):
-    """Axis-j transform at the frequency array ``xi_j`` on the
+def _tanh_axis_integral(j: int, params: FamilyParams, phases):
+    """Axis-j transform against ``phases``, the rows exp(-i xi x) on the
     tanh-substituted node set of :func:`_tanh_rule`."""
-    u, om2, xmap, w = _tanh_rule()
+    u, om2, _, w = _tanh_rule()
     r = params.r
     m = tail_sum(params.n, j + 1)
     lam = params.mu + m + (r - j) / 2.0
-    integrand = (om2 ** (params.a + (r - j) / 4.0 + m / 2.0 - 1.0)
-                 * gegenbauer(params.n[j - 1], lam, u)
-                 * np.exp(-1j * xi_j[..., None] * xmap))
-    return np.sum(w * integrand, axis=-1)
+    factor = (om2 ** (params.a + (r - j) / 4.0 + m / 2.0 - 1.0)
+              * gegenbauer(params.n[j - 1], lam, u))
+    return np.sum(w * (factor * phases), axis=-1)
 
 
 def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
     """Separated or tanh-mode transforms of each member of ``members``
     (parameters sharing a, mu and r) at the frequency vectors ``xi``, shape
     (len(members),) + xi.shape[:-1]: one axis integral per axis key, on the
-    distinct frequencies of that axis (one ``np.unique`` per axis)."""
+    phase rows of the distinct frequencies of that axis, formed once per
+    call.  One vector is a batch of one, so its value is the batch entry."""
     if mode not in ("separated", "tanh"):
         raise ValueError("mode must be 'separated' or 'tanh'")
     r = members[0].r
     xi = _frequency_vectors(xi, r)
     if spec is None:
         spec = default_spec(r)
-    shape = xi.shape[:-1]
-    columns = [np.unique(xi[..., j - 1], return_inverse=True) for j in range(1, r + 1)]
+    flat = xi.reshape(-1, r)
+    nodes = _line_rule(spec)[0] if mode == "separated" else _tanh_rule()[2]
+    columns = []
+    for column in flat.T:
+        distinct, inverse = np.unique(column, return_inverse=True)
+        columns.append((np.exp(-1j * distinct[:, None] * nodes), inverse))
 
     def axis_factor(j, params):
-        distinct, inverse = columns[j - 1]
-        axis = (_fourier_axis_integral(j, params, distinct, spec) if mode == "separated"
-                else _tanh_axis_integral(j, params, distinct))
-        return axis[inverse.reshape(shape)]
+        phases, inverse = columns[j - 1]
+        axis = (_fourier_axis_integral(j, params, phases, spec) if mode == "separated"
+                else _tanh_axis_integral(j, params, phases))
+        return axis[inverse]
 
-    return _axis_product_table(members, shape,
-                               lambda params: np.ones(shape, dtype=np.complex128), axis_factor)
+    table = _axis_product_table(members, flat.shape[:1],
+                                lambda params: np.ones(len(flat), dtype=np.complex128),
+                                axis_factor)
+    return table.reshape((len(members),) + xi.shape[:-1])
 
 
 def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None,

@@ -99,6 +99,15 @@ class TestFourier:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_negative_tolerance_exits_2(self, capsys):
+        args = ["fourier", "--n", "1,1", "--a", "1", "--mu", "0.5", "--xi", "0.5,1", "--check"]
+        code, out = run_cli(args + ["--tolerance", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        # zero stays valid; this check passes on the absolute floor
+        code, out = run_cli(args + ["--tolerance", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_nan_frequency_check_exits_2(self, capsys):
@@ -174,6 +183,14 @@ class TestVerify:
         code, _ = run_cli(["verify", "--suite", "gegenbauer-ort",
                            "--tolerance", "1e-18"], capsys)
         assert code == 1
+
+    def test_negative_tolerance_exits_2(self, capsys):
+        code, out = run_cli(["verify", "--suite", "hahn-ort", "--tolerance", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        code, out = run_cli(["verify", "--suite", "hahn-ort", "--tolerance", "0"], capsys)
+        assert code in (0, 1)
+        assert {report["tolerance"] for report in json.loads(out)} == {0.0}
 
     def test_csv_format(self, capsys):
         code, out = run_cli(["verify", "--suite", "hahn-ort", "--format", "csv"], capsys)
