@@ -11,15 +11,16 @@ from .dfamily import (DParams, d_family_eval, d_family_eval_hahn,
 from .errors import (DenominatorPoleError, DomainError,
                      NonFiniteIntegrandError, PoleError)
 from .hypergeometric import HypergeometricSpec, hyp3f2_unit, pfq_terminating
-from .quadrature import (QuadratureSpec, VerificationReport,
-                         ball_inner_product_numeric, d_biorthogonality_integral,
-                         fourier_numeric, fourier_numeric_table,
-                         hahn_orthogonality_integral, parseval_check)
+from .quadrature import (QuadratureSpec, ball_inner_product_numeric,
+                         d_biorthogonality_integral, fourier_numeric,
+                         fourier_numeric_table, hahn_orthogonality_integral,
+                         parseval_sides)
 from .special import gamma, log_gamma, pochhammer
 from .tanh_family import (FamilyParams, family_eval, family_eval_peel_first,
                           family_eval_peel_last, fourier_closed_form,
                           fourier_closed_form_table, fourier_via_recursion,
                           tanh_ball_map, theta_factor, theta_factor_hahn)
+from .verify import VerificationReport
 
 __version__ = "0.1.0"
 
@@ -38,6 +39,6 @@ __all__ = [
     "fourier_via_recursion",
     "d_family_eval", "d_family_eval_hahn", "d_orthogonality_constant",
     "fourier_numeric", "fourier_numeric_table", "ball_inner_product_numeric",
-    "hahn_orthogonality_integral", "d_biorthogonality_integral", "parseval_check",
+    "hahn_orthogonality_integral", "d_biorthogonality_integral", "parseval_sides",
     "__version__",
 ]

@@ -17,13 +17,12 @@ import sys
 
 import numpy as np
 
-from . import quadrature as quad
 from .ball import ball_basis_eval
 from .classical import continuous_hahn, gegenbauer, jacobi
 from .dfamily import DParams, d_family_eval
 from .errors import DomainError
 from .tanh_family import FamilyParams, family_eval, fourier_closed_form, theta_factor
-from .verify import SUITE_NAMES, report_to_dict, reports_to_json, run_suite
+from .verify import SUITE_NAMES, fourier_report, report_to_dict, reports_to_json, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -58,7 +57,7 @@ def _tolerance(text: str) -> float:
     value = _finite_float(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
-    return value
+    return value or 0.0  # -0 is written as 0.0
 
 
 def _parse_vector(text: str) -> tuple[float, ...]:
@@ -182,13 +181,10 @@ def _cmd_fourier(parser, args) -> int:
     }
     status = 0
     if args.check:
-        tolerance = args.tolerance if args.tolerance is not None else 1e-6
-        report = quad.make_report("fourier", record["inputs"], closed,
-                                  quad.fourier_numeric(params, np.array(args.xi)),
-                                  tolerance, abs_floor=1e-9)
+        report = fourier_report(params, np.array(args.xi), args.tolerance)
         _check_finite(parser, report.rhs)
         record.update({"oracle_re": report.rhs.real, "oracle_im": report.rhs.imag,
-                       "rel_error": report.rel_error, "tolerance": tolerance,
+                       "rel_error": report.rel_error, "tolerance": report.tolerance,
                        "passed": report.passed})
         if not report.passed:
             status = VERIFY_FAILURE

@@ -1,4 +1,5 @@
-"""Numerical-integration oracles for every identity in the library.
+"""Numerical-integration oracles for every identity in the library.  They
+return numbers only; :mod:`ballfourier.verify` turns them into verdicts.
 
 These engines are the ground truth the closed forms are checked against:
 
@@ -36,7 +37,6 @@ produce bit-identical results regardless of scheduling.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import (_check_mu, _index_list, ball_basis_eval, ball_norm, tail_sum,
+from .ball import (_check_mu, _index_list, ball_basis_eval, tail_sum,
                    validate_multi_index)
 from .classical import continuous_hahn, gegenbauer
 from .dfamily import DParams, d_axis_factor, d_family_eval
@@ -56,9 +56,6 @@ from .tanh_family import (FamilyParams, _axis_product_table, _frequency_vectors,
 
 __all__ = [
     "QuadratureSpec",
-    "VerificationReport",
-    "make_report",
-    "default_spec",
     "ball_default_spec",
     "hahn_default_spec",
     "fourier_numeric",
@@ -69,8 +66,7 @@ __all__ = [
     "hahn_gram_matrix",
     "d_biorthogonality_integral",
     "d_biorthogonality_gram",
-    "parseval_check",
-    "parseval_ball_value",
+    "parseval_sides",
 ]
 
 @dataclass(frozen=True)
@@ -78,7 +74,11 @@ class QuadratureSpec:
     """Node budget and truncation for the oracle.
 
     ``nodes_per_axis`` is the total node count along one axis; line rules
-    spread it over ``panels`` equal Gauss-Legendre panels.
+    spread it over ``panels`` equal Gauss-Legendre panels.  The defaults are
+    the real-line/Fourier rule.  Separated evaluation makes the per-axis
+    budget cheap in any dimension, so they are deliberately generous: 64
+    panels of 16 nodes resolve both the slowest sech decay (a = 1/2) and
+    the sharpest one in the tested range at |xi| <= 3 to better than 1e-12.
     """
 
     nodes_per_axis: int = 1024
@@ -92,17 +92,6 @@ class QuadratureSpec:
             raise ValueError("truncation_halfwidth must be positive")
         if self.panels < 1:
             raise ValueError("panels must be at least 1")
-
-
-def default_spec(r: int) -> QuadratureSpec:
-    """Defaults for the real-line/Fourier oracles.
-
-    Separated evaluation makes the per-axis budget cheap in any dimension,
-    so the default is deliberately generous: 64 panels of 16 nodes resolve
-    both the slowest sech decay (a = 1/2) and the sharpest one in the tested
-    range at |xi| <= 3 to better than 1e-12.
-    """
-    return QuadratureSpec(nodes_per_axis=1024, panels=64)
 
 
 def ball_default_spec(r: int) -> QuadratureSpec:
@@ -245,13 +234,16 @@ def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
     (parameters sharing a, mu and r) at the frequency vectors ``xi``, shape
     (len(members),) + xi.shape[:-1]: one axis integral per axis key, on the
     phase rows of the distinct frequencies of that axis, formed once per
-    call.  One vector is a batch of one, so its value is the batch entry."""
+    call.  One vector is a batch of one, so its value is the batch entry.
+    The tanh mode has one fixed node set, so it takes no ``spec``."""
     if mode not in ("separated", "tanh"):
         raise ValueError("mode must be 'separated' or 'tanh'")
+    if mode == "tanh" and spec is not None:
+        raise ValueError("the tanh mode integrates on a fixed node set; pass spec=None")
     r = members[0].r
     xi = _frequency_vectors(xi, r)
     if spec is None:
-        spec = default_spec(r)
+        spec = QuadratureSpec()
     flat = xi.reshape(-1, r)
     nodes = _line_rule(spec)[0] if mode == "separated" else _tanh_rule()[2]
     columns = []
@@ -285,7 +277,7 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
       through the ball-basis route, making no use of separability.
     * ``tanh``: per axis, substitute u = tanh x and integrate over (-1, 1)
       with the kernel ((1+u)/(1-u))^(-i xi/2) and Jacobian (1-u^2)^(-1) on
-      endpoint-clustered panels.
+      fixed endpoint-clustered panels; a ``spec`` is rejected.
 
     All modes agree to quadrature accuracy; the extra modes exist as
     independent checks of the default.  ``separated`` and ``tanh`` are the
@@ -297,7 +289,7 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
         r = params.r
         xi = _frequency_vectors(xi, r)
         if spec is None:
-            spec = default_spec(r)
+            spec = QuadratureSpec()
         x, w = _line_rule(spec)
         if len(x) ** r > _TENSOR_GRID_LIMIT:
             raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
@@ -571,57 +563,20 @@ def d_biorthogonality_gram(indices, a1: float, a2: float,
 
 
 # ---------------------------------------------------------------------------
-# Verification reports and the Parseval pairing check
+# Parseval pairing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One machine-checked identity instance: both sides and the verdict."""
-
-    identity_name: str
-    parameters: dict
-    lhs: complex
-    rhs: complex
-    abs_error: float
-    rel_error: float
-    tolerance: float
-    passed: bool
-    low_confidence: bool = False
-
-
-def make_report(identity_name: str, parameters: dict, lhs, rhs, tolerance: float,
-                abs_floor: float = 0.0, low_confidence: bool = False) -> VerificationReport:
-    """Build a report; passed means both sides are finite and rel_error <=
-    tolerance or abs_error <= abs_floor.  A non-finite side fails the check,
-    is flagged low-confidence and has rel_error NaN."""
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    finite = cmath.isfinite(lhs) and cmath.isfinite(rhs)
-    abs_error = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_error = (abs_error / scale if scale > 0.0 else 0.0) if finite else math.nan
-    passed = finite and bool(rel_error <= tolerance or abs_error <= abs_floor)
-    return VerificationReport(identity_name=identity_name, parameters=dict(parameters),
-                              lhs=lhs, rhs=rhs, abs_error=abs_error, rel_error=rel_error,
-                              tolerance=tolerance, passed=passed,
-                              low_confidence=low_confidence or not finite)
-
-
-def parseval_check(n, m, a1: float, a2: float,
-                   spec: QuadratureSpec | None = None,
-                   tolerance: float = 1e-6, abs_floor: float = 1e-8) -> VerificationReport:
-    """Check the Parseval pairing for the coupled weight mu = a1 + a2 - 1/2.
-
-    Reports (2 pi)^r <f, g>_x as lhs against the xi-side pairing of the
-    closed-form transforms as rhs, both as tensor-product sums over the line
-    rule of ``spec`` evaluated one axis at a time.  Both sides equal the ball
-    norm times a multi-Kronecker delta; that comparison is reported
-    separately by the verification suites.
+def parseval_sides(n, m, a1: float, a2: float, spec: QuadratureSpec | None = None):
+    """Both sides of the Parseval pairing for the coupled weight
+    mu = a1 + a2 - 1/2: (2 pi)^r <f, g>_x and the xi-side pairing of the
+    closed-form transforms, both as tensor-product sums over the line rule
+    of ``spec`` evaluated one axis at a time.  Both sides equal
+    (2 pi)^r times the ball norm times a multi-Kronecker delta.
     """
     n, m, r = _index_pair(n, m)
     mu = DParams(a1, a2, (0,) * r).mu  # validates a1, a2 and the coupling
     if spec is None:
-        spec = default_spec(r)
+        spec = QuadratureSpec()
     x, w = _line_rule(spec)
     fp = FamilyParams(a1, mu, n)
     gp = FamilyParams(a2, mu, m)
@@ -630,16 +585,4 @@ def parseval_check(n, m, a1: float, a2: float,
     for j in range(1, r + 1):
         x_side *= float(np.sum(w * family_axis_factor(j, fp, x) * family_axis_factor(j, gp, x)))
         xi_side *= np.sum(w * theta_factor(j, r, fp, x) * np.conj(theta_factor(j, r, gp, x)))
-    return make_report(
-        "parseval", {"r": r, "n": list(n), "m": list(m), "a1": a1, "a2": a2},
-        (2.0 * math.pi) ** r * x_side, xi_side, tolerance, abs_floor=abs_floor)
-
-
-def parseval_ball_value(n, m, a1: float, a2: float) -> float:
-    """The value both Parseval sides must take: ball norm times delta."""
-    n = validate_multi_index(n)
-    m = validate_multi_index(m)
-    mu = a1 + a2 - 0.5
-    if n != m:
-        return 0.0
-    return (2.0 * math.pi) ** len(n) * ball_norm(n, mu)
+    return complex((2.0 * math.pi) ** r * x_side), complex(xi_side)

@@ -1,5 +1,8 @@
 """Identity-verification suites producing VerificationReport records.
 
+This module is the one place where verdicts are built: the quadrature
+oracle returns numbers, and :func:`make_report` and the node-doubling gate
+turn them into reports, for the suites and for :func:`fourier_report`.
 Each suite machine-checks one family of identities at desk scale and returns
 a canonically ordered list of reports (sorted by identity name, then by the
 JSON encoding of the parameters), so output files are byte-stable across
@@ -11,6 +14,7 @@ the library, and every quadrature verdict passes one node-doubling gate.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 import json
@@ -23,19 +27,54 @@ from .ball import ball_norm, ball_operator_residual, tail_sum
 from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
 from .hypergeometric import hyp3f2_unit
-from .quadrature import VerificationReport, make_report
 from .special import beta_conjugate, gamma
 from .tanh_family import (FamilyParams, axis_parameters, fourier_closed_form,
                           fourier_closed_form_table, fourier_prefactor,
                           fourier_via_recursion, theta_factor_hahn)
 
-__all__ = ["SplitMix64", "SUITE_NAMES", "run_suite", "report_to_dict",
-           "report_from_dict", "reports_to_json", "reports_from_json",
-           "canonical_sort"]
+__all__ = ["VerificationReport", "make_report", "fourier_report", "SplitMix64",
+           "SUITE_NAMES", "run_suite", "report_to_dict", "report_from_dict",
+           "reports_to_json", "reports_from_json", "canonical_sort"]
 
 # a 3F2 value below this fraction of the largest |F_k|, k <= n, of its
 # degree recurrence marks a cancellation-risky series value
 _LOW_CONFIDENCE_RATIO = 1e-10
+# relative tolerance and absolute floor of closed form against oracle
+_FOURIER_TOLERANCE = 1e-6
+_FOURIER_FLOOR = 1e-9
+
+
+@dataclasses.dataclass(frozen=True)
+class VerificationReport:
+    """One machine-checked identity instance: both sides and the verdict."""
+
+    identity_name: str
+    parameters: dict
+    lhs: complex
+    rhs: complex
+    abs_error: float
+    rel_error: float
+    tolerance: float
+    passed: bool
+    low_confidence: bool = False
+
+
+def make_report(identity_name: str, parameters: dict, lhs, rhs, tolerance: float,
+                abs_floor: float = 0.0, low_confidence: bool = False) -> VerificationReport:
+    """Build a report; passed means both sides are finite and rel_error <=
+    tolerance or abs_error <= abs_floor.  A non-finite side fails the check,
+    is flagged low-confidence and has rel_error NaN."""
+    lhs = complex(lhs)
+    rhs = complex(rhs)
+    finite = cmath.isfinite(lhs) and cmath.isfinite(rhs)
+    abs_error = abs(lhs - rhs)
+    scale = max(abs(lhs), abs(rhs))
+    rel_error = (abs_error / scale if scale > 0.0 else 0.0) if finite else math.nan
+    passed = finite and bool(rel_error <= tolerance or abs_error <= abs_floor)
+    return VerificationReport(identity_name=identity_name, parameters=dict(parameters),
+                              lhs=lhs, rhs=rhs, abs_error=abs_error, rel_error=rel_error,
+                              tolerance=tolerance, passed=passed,
+                              low_confidence=low_confidence or not finite)
 
 
 def _gated_report(name, parameters, lhs, rhs, tolerance, abs_floor, resolutions):
@@ -251,9 +290,22 @@ _FOURIER_GRID_XI = {1: (-3.0, -1.0, 0.0, 0.5, 2.0, 3.0),
                     3: (-3.0, 2.0)}
 
 
+def fourier_report(params: FamilyParams, xi, tolerance: float | None = None):
+    """Closed-form transform of ``params`` at the frequency vector ``xi``
+    (lhs) against the separated quadrature oracle (rhs), with the oracle
+    behind the node-doubling gate."""
+    tol = tolerance if tolerance is not None else _FOURIER_TOLERANCE
+    oracle, fine = _base_and_doubled(quad.QuadratureSpec(),
+                                     lambda s: quad.fourier_numeric(params, xi, s))
+    parameters = {"r": params.r, "n": list(params.n), "a": params.a, "mu": params.mu,
+                  "xi": [float(v) for v in xi]}
+    return _gated_report("fourier", parameters, fourier_closed_form(params, xi), oracle,
+                         tol, _FOURIER_FLOOR, [(oracle, fine)])
+
+
 def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
                           quick: bool = False):
-    tol = tolerance if tolerance is not None else 1e-6
+    tol = tolerance if tolerance is not None else _FOURIER_TOLERANCE
     reports = []
     a_values = (0.5, 1.0, 1.75)
     mu_values = (0.5, 1.25)
@@ -267,14 +319,14 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
                 # one table per route: each per-axis factor once per rule
                 closed = fourier_closed_form_table(indices, a, mu, grid)
                 oracle, fine = _base_and_doubled(
-                    quad.default_spec(r),
+                    quad.QuadratureSpec(),
                     lambda s: quad.fourier_numeric_table(indices, a, mu, grid, s))
                 for n, lhs_row, rhs_row, fine_row in zip(indices, closed, oracle, fine):
                     for xi, lhs, rhs, rhs_fine in zip(grid, lhs_row, rhs_row, fine_row):
                         reports.append(_gated_report(
                             "fourier-oracle",
                             {"r": r, "n": list(n), "a": a, "mu": mu, "xi": list(xi)},
-                            lhs, rhs, tol, 1e-9, [(rhs, rhs_fine)]))
+                            lhs, rhs, tol, _FOURIER_FLOOR, [(rhs, rhs_fine)]))
     return reports
 
 
@@ -304,22 +356,22 @@ def _transform_pair_constant(params: FamilyParams) -> float:
 
 
 def _parseval_case(n, m, a1, a2, tol, floor):
-    coarse, fine = _base_and_doubled(quad.default_spec(len(n)), lambda s: quad.parseval_check(
-        n, m, a1, a2, s, tol, floor))
-    base, lhs, rhs = coarse.parameters, coarse.lhs, coarse.rhs
-    out = [_gated_report("parseval", base, lhs, rhs, tol, floor,
-                         [(lhs, fine.lhs), (rhs, fine.rhs)])]
-    target = quad.parseval_ball_value(n, m, a1, a2)
-    out.append(make_report("parseval-ball-value", base, lhs, target, tol,
-                           abs_floor=floor))
+    (lhs, rhs), (lhs_fine, rhs_fine) = _base_and_doubled(
+        quad.QuadratureSpec(), lambda s: quad.parseval_sides(n, m, a1, a2, s))
+    resolutions = [(lhs, lhs_fine), (rhs, rhs_fine)]
+    base = {"r": len(n), "n": list(n), "m": list(m), "a1": a1, "a2": a2}
+    mu = a1 + a2 - 0.5
+    out = [_gated_report("parseval", base, lhs, rhs, tol, floor, resolutions)]
+    target = (2.0 * math.pi) ** len(n) * ball_norm(n, mu) if n == m else 0.0
+    out.append(_gated_report("parseval-ball-value", base, lhs, target, tol, floor,
+                             resolutions))
     # the xi-side, rescaled by the transform constants, is the pairing of the
     # gamma-pair family; compare it with the closed-form pairing constant
-    k_n = _transform_pair_constant(FamilyParams(a1, a1 + a2 - 0.5, n))
-    k_m = _transform_pair_constant(FamilyParams(a2, a1 + a2 - 0.5, m))
+    k_n = _transform_pair_constant(FamilyParams(a1, mu, n))
+    k_m = _transform_pair_constant(FamilyParams(a2, mu, m))
     pair_target = d_orthogonality_constant(n, a1, a2) if n == m else 0.0
-    out.append(make_report("parseval-pair-constant", base,
-                           rhs / (k_n * k_m), pair_target, tol,
-                           abs_floor=floor * 4.0 * math.pi / abs(k_n * k_m)))
+    out.append(_gated_report("parseval-pair-constant", base, rhs / (k_n * k_m), pair_target,
+                             tol, floor * 4.0 * math.pi / abs(k_n * k_m), resolutions))
     return out
 
 

@@ -142,7 +142,7 @@ def test_criterion_05_fourier_closed_form_vs_oracle():
     checks = 0
     worst = 0.0
     for r in (1, 2, 3):
-        spec = quad.default_spec(r)
+        spec = quad.QuadratureSpec()
         grid = np.array(list(itertools.product(FOURIER_GRID_XI[r], repeat=r)))
         indices = _multi_indices(r, 4)
         for a in (0.5, 1.0, 1.75):

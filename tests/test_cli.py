@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballfourier import FamilyParams, ball_basis_eval, cli, theta_factor
+from ballfourier import FamilyParams, ball_basis_eval, cli, fourier_closed_form, theta_factor
 
 
 def run_cli(args, capsys):
@@ -109,6 +110,30 @@ class TestFourier:
         assert code == 0
         assert json.loads(out)["tolerance"] == 0.0
 
+    def test_negative_zero_tolerance_is_written_as_zero(self, capsys):
+        code, out = run_cli(["fourier", "--n", "1,1", "--a", "1", "--mu", "0.5",
+                             "--xi", "0.5,1", "--check", "--tolerance", "-0"], capsys)
+        assert code == 0
+        assert '"tolerance": 0.0' in out
+        assert math.copysign(1.0, json.loads(out)["tolerance"]) == 1.0
+
+    def test_check_is_gated_by_node_doubling(self, capsys, monkeypatch):
+        # an oracle that matches the closed form on the default rule but
+        # moves by 1e-3 on the doubled rule must not pass the check
+        from ballfourier import quadrature
+
+        def drifting(params, xi, spec=None, mode="separated"):
+            value = fourier_closed_form(params, xi)
+            return value if spec in (None, quadrature.QuadratureSpec()) else value + 1e-3
+
+        monkeypatch.setattr(quadrature, "fourier_numeric", drifting)
+        code, out = run_cli(["fourier", "--r", "1", "--n", "0", "--a", "0.5",
+                             "--mu", "0.5", "--xi", "0", "--check"], capsys)
+        assert code == 1
+        record = json.loads(out)
+        assert record["passed"] is False
+        assert record["rel_error"] == 0.0
+
     @pytest.mark.filterwarnings("error")
     def test_nan_frequency_check_exits_2(self, capsys):
         code, out = run_cli(["fourier", "--n", "1", "--a", "1", "--mu", "0.5",
@@ -191,6 +216,12 @@ class TestVerify:
         code, out = run_cli(["verify", "--suite", "hahn-ort", "--tolerance", "0"], capsys)
         assert code in (0, 1)
         assert {report["tolerance"] for report in json.loads(out)} == {0.0}
+
+    def test_negative_zero_tolerance_is_written_as_zero(self, capsys):
+        code, out = run_cli(["verify", "--suite", "hahn-ort", "--tolerance", "-0"], capsys)
+        assert code in (0, 1)
+        assert out.count('"tolerance": 0.0') == len(json.loads(out))
+        assert {math.copysign(1.0, report["tolerance"]) for report in json.loads(out)} == {1.0}
 
     def test_csv_format(self, capsys):
         code, out = run_cli(["verify", "--suite", "hahn-ort", "--format", "csv"], capsys)

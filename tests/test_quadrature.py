@@ -8,14 +8,14 @@ from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          ball_norm, family_eval, fourier_closed_form,
                          fourier_closed_form_table, fourier_numeric,
                          fourier_numeric_table, gegenbauer, hahn_orthogonality_constant,
-                         hahn_orthogonality_integral, parseval_check, tail_sum)
+                         hahn_orthogonality_integral, parseval_sides, tail_sum)
 from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
                                     _line_rule, _tanh_rule, ball_default_spec, ball_gram_matrix,
                                     ball_inner_product_numeric, d_biorthogonality_gram,
-                                    d_biorthogonality_integral, default_spec,
-                                    doubled_spec, hahn_default_spec, hahn_gram_matrix,
-                                    make_report, parseval_ball_value)
+                                    d_biorthogonality_integral, doubled_spec,
+                                    hahn_default_spec, hahn_gram_matrix)
 from ballfourier.tanh_family import family_axis_factor, fourier_prefactor, theta_factor
+from ballfourier.verify import make_report
 from conftest import rel_err
 
 
@@ -97,6 +97,18 @@ class TestFourierNumeric:
         with pytest.raises(ValueError):
             fourier_numeric(params, [0.0], mode="monte-carlo")
 
+    def test_tanh_mode_rejects_a_spec(self):
+        # the tanh node set is fixed; a doubled rule would return the same
+        # number twice, so a rule is refused rather than ignored
+        params = FamilyParams(1.0, 0.5, (1, 1))
+        spec = QuadratureSpec(8, panels=1)
+        with pytest.raises(ValueError, match="tanh"):
+            fourier_numeric(params, [0.5, 1.0], spec, "tanh")
+        with pytest.raises(ValueError, match="tanh"):
+            fourier_numeric_table([(1, 1), (0, 2)], 1.0, 0.5, [0.5, 1.0], spec, "tanh")
+        with pytest.raises(ValueError, match="tanh"):
+            fourier_numeric(params, [0.5, 1.0], QuadratureSpec(), "tanh")
+
 
 class TestBallInnerProduct:
     def test_disc_area(self):
@@ -156,7 +168,7 @@ class TestBallInnerProduct:
 
 class TestFourierAxisIntegral:
     def test_batched_equals_per_frequency_bitwise(self, rng):
-        spec = default_spec(2)
+        spec = QuadratureSpec()
         params = FamilyParams(0.75, 1.25, (2, 1))
         xi = rng.uniform(-3.0, 3.0, size=9)
         phases = np.exp(-1j * xi[:, None] * _line_rule(spec)[0])
@@ -177,7 +189,7 @@ class TestPhaseCache:
         vectors = np.stack([xi, xi[::-1]], axis=-1)
         big = QuadratureSpec(nodes_per_axis=8192, panels=256)
         assert len(_line_rule(big)[0]) > 4096
-        for spec in (default_spec(2), doubled_spec(default_spec(2)), big):
+        for spec in (QuadratureSpec(), doubled_spec(QuadratureSpec()), big):
             x, w = _line_rule(spec)
             product = np.ones(len(xi), dtype=np.complex128)
             for j in (1, 2):
@@ -367,8 +379,8 @@ class TestFourierTables:
             assert closed.shape == shape
             for row, n in zip(closed, indices):
                 assert _same_bits(row, fourier_closed_form(FamilyParams(a, mu, n), xi))
-            for spec, mode in ((default_spec(r), "separated"),
-                               (doubled_spec(default_spec(r)), "separated"),
+            for spec, mode in ((QuadratureSpec(), "separated"),
+                               (doubled_spec(QuadratureSpec()), "separated"),
                                (None, "tanh")):
                 numeric = fourier_numeric_table(indices, a, mu, xi, spec, mode)
                 assert numeric.shape == shape
@@ -382,7 +394,7 @@ class TestFourierTables:
         a, mu = 1.2, 0.7
         indices = self.INDICES[r]
         _, xi = self._frequencies(rng, r)
-        spec = default_spec(r)
+        spec = QuadratureSpec()
         closed = fourier_closed_form_table(indices, a, mu, xi)
         numeric = fourier_numeric_table(indices, a, mu, xi, spec)
         for p, n in enumerate(indices):
@@ -495,29 +507,28 @@ class TestDBiorthogonality:
 
 class TestParseval:
     def test_r1_base_case(self):
-        report = parseval_check((0,), (0,), 0.5, 0.5)
-        assert report.passed
-        assert rel_err(report.lhs, 4.0 * math.pi) <= 1e-12
-        assert rel_err(report.rhs, 4.0 * math.pi) <= 1e-12
+        lhs, rhs = parseval_sides((0,), (0,), 0.5, 0.5)
+        assert rel_err(lhs, rhs) <= 1e-6
+        assert rel_err(lhs, 4.0 * math.pi) <= 1e-12
+        assert rel_err(rhs, 4.0 * math.pi) <= 1e-12
 
     def test_r1_cross_term(self):
-        report = parseval_check((1,), (0,), 0.5, 0.5)
-        assert report.passed
-        assert abs(report.lhs) <= 1e-8
-        assert abs(report.rhs) <= 1e-8
+        lhs, rhs = parseval_sides((1,), (0,), 0.5, 0.5)
+        assert abs(lhs - rhs) <= 1e-8
+        assert abs(lhs) <= 1e-8
+        assert abs(rhs) <= 1e-8
 
     def test_r2_case_and_ball_value(self):
-        report = parseval_check((1, 0), (1, 0), 1.0, 0.5, tolerance=1e-4)
-        assert report.passed
-        assert report.rel_error <= 1e-4
-        target = parseval_ball_value((1, 0), (1, 0), 1.0, 0.5)
-        assert rel_err(report.lhs, target) <= 1e-8
+        lhs, rhs = parseval_sides((1, 0), (1, 0), 1.0, 0.5)
+        assert rel_err(lhs, rhs) <= 1e-4
+        target = (2.0 * math.pi) ** 2 * ball_norm((1, 0), 1.0 + 0.5 - 0.5)
+        assert rel_err(lhs, target) <= 1e-8
 
     def test_x_side_against_dense_tensor(self):
         # the separated x-side sum equals a dense two-dimensional quadrature
         n, m, a1, a2 = (1, 1), (1, 1), 1.0, 0.75
         mu = a1 + a2 - 0.5
-        report = parseval_check(n, m, a1, a2)
+        lhs, _ = parseval_sides(n, m, a1, a2)
         spec = QuadratureSpec(nodes_per_axis=384, panels=24)
         x, w = _line_rule(spec)
         grid = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
@@ -525,11 +536,11 @@ class TestParseval:
                   * family_eval(grid, FamilyParams(a2, mu, m)))
         dense = (2.0 * math.pi) ** 2 * float(
             np.sum(values * w[:, None] * w[None, :]))
-        assert rel_err(report.lhs, dense) <= 1e-9
+        assert rel_err(lhs, dense) <= 1e-9
 
     def test_enforces_coupling_validity(self):
         with pytest.raises(ValueError):
-            parseval_check((0,), (0,), 0.25, 0.25)
+            parseval_sides((0,), (0,), 0.25, 0.25)
 
 
 class TestVerificationReport:

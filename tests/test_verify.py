@@ -1,15 +1,15 @@
 import ast
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
-from ballfourier import verify
-
-from ballfourier.quadrature import make_report
+from ballfourier import cli, quadrature, verify
 from ballfourier.verify import (SUITE_NAMES, SplitMix64, _gated_report,
-                                canonical_sort, report_from_dict, report_to_dict,
-                                reports_from_json, reports_to_json, run_suite)
+                                canonical_sort, make_report, report_from_dict,
+                                report_to_dict, reports_from_json, reports_to_json,
+                                run_suite)
 
 
 class TestSplitMix64:
@@ -117,6 +117,41 @@ class TestLayering:
                     for alias in node.names if alias.name.startswith("_")}
         assert private == {"_d_pair_spec"}
 
+    def test_verdicts_are_built_in_verify_only(self):
+        # the oracle returns numbers; every report is built by verify
+        package = Path(verify.__file__).parent
+        builders = {path.name for path in package.glob("*.py")
+                    if "make_report(" in path.read_text(encoding="utf-8")
+                    or "VerificationReport(" in path.read_text(encoding="utf-8")}
+        assert builders == {"verify.py"}
+        for name in ("make_report", "VerificationReport", "parseval_check",
+                     "parseval_ball_value", "default_spec"):
+            assert not hasattr(quadrature, name), name
+        quad_imports = {alias.name for node in ast.walk(ast.parse(inspect.getsource(quadrature)))
+                        if isinstance(node, ast.Import) for alias in node.names}
+        assert "cmath" not in quad_imports
+        cli_imports = {(node.module, alias.name)
+                       for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not any("quadrature" in (module or "", name) for module, name in cli_imports)
+
+    def test_parseval_reports_share_the_gate(self, monkeypatch):
+        # all three parseval reports rest on the two quadrature sides, so a
+        # drift of either side under node doubling fails every one of them
+        sides = quadrature.parseval_sides
+
+        def drifting(n, m, a1, a2, spec=None):
+            lhs, rhs = sides(n, m, a1, a2, spec)
+            if spec == quadrature.QuadratureSpec():
+                return lhs, rhs
+            return lhs, rhs * 1.01 + 0.01
+
+        monkeypatch.setattr(quadrature, "parseval_sides", drifting)
+        reports = run_suite("parseval", r_max=2)
+        assert {rep.identity_name for rep in reports} == {
+            "parseval", "parseval-ball-value", "parseval-pair-constant"}
+        assert all(not rep.passed and rep.low_confidence for rep in reports)
+
     def test_ball_ort_entries_are_the_pair_integrals(self):
         from ballfourier.quadrature import ball_default_spec, ball_inner_product_numeric
         spec = ball_default_spec(3)
@@ -128,13 +163,13 @@ class TestLayering:
 
     def test_fourier_oracle_entries_are_the_per_index_routes(self):
         # batching over multi-indices or vectors never changes what a report says
-        from ballfourier.quadrature import default_spec, fourier_numeric
+        from ballfourier.quadrature import QuadratureSpec, fourier_numeric
         from ballfourier.tanh_family import FamilyParams, fourier_closed_form
         for report in run_suite("fourier-oracle", r_max=3):
             params = report.parameters
             member = FamilyParams(params["a"], params["mu"], tuple(params["n"]))
             assert report.lhs == fourier_closed_form(member, params["xi"])
-            assert report.rhs == fourier_numeric(member, params["xi"], default_spec(member.r))
+            assert report.rhs == fourier_numeric(member, params["xi"], QuadratureSpec())
 
 
 class TestSerialization:
