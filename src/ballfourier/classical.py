@@ -3,7 +3,9 @@
 Normalizations match the hypergeometric representations used throughout the
 library.  The Gegenbauer evaluation route is the 2F1 form (the one the ball
 transforms generalize); the explicit Jacobi sum exists as an independent
-cross-check path only.
+cross-check path only.  The continuous Hahn polynomials of several degrees
+come from one 3F2 degree ladder (:func:`continuous_hahn_rows`); a single
+degree is its one-degree case.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DenominatorPoleError
-from .hypergeometric import _terminating_sum, hyp3f2_unit
+from .hypergeometric import _terminating_sum, hyp3f2_ladder, hyp3f2_unit
 from .special import log_gamma, pochhammer
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "gegenbauer_series",
     "gegenbauer_norm",
     "continuous_hahn",
+    "continuous_hahn_rows",
     "hahn_orthogonality_constant",
 ]
 
@@ -137,23 +140,39 @@ def gegenbauer_norm(n: int, lam: float) -> float:
                  / (math.factorial(n) * (n + lam)))
 
 
+def continuous_hahn_rows(degrees, x, params):
+    """Continuous Hahn polynomials p_n(x; a, b, c, d) for every n in
+    ``degrees``, from one 3F2 ladder (s = a + b + c + d does not depend on
+    n).  Each entry is :func:`continuous_hahn` of its degree, bit for bit.
+    Where Re s <= 0 the recurrence cannot run, and each degree takes the
+    forward series."""
+    degrees = [_check_degree(n) for n in degrees]
+    a, b, c, d = map(complex, params)
+    top = max(degrees)
+    for lower in (a + c, a + d):
+        if lower.imag == 0.0 and lower.real <= 0.0 and lower.real == int(lower.real) and lower.real > -top:
+            raise DenominatorPoleError(
+                f"Hahn lower parameter {lower} vanishes within the summation range")
+    s = a + b + c + d
+    u = a + 1j * np.asarray(x)
+    if s.real > 0:
+        series = hyp3f2_ladder(degrees, s, u, a + c, a + d)
+    else:
+        series = [hyp3f2_unit(n, n + a + b + c + d - 1.0, u, a + c, a + d) for n in degrees]
+    return [(1j ** n) * pochhammer(a + c, n) * pochhammer(a + d, n) / math.factorial(n) * value
+            for n, value in zip(degrees, series)]
+
+
 def continuous_hahn(n: int, x, params):
     """Continuous Hahn polynomial p_n(x; a, b, c, d).
 
     ``params`` is a 4-sequence (a, b, c, d).
     ``x`` may be complex or an array.  The definition is symmetric under
     swapping c and d: both orderings that appear in the Hahn-form identities
-    evaluate identically.
+    evaluate identically.  The one-degree case of
+    :func:`continuous_hahn_rows`.
     """
-    n = _check_degree(n)
-    a, b, c, d = map(complex, params)
-    for lower in (a + c, a + d):
-        if lower.imag == 0.0 and lower.real <= 0.0 and lower.real == int(lower.real) and lower.real > -n:
-            raise DenominatorPoleError(
-                f"Hahn lower parameter {lower} vanishes within the summation range")
-    prefactor = (1j ** n) * pochhammer(a + c, n) * pochhammer(a + d, n) / math.factorial(n)
-    series = hyp3f2_unit(n, n + a + b + c + d - 1.0, a + 1j * np.asarray(x), a + c, a + d)
-    return prefactor * series
+    return continuous_hahn_rows((n,), x, params)[0]
 
 
 def hahn_orthogonality_constant(n: int, a1: float, a2: float) -> float:

@@ -1,15 +1,31 @@
 """Terminating generalized hypergeometric sums pFq.
 
 Every 3F2 in the library has the continuous-Hahn shape
-3F2(-n, n+s-1, u; l1, l2; 1), and :func:`hyp3f2_unit` is its one entry.
-For Re s > 0 it runs the three-term recurrence of these polynomials in the
-degree (Koekoek, Lesky and Swarttouw, *Hypergeometric Orthogonal
-Polynomials and Their q-Analogues*, 2010, eq. 9.4.3), which keeps its
-accuracy at every degree the tests reach; the forward series loses all
-digits by degree 20.  The general engine :func:`_terminating_sum` sums a
-terminating pFq forward with compensated (Kahan) addition; it serves the
-Gegenbauer 2F1 cross-check, the spec objects and the 3F2 at Re s <= 0.
-Both kernels run cache-blocked through :func:`special._blockwise`.
+F_n = 3F2(-n, n+s-1, u; l1, l2; 1).  For Re s > 0 it runs the three-term
+recurrence of these polynomials in the degree (Koekoek, Lesky and
+Swarttouw, *Hypergeometric Orthogonal Polynomials and Their q-Analogues*,
+2010, eq. 9.4.3), which keeps its accuracy at every degree the tests
+reach; the forward series loses all digits by degree 20.  The recurrence's
+coefficients depend on (s, l1, l2) only, so :func:`hyp3f2_ladder` runs it
+once to the largest degree asked for and returns every requested F_k (and,
+on request, the peak max |F_k|); :func:`hyp3f2_unit` is its one-degree
+case, with s = upper2 - n + 1.  The general engine :func:`_terminating_sum`
+sums a terminating pFq forward with compensated (Kahan) addition; it serves
+the Gegenbauer 2F1 cross-check, the spec objects and the 3F2 at
+Re s <= 0.  Both kernels run cache-blocked through
+:func:`special._blockwise`.
+
+A 0-d call runs the recurrence on numpy scalars, whose complex multiply is
+unfused, while a batch runs numpy's array loops, which fuse multiply-adds
+where the CPU has them.  So at complex u a 0-d value and its batch entry
+can differ in the last bits.  0-d calls stay on numpy scalars anyway:
+running them as one-entry arrays makes the two agree, but an earlier
+measurement put its cost at about 20% of the eval-scalar benchmark.
+Measured on x86-64 with numpy 2.4 over 300 seeded draws (degrees 0..12):
+at most 1.2e-15 ulp of |value| for ``theta_factor`` at real frequencies
+and 4.1 ulp for ``d_axis_factor`` at complex x (up to 7.5 ulp over 900
+further draws); ``tests/test_degree_ladders.py`` pins 1 and 5 ulp on its
+draws.
 """
 
 from __future__ import annotations
@@ -21,7 +37,8 @@ import numpy as np
 from .errors import DenominatorPoleError
 from .special import _blockwise
 
-__all__ = ["HypergeometricSpec", "pfq_terminating", "pfq_diagnostics", "hyp3f2_unit"]
+__all__ = ["HypergeometricSpec", "pfq_terminating", "pfq_diagnostics", "hyp3f2_unit",
+           "hyp3f2_ladder"]
 
 
 def _is_nonpositive_integer(value: complex) -> bool:
@@ -137,13 +154,34 @@ def _hahn_coefficients(n: int, s, l1, l2):
     return rows
 
 
-def _recurrence_block(u, coefficients):
-    """F_n at ``u`` from the rows of :func:`_hahn_coefficients` (n >= 1)."""
-    b, _, inv_a = coefficients[0]
-    prev, curr = 1.0, (u + b) * inv_a
-    for b, c, inv_a in coefficients[1:]:
-        prev, curr = curr, ((u + b) * curr - c * prev) * inv_a
-    return curr
+def _ladder_block(u, coefficients, degrees, peak: bool, shape, dtype):
+    """F_k at ``u`` for every k of ``degrees`` from the rows of
+    :func:`_hahn_coefficients` (one row per k < N = max(degrees)), and, when
+    ``peak``, max |F_k| over k <= N.  Only the requested degrees are kept,
+    so a one-degree call holds two rows whatever its degree; it also skips
+    the bookkeeping, since F_N is the last row."""
+    kept = {0: np.ones(shape, dtype=dtype)} if 0 in degrees else {}
+    top = np.ones(shape) if peak else None
+    n = len(coefficients)
+    if n:
+        track = peak or len(degrees) > 1
+        b, _, inv_a = coefficients[0]
+        prev, curr = 1.0, (u + b) * inv_a
+        for k in range(1, n):
+            if track:
+                if peak:
+                    top = np.maximum(top, np.abs(curr))
+                if k in degrees:
+                    kept[k] = curr
+            b, c, inv_a = coefficients[k]
+            prev, curr = curr, ((u + b) * curr - c * prev) * inv_a
+        if peak:
+            top = np.maximum(top, np.abs(curr))
+        kept[n] = curr
+    rows = [kept[k] for k in degrees]
+    if peak:
+        rows.append(top)
+    return rows
 
 
 def _vanishes_within(q, n: int) -> bool:
@@ -160,23 +198,51 @@ def _python_scalar(value):
     return value.real if value.imag == 0.0 else value
 
 
-def _hahn_recurrence(n: int, u, s, l1, l2):
-    """3F2(-n, n+s-1, u; l1, l2; 1) by the degree recurrence, cache-blocked.
-
-    The coefficients depend on (s, l1, l2) only: for scalar parameters they
-    are Python numbers computed once per call, and the loop over points is
-    five array operations per degree."""
-    if _vanishes_within(l1, n) or _vanishes_within(l2, n):
+def _ladder(degrees: tuple, s, u, lower1, lower2, peak: bool):
+    """:func:`hyp3f2_ladder` once Re s > 0 is known."""
+    n = max(degrees)
+    params = (u, s, lower1, lower2)
+    dtype = np.result_type(np.float64, *[np.asarray(p).dtype for p in params])
+    if n == 0:
+        # F_0 = 1 at every entry, and the peak with it
+        ones = np.ones(np.broadcast_shapes(*[np.shape(p) for p in params]), dtype=dtype)
+        values = (ones[()],) * len(degrees)
+        return (values, ones.real[()]) if peak else values
+    if _vanishes_within(lower1, n) or _vanishes_within(lower2, n):
         raise DenominatorPoleError("a lower parameter's Pochhammer factor vanishes "
                                    "within the summation range")
-    dtype = np.result_type(np.float64, *(np.asarray(p).dtype for p in (u, s, l1, l2)))
-    if all(np.ndim(p) == 0 for p in (s, l1, l2)):
-        rows = _hahn_coefficients(n, *(_python_scalar(p) for p in (s, l1, l2)))
-        value, = _blockwise(lambda u: (_recurrence_block(u, rows),), u)
+    if np.ndim(s) == 0 and np.ndim(lower1) == 0 and np.ndim(lower2) == 0:
+        # scalar (s, l1, l2): Python-number coefficients, computed once
+        rows = _hahn_coefficients(n, _python_scalar(s), _python_scalar(lower1),
+                                  _python_scalar(lower2))
+        out = _blockwise(lambda u: _ladder_block(u, rows, degrees, peak, u.shape, dtype), u)
     else:
-        value, = _blockwise(lambda u, s, l1, l2: (
-            _recurrence_block(u, _hahn_coefficients(n, s, l1, l2)),), u, s, l1, l2)
-    return np.asarray(value, dtype=dtype)
+        out = _blockwise(lambda u, s, l1, l2: _ladder_block(
+            u, _hahn_coefficients(n, s, l1, l2), degrees, peak,
+            np.broadcast_shapes(u.shape, s.shape, l1.shape, l2.shape), dtype), *params)
+    values = tuple([np.asarray(v, dtype=dtype)[()] for v in out[:len(degrees)]])
+    return (values, out[-1][()]) if peak else values
+
+
+def hyp3f2_ladder(degrees, s, u, lower1, lower2, peak: bool = False):
+    """F_k = 3F2(-k, k+s-1, u; lower1, lower2; 1) for every k of ``degrees``
+    from one run of the degree recurrence to N = max(degrees).
+
+    This is the one route of the continuous-Hahn 3F2 at Re s > 0 (at every
+    entry): the coefficient rows depend on (s, lower1, lower2) only, so the
+    recurrence that reaches F_N passes through every lower degree, and each
+    F_k equals the one-degree ladder to k bit for bit.  Only the requested
+    degrees are kept.  Returns a tuple with one value per entry of
+    ``degrees``, broadcast over the array parameters (0-d inputs give numpy
+    scalars); with ``peak`` it returns (values, max |F_k| over k <= N).
+    """
+    degrees = tuple(degrees)
+    if not degrees or any(k < 0 or k != int(k) for k in degrees):
+        raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
+    degrees = tuple([int(k) for k in degrees])
+    if not (complex(s).real > 0 if np.ndim(s) == 0 else np.all(np.real(s) > 0)):
+        raise ValueError("the degree recurrence needs Re s > 0")
+    return _ladder(degrees, s, u, lower1, lower2, peak)
 
 
 def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
@@ -184,8 +250,8 @@ def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
 
     This is the continuous-Hahn shape every theta factor, gamma-pair factor
     and Hahn polynomial reduces to, with s = upper2 - n + 1.  When
-    Re s > 0 (at every entry) it runs the degree recurrence of
-    :func:`_hahn_recurrence`, which is stable; otherwise, where the
+    Re s > 0 (at every entry) it is the one-degree case of
+    :func:`hyp3f2_ladder`, which is stable; otherwise, where the
     recurrence can divide by zero (s = 0, -1, ...), the forward series of
     :func:`_terminating_sum`.  The choice depends on the parameters only.
     Parameters (other than ``n``) may be arrays; the result broadcasts.
@@ -194,7 +260,7 @@ def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
         raise ValueError("series order n must be a nonnegative integer")
     n = int(n)
     s = np.asarray(upper2) - (n - 1.0)
-    if n > 0 and np.all(np.real(s) > 0):
-        return _hahn_recurrence(n, upper3, s[()], lower1, lower2)[()]
+    if complex(s).real > 0 if s.ndim == 0 else np.all(np.real(s) > 0):
+        return _ladder((n,), s[()], upper3, lower1, lower2, False)[0]
     value, _ = _terminating_sum([-float(n), upper2, upper3], [lower1, lower2], 1.0, n)
     return value[()]

@@ -12,6 +12,8 @@ These engines are the ground truth the closed forms are checked against:
   (1 - t_j^2)^((|n^{j+1}| + |m^{j+1}|)/2) C_{n_j}(t_j) C_{m_j}(t_j), so the
   tensor sum is evaluated one axis at a time, with the dense grid through
   the ball basis retained as a small-r cross-check (``mode="tensor"``);
+  the default 32-node rule is exact up to |n| + |m| = 63
+  (:func:`ball_default_spec`);
 * Fourier integrals are tensor-product quadratures; because every family
   member separates across axes, the tensor sum is normally evaluated in
   factored per-axis form (one reduction per axis for a whole set of
@@ -27,9 +29,12 @@ between calls.  The Fourier phase rows exp(-i xi x) are formed once per
 table call for each axis, on that axis's distinct frequencies.  The Gram
 routes (:func:`ball_gram_matrix`, :func:`hahn_gram_matrix` and
 :func:`d_biorthogonality_gram`) evaluate each index's factors, and the Hahn
-weight, once per rule.  Every entry of the Hahn and D matrices, and every
-upper-triangle entry of the ball matrix (its lower triangle is the
-mirror), is bit-identical to the pairwise call on the same rule.
+weight, once per rule; the Hahn polynomials of a Gram come from one 3F2
+ladder, and the gamma-pair factors from one gamma pair and one ladder per
+axis tail (j, |n^{j+1}|) and sign.  Every entry of the Hahn and D
+matrices, and every upper-triangle entry of the ball matrix (its lower
+triangle is the mirror), is bit-identical to the pairwise call on the
+same rule.
 
 Accumulation uses numpy's fixed pairwise reductions, so identical inputs
 produce bit-identical results regardless of scheduling.
@@ -46,13 +51,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .ball import (_check_mu, _index_list, ball_basis_eval, tail_sum,
                    validate_multi_index)
-from .classical import continuous_hahn, gegenbauer
-from .dfamily import DParams, d_axis_factor, d_family_eval
+from .classical import continuous_hahn_rows, gegenbauer
+from .dfamily import DParams, d_axis_rows, d_family_eval
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
-from .tanh_family import (FamilyParams, _axis_product_table, _frequency_vectors,
-                          family_axis_factor, family_eval, fourier_prefactor,
-                          theta_factor)
+from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_tails,
+                          _frequency_vectors, family_axis_factor, family_eval,
+                          fourier_prefactor, theta_factor)
 
 __all__ = [
     "QuadratureSpec",
@@ -94,11 +99,24 @@ class QuadratureSpec:
             raise ValueError("panels must be at least 1")
 
 
+# Gauss-Jacobi nodes per axis of the default ball rule
+_BALL_NODES = 32
+
+
 def ball_default_spec(r: int) -> QuadratureSpec:
-    """Defaults for ball inner products (Gauss-Jacobi rules are exact for the
-    polynomial integrands at these counts)."""
-    nodes = {1: 200, 2: 120}.get(r, 64)
-    return QuadratureSpec(nodes_per_axis=nodes, panels=1)
+    """Default rule of ball inner products, the same for every r: 32
+    Gauss-Jacobi nodes per axis.
+
+    It is exact for every pair with |n| + |m| <= 63.  A k-node
+    Gauss-Jacobi rule integrates polynomials of degree <= 2k - 1 exactly,
+    and the axis-j factor of a pair, (1 - t^2)^((|n^{j+1}| + |m^{j+1}|)/2)
+    C_{n_j}(t) C_{m_j}(t), is a polynomial of degree at most |n| + |m|
+    whenever |n^{j+1}| + |m^{j+1}| is even.  When it is odd, some deeper
+    axis i has n_i + m_i odd; the deepest such axis has an even tail, so its
+    factor is an odd polynomial, which the symmetric rule sums to zero, and
+    so does the exact integral.  ``r`` is kept for callers that pass it.
+    """
+    return QuadratureSpec(nodes_per_axis=_BALL_NODES, panels=1)
 
 
 def doubled_spec(spec: QuadratureSpec) -> QuadratureSpec:
@@ -251,15 +269,18 @@ def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
         distinct, inverse = np.unique(column, return_inverse=True)
         columns.append((np.exp(-1j * distinct[:, None] * nodes), inverse))
 
-    def axis_factor(j, params):
-        phases, inverse = columns[j - 1]
-        axis = (_fourier_axis_integral(j, params, phases, spec) if mode == "separated"
-                else _tanh_axis_integral(j, params, phases))
-        return axis[inverse]
-
-    table = _axis_product_table(members, flat.shape[:1],
-                                lambda params: np.ones(len(flat), dtype=np.complex128),
-                                axis_factor)
+    member_keys = [_axis_keys(params.n) for params in members]
+    factors = {}
+    for params, keys in zip(members, member_keys):
+        for key in keys:
+            if key not in factors:
+                j = key[0]
+                phases, inverse = columns[j - 1]
+                axis = (_fourier_axis_integral(j, params, phases, spec) if mode == "separated"
+                        else _tanh_axis_integral(j, params, phases))
+                factors[key] = axis[inverse]
+    heads = [np.ones(len(flat), dtype=np.complex128)] * len(members)
+    table = _axis_product_table(member_keys, flat.shape[:1], heads, factors)
     return table.reshape((len(members),) + xi.shape[:-1])
 
 
@@ -375,19 +396,25 @@ def _ball_axis_factors(n, mu: float, rules):
     return factors
 
 
-def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: str):
+def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: str,
+                       degree: int):
     """(rules, factors) for ball integrals of the basis polynomials
-    ``indices``: the rules the integral is summed on and, per index, its
-    factor on each rule, evaluated once per distinct index.  ``separated``
-    has one Gauss-Jacobi rule per axis and the per-axis factors;
-    ``tensor`` has the dense grid as its one rule and the basis values on
-    it."""
+    ``indices``, whose pairs have total degree |n| + |m| <= ``degree``: the
+    rules the integral is summed on and, per index, its factor on each
+    rule, evaluated once per distinct index.  ``separated`` has one
+    Gauss-Jacobi rule per axis and the per-axis factors; ``tensor`` has the
+    dense grid as its one rule and the basis values on it.  The default
+    rule is exact up to a pair degree of 63 (:func:`ball_default_spec`);
+    beyond it a ``spec`` must be passed."""
     if mode not in ("separated", "tensor"):
         raise ValueError("mode must be 'separated' or 'tensor'")
     mu = _check_mu(mu)
     r = len(indices[0])
     if spec is None:
         spec = ball_default_spec(r)
+        if degree > 2 * spec.nodes_per_axis - 1:
+            raise ValueError(f"pair degree {degree} is beyond the exact range of the default "
+                             f"{spec.nodes_per_axis}-node rule; pass a QuadratureSpec")
     if mode == "tensor":
         x, w = _ball_grid(r, mu, spec.nodes_per_axis)
         rules = [(x, w)]
@@ -424,7 +451,7 @@ def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = No
     :func:`ball_basis_eval`, as an independent check.
     """
     n, m, _ = _index_pair(n, m)
-    rules, (fn, fm) = _ball_factor_table([n, m], mu, spec, mode)
+    rules, (fn, fm) = _ball_factor_table([n, m], mu, spec, mode, sum(n) + sum(m))
     return _ball_pairing(fn, fm, rules)
 
 
@@ -433,7 +460,8 @@ def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
     """Gram matrix of several basis polynomials on one shared rule (modes
     as in :func:`ball_inner_product_numeric`)."""
     indices = _index_list(indices)
-    rules, basis = _ball_factor_table(indices, mu, spec, mode)
+    rules, basis = _ball_factor_table(indices, mu, spec, mode,
+                                      2 * max(sum(ix) for ix in indices))
     count = len(indices)
     gram = np.empty((count, count))
     for p in range(count):
@@ -470,7 +498,8 @@ def _hahn_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None
     x, w = _line_rule(spec)
     weight = np.exp(2.0 * np.real(log_gamma(a1 + 1j * x)) + 2.0 * np.real(log_gamma(a2 + 1j * x)))
     params = (a1, a2, a2, a1)
-    poly = {k: continuous_hahn(k, x, params) for k in dict.fromkeys([*rows, *cols])}
+    degrees = list(dict.fromkeys([*rows, *cols]))
+    poly = dict(zip(degrees, continuous_hahn_rows(degrees, x, params))) if degrees else {}
     weighted = {n: weight * poly[n] for n in dict.fromkeys(rows)}
     out = np.empty((len(rows), len(cols)), dtype=np.complex128)
     for p, n in enumerate(rows):
@@ -499,25 +528,36 @@ def hahn_gram_matrix(degrees, a1: float, a2: float,
     return _hahn_pairings(degrees, degrees, a1, a2, spec)
 
 
+def _d_axis_table(member_keys, x_j, a1: float, a2: float) -> dict:
+    """The gamma-pair family's axis factors at the points ``x_j`` with
+    parameters (a1, a2), one per axis key among ``member_keys``: one gamma
+    pair and one 3F2 ladder per axis tail (j, |n^{j+1}|)."""
+    r = len(member_keys[0])
+    table = {}
+    for (j, m), degrees in _axis_tails(member_keys).items():
+        rows = d_axis_rows(j, r, m, degrees, x_j, a1, a2)
+        table.update(((j, nj, m), row) for nj, row in zip(degrees, rows))
+    return table
+
+
 def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
     """Pairing integrals of the members ``rows`` at +ix (parameters a1, a2)
     against the members ``cols`` at -ix (parameters swapped), summed one
-    axis at a time on one rule; each index's axis factors are evaluated
-    once per sign."""
-    r = len(rows[0])
+    axis at a time on one rule; the axis factors of each sign are formed
+    once per axis key, from one ladder per axis tail."""
     if spec is None:
         spec = _d_pair_spec(a1, a2)
     x, w = _line_rule(spec)
-    plus = {n: [w * d_axis_factor(j, r, 1j * x, n, a1, a2) for j in range(1, r + 1)]
-            for n in dict.fromkeys(rows)}
-    minus = {m: [d_axis_factor(j, r, -1j * x, m, a2, a1) for j in range(1, r + 1)]
-             for m in dict.fromkeys(cols)}
+    keys = {n: _axis_keys(n) for n in dict.fromkeys([*rows, *cols])}
+    plus = {key: w * factor for key, factor in
+            _d_axis_table([keys[n] for n in rows], 1j * x, a1, a2).items()}
+    minus = _d_axis_table([keys[m] for m in cols], -1j * x, a2, a1)
     out = np.empty((len(rows), len(cols)), dtype=np.complex128)
     for p, n in enumerate(rows):
         for q, m in enumerate(cols):
             value = 1.0 + 0.0j
-            for wfn, fm in zip(plus[n], minus[m]):
-                value *= np.sum(wfn * fm)
+            for key_n, key_m in zip(keys[n], keys[m]):
+                value *= np.sum(plus[key_n] * minus[key_m])
             out[p, q] = value
     return out
 

@@ -6,10 +6,14 @@ a closed form: a power of two, Pochhammer prefactors, and one theta factor
 per axis.  Each theta factor is a beta function times a terminating 3F2 at
 unit argument, and can equivalently be written through a continuous Hahn
 polynomial; both routes are implemented and cross-checked.  The theta
-factor of axis j depends on the member only through (n_j, |n^{j+1}|), so a
-table of transforms over many multi-indices
-(:func:`fourier_closed_form_table`) evaluates each distinct axis factor
-once; a single member is the one-index table.
+factor of axis j depends on the member only through (n_j, |n^{j+1}|), and
+its beta factor and 3F2 parameters only through the axis tail
+(j, |n^{j+1}|): :func:`axis_ladder` forms them once per tail and runs one
+3F2 degree ladder for every n_j, the algebra the gamma-pair family shares.
+So a table of transforms over many multi-indices
+(:func:`fourier_closed_form_table`) runs one beta factor and one ladder
+per axis tail; a single member is the one-index table and
+:func:`theta_factor` the one-degree ladder.
 
 Transform convention: forward kernel exp(-i xi . x), no 1/(2 pi) prefactor.
 """
@@ -23,7 +27,7 @@ import numpy as np
 
 from .ball import _index_list, ball_basis_eval, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
-from .hypergeometric import hyp3f2_unit
+from .hypergeometric import hyp3f2_ladder, hyp3f2_unit
 from .special import beta_conjugate, pochhammer
 
 __all__ = [
@@ -36,6 +40,7 @@ __all__ = [
     "theta_factor",
     "theta_factor_hahn",
     "axis_parameters",
+    "axis_ladder",
     "axis_series",
     "fourier_prefactor",
     "fourier_closed_form",
@@ -137,42 +142,78 @@ def family_axis_factor(j: int, params: FamilyParams, x):
             * gegenbauer(params.n[j - 1], lam, np.tanh(x)))
 
 
+def _axis_tail(j: int, r: int, n) -> int:
+    """m = |n^{j+1}| of axis j, after checking that j is an axis of ``n``."""
+    if len(n) != r:
+        raise ValueError("n must have length r")
+    if not 1 <= j <= r:
+        raise ValueError("axis index out of range")
+    return tail_sum(n, j + 1)
+
+
+def _tail_parameters(j: int, r: int, m: int, a: float, mu: float, z):
+    """(q, arg_plus, arg_minus, s, lower1, lower2) of axis j at tail
+    m = |n^{j+1}|: q = (r - j)/4, the gamma arguments a + (m +- z)/2 + q
+    and the 3F2(-n_j, n_j + s - 1, arg_plus; lower1, lower2; 1) parameters,
+    with s = 2(m + mu + (r - j)/2) + 1 > 0.  None depends on n_j."""
+    q = (r - j) / 4.0
+    arg_plus = a + (m + z) / 2.0 + q
+    arg_minus = a + (m - z) / 2.0 + q
+    s = 2.0 * (m + mu + (r - j) / 2.0) + 1.0
+    lower1 = m + mu + (r - j + 1) / 2.0
+    lower2 = m + 2.0 * a + (r - j) / 2.0
+    return q, arg_plus, arg_minus, s, lower1, lower2
+
+
 def axis_parameters(j: int, r: int, n, a: float, mu: float, z):
     """Per-axis parameter algebra of the theta factors and the gamma-pair
     family: ``(m, q, arg_plus, arg_minus, upper2, lower1, lower2)`` with
     m = |n^{j+1}|, q = (r - j)/4, gamma arguments a + (m +- z)/2 + q and the
     3F2(-n_j, upper2, arg_plus; lower1, lower2; 1) parameters.  Theta takes
     z = i xi; the gamma-pair family takes z = x_j, a = a1, mu = a1 + a2 - 1/2.
+    The factors themselves run on :func:`axis_ladder`, which forms
+    s = upper2 - n_j + 1 from (m, mu, r - j), not from upper2.
     """
-    if len(n) != r:
-        raise ValueError("n must have length r")
-    if not 1 <= j <= r:
-        raise ValueError("axis index out of range")
-    m = tail_sum(n, j + 1)
-    q = (r - j) / 4.0
-    arg_plus = a + (m + z) / 2.0 + q
-    arg_minus = a + (m - z) / 2.0 + q
+    m = _axis_tail(j, r, n)
+    q, arg_plus, arg_minus, _, lower1, lower2 = _tail_parameters(j, r, m, a, mu, z)
     upper2 = n[j - 1] + 2.0 * (m + mu + (r - j) / 2.0)
-    lower1 = m + mu + (r - j + 1) / 2.0
-    lower2 = m + 2.0 * a + (r - j) / 2.0
     return m, q, arg_plus, arg_minus, upper2, lower1, lower2
+
+
+def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees, peak: bool = False):
+    """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
+    ``degrees``, from one degree recurrence (:func:`hyp3f2_ladder`):
+    ``(arg_plus, arg_minus, values)``, and with ``peak`` also the largest
+    |F_k| over k <= max(degrees).  The parameters s, lower1, lower2 and the
+    gamma arguments a + (m +- z)/2 + q depend on (j, m) only, so one ladder
+    serves every member sharing that axis tail; z as in
+    :func:`axis_parameters`."""
+    _, arg_plus, arg_minus, s, lower1, lower2 = _tail_parameters(j, r, m, a, mu, z)
+    out = hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2, peak)
+    return (arg_plus, arg_minus, *out) if peak else (arg_plus, arg_minus, out)
 
 
 def axis_series(j: int, r: int, n, a: float, mu: float, z):
     """The per-axis terminating 3F2 at unit argument of the gamma-pair
     family, the same series as in :func:`theta_factor` (which also needs
-    m and q for its beta factor): ``(arg_plus, arg_minus, value)``
-    with the gamma arguments of :func:`axis_parameters` and the value of
-    3F2(-n_j, upper2, arg_plus; lower1, lower2; 1) from :func:`hyp3f2_unit`
-    (here s = upper2 - n_j + 1 = 2m + 2mu + r - j + 1 > 0, so the degree
-    recurrence)."""
-    _, _, arg_plus, arg_minus, upper2, lower1, lower2 = axis_parameters(j, r, n, a, mu, z)
-    return arg_plus, arg_minus, hyp3f2_unit(n[j - 1], upper2, arg_plus, lower1, lower2)
+    m and q for its beta factor): ``(arg_plus, arg_minus, value)``, the
+    one-degree case of :func:`axis_ladder`."""
+    arg_plus, arg_minus, (value,) = axis_ladder(j, r, _axis_tail(j, r, n), a, mu, z,
+                                                (n[j - 1],))
+    return arg_plus, arg_minus, value
 
 
 def _theta_pieces(j: int, r: int, params: FamilyParams, xi):
     return axis_parameters(j, r, params.n, params.a, params.mu,
                            1j * np.asarray(xi, dtype=np.float64))
+
+
+def _theta_rows(j: int, r: int, m: int, degrees, a: float, mu: float, xi):
+    """Theta factors of axis j at tail m for every n_j in ``degrees`` at the
+    frequencies ``xi``: one beta factor and one 3F2 ladder."""
+    _, _, series = axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
+    beta = beta_conjugate(a + m / 2.0 + (r - j) / 4.0, xi / 2.0)
+    return [beta * value for value in series]
 
 
 def theta_factor(j: int, r: int, params: FamilyParams, xi):
@@ -184,9 +225,8 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     :func:`special.beta_conjugate` with one real part for all of ``xi``.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    m, q, arg_plus, _, upper2, lower1, lower2 = _theta_pieces(j, r, params, xi)
-    series = hyp3f2_unit(params.n[j - 1], upper2, arg_plus, lower1, lower2)
-    return beta_conjugate(params.a + m / 2.0 + q, xi / 2.0) * series
+    m = _axis_tail(j, r, params.n)
+    return _theta_rows(j, r, m, (params.n[j - 1],), params.a, params.mu, xi)[0]
 
 
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
@@ -204,9 +244,21 @@ def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
     return prefactor * beta_conjugate(big_a, xi / 2.0) * hahn
 
 
-def fourier_prefactor(params: FamilyParams) -> float:
-    """Constant multiplying the product of theta factors in the closed form:
-    the power of two and the per-axis Pochhammer ratios."""
+def _axis_keys(n) -> list[tuple[int, int, int]]:
+    """The axis keys (j, n_j, |n^{j+1}|) of the multi-index ``n``, in axis
+    order: the axis-j factor of a member (closed form, oracle or gamma-pair
+    family) depends on the member only through its key."""
+    return [(j, n[j - 1], tail_sum(n, j + 1)) for j in range(1, len(n) + 1)]
+
+
+def _pochhammer_ratio(key, r: int, mu: float) -> float:
+    """(2(m + mu + (r - j)/2))_{n_j} / n_j! of the axis key (j, n_j, m)."""
+    j, nj, m = key
+    return pochhammer(2.0 * (m + mu + (r - j) / 2.0), nj) / math.factorial(nj)
+
+
+def _prefactor(params: FamilyParams, ratios) -> float:
+    """The power of two times the per-axis ``ratios`` (axis order)."""
     r = params.r
     n = params.n
     exponent = 2.0 * r * params.a + r * (r - 5) / 4.0
@@ -214,11 +266,16 @@ def fourier_prefactor(params: FamilyParams) -> float:
     if exponent * math.log(2.0) > _LOG_SCALE_LIMIT:
         raise OverflowError("closed-form scale exceeds double range")
     value = 2.0 ** exponent
-    for j in range(1, r + 1):
-        m = tail_sum(n, j + 1)
-        value *= (pochhammer(2.0 * (m + params.mu + (r - j) / 2.0), n[j - 1])
-                  / math.factorial(n[j - 1]))
+    for ratio in ratios:
+        value *= ratio
     return value
+
+
+def fourier_prefactor(params: FamilyParams) -> float:
+    """Constant multiplying the product of theta factors in the closed form:
+    the power of two and the per-axis Pochhammer ratios."""
+    return _prefactor(params, [_pochhammer_ratio(key, params.r, params.mu)
+                               for key in _axis_keys(params.n)])
 
 
 def _frequency_vectors(xi, r: int) -> np.ndarray:
@@ -229,35 +286,56 @@ def _frequency_vectors(xi, r: int) -> np.ndarray:
     return xi
 
 
-def _axis_product_table(members, shape, head, axis_factor):
-    """Rows head(member) * f_1 * ... * f_r of shape ``shape`` for members
-    sharing a, mu and r.  The axis-j factor depends on a member only through
-    its axis key (j, n_j, |n^{j+1}|), so ``axis_factor(j, member)`` runs
-    once per distinct key; each row multiplies in axis order, as a
+def _axis_product_table(member_keys, shape, heads, factors):
+    """Rows head * f_1 * ... * f_r of shape ``shape``, one per entry of
+    ``member_keys`` (each member's :func:`_axis_keys`), from ``factors``,
+    one per distinct axis key.  Each row multiplies in axis order, as a
     one-member table does, so batching changes no bit."""
-    factors = {}
-    out = np.empty((len(members),) + shape, dtype=np.complex128)
-    for p, params in enumerate(members):
-        value = head(params)
-        for j in range(1, params.r + 1):
-            key = (j, params.n[j - 1], tail_sum(params.n, j + 1))
-            if key not in factors:
-                factors[key] = axis_factor(j, params)
+    out = np.empty((len(member_keys),) + shape, dtype=np.complex128)
+    for p, (value, keys) in enumerate(zip(heads, member_keys)):
+        for key in keys:
             value = value * factors[key]
         out[p] = value
     return out
 
 
+def _axis_tails(member_keys) -> dict:
+    """The degrees n_j of every axis tail (j, m) among the keys, in order of
+    first appearance."""
+    tails = {}
+    for keys in member_keys:
+        for j, nj, m in keys:
+            tails.setdefault((j, m), {})[nj] = None
+    return {tail: tuple(degrees) for tail, degrees in tails.items()}
+
+
 def _closed_form_table(members, xi):
     """Closed form of each member of ``members`` (parameters sharing a, mu
     and r) at the frequency vectors ``xi``, shape (len(members),) +
-    xi.shape[:-1]: one theta factor per axis key, on the column
-    xi[..., j - 1]."""
+    xi.shape[:-1].  Per axis tail (j, m) one beta factor and one 3F2 ladder
+    give the theta factor of every degree n_j, on the distinct entries of
+    the column xi[..., j - 1], found once per axis (a single vector stays
+    0-d); the Pochhammer ratios are formed once per axis key."""
     r = members[0].r
+    a, mu = members[0].a, members[0].mu
     xi = _frequency_vectors(xi, r)
-    return _axis_product_table(members, xi.shape[:-1],
-                               lambda params: complex(fourier_prefactor(params)),
-                               lambda j, params: theta_factor(j, r, params, xi[..., j - 1]))
+    member_keys = [_axis_keys(params.n) for params in members]
+    shape = xi.shape[:-1]
+    if shape:
+        columns = [np.unique(xi[..., j].reshape(-1), return_inverse=True) for j in range(r)]
+    factors = {}
+    for (j, m), degrees in _axis_tails(member_keys).items():
+        if shape:
+            distinct, inverse = columns[j - 1]
+            rows = [row[inverse].reshape(shape)
+                    for row in _theta_rows(j, r, m, degrees, a, mu, distinct)]
+        else:
+            rows = _theta_rows(j, r, m, degrees, a, mu, xi[j - 1])
+        factors.update(((j, nj, m), row) for nj, row in zip(degrees, rows))
+    ratios = {key: _pochhammer_ratio(key, r, mu) for key in factors}
+    heads = [complex(_prefactor(params, [ratios[key] for key in keys]))
+             for params, keys in zip(members, member_keys)]
+    return _axis_product_table(member_keys, shape, heads, factors)
 
 
 def fourier_closed_form(params: FamilyParams, xi):
@@ -279,7 +357,8 @@ def fourier_closed_form_table(indices, a: float, mu: float, xi):
     whose row p is :func:`fourier_closed_form` of indices[p], bit for bit.
     Each theta factor is evaluated once per distinct axis key
     (j, n_j, |n^{j+1}|), so the cost grows with the number of keys, not
-    with the number of indices."""
+    with the number of indices; each axis tail (j, |n^{j+1}|) runs one
+    3F2 ladder for all its degrees n_j."""
     return _closed_form_table([FamilyParams(a, mu, n) for n in _index_list(indices)], xi)
 
 

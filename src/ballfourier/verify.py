@@ -26,9 +26,8 @@ from . import quadrature as quad
 from .ball import ball_norm, ball_operator_residual, tail_sum
 from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
-from .hypergeometric import hyp3f2_unit
 from .special import beta_conjugate, gamma
-from .tanh_family import (FamilyParams, axis_parameters, fourier_closed_form,
+from .tanh_family import (FamilyParams, axis_ladder, fourier_closed_form,
                           fourier_closed_form_table, fourier_prefactor,
                           fourier_via_recursion, theta_factor_hahn)
 
@@ -225,18 +224,15 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     :func:`fourier_value_scale`, and whether any axis series is
     cancellation-risky (its value below a fixed fraction of its peak).  The
     peak of axis j is max over k <= n_j of |F_k|, the same 3F2 at the lower
-    degrees k with s held fixed, i.e. the recurrence's own trajectory."""
+    degrees k with s held fixed: one ladder per axis gives both."""
     r = params.r
     scale = float(fourier_prefactor(params))
     low_confidence = False
     for j in range(1, r + 1):
-        nj = params.n[j - 1]
-        _, _, arg_plus, _, upper2, lower1, lower2 = axis_parameters(
-            j, r, params.n, params.a, params.mu, 1j * float(xi[j - 1]))
-        values = [hyp3f2_unit(k, upper2 - nj + k, arg_plus, lower1, lower2)
-                  for k in range(nj + 1)]
-        peak = max(abs(v) for v in values)
-        low_confidence = low_confidence or abs(values[-1]) < _LOW_CONFIDENCE_RATIO * peak
+        arg_plus, _, (value,), peak = axis_ladder(
+            j, r, tail_sum(params.n, j + 1), params.a, params.mu, 1j * float(xi[j - 1]),
+            (params.n[j - 1],), peak=True)
+        low_confidence = low_confidence or abs(value) < _LOW_CONFIDENCE_RATIO * peak
         scale *= abs(beta_conjugate(arg_plus.real, arg_plus.imag)) * float(peak)
     return scale, low_confidence
 
@@ -367,11 +363,13 @@ def _parseval_case(n, m, a1, a2, tol, floor):
                              resolutions))
     # the xi-side, rescaled by the transform constants, is the pairing of the
     # gamma-pair family; compare it with the closed-form pairing constant
-    k_n = _transform_pair_constant(FamilyParams(a1, mu, n))
-    k_m = _transform_pair_constant(FamilyParams(a2, mu, m))
+    # (and its gate compares both sides in those units, against its floor)
+    k = _transform_pair_constant(FamilyParams(a1, mu, n)) * _transform_pair_constant(
+        FamilyParams(a2, mu, m))
     pair_target = d_orthogonality_constant(n, a1, a2) if n == m else 0.0
-    out.append(_gated_report("parseval-pair-constant", base, rhs / (k_n * k_m), pair_target,
-                             tol, floor * 4.0 * math.pi / abs(k_n * k_m), resolutions))
+    out.append(_gated_report("parseval-pair-constant", base, rhs / k, pair_target,
+                             tol, floor * 4.0 * math.pi / abs(k),
+                             [(value / k, fine / k) for value, fine in resolutions]))
     return out
 
 

@@ -150,14 +150,14 @@ class TestBallInnerProduct:
             assert one == sep[p, q]
 
     def test_tensor_mode_grid_limit(self):
-        assert 64 ** 4 > _TENSOR_GRID_LIMIT
+        assert ball_default_spec(5).nodes_per_axis ** 5 > _TENSOR_GRID_LIMIT
         with pytest.raises(ValueError):
-            ball_inner_product_numeric((0,) * 4, (0,) * 4, 0.5, mode="tensor")
+            ball_inner_product_numeric((0,) * 5, (0,) * 5, 0.5, mode="tensor")
         with pytest.raises(ValueError):
             ball_gram_matrix([(0, 0, 0)], 0.5, QuadratureSpec(256, panels=1), mode="tensor")
         # the separated default reaches the same r at per-axis cost
-        value = ball_inner_product_numeric((1, 0, 0, 1), (1, 0, 0, 1), 0.5)
-        assert rel_err(value, ball_norm((1, 0, 0, 1), 0.5)) <= 1e-12
+        value = ball_inner_product_numeric((1, 0, 0, 0, 1), (1, 0, 0, 0, 1), 0.5)
+        assert rel_err(value, ball_norm((1, 0, 0, 0, 1), 0.5)) <= 1e-12
 
     def test_rejects_bad_mode_and_mu(self):
         with pytest.raises(ValueError):
@@ -412,20 +412,20 @@ class TestFourierTables:
 
     def test_one_factor_per_axis_key(self, monkeypatch):
         from ballfourier import quadrature, tanh_family
-        axis_calls, theta_calls = [], []
-        axis_integral, theta = quadrature._fourier_axis_integral, tanh_family.theta_factor
+        axis_calls, ladder_calls = [], []
+        axis_integral, ladder = quadrature._fourier_axis_integral, tanh_family.axis_ladder
 
         def recording_axis(j, params, phases, spec):
             axis_calls.append((j, params.n[j - 1], tail_sum(params.n, j + 1),
                                np.shape(phases)[:-1]))
             return axis_integral(j, params, phases, spec)
 
-        def recording_theta(j, r, params, xi):
-            theta_calls.append((j, params.n[j - 1], tail_sum(params.n, j + 1), np.shape(xi)))
-            return theta(j, r, params, xi)
+        def recording_ladder(j, r, m, a, mu, z, degrees, peak=False):
+            ladder_calls.append((j, m, tuple(degrees), np.shape(z)))
+            return ladder(j, r, m, a, mu, z, degrees, peak)
 
         monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording_axis)
-        monkeypatch.setattr(tanh_family, "theta_factor", recording_theta)
+        monkeypatch.setattr(tanh_family, "axis_ladder", recording_ladder)
         indices = self.INDICES[3]
         grid = np.array(list(itertools.product((-3.0, 2.0), repeat=3)))
         fourier_numeric_table(indices, 1.0, 0.5, grid)
@@ -435,9 +435,15 @@ class TestFourierTables:
         # the oracle integrates each key once, on the axis's distinct frequencies
         assert sorted(call[:3] for call in axis_calls) == sorted(keys)
         assert {call[3] for call in axis_calls} == {(2,)}
-        # the closed form takes the grid column a per-index call uses
-        assert sorted(call[:3] for call in theta_calls) == sorted(keys)
-        assert {call[3] for call in theta_calls} == {(8,)}
+        # the closed form runs one 3F2 ladder per axis tail (j, m) for all
+        # of its degrees, also on the axis's distinct frequencies
+        tails = {}
+        for j, nj, m in keys:
+            tails.setdefault((j, m), set()).add(nj)
+        assert len(tails) < len(keys)
+        assert sorted(call[:2] for call in ladder_calls) == sorted(tails)
+        assert all(set(degrees) == tails[j, m] for j, m, degrees, _ in ladder_calls)
+        assert {call[3] for call in ladder_calls} == {(2,)}
 
     @pytest.mark.parametrize("table", [fourier_closed_form_table, fourier_numeric_table])
     def test_rejects_bad_input(self, table):

@@ -107,22 +107,26 @@ class TestFamilyEval:
 
 class TestAxisSeries:
     def test_matches_the_spec_route(self, rng):
-        # the value is hyp3f2_unit's on axis_parameters (the degree
-        # recurrence, s > 0) and, at these degrees (<= 6), agrees with the
+        # the value is the one-degree ladder at s = 2(m + mu + (r - j)/2) + 1
+        # (the degree recurrence, s > 0), which is upper2 - n_j + 1 up to
+        # the rounding of upper2; at these degrees (<= 6) it agrees with the
         # forward series of the 3F2 written out as a spec object
-        from ballfourier.hypergeometric import HypergeometricSpec, pfq_diagnostics
+        from ballfourier.hypergeometric import (HypergeometricSpec, hyp3f2_ladder,
+                                                pfq_diagnostics)
         for _ in range(40):
             r = int(rng.integers(1, 4))
             params = random_params(rng, r, max_total=6)
             j = int(rng.integers(1, r + 1))
             z = 1j * float(rng.uniform(-3, 3))
             ap, am, value = axis_series(j, r, params.n, params.a, params.mu, z)
-            _, _, ap2, am2, upper2, lower1, lower2 = axis_parameters(
+            m, _, ap2, am2, upper2, lower1, lower2 = axis_parameters(
                 j, r, params.n, params.a, params.mu, z)
             nj = params.n[j - 1]
             spec = HypergeometricSpec((-float(nj), upper2, ap2), (lower1, lower2), 1.0, nj)
             assert (ap, am) == (ap2, am2)
-            assert value == hyp3f2_unit(nj, upper2, ap2, lower1, lower2)
+            s = 2.0 * (m + params.mu + (r - j) / 2.0) + 1.0
+            assert value == hyp3f2_ladder((nj,), s, ap2, lower1, lower2)[0]
+            assert rel_err(value, hyp3f2_unit(nj, upper2, ap2, lower1, lower2)) <= 1e-14
             assert rel_err(value, pfq_diagnostics(spec)[0]) <= 1e-9
 
     def test_theta_and_d_factors_share_it(self, rng):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,32 @@ class TestLayering:
         assert {rep.identity_name for rep in reports} == {
             "parseval", "parseval-ball-value", "parseval-pair-constant"}
         assert all(not rep.passed and rep.low_confidence for rep in reports)
+
+    @pytest.mark.parametrize("drift_floors, stable", [(2.0, True), (8.0, False)])
+    def test_parseval_pair_gate_is_in_pair_units(self, monkeypatch, drift_floors, stable):
+        # the pair report compares rhs / (k_n k_m) with the floor
+        # floor * 4 pi / |k_n k_m|, so its gate divides both resolution
+        # pairs by k_n k_m too.  At (1,) x (1,), a1 = 1, a2 = 0.75,
+        # |k_n k_m| = 19.9: a doubled-rule drift of the raw xi side by
+        # 2 pi floor is 0.5 of that floor in pair units, 8 pi floor is 2.0
+        sides = quadrature.parseval_sides
+        floor = 1e-8
+        drift = drift_floors * math.pi * floor
+
+        def drifting(n, m, a1, a2, spec=None):
+            lhs, rhs = sides(n, m, a1, a2, spec)
+            if spec == quadrature.QuadratureSpec():
+                return lhs, rhs
+            return lhs, rhs + drift
+
+        monkeypatch.setattr(quadrature, "parseval_sides", drifting)
+        reports = {rep.identity_name: rep
+                   for rep in verify._parseval_case((1,), (1,), 1.0, 0.75, 0.0, floor)}
+        pair = reports["parseval-pair-constant"]
+        assert pair.low_confidence is not stable
+        assert pair.passed is stable
+        # the raw sides' reports gate the raw drift against the side floor
+        assert reports["parseval"].low_confidence and not reports["parseval"].passed
 
     def test_ball_ort_entries_are_the_pair_integrals(self):
         from ballfourier.quadrature import ball_default_spec, ball_inner_product_numeric
