@@ -10,7 +10,7 @@ from .dfamily import (DParams, d_family_eval, d_family_eval_hahn,
                       d_orthogonality_constant)
 from .errors import (DenominatorPoleError, DomainError,
                      NonFiniteIntegrandError, PoleError)
-from .hypergeometric import HypergeometricSpec, hyp3f2_unit, pfq_terminating
+from .hypergeometric import HypergeometricSpec, hyp3f2_unit
 from .quadrature import (QuadratureSpec, ball_inner_product_numeric,
                          d_biorthogonality_integral, fourier_numeric,
                          fourier_numeric_table, hahn_orthogonality_integral,
@@ -29,7 +29,7 @@ __all__ = [
     "QuadratureSpec", "VerificationReport",
     "PoleError", "DenominatorPoleError", "DomainError", "NonFiniteIntegrandError",
     "log_gamma", "gamma", "pochhammer",
-    "pfq_terminating", "hyp3f2_unit",
+    "hyp3f2_unit",
     "jacobi", "gegenbauer", "gegenbauer_series", "gegenbauer_norm", "continuous_hahn",
     "hahn_orthogonality_constant",
     "tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",

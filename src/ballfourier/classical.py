@@ -1,11 +1,12 @@
 """Classical univariate families: Jacobi, Gegenbauer, continuous Hahn.
 
 Normalizations match the hypergeometric representations used throughout the
-library.  The Gegenbauer evaluation route is the 2F1 form (the one the ball
-transforms generalize); the explicit Jacobi sum exists as an independent
-cross-check path only.  The continuous Hahn polynomials of several degrees
-come from one 3F2 degree ladder (:func:`continuous_hahn_rows`); a single
-degree is its one-degree case.
+library.  The Gegenbauer evaluation route is the three-term recurrence in
+the degree; the terminating 2F1 form (the one the ball transforms
+generalize, :func:`gegenbauer_series`) and the explicit Jacobi sum exist as
+independent cross-check paths only.  The continuous Hahn polynomials of
+several degrees come from one 3F2 degree ladder
+(:func:`continuous_hahn_rows`); a single degree is its one-degree case.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DenominatorPoleError
-from .hypergeometric import _terminating_sum, hyp3f2_ladder, hyp3f2_unit
+from .hypergeometric import _terminating_sum, hyp3f2_ladder
 from .special import log_gamma, pochhammer
 
 __all__ = [
@@ -142,23 +142,12 @@ def gegenbauer_norm(n: int, lam: float) -> float:
 
 def continuous_hahn_rows(degrees, x, params):
     """Continuous Hahn polynomials p_n(x; a, b, c, d) for every n in
-    ``degrees``, from one 3F2 ladder (s = a + b + c + d does not depend on
-    n).  Each entry is :func:`continuous_hahn` of its degree, bit for bit.
-    Where Re s <= 0 the recurrence cannot run, and each degree takes the
-    forward series."""
+    ``degrees``, from one call of :func:`hyp3f2_ladder` (s = a + b + c + d
+    does not depend on n), which also makes the route choice and the pole
+    check.  Each entry is :func:`continuous_hahn` of its degree, bit for bit."""
     degrees = [_check_degree(n) for n in degrees]
     a, b, c, d = map(complex, params)
-    top = max(degrees)
-    for lower in (a + c, a + d):
-        if lower.imag == 0.0 and lower.real <= 0.0 and lower.real == int(lower.real) and lower.real > -top:
-            raise DenominatorPoleError(
-                f"Hahn lower parameter {lower} vanishes within the summation range")
-    s = a + b + c + d
-    u = a + 1j * np.asarray(x)
-    if s.real > 0:
-        series = hyp3f2_ladder(degrees, s, u, a + c, a + d)
-    else:
-        series = [hyp3f2_unit(n, n + a + b + c + d - 1.0, u, a + c, a + d) for n in degrees]
+    series = hyp3f2_ladder(degrees, a + b + c + d, a + 1j * np.asarray(x), a + c, a + d)
     return [(1j ** n) * pochhammer(a + c, n) * pochhammer(a + d, n) / math.factorial(n) * value
             for n, value in zip(degrees, series)]
 

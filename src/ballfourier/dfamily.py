@@ -23,7 +23,7 @@ import numpy as np
 from .ball import ball_norm, tail_sum, validate_multi_index
 from .classical import continuous_hahn
 from .special import gamma, gamma_pair, log_gamma, pochhammer
-from .tanh_family import _axis_tail, axis_ladder, axis_parameters
+from .tanh_family import _axis_tail, _tail_parameters, axis_ladder
 
 __all__ = [
     "DParams",
@@ -90,8 +90,9 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):
     """Axis-j factor in continuous-Hahn form; must equal :func:`d_axis_factor`."""
     nj = n[j - 1]
-    m, q, gplus, gminus, _, lower1, lower2 = axis_parameters(
-        j, r, n, a1, a1 + a2 - 0.5, np.asarray(x_j))
+    m = _axis_tail(j, r, n)
+    q, gplus, gminus, _, lower1, lower2 = _tail_parameters(j, r, m, a1, a1 + a2 - 0.5,
+                                                           np.asarray(x_j))
     big_a1 = a1 + m / 2.0 + q
     big_a2 = a2 + m / 2.0 + q
     prefactor = (math.factorial(nj) * (1j ** (-nj))

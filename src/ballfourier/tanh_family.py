@@ -39,9 +39,7 @@ __all__ = [
     "family_axis_factor",
     "theta_factor",
     "theta_factor_hahn",
-    "axis_parameters",
     "axis_ladder",
-    "axis_series",
     "fourier_prefactor",
     "fourier_closed_form",
     "fourier_closed_form_table",
@@ -165,47 +163,17 @@ def _tail_parameters(j: int, r: int, m: int, a: float, mu: float, z):
     return q, arg_plus, arg_minus, s, lower1, lower2
 
 
-def axis_parameters(j: int, r: int, n, a: float, mu: float, z):
-    """Per-axis parameter algebra of the theta factors and the gamma-pair
-    family: ``(m, q, arg_plus, arg_minus, upper2, lower1, lower2)`` with
-    m = |n^{j+1}|, q = (r - j)/4, gamma arguments a + (m +- z)/2 + q and the
-    3F2(-n_j, upper2, arg_plus; lower1, lower2; 1) parameters.  Theta takes
-    z = i xi; the gamma-pair family takes z = x_j, a = a1, mu = a1 + a2 - 1/2.
-    The factors themselves run on :func:`axis_ladder`, which forms
-    s = upper2 - n_j + 1 from (m, mu, r - j), not from upper2.
-    """
-    m = _axis_tail(j, r, n)
-    q, arg_plus, arg_minus, _, lower1, lower2 = _tail_parameters(j, r, m, a, mu, z)
-    upper2 = n[j - 1] + 2.0 * (m + mu + (r - j) / 2.0)
-    return m, q, arg_plus, arg_minus, upper2, lower1, lower2
-
-
 def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees, peak: bool = False):
     """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
     ``degrees``, from one degree recurrence (:func:`hyp3f2_ladder`):
     ``(arg_plus, arg_minus, values)``, and with ``peak`` also the largest
     |F_k| over k <= max(degrees).  The parameters s, lower1, lower2 and the
     gamma arguments a + (m +- z)/2 + q depend on (j, m) only, so one ladder
-    serves every member sharing that axis tail; z as in
-    :func:`axis_parameters`."""
+    serves every member sharing that axis tail.  Theta takes z = i xi; the
+    gamma-pair family takes z = x_j, a = a1 and mu = a1 + a2 - 1/2."""
     _, arg_plus, arg_minus, s, lower1, lower2 = _tail_parameters(j, r, m, a, mu, z)
     out = hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2, peak)
     return (arg_plus, arg_minus, *out) if peak else (arg_plus, arg_minus, out)
-
-
-def axis_series(j: int, r: int, n, a: float, mu: float, z):
-    """The per-axis terminating 3F2 at unit argument of the gamma-pair
-    family, the same series as in :func:`theta_factor` (which also needs
-    m and q for its beta factor): ``(arg_plus, arg_minus, value)``, the
-    one-degree case of :func:`axis_ladder`."""
-    arg_plus, arg_minus, (value,) = axis_ladder(j, r, _axis_tail(j, r, n), a, mu, z,
-                                                (n[j - 1],))
-    return arg_plus, arg_minus, value
-
-
-def _theta_pieces(j: int, r: int, params: FamilyParams, xi):
-    return axis_parameters(j, r, params.n, params.a, params.mu,
-                           1j * np.asarray(xi, dtype=np.float64))
 
 
 def _theta_rows(j: int, r: int, m: int, degrees, a: float, mu: float, xi):
@@ -233,7 +201,8 @@ def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
     """The same theta factor written through a continuous Hahn polynomial
     evaluated at xi/2.  Must agree with :func:`theta_factor`."""
     xi = np.asarray(xi, dtype=np.float64)
-    m, q, _, _, _, lower1, lower2 = _theta_pieces(j, r, params, xi)
+    m = _axis_tail(j, r, params.n)
+    q, _, _, _, lower1, lower2 = _tail_parameters(j, r, m, params.a, params.mu, 1j * xi)
     nj = params.n[j - 1]
     big_a = params.a + m / 2.0 + q
     big_b = params.mu - params.a + (m + 1.0) / 2.0 + q

@@ -76,17 +76,21 @@ def make_report(identity_name: str, parameters: dict, lhs, rhs, tolerance: float
                               low_confidence=low_confidence or not finite)
 
 
-def _gated_report(name, parameters, lhs, rhs, tolerance, abs_floor, resolutions):
+def _gated_report(name, parameters, lhs, rhs, tolerance, abs_floor, resolutions,
+                  override=None):
     """Report on lhs against rhs behind the node-doubling stability gate:
     ``resolutions`` holds a (base, doubled-rule) pair per quadrature value
     the verdict rests on.  The verdict stands only if doubling moves each by
-    at most the tolerance (relative) or the floor; otherwise the report
-    fails and is flagged low-confidence."""
+    at most the suite's ``tolerance`` (relative) or the floor; otherwise the
+    report fails and is flagged low-confidence.  A user tolerance
+    (``override``) judges lhs against rhs only: whether the rule has
+    converged does not depend on how close the user wants the sides."""
     stable = all(abs(complex(base) - complex(doubled))
                  <= max(tolerance * max(abs(complex(base)), abs(complex(doubled))),
                         abs_floor)
                  for base, doubled in resolutions)
-    report = make_report(name, parameters, lhs, rhs, tolerance, abs_floor=abs_floor,
+    verdict = tolerance if override is None else override
+    report = make_report(name, parameters, lhs, rhs, verdict, abs_floor=abs_floor,
                          low_confidence=not stable)
     return report if stable else dataclasses.replace(report, passed=False)
 
@@ -96,16 +100,19 @@ def _base_and_doubled(spec, integral):
     return [integral(s) for s in (spec, quad.doubled_spec(spec))]
 
 
-def _ort_report(name, parameters, n, m, norm, values, tolerance, floor_factor):
+def _ort_report(name, parameters, n, m, norm, values, tolerance, floor_factor,
+                override=None):
     """Orthogonality verdict on the (base, doubled-rule) quadrature values of
     <p_n, p_m>: the target is norm(n) on the diagonal and 0 off it, where
-    the floor is ``floor_factor`` * sqrt(norm(n) norm(m))."""
+    the floor is ``floor_factor`` * sqrt(norm(n) norm(m)); ``tolerance``
+    is the suite's and ``override`` the user's (see :func:`_gated_report`)."""
     value, fine = values
     if n == m:
         target, floor = norm(n), 0.0
     else:
         target, floor = 0.0, floor_factor * math.sqrt(norm(n) * norm(m))
-    return _gated_report(name, parameters, value, target, tolerance, floor, [(value, fine)])
+    return _gated_report(name, parameters, value, target, tolerance, floor, [(value, fine)],
+                         override)
 
 
 class SplitMix64:
@@ -150,7 +157,6 @@ def _random_multi_index(rng: SplitMix64, r: int, max_total: int) -> tuple[int, .
 
 def _suite_gegenbauer_ort(seed: int, r_max: int, tolerance: float | None):
     # a degree-n Gegenbauer polynomial is the r = 1 ball basis member (n,)
-    tol = tolerance if tolerance is not None else 1e-10
     reports = []
     for lam in (0.3, 1.0, 2.5):
         grams = _base_and_doubled(quad.ball_default_spec(1), lambda s: quad.ball_gram_matrix(
@@ -158,7 +164,8 @@ def _suite_gegenbauer_ort(seed: int, r_max: int, tolerance: float | None):
         for n, m in itertools.combinations_with_replacement(range(7), 2):
             reports.append(_ort_report(
                 "gegenbauer-ort", {"lambda": lam, "n": n, "m": m}, n, m,
-                lambda k: gegenbauer_norm(k, lam), [g[n, m] for g in grams], tol, 1e-10))
+                lambda k: gegenbauer_norm(k, lam), [g[n, m] for g in grams], 1e-10, 1e-10,
+                tolerance))
     return reports
 
 
@@ -181,7 +188,7 @@ def _suite_ball_ort(seed: int, r_max: int, tolerance: float | None):
             reports.append(_ort_report(
                 "ball-ort", {"r": r, "mu": mu, "n": list(n), "m": list(m)}, n, m,
                 lambda ix: ball_norm(ix, mu), [g[position[n], position[m]] for g in grams],
-                tolerance if tolerance is not None else default_tol, floor_factor))
+                default_tol, floor_factor, tolerance))
     return reports
 
 
@@ -290,18 +297,16 @@ def fourier_report(params: FamilyParams, xi, tolerance: float | None = None):
     """Closed-form transform of ``params`` at the frequency vector ``xi``
     (lhs) against the separated quadrature oracle (rhs), with the oracle
     behind the node-doubling gate."""
-    tol = tolerance if tolerance is not None else _FOURIER_TOLERANCE
     oracle, fine = _base_and_doubled(quad.QuadratureSpec(),
                                      lambda s: quad.fourier_numeric(params, xi, s))
     parameters = {"r": params.r, "n": list(params.n), "a": params.a, "mu": params.mu,
                   "xi": [float(v) for v in xi]}
     return _gated_report("fourier", parameters, fourier_closed_form(params, xi), oracle,
-                         tol, _FOURIER_FLOOR, [(oracle, fine)])
+                         _FOURIER_TOLERANCE, _FOURIER_FLOOR, [(oracle, fine)], tolerance)
 
 
 def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
                           quick: bool = False):
-    tol = tolerance if tolerance is not None else _FOURIER_TOLERANCE
     reports = []
     a_values = (0.5, 1.0, 1.75)
     mu_values = (0.5, 1.25)
@@ -322,12 +327,12 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
                         reports.append(_gated_report(
                             "fourier-oracle",
                             {"r": r, "n": list(n), "a": a, "mu": mu, "xi": list(xi)},
-                            lhs, rhs, tol, _FOURIER_FLOOR, [(rhs, rhs_fine)]))
+                            lhs, rhs, _FOURIER_TOLERANCE, _FOURIER_FLOOR, [(rhs, rhs_fine)],
+                            tolerance))
     return reports
 
 
 def _suite_hahn_ort(seed: int, r_max: int, tolerance: float | None):
-    tol = tolerance if tolerance is not None else 1e-6
     degrees = range(5)
     reports = []
     for a1, a2 in ((0.5, 0.5), (1.0, 0.75)):
@@ -337,7 +342,7 @@ def _suite_hahn_ort(seed: int, r_max: int, tolerance: float | None):
             reports.append(_ort_report(
                 "hahn-ort", {"a1": a1, "a2": a2, "n": n, "m": m}, n, m,
                 lambda k: hahn_orthogonality_constant(k, a1, a2), [g[n, m] for g in grams],
-                tol, 1e-6))
+                1e-6, 1e-6, tolerance))
     return reports
 
 
@@ -351,16 +356,16 @@ def _transform_pair_constant(params: FamilyParams) -> float:
     return float(value)
 
 
-def _parseval_case(n, m, a1, a2, tol, floor):
+def _parseval_case(n, m, a1, a2, tol, floor, override=None):
     (lhs, rhs), (lhs_fine, rhs_fine) = _base_and_doubled(
         quad.QuadratureSpec(), lambda s: quad.parseval_sides(n, m, a1, a2, s))
     resolutions = [(lhs, lhs_fine), (rhs, rhs_fine)]
     base = {"r": len(n), "n": list(n), "m": list(m), "a1": a1, "a2": a2}
     mu = a1 + a2 - 0.5
-    out = [_gated_report("parseval", base, lhs, rhs, tol, floor, resolutions)]
+    out = [_gated_report("parseval", base, lhs, rhs, tol, floor, resolutions, override)]
     target = (2.0 * math.pi) ** len(n) * ball_norm(n, mu) if n == m else 0.0
     out.append(_gated_report("parseval-ball-value", base, lhs, target, tol, floor,
-                             resolutions))
+                             resolutions, override))
     # the xi-side, rescaled by the transform constants, is the pairing of the
     # gamma-pair family; compare it with the closed-form pairing constant
     # (and its gate compares both sides in those units, against its floor)
@@ -369,7 +374,7 @@ def _parseval_case(n, m, a1, a2, tol, floor):
     pair_target = d_orthogonality_constant(n, a1, a2) if n == m else 0.0
     out.append(_gated_report("parseval-pair-constant", base, rhs / k, pair_target,
                              tol, floor * 4.0 * math.pi / abs(k),
-                             [(value / k, fine / k) for value, fine in resolutions]))
+                             [(value / k, fine / k) for value, fine in resolutions], override))
     return out
 
 
@@ -379,15 +384,14 @@ def _suite_parseval(seed: int, r_max: int, tolerance: float | None):
                  ((3,), (3,), 0.5, 0.5), ((2,), (0,), 1.0, 0.75)),
              2: (((0, 0), (0, 0), 0.5, 0.5), ((1, 0), (1, 0), 1.0, 0.5),
                  ((1, 0), (0, 1), 1.0, 0.5), ((1, 1), (1, 1), 1.0, 0.75))}
+    # each r's default tolerance is its floor
     for r, floor in ((1, 1e-8), (2, 1e-6))[:r_max]:
-        tol = tolerance if tolerance is not None else floor
         for n, m, a1, a2 in cases[r]:
-            reports.extend(_parseval_case(n, m, a1, a2, tol, floor))
+            reports.extend(_parseval_case(n, m, a1, a2, floor, floor, tolerance))
     return reports
 
 
 def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
-    tol = tolerance if tolerance is not None else 1e-4
     cases = [((0.5, 0.5), _multi_indices(1, 3)), ((1.0, 0.75), _multi_indices(1, 3))]
     if r_max >= 2:
         cases.append(((1.0, 0.75), _multi_indices(2, 2)))
@@ -399,7 +403,7 @@ def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
             reports.append(_ort_report(
                 "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)},
                 n, m, lambda ix: d_orthogonality_constant(ix, a1, a2), [g[p, q] for g in grams],
-                tol, 1e-5))
+                1e-4, 1e-5, tolerance))
     return reports
 
 

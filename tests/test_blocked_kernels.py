@@ -102,17 +102,6 @@ def test_hahn_recurrence_entries_match_single_calls(rng, size):
         assert _same_bits(value[i], hyp3f2_unit(12, 16.5, arg[i:i + 1], 3.2, 2.6)[0]), i
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_hahn_recurrence_with_array_parameters_matches_single_calls(rng, size):
-    # per-entry lower parameters take the per-block coefficient route
-    arg = rng.uniform(0.3, 3.0, size) + 1j * rng.uniform(-4.0, 4.0, size)
-    lower = rng.uniform(0.5, 3.0, size)
-    value = hyp3f2_unit(9, 10.25 + 0.5j, arg, lower, 1.75)
-    for i in _probe_indices(size):
-        single = hyp3f2_unit(9, 10.25 + 0.5j, arg[i:i + 1], lower[i:i + 1], 1.75)
-        assert _same_bits(value[i], single[0]), i
-
-
 def test_terminating_sum_broadcast_shapes(rng):
     # a (rows, 1) numerator against a (1, cols) argument: blocked output
     # has the broadcast shape and every entry of the unblocked call

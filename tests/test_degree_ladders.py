@@ -13,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ballfourier import FamilyParams, hyp3f2_unit, tail_sum, theta_factor, verify
+from ballfourier import (DenominatorPoleError, FamilyParams, hyp3f2_unit, tail_sum,
+                         theta_factor, verify)
 from ballfourier.dfamily import d_axis_factor
-from ballfourier.hypergeometric import hyp3f2_ladder
+from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from ballfourier.quadrature import (QuadratureSpec, _jacgauss_cached, ball_default_spec,
                                     ball_gram_matrix, ball_inner_product_numeric,
                                     d_biorthogonality_gram, d_biorthogonality_integral,
@@ -74,8 +75,39 @@ class TestLadderKernel:
             hyp3f2_ladder((2.5,), 1.5, 0.3, 1.0, 1.0)
         assert hyp3f2_ladder((np.int64(3), 2.0), 1.5, 0.3, 1.0, 1.0) == hyp3f2_ladder(
             (3, 2), 1.5, 0.3, 1.0, 1.0)
+        # s = 0, where the recurrence would divide by zero, is the forward
+        # series with upper parameter s + (k - 1), bit for bit
+        forward, _ = _terminating_sum([-2.0, 1.0, 0.3], [1.0, 1.0], 1.0, 2)
+        assert _same_bits(hyp3f2_ladder((2,), 0.0, 0.3, 1.0, 1.0)[0], forward[()])
+
+    def test_array_parameters_raise(self):
+        # only u broadcasts; s, lower1 and lower2 (upper2 of hyp3f2_unit) are scalars
+        u = np.array([0.3, 0.7 + 1j])
+        for s, l1, l2 in ((np.array([1.5, 2.5]), 1.0, 1.0), (1.5, np.array([1.0]), 1.0),
+                          (1.5, 1.0, [1.0, 2.0]), (np.array([-0.5, 0.5]), 1.0, 1.0)):
+            with pytest.raises(ValueError, match="scalars"):
+                hyp3f2_ladder((2,), s, u, l1, l2)
+            with pytest.raises(ValueError, match="scalars"):
+                hyp3f2_unit(2, np.asarray(s) + 1.0, u, l1, l2)
+        assert hyp3f2_ladder((2,), np.float64(1.5), u, np.array(1.0), 1.0)[0].shape == (2,)
+
+    def test_forward_route(self, rng):
+        # at Re s <= 0 each degree is its own forward series: the ladder's
+        # rows are the one-degree calls, the pole check is the recurrence's,
+        # and there is no peak
+        u = rng.uniform(0.3, 3.0, 6) + 1j * rng.uniform(-4.0, 4.0, 6)
+        s = -2.375 + 0.5j
+        rows = hyp3f2_ladder((4, 0, 2), s, u, 1.25, 0.75)
+        for k, row in zip((4, 0, 2), rows):
+            forward, _ = _terminating_sum([-float(k), s + (k - 1.0), u], [1.25, 0.75], 1.0, k)
+            assert _same_bits(row, forward[()]), k
+            assert _same_bits(row, hyp3f2_unit(k, k + s - 1.0, u, 1.25, 0.75)), k
+        for s in (-2.375, 2.375):
+            with pytest.raises(DenominatorPoleError):
+                hyp3f2_ladder((1, 4), s, u, 1.25, -3.0)
+            assert np.all(np.isfinite(hyp3f2_ladder((3,), s, u, 1.25, -3.0)[0]))
         with pytest.raises(ValueError, match="Re s > 0"):
-            hyp3f2_ladder((2,), 0.0, 0.3, 1.0, 1.0)
+            hyp3f2_ladder((4,), -2.375, u, 1.25, 0.75, peak=True)
 
     def test_one_degree_call_keeps_one_row(self, rng):
         # 13 rows of 1e5 complex values would be 21 MB; one is 1.6 MB

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballfourier import DenominatorPoleError, HypergeometricSpec, hyp3f2_unit, pfq_terminating
+from ballfourier import DenominatorPoleError, HypergeometricSpec, hyp3f2_unit
 from ballfourier.hypergeometric import _terminating_sum, pfq_diagnostics
 from conftest import rel_err
 
@@ -32,15 +32,15 @@ class TestSpecValidation:
 class TestTerminatingSums:
     def test_order_zero_is_one(self):
         spec = HypergeometricSpec((-0.0, 4.0), (2.0,), 0.3, 0)
-        assert pfq_terminating(spec) == 1.0
+        assert pfq_diagnostics(spec)[0] == 1.0
 
     def test_two_term_2f1(self):
         spec = HypergeometricSpec((-1.0, 2.0), (3.0,), 0.5, 1)
-        assert pfq_terminating(spec) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert pfq_diagnostics(spec)[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_3f2_against_rational_oracle(self):
         spec = HypergeometricSpec((-2.0, 4.0, 1.5), (2.0, 2.5), 1.0, 2)
-        assert pfq_terminating(spec) == pytest.approx(F32_EXAMPLE, rel=1e-14)
+        assert pfq_diagnostics(spec)[0] == pytest.approx(F32_EXAMPLE, rel=1e-14)
 
     def test_denominator_pole_during_sum(self):
         with pytest.raises(DenominatorPoleError):
@@ -68,9 +68,11 @@ class TestHyp3f2Unit:
         assert hyp3f2_unit(1, 2.0, 1.0, 2.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_cross_checks_pfq(self, rng):
-        # s = upper2 - n + 1: Re s <= 0 takes the forward series, bit for bit
-        # the spec route; Re s > 0 the degree recurrence, which at degree
-        # <= 6 agrees with the forward series to 1e-9 relative
+        # s = upper2 - (n - 1): Re s <= 0 takes the forward series, bit for
+        # bit the spec route on the upper parameter s + (n - 1) it forms
+        # from s (which may differ from upper2 in the last bit); Re s > 0
+        # the degree recurrence, which at degree <= 6 agrees with the
+        # forward series to 1e-9 relative
         routes = set()
         for n in range(1, 7):
             for _ in range(20):
@@ -79,9 +81,10 @@ class TestHyp3f2Unit:
                 l1 = complex(rng.uniform(0.5, 3), rng.uniform(-2, 2))
                 l2 = complex(rng.uniform(0.5, 3), rng.uniform(-2, 2))
                 direct = complex(hyp3f2_unit(n, u2, u3, l1, l2))
-                spec = HypergeometricSpec((-float(n), u2, u3), (l1, l2), 1.0, n)
-                forward = complex(pfq_terminating(spec))
-                if (u2 - n + 1).real <= 0:
+                s = u2 - (n - 1.0)
+                spec = HypergeometricSpec((-float(n), s + (n - 1.0), u3), (l1, l2), 1.0, n)
+                forward = complex(pfq_diagnostics(spec)[0])
+                if s.real <= 0:
                     routes.add("forward")
                     assert direct == forward
                 else:

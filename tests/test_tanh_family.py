@@ -6,10 +6,10 @@ import pytest
 from ballfourier import (FamilyParams, family_eval, family_eval_peel_first,
                          family_eval_peel_last, fourier_closed_form,
                          fourier_via_recursion, gegenbauer, hyp3f2_unit,
-                         pochhammer, tanh_ball_map, theta_factor,
+                         pochhammer, tail_sum, tanh_ball_map, theta_factor,
                          theta_factor_hahn)
 from ballfourier.special import beta_conjugate
-from ballfourier.tanh_family import (axis_parameters, axis_series, family_axis_factor,
+from ballfourier.tanh_family import (_tail_parameters, axis_ladder, family_axis_factor,
                                      fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
@@ -106,6 +106,7 @@ class TestFamilyEval:
 
 
 class TestAxisSeries:
+    # the per-axis 3F2 of one member: the one-degree case of axis_ladder
     def test_matches_the_spec_route(self, rng):
         # the value is the one-degree ladder at s = 2(m + mu + (r - j)/2) + 1
         # (the degree recurrence, s > 0), which is upper2 - n_j + 1 up to
@@ -118,13 +119,13 @@ class TestAxisSeries:
             params = random_params(rng, r, max_total=6)
             j = int(rng.integers(1, r + 1))
             z = 1j * float(rng.uniform(-3, 3))
-            ap, am, value = axis_series(j, r, params.n, params.a, params.mu, z)
-            m, _, ap2, am2, upper2, lower1, lower2 = axis_parameters(
-                j, r, params.n, params.a, params.mu, z)
-            nj = params.n[j - 1]
+            m, nj = tail_sum(params.n, j + 1), params.n[j - 1]
+            ap, am, (value,) = axis_ladder(j, r, m, params.a, params.mu, z, (nj,))
+            _, ap2, am2, s, lower1, lower2 = _tail_parameters(j, r, m, params.a, params.mu, z)
+            upper2 = nj + 2.0 * (m + params.mu + (r - j) / 2.0)
             spec = HypergeometricSpec((-float(nj), upper2, ap2), (lower1, lower2), 1.0, nj)
             assert (ap, am) == (ap2, am2)
-            s = 2.0 * (m + params.mu + (r - j) / 2.0) + 1.0
+            assert s == 2.0 * (m + params.mu + (r - j) / 2.0) + 1.0
             assert value == hyp3f2_ladder((nj,), s, ap2, lower1, lower2)[0]
             assert rel_err(value, hyp3f2_unit(nj, upper2, ap2, lower1, lower2)) <= 1e-14
             assert rel_err(value, pfq_diagnostics(spec)[0]) <= 1e-9
@@ -136,10 +137,11 @@ class TestAxisSeries:
         xi = rng.uniform(-3, 3, size=7)
         x = rng.uniform(-2, 2, size=7)
         for j in (1, 2, 3):
-            ap, _, series = axis_series(j, 3, params.n, params.a, params.mu, 1j * xi)
+            m, nj = tail_sum(params.n, j + 1), (params.n[j - 1],)
+            ap, _, (series,) = axis_ladder(j, 3, m, params.a, params.mu, 1j * xi, nj)
             assert np.array_equal(theta_factor(j, 3, params, xi),
                                   beta_conjugate(ap.real, ap.imag) * series)
-            gp, gm, series = axis_series(j, 3, params.n, 0.7, 0.7 + 0.9 - 0.5, x)
+            gp, gm, (series,) = axis_ladder(j, 3, m, 0.7, 0.7 + 0.9 - 0.5, x, nj)
             assert np.array_equal(d_axis_factor(j, 3, x, params.n, 0.7, 0.9),
                                   gamma_pair(gm, gp) * series)
 
@@ -174,7 +176,6 @@ class TestThetaFactor:
             assert rel_err(lhs, rhs) <= 1e-13
 
     def test_hahn_form_agrees(self, rng):
-        from ballfourier.tanh_family import _theta_pieces
         for _ in range(200):
             r = int(rng.integers(1, 4))
             n = tuple(int(v) for v in rng.multinomial(int(rng.integers(0, 7)), [1.0 / r] * r))
@@ -183,7 +184,8 @@ class TestThetaFactor:
             xi = float(rng.uniform(-3, 3))
             lhs = theta_factor(j, r, params, xi)
             rhs = theta_factor_hahn(j, r, params, xi)
-            _, _, ap, _, _, _, _ = _theta_pieces(j, r, params, xi)
+            # the beta argument a + (m + i xi)/2 + (r - j)/4
+            ap = params.a + (tail_sum(params.n, j + 1) + 1j * xi) / 2.0 + (r - j) / 4.0
             bscale = abs(beta_conjugate(ap.real, ap.imag))
             assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), bscale)
 

@@ -68,6 +68,25 @@ class TestStabilityGate:
         report = _gated_report("x", {}, 1.0, 1.0, 1e-6, 1.0, [(1.0, float("nan"))])
         assert not report.passed and report.low_confidence
 
+    def test_override_judges_the_sides_only(self):
+        # the gate holds the drift to the suite's tolerance; a user
+        # tolerance, tighter or looser, moves the verdict, not the gate
+        lhs, rhs = 1.0, 1.0 + 1e-9
+        tight = _gated_report("x", {}, lhs, rhs, 1e-6, 0.0, [(lhs, lhs + 1e-12)], 0.0)
+        assert tight == make_report("x", {}, lhs, rhs, 0.0)
+        assert not tight.passed and not tight.low_confidence
+        loose = _gated_report("x", {}, lhs, rhs, 1e-6, 0.0, [(lhs, lhs + 1e-3)], 1.0)
+        assert not loose.passed and loose.low_confidence and loose.tolerance == 1.0
+
+    @pytest.mark.parametrize("suite", ["gegenbauer-ort", "ball-ort", "hahn-ort", "dfamily-ort"])
+    def test_zero_tolerance_keeps_converged_rules_confident(self, suite):
+        # at tolerance 0 the diagonal gate used to demand a drift of exactly
+        # 0 and flagged converged quadrature low-confidence (6 of 30 in
+        # hahn-ort); the verdicts still use the user's tolerance
+        reports = run_suite(suite, tolerance=0.0)
+        assert not any(rep.low_confidence for rep in reports)
+        assert {rep.tolerance for rep in reports} == {0.0}
+
 
 class TestSuites:
     def test_unknown_suite_rejected(self):
