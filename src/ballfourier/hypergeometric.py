@@ -9,10 +9,11 @@ it runs the three-term recurrence of these polynomials in the degree
 Their q-Analogues*, 2010, eq. 9.4.3), which keeps its accuracy at every
 degree the tests reach; the forward series loses all digits by degree 20.
 The recurrence's coefficients depend on (s, l1, l2) only, so one run to
-the largest degree asked for returns every requested F_k (and, on request,
-the peak max |F_k|).  For Re s <= 0, where the recurrence can divide by
-zero, each degree takes the forward series; no suite or workload reaches
-it, and its measured accuracy is stated in :func:`hyp3f2_ladder`.
+the largest degree asked for returns every requested F_k.  For Re s <= 0,
+where the recurrence can divide by zero, each degree up to 12 takes the
+forward series, and a higher degree raises ValueError; no suite or
+workload reaches it, and its measured accuracy is stated in
+:func:`hyp3f2_ladder`.
 :func:`hyp3f2_unit` is the one-degree case, with s = upper2 - n + 1.  The
 general engine :func:`_terminating_sum` sums a terminating pFq forward with
 compensated (Kahan) addition; it serves the Gegenbauer 2F1 cross-check, the
@@ -42,6 +43,9 @@ from .errors import DenominatorPoleError
 from .special import _blockwise
 
 __all__ = ["HypergeometricSpec", "pfq_diagnostics", "hyp3f2_unit", "hyp3f2_ladder"]
+
+# highest degree of the forward series at Re s <= 0, its measured range
+_FORWARD_DEGREE_LIMIT = 12
 
 
 def _is_nonpositive_integer(value: complex) -> bool:
@@ -152,33 +156,22 @@ def _hahn_coefficients(n: int, s, l1, l2):
     return rows
 
 
-def _ladder_block(u, coefficients, degrees, peak: bool, dtype):
+def _ladder_block(u, coefficients, degrees, dtype):
     """F_k at ``u`` for every k of ``degrees`` from the rows of
-    :func:`_hahn_coefficients` (one row per k < N = max(degrees), N >= 1), and, when
-    ``peak``, max |F_k| over k <= N.  Only the requested degrees are kept,
-    so a one-degree call holds two rows whatever its degree; it also skips
-    the bookkeeping, since F_N is the last row."""
+    :func:`_hahn_coefficients` (one row per k < N = max(degrees), N >= 1).
+    Only the requested degrees are kept, so a one-degree call holds two
+    rows whatever its degree."""
     kept = {0: np.ones(u.shape, dtype=dtype)} if 0 in degrees else {}
-    top = np.ones(u.shape) if peak else None
     n = len(coefficients)
-    track = peak or len(degrees) > 1
     b, _, inv_a = coefficients[0]
     prev, curr = 1.0, (u + b) * inv_a
     for k in range(1, n):
-        if track:
-            if peak:
-                top = np.maximum(top, np.abs(curr))
-            if k in degrees:
-                kept[k] = curr
+        if k in degrees:
+            kept[k] = curr
         b, c, inv_a = coefficients[k]
         prev, curr = curr, ((u + b) * curr - c * prev) * inv_a
-    if peak:
-        top = np.maximum(top, np.abs(curr))
     kept[n] = curr
-    rows = [kept[k] for k in degrees]
-    if peak:
-        rows.append(top)
-    return rows
+    return [kept[k] for k in degrees]
 
 
 def _vanishes_within(q, n: int) -> bool:
@@ -192,24 +185,21 @@ def _python_scalar(value):
     return value.real if value.imag == 0.0 else value
 
 
-def _ladder(degrees: tuple, s, u, lower1, lower2, peak: bool):
+def _ladder(degrees: tuple, s, u, lower1, lower2):
     """The degree recurrence of :func:`_hyp3f2` (Re s > 0): Python-number
     coefficient rows, formed once, run over every block of ``u``."""
     n = max(degrees)
     dtype = np.result_type(np.float64, *[np.asarray(p).dtype for p in (u, s, lower1, lower2)])
     if n == 0:
-        # F_0 = 1 at every entry, and the peak with it
-        ones = np.ones(np.shape(u), dtype=dtype)
-        values = (ones[()],) * len(degrees)
-        return (values, ones.real[()]) if peak else values
+        # F_0 = 1 at every entry
+        return (np.ones(np.shape(u), dtype=dtype)[()],) * len(degrees)
     rows = _hahn_coefficients(n, _python_scalar(s), _python_scalar(lower1),
                               _python_scalar(lower2))
-    out = _blockwise(lambda u: _ladder_block(u, rows, degrees, peak, dtype), u)
-    values = tuple([np.asarray(v, dtype=dtype)[()] for v in out[:len(degrees)]])
-    return (values, out[-1][()]) if peak else values
+    out = _blockwise(lambda u: _ladder_block(u, rows, degrees, dtype), u)
+    return tuple([np.asarray(v, dtype=dtype)[()] for v in out])
 
 
-def _hyp3f2(degrees: tuple, s, u, lower1, lower2, peak: bool):
+def _hyp3f2(degrees: tuple, s, u, lower1, lower2):
     """:func:`hyp3f2_ladder` once its arguments are checked: the one pole
     check and the one route choice of the continuous-Hahn 3F2."""
     n = max(degrees)
@@ -217,15 +207,16 @@ def _hyp3f2(degrees: tuple, s, u, lower1, lower2, peak: bool):
         raise DenominatorPoleError("a lower parameter's Pochhammer factor vanishes "
                                    "within the summation range")
     if complex(s).real > 0:
-        return _ladder(degrees, s, u, lower1, lower2, peak)
-    if peak:
-        raise ValueError("the peak max |F_k| needs Re s > 0 (the degree recurrence)")
+        return _ladder(degrees, s, u, lower1, lower2)
+    if n > _FORWARD_DEGREE_LIMIT:
+        raise ValueError(f"degree {n} at Re s <= 0 is beyond the forward series' measured "
+                         f"range (degree <= {_FORWARD_DEGREE_LIMIT})")
     sums = [_terminating_sum([-float(k), s + (k - 1.0), u], [lower1, lower2], 1.0, k)
             for k in degrees]
     return tuple([value[()] for value, _ in sums])
 
 
-def hyp3f2_ladder(degrees, s, u, lower1, lower2, peak: bool = False):
+def hyp3f2_ladder(degrees, s, u, lower1, lower2):
     """F_k = 3F2(-k, k+s-1, u; lower1, lower2; 1) for every k of ``degrees``.
 
     The one entry point of the continuous-Hahn 3F2.  ``s``, ``lower1`` and
@@ -244,18 +235,19 @@ def hyp3f2_ladder(degrees, s, u, lower1, lower2, peak: bool = False):
     the measured worst relative error (1,100 seeded draws per degree) is
     below 1e-13 up to degree 4, 8e-12 at degree 6, 9e-10 at degree 8,
     5e-8 at degree 10 and 9e-6 at degree 12
-    (``tests/test_hahn_recurrence.py`` pins it per degree).
+    (``tests/test_hahn_recurrence.py`` pins it per degree).  Beyond
+    degree 12 it is unmeasured (at degree 30 it is off by five orders of
+    magnitude), so N > 12 at Re s <= 0 raises ValueError.
 
     Returns a tuple with one value per entry of ``degrees`` (a 0-d ``u``
-    gives numpy scalars); with ``peak`` it returns (values, max |F_k| over
-    k <= N), which only the recurrence gives (ValueError at Re s <= 0).
+    gives numpy scalars).
     """
     degrees = tuple(degrees)
     if not degrees or any(k < 0 or k != int(k) for k in degrees):
         raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
     if np.ndim(s) or np.ndim(lower1) or np.ndim(lower2):
         raise ValueError("s, lower1 and lower2 must be scalars; only u broadcasts")
-    return _hyp3f2(tuple([int(k) for k in degrees]), s, u, lower1, lower2, peak)
+    return _hyp3f2(tuple([int(k) for k in degrees]), s, u, lower1, lower2)
 
 
 def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
@@ -271,4 +263,4 @@ def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
     if np.ndim(upper2) or np.ndim(lower1) or np.ndim(lower2):
         raise ValueError("upper2, lower1 and lower2 must be scalars; only upper3 broadcasts")
     n = int(n)
-    return _hyp3f2((n,), upper2 - (n - 1.0), upper3, lower1, lower2, False)[0]
+    return _hyp3f2((n,), upper2 - (n - 1.0), upper3, lower1, lower2)[0]

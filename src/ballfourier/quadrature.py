@@ -19,19 +19,19 @@ These engines are the ground truth the closed forms are checked against:
   factored per-axis form (one reduction per axis for a whole set of
   frequencies), with a dense tensor mode and a tanh-substituted mode
   retained as independent cross-checks; the axis-j integral depends on the
-  member only through (n_j, |n^{j+1}|), so a table over many multi-indices
-  (:func:`fourier_numeric_table`, separated and tanh modes) computes it
-  once per distinct axis key.
+  member only through its axis key (j, n_j, |n^{j+1}|), so a table over
+  many multi-indices (:func:`fourier_numeric_table`, separated and tanh
+  modes) computes it once per key.
 
 Tables that depend only on the rule are built once per process.  The rules
 themselves are cached by their parameters; they are the only state kept
 between calls.  The Fourier phase rows exp(-i xi x) are formed once per
 table call for each axis, on that axis's distinct frequencies.  The Gram
-routes (:func:`ball_gram_matrix`, :func:`hahn_gram_matrix` and
-:func:`d_biorthogonality_gram`) evaluate each index's factors, and the Hahn
-weight, once per rule; the Hahn polynomials of a Gram come from one 3F2
-ladder, and the gamma-pair factors from one gamma pair and one ladder per
-axis tail (j, |n^{j+1}|) and sign.  Every entry of the Hahn and D
+routes (:func:`ball_gram_matrix`, :func:`d_biorthogonality_gram`) evaluate
+each axis key's factor once per rule and sign, through
+:func:`tanh_family._axis_table`, with one gamma pair and one ladder per
+axis tail; :func:`hahn_gram_matrix` evaluates the Hahn weight once and its
+polynomials from one 3F2 ladder.  Every entry of the Hahn and D
 matrices, and every upper-triangle entry of the ball matrix (its lower
 triangle is the mirror), is bit-identical to the pairwise call on the
 same rule.
@@ -49,15 +49,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import (_check_mu, _index_list, ball_basis_eval, tail_sum,
-                   validate_multi_index)
-from .classical import continuous_hahn_rows, gegenbauer
+from .ball import _check_mu, _index_list, ball_basis_eval, validate_multi_index
+from .classical import continuous_hahn_rows
 from .dfamily import DParams, d_axis_rows, d_family_eval
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
-from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_tails,
-                          _frequency_vectors, family_axis_factor, family_eval,
-                          fourier_prefactor, theta_factor)
+from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_table,
+                          _frequency_vectors, _gegenbauer_factor, _sech_power,
+                          family_axis_factor, family_eval, fourier_prefactor, theta_factor)
 
 __all__ = [
     "QuadratureSpec",
@@ -226,24 +225,23 @@ def _tanh_rule(levels: int = 120, nodes_per_panel: int = 16, central_panels: int
 _TENSOR_GRID_LIMIT = 8_000_000
 
 
-def _fourier_axis_integral(j: int, params: FamilyParams, phases, spec: QuadratureSpec):
-    """Axis-j quadrature of the transform against ``phases``, the rows
-    exp(-i xi x) on the nodes of the line rule of ``spec``, one row per
-    frequency: one pairwise node sum per row, so a row's value does not
-    depend on the other rows."""
+def _fourier_axis_integral(key, r: int, a: float, mu: float, phases, spec: QuadratureSpec):
+    """Quadrature of the transform of the axis factor of the key
+    (j, n_j, m) against ``phases``, the rows exp(-i xi x) on the nodes of
+    the line rule of ``spec``, one row per frequency: one pairwise node sum
+    per row, so a row's value does not depend on the other rows."""
     x, w = _line_rule(spec)
-    return np.sum((w * family_axis_factor(j, params, x)) * phases, axis=-1)
+    factor = _gegenbauer_factor(key, r, mu, 1.0 / np.cosh(x) ** 2, _sech_power(key, r, a),
+                                np.tanh(x))
+    return np.sum((w * factor) * phases, axis=-1)
 
 
-def _tanh_axis_integral(j: int, params: FamilyParams, phases):
-    """Axis-j transform against ``phases``, the rows exp(-i xi x) on the
-    tanh-substituted node set of :func:`_tanh_rule`."""
+def _tanh_axis_integral(key, r: int, a: float, mu: float, phases):
+    """Transform of the axis factor of the key (j, n_j, m) against
+    ``phases``, the rows exp(-i xi x) on the tanh-substituted node set of
+    :func:`_tanh_rule`."""
     u, om2, _, w = _tanh_rule()
-    r = params.r
-    m = tail_sum(params.n, j + 1)
-    lam = params.mu + m + (r - j) / 2.0
-    factor = (om2 ** (params.a + (r - j) / 4.0 + m / 2.0 - 1.0)
-              * gegenbauer(params.n[j - 1], lam, u))
+    factor = _gegenbauer_factor(key, r, mu, om2, _sech_power(key, r, a) - 1.0, u)
     return np.sum(w * (factor * phases), axis=-1)
 
 
@@ -258,7 +256,7 @@ def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
         raise ValueError("mode must be 'separated' or 'tanh'")
     if mode == "tanh" and spec is not None:
         raise ValueError("the tanh mode integrates on a fixed node set; pass spec=None")
-    r = members[0].r
+    r, a, mu = members[0].r, members[0].a, members[0].mu
     xi = _frequency_vectors(xi, r)
     if spec is None:
         spec = QuadratureSpec()
@@ -269,16 +267,15 @@ def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
         distinct, inverse = np.unique(column, return_inverse=True)
         columns.append((np.exp(-1j * distinct[:, None] * nodes), inverse))
 
+    def axis_rows(j, m, degrees):
+        phases, inverse = columns[j - 1]
+        if mode == "separated":
+            return [_fourier_axis_integral((j, nj, m), r, a, mu, phases, spec)[inverse]
+                    for nj in degrees]
+        return [_tanh_axis_integral((j, nj, m), r, a, mu, phases)[inverse] for nj in degrees]
+
     member_keys = [_axis_keys(params.n) for params in members]
-    factors = {}
-    for params, keys in zip(members, member_keys):
-        for key in keys:
-            if key not in factors:
-                j = key[0]
-                phases, inverse = columns[j - 1]
-                axis = (_fourier_axis_integral(j, params, phases, spec) if mode == "separated"
-                        else _tanh_axis_integral(j, params, phases))
-                factors[key] = axis[inverse]
+    factors = _axis_table(member_keys, axis_rows)
     heads = [np.ones(len(flat), dtype=np.complex128)] * len(members)
     table = _axis_product_table(member_keys, flat.shape[:1], heads, factors)
     return table.reshape((len(members),) + xi.shape[:-1])
@@ -382,30 +379,18 @@ def _ball_grid(r: int, mu: float, nodes: int):
     return x, w
 
 
-def _ball_axis_factors(n, mu: float, rules):
-    """The basis polynomial ``n`` in nested-radius coordinates, one factor
-    per axis: (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j) on the nodes
-    of axis j, lambda_j = mu + |n^{j+1}| + (r - j)/2.  Their product over j
-    is the basis polynomial at the mapped point."""
-    r = len(n)
-    factors = []
-    for j, (t, _) in enumerate(rules, start=1):
-        m = tail_sum(n, j + 1)
-        factors.append((1.0 - t * t) ** (m / 2.0)
-                       * gegenbauer(n[j - 1], mu + m + (r - j) / 2.0, t))
-    return factors
-
-
 def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: str,
                        degree: int):
     """(rules, factors) for ball integrals of the basis polynomials
     ``indices``, whose pairs have total degree |n| + |m| <= ``degree``: the
     rules the integral is summed on and, per index, its factor on each
-    rule, evaluated once per distinct index.  ``separated`` has one
-    Gauss-Jacobi rule per axis and the per-axis factors; ``tensor`` has the
-    dense grid as its one rule and the basis values on it.  The default
-    rule is exact up to a pair degree of 63 (:func:`ball_default_spec`);
-    beyond it a ``spec`` must be passed."""
+    rule.  ``separated`` has one Gauss-Jacobi rule per axis and the factors
+    (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j) on the nodes of axis
+    j, evaluated once per axis key; their product over j is the basis
+    polynomial at the mapped point.  ``tensor`` has the dense grid as its
+    one rule and the basis values on it, evaluated once per distinct
+    index.  The default rule is exact up to a pair degree of 63
+    (:func:`ball_default_spec`); beyond it a ``spec`` must be passed."""
     if mode not in ("separated", "tensor"):
         raise ValueError("mode must be 'separated' or 'tensor'")
     mu = _check_mu(mu)
@@ -417,12 +402,18 @@ def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: st
                              f"{spec.nodes_per_axis}-node rule; pass a QuadratureSpec")
     if mode == "tensor":
         x, w = _ball_grid(r, mu, spec.nodes_per_axis)
-        rules = [(x, w)]
         unique = {ix: [ball_basis_eval(ix, mu, x)] for ix in dict.fromkeys(indices)}
-    else:
-        rules = _ball_rules(r, mu, spec.nodes_per_axis)
-        unique = {ix: _ball_axis_factors(ix, mu, rules) for ix in dict.fromkeys(indices)}
-    return rules, [unique[ix] for ix in indices]
+        return [(x, w)], [unique[ix] for ix in indices]
+    rules = _ball_rules(r, mu, spec.nodes_per_axis)
+
+    def ball_rows(j, m, degrees):
+        t = rules[j - 1][0]
+        weight = 1.0 - t * t
+        return [_gegenbauer_factor((j, nj, m), r, mu, weight, m / 2.0, t) for nj in degrees]
+
+    member_keys = [_axis_keys(ix) for ix in indices]
+    factors = _axis_table(member_keys, ball_rows)
+    return rules, [[factors[key] for key in keys] for keys in member_keys]
 
 
 def _ball_pairing(fn, fm, rules) -> float:
@@ -528,18 +519,6 @@ def hahn_gram_matrix(degrees, a1: float, a2: float,
     return _hahn_pairings(degrees, degrees, a1, a2, spec)
 
 
-def _d_axis_table(member_keys, x_j, a1: float, a2: float) -> dict:
-    """The gamma-pair family's axis factors at the points ``x_j`` with
-    parameters (a1, a2), one per axis key among ``member_keys``: one gamma
-    pair and one 3F2 ladder per axis tail (j, |n^{j+1}|)."""
-    r = len(member_keys[0])
-    table = {}
-    for (j, m), degrees in _axis_tails(member_keys).items():
-        rows = d_axis_rows(j, r, m, degrees, x_j, a1, a2)
-        table.update(((j, nj, m), row) for nj, row in zip(degrees, rows))
-    return table
-
-
 def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
     """Pairing integrals of the members ``rows`` at +ix (parameters a1, a2)
     against the members ``cols`` at -ix (parameters swapped), summed one
@@ -548,15 +527,18 @@ def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
     if spec is None:
         spec = _d_pair_spec(a1, a2)
     x, w = _line_rule(spec)
-    keys = {n: _axis_keys(n) for n in dict.fromkeys([*rows, *cols])}
-    plus = {key: w * factor for key, factor in
-            _d_axis_table([keys[n] for n in rows], 1j * x, a1, a2).items()}
-    minus = _d_axis_table([keys[m] for m in cols], -1j * x, a2, a1)
+    r = len(rows[0])
+    row_keys = [_axis_keys(n) for n in rows]
+    col_keys = [_axis_keys(m) for m in cols]
+    plus = {key: w * factor for key, factor in _axis_table(
+        row_keys, lambda j, m, degrees: d_axis_rows(j, r, m, degrees, 1j * x, a1, a2)).items()}
+    minus = _axis_table(
+        col_keys, lambda j, m, degrees: d_axis_rows(j, r, m, degrees, -1j * x, a2, a1))
     out = np.empty((len(rows), len(cols)), dtype=np.complex128)
-    for p, n in enumerate(rows):
-        for q, m in enumerate(cols):
+    for p, keys_n in enumerate(row_keys):
+        for q, keys_m in enumerate(col_keys):
             value = 1.0 + 0.0j
-            for key_n, key_m in zip(keys[n], keys[m]):
+            for key_n, key_m in zip(keys_n, keys_m):
                 value *= np.sum(plus[key_n] * minus[key_m])
             out[p, q] = value
     return out

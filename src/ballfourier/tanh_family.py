@@ -5,14 +5,17 @@ sech powers produces an integrable family on R^r whose Fourier transform has
 a closed form: a power of two, Pochhammer prefactors, and one theta factor
 per axis.  Each theta factor is a beta function times a terminating 3F2 at
 unit argument, and can equivalently be written through a continuous Hahn
-polynomial; both routes are implemented and cross-checked.  The theta
-factor of axis j depends on the member only through (n_j, |n^{j+1}|), and
-its beta factor and 3F2 parameters only through the axis tail
-(j, |n^{j+1}|): :func:`axis_ladder` forms them once per tail and runs one
-3F2 degree ladder for every n_j, the algebra the gamma-pair family shares.
-So a table of transforms over many multi-indices
-(:func:`fourier_closed_form_table`) runs one beta factor and one ladder
-per axis tail; a single member is the one-index table and
+polynomial; both routes are implemented and cross-checked.  Every axis
+factor of the library (theta, the oracle's integrands, the ball basis in
+nested-radius coordinates, the gamma-pair family) depends on the member
+only through its axis key (j, n_j, |n^{j+1}|), and its parameters only
+through the axis tail (j, |n^{j+1}|).  :func:`_axis_table` is the one place
+where keys are grouped by tail; every separable route takes each key's
+factor from it once per rule.  :func:`axis_ladder` forms the 3F2
+parameters once per tail and runs one degree ladder for every n_j, and
+:func:`_gegenbauer_factor` is the keyed x-side factor.  So a table of
+transforms (:func:`fourier_closed_form_table`) runs one beta factor and
+one ladder per axis tail; a single member is the one-index table and
 :func:`theta_factor` the one-degree ladder.
 
 Transform convention: forward kernel exp(-i xi . x), no 1/(2 pi) prefactor.
@@ -126,18 +129,31 @@ def family_axis_factor(j: int, params: FamilyParams, x):
     """Axis-j factor of the fully separated form of the family.
 
     The product of these factors over j = 1..r equals :func:`family_eval`
-    (this is the peel-first recursion unrolled); the quadrature oracle uses
-    it to evaluate tensor-product integrals one axis at a time.
+    (this is the peel-first recursion unrolled): the member's axis-j
+    :func:`_gegenbauer_factor` at t = tanh x with the weight sech^2 x.
     """
     r = params.r
     if not 1 <= j <= r:
         raise ValueError("axis index out of range")
-    m = tail_sum(params.n, j + 1)
-    lam = params.mu + m + (r - j) / 2.0
+    key = _axis_keys(params.n)[j - 1]
     x = np.asarray(x, dtype=np.float64)
-    sech2 = 1.0 / np.cosh(x) ** 2
-    return (sech2 ** (params.a + (r - j) / 4.0 + m / 2.0)
-            * gegenbauer(params.n[j - 1], lam, np.tanh(x)))
+    return _gegenbauer_factor(key, r, params.mu, 1.0 / np.cosh(x) ** 2,
+                              _sech_power(key, r, params.a), np.tanh(x))
+
+
+def _sech_power(key, r: int, a: float) -> float:
+    """a + (r - j)/4 + m/2, the power of sech^2 x of the axis key (j, n_j, m)."""
+    j, _, m = key
+    return a + (r - j) / 4.0 + m / 2.0
+
+
+def _gegenbauer_factor(key, r: int, mu: float, weight, power, t):
+    """weight^power * C_{n_j}^{lambda_j}(t) of the axis key (j, n_j, m),
+    lambda_j = mu + m + (r - j)/2: the x-side axis factor of the family, of
+    its tanh-substituted integrand and (weight 1 - t^2, power m/2) of the
+    ball basis in nested-radius coordinates."""
+    j, nj, m = key
+    return weight ** power * gegenbauer(nj, mu + m + (r - j) / 2.0, t)
 
 
 def _axis_tail(j: int, r: int, n) -> int:
@@ -163,17 +179,16 @@ def _tail_parameters(j: int, r: int, m: int, a: float, mu: float, z):
     return q, arg_plus, arg_minus, s, lower1, lower2
 
 
-def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees, peak: bool = False):
+def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
     """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
     ``degrees``, from one degree recurrence (:func:`hyp3f2_ladder`):
-    ``(arg_plus, arg_minus, values)``, and with ``peak`` also the largest
-    |F_k| over k <= max(degrees).  The parameters s, lower1, lower2 and the
-    gamma arguments a + (m +- z)/2 + q depend on (j, m) only, so one ladder
-    serves every member sharing that axis tail.  Theta takes z = i xi; the
-    gamma-pair family takes z = x_j, a = a1 and mu = a1 + a2 - 1/2."""
+    ``(arg_plus, arg_minus, values)``.  The parameters s, lower1, lower2
+    and the gamma arguments a + (m +- z)/2 + q depend on (j, m) only, so
+    one ladder serves every member sharing that axis tail.  Theta takes
+    z = i xi; the gamma-pair family takes z = x_j, a = a1 and
+    mu = a1 + a2 - 1/2."""
     _, arg_plus, arg_minus, s, lower1, lower2 = _tail_parameters(j, r, m, a, mu, z)
-    out = hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2, peak)
-    return (arg_plus, arg_minus, *out) if peak else (arg_plus, arg_minus, out)
+    return arg_plus, arg_minus, hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2)
 
 
 def _theta_rows(j: int, r: int, m: int, degrees, a: float, mu: float, xi):
@@ -268,39 +283,44 @@ def _axis_product_table(member_keys, shape, heads, factors):
     return out
 
 
-def _axis_tails(member_keys) -> dict:
-    """The degrees n_j of every axis tail (j, m) among the keys, in order of
-    first appearance."""
+def _axis_table(member_keys, tail_rows) -> dict:
+    """The factor of every axis key among ``member_keys`` (each member's
+    :func:`_axis_keys`), the one place where keys are grouped by axis tail.
+    The tails (j, m) are taken in order of first appearance, and
+    ``tail_rows(j, m, degrees)`` is called once per tail for the factors
+    of its degrees n_j, in order."""
     tails = {}
     for keys in member_keys:
         for j, nj, m in keys:
             tails.setdefault((j, m), {})[nj] = None
-    return {tail: tuple(degrees) for tail, degrees in tails.items()}
+    factors = {}
+    for (j, m), degrees in tails.items():
+        degrees = tuple(degrees)
+        factors.update(((j, nj, m), row) for nj, row in zip(degrees, tail_rows(j, m, degrees)))
+    return factors
 
 
 def _closed_form_table(members, xi):
     """Closed form of each member of ``members`` (parameters sharing a, mu
     and r) at the frequency vectors ``xi``, shape (len(members),) +
-    xi.shape[:-1].  Per axis tail (j, m) one beta factor and one 3F2 ladder
-    give the theta factor of every degree n_j, on the distinct entries of
-    the column xi[..., j - 1], found once per axis (a single vector stays
-    0-d); the Pochhammer ratios are formed once per axis key."""
-    r = members[0].r
-    a, mu = members[0].a, members[0].mu
+    xi.shape[:-1].  Per axis tail one beta factor and one 3F2 ladder give
+    the theta rows on the distinct entries of the column xi[..., j - 1]
+    (a single vector stays 0-d); the Pochhammer ratios are per axis key."""
+    r, a, mu = members[0].r, members[0].a, members[0].mu
     xi = _frequency_vectors(xi, r)
     member_keys = [_axis_keys(params.n) for params in members]
     shape = xi.shape[:-1]
     if shape:
         columns = [np.unique(xi[..., j].reshape(-1), return_inverse=True) for j in range(r)]
-    factors = {}
-    for (j, m), degrees in _axis_tails(member_keys).items():
-        if shape:
-            distinct, inverse = columns[j - 1]
-            rows = [row[inverse].reshape(shape)
-                    for row in _theta_rows(j, r, m, degrees, a, mu, distinct)]
-        else:
-            rows = _theta_rows(j, r, m, degrees, a, mu, xi[j - 1])
-        factors.update(((j, nj, m), row) for nj, row in zip(degrees, rows))
+
+    def theta_rows(j, m, degrees):
+        if not shape:
+            return _theta_rows(j, r, m, degrees, a, mu, xi[j - 1])
+        distinct, inverse = columns[j - 1]
+        return [row[inverse].reshape(shape)
+                for row in _theta_rows(j, r, m, degrees, a, mu, distinct)]
+
+    factors = _axis_table(member_keys, theta_rows)
     ratios = {key: _pochhammer_ratio(key, r, mu) for key in factors}
     heads = [complex(_prefactor(params, [ratios[key] for key in keys]))
              for params, keys in zip(members, member_keys)]

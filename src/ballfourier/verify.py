@@ -231,16 +231,17 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     :func:`fourier_value_scale`, and whether any axis series is
     cancellation-risky (its value below a fixed fraction of its peak).  The
     peak of axis j is max over k <= n_j of |F_k|, the same 3F2 at the lower
-    degrees k with s held fixed: one ladder per axis gives both."""
+    degrees k with s held fixed: one ladder per axis gives every row."""
     r = params.r
     scale = float(fourier_prefactor(params))
     low_confidence = False
     for j in range(1, r + 1):
-        arg_plus, _, (value,), peak = axis_ladder(
+        arg_plus, _, values = axis_ladder(
             j, r, tail_sum(params.n, j + 1), params.a, params.mu, 1j * float(xi[j - 1]),
-            (params.n[j - 1],), peak=True)
-        low_confidence = low_confidence or abs(value) < _LOW_CONFIDENCE_RATIO * peak
-        scale *= abs(beta_conjugate(arg_plus.real, arg_plus.imag)) * float(peak)
+            range(params.n[j - 1] + 1))
+        peak = float(np.max(np.abs(values)))
+        low_confidence = low_confidence or abs(values[-1]) < _LOW_CONFIDENCE_RATIO * peak
+        scale *= abs(beta_conjugate(arg_plus.real, arg_plus.imag)) * peak
     return scale, low_confidence
 
 

@@ -68,6 +68,21 @@ class TestEval:
         assert code == 2
         assert out == ""
 
+    def test_hahn_beyond_the_forward_range_exits_2(self, capsys):
+        # Re(a + b + c + d) <= 0 takes the forward series, measured up to
+        # degree 12; at degree 30 it printed 1.5e34 + 2.8e35i against
+        # -1.6e29 + 1.05e30i (50-digit mpmath), so it is refused
+        args = ["eval", "--fn", "hahn", "--x", "0.7", "--a", "-0.3", "--b", "-0.4",
+                "--c", "0.2", "--d", "0.15"]
+        code, out = run_cli([*args, "--n", "30"], capsys)
+        assert code == 2
+        assert out == ""
+        code, out = run_cli([*args, "--n", "12"], capsys)
+        assert code == 0
+        assert out == ('{"inputs": {"a": -0.3, "b": -0.4, "c": 0.2, "d": 0.15, "fn": "hahn", '
+                       '"n": 12, "x": 0.7}, "value_im": -143951.82513584418, '
+                       '"value_re": 7935268.134225179}\n')
+
 
 class TestFourier:
     def test_check_passes(self, capsys):

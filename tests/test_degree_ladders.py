@@ -20,7 +20,8 @@ from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from ballfourier.quadrature import (QuadratureSpec, _jacgauss_cached, ball_default_spec,
                                     ball_gram_matrix, ball_inner_product_numeric,
                                     d_biorthogonality_gram, d_biorthogonality_integral,
-                                    hahn_gram_matrix, hahn_orthogonality_integral)
+                                    fourier_numeric_table, hahn_gram_matrix,
+                                    hahn_orthogonality_integral)
 from ballfourier.tanh_family import fourier_closed_form_table
 
 
@@ -47,10 +48,10 @@ class TestLadderKernel:
     def test_rows_are_the_one_degree_recurrence(self, rng, s, l1, l2):
         u = rng.uniform(0.3, 3.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
         degrees = range(21)
-        rows, peak = hyp3f2_ladder(degrees, s, u, l1, l2, peak=True)
+        rows = hyp3f2_ladder(degrees, s, u, l1, l2)
+        assert len(rows) == len(degrees)
         for k, row in zip(degrees, rows):
             assert _same_bits(row, hyp3f2_unit(k, k + s - 1.0, u, l1, l2)), k
-        assert np.array_equal(peak, np.max(np.abs(np.array(rows)), axis=0))
         # any order, repeats and a 0-d argument (0-d against 0-d: numpy
         # scalars and array loops may round complex products differently)
         picked = hyp3f2_ladder((7, 0, 7, 3), s, u[5], l1, l2)
@@ -58,13 +59,12 @@ class TestLadderKernel:
             complex(hyp3f2_unit(k, k + s - 1.0, u[5], l1, l2)) for k in (7, 0, 7, 3)]
 
     def test_blocked_rows_match_single_entries(self, rng):
-        # beyond one cache block the rows and the peak are still per entry
+        # beyond one cache block every row is still per entry
         u = rng.uniform(0.3, 3.0, 20_000) + 1j * rng.uniform(-30.0, 30.0, 20_000)
-        rows, peak = hyp3f2_ladder((2, 9), 3.5, u, 1.75, 2.5, peak=True)
+        rows = hyp3f2_ladder(range(10), 3.5, u, 1.75, 2.5)
         for i in (0, 8191, 8192, 19_999):
-            one, one_peak = hyp3f2_ladder((2, 9), 3.5, u[i:i + 1], 1.75, 2.5, peak=True)
-            assert _same_bits(rows[0][i], one[0][0]) and _same_bits(rows[1][i], one[1][0])
-            assert peak[i] == one_peak[0]
+            one = hyp3f2_ladder(range(10), 3.5, u[i:i + 1], 1.75, 2.5)
+            assert all(_same_bits(row[i], row_one[0]) for row, row_one in zip(rows, one))
 
     def test_rejects_what_the_recurrence_cannot_run(self):
         with pytest.raises(ValueError):
@@ -93,8 +93,8 @@ class TestLadderKernel:
 
     def test_forward_route(self, rng):
         # at Re s <= 0 each degree is its own forward series: the ladder's
-        # rows are the one-degree calls, the pole check is the recurrence's,
-        # and there is no peak
+        # rows are the one-degree calls and the pole check is the
+        # recurrence's
         u = rng.uniform(0.3, 3.0, 6) + 1j * rng.uniform(-4.0, 4.0, 6)
         s = -2.375 + 0.5j
         rows = hyp3f2_ladder((4, 0, 2), s, u, 1.25, 0.75)
@@ -106,8 +106,19 @@ class TestLadderKernel:
             with pytest.raises(DenominatorPoleError):
                 hyp3f2_ladder((1, 4), s, u, 1.25, -3.0)
             assert np.all(np.isfinite(hyp3f2_ladder((3,), s, u, 1.25, -3.0)[0]))
-        with pytest.raises(ValueError, match="Re s > 0"):
-            hyp3f2_ladder((4,), -2.375, u, 1.25, 0.75, peak=True)
+
+    def test_forward_route_refuses_degrees_beyond_12(self, rng):
+        # the forward series is measured up to degree 12 only; above it the
+        # value would be silently wrong, so it is refused
+        u = rng.uniform(0.3, 3.0, 6) + 1j * rng.uniform(-4.0, 4.0, 6)
+        s = -2.375 + 0.5j
+        assert np.all(np.isfinite(hyp3f2_ladder((12, 3), s, u, 1.25, 0.75)[0]))
+        with pytest.raises(ValueError, match="Re s <= 0"):
+            hyp3f2_ladder((3, 13), s, u, 1.25, 0.75)
+        with pytest.raises(ValueError, match="Re s <= 0"):
+            hyp3f2_unit(30, 30 + s - 1.0, u, 1.25, 0.75)
+        # the recurrence has no such limit
+        assert np.all(np.isfinite(hyp3f2_ladder((30,), -s.conjugate(), u, 1.25, 0.75)[0]))
 
     def test_one_degree_call_keeps_one_row(self, rng):
         # 13 rows of 1e5 complex values would be 21 MB; one is 1.6 MB
@@ -164,9 +175,9 @@ class TestOneLadderPerTail:
         calls = []
         ladder = module.axis_ladder
 
-        def recording(j, r, m, a, mu, z, degrees, peak=False):
-            calls.append((j, m, a, tuple(degrees), peak))
-            return ladder(j, r, m, a, mu, z, degrees, peak)
+        def recording(j, r, m, a, mu, z, degrees):
+            calls.append((j, m, a, tuple(degrees)))
+            return ladder(j, r, m, a, mu, z, degrees)
 
         monkeypatch.setattr(module, "axis_ladder", recording)
         return calls
@@ -178,14 +189,15 @@ class TestOneLadderPerTail:
         fourier_closed_form_table(self.INDICES, 1.2, 0.7, grid)
         tails = _tails(self.INDICES)
         assert len(calls) == len(tails) < 3 * len(self.INDICES)
-        assert {(j, m): set(degrees) for j, m, _, degrees, _ in calls} == tails
+        assert {(j, m): set(degrees) for j, m, _, degrees in calls} == tails
 
     def test_theta_diagnostics(self, monkeypatch):
         calls = self._recording(monkeypatch, verify)
         params = FamilyParams(0.9, 1.1, (4, 0, 3))
         verify.fourier_value_scale(params, np.array([0.5, -1.0, 2.0]))
-        assert [(j, m, degrees, peak) for j, m, _, degrees, peak in calls] == [
-            (1, 3, (4,), True), (2, 3, (0,), True), (3, 0, (3,), True)]
+        # one ladder per axis, through every degree k <= n_j for the peak
+        assert [(j, m, degrees) for j, m, _, degrees in calls] == [
+            (1, 3, (0, 1, 2, 3, 4)), (2, 3, (0,)), (3, 0, (0, 1, 2, 3))]
 
     def test_theta_diagnostics_peak_is_the_ladder_maximum(self):
         # the scale is the prefactor times, per axis, |beta| times the peak
@@ -214,7 +226,7 @@ class TestOneLadderPerTail:
         # one ladder per (j, m) and sign: a = a1 at +ix, a = a2 at -ix
         assert len(calls) == 2 * len(tails) < 2 * 2 * len(indices)
         for a in (1.0, 0.75):
-            assert {(j, m): set(degrees) for j, m, aa, degrees, _ in calls if aa == a} == tails
+            assert {(j, m): set(degrees) for j, m, aa, degrees in calls if aa == a} == tails
 
     def test_hahn_gram(self, monkeypatch):
         from ballfourier import classical
@@ -228,6 +240,81 @@ class TestOneLadderPerTail:
         monkeypatch.setattr(classical, "hyp3f2_ladder", recording)
         hahn_gram_matrix([0, 1, 2, 3, 4], 1.0, 0.75)
         assert calls == [(0, 1, 2, 3, 4)]
+
+
+class TestOneFactorPerAxisKey:
+    """Every separable route evaluates each axis key (j, n_j, |n^{j+1}|)
+    once per rule, however many indices share it."""
+
+    # indices of length 3 sharing axis keys
+    INDICES = TestOneLadderPerTail.INDICES
+
+    @staticmethod
+    def _keys(indices):
+        return {(j, n[j - 1], tail_sum(n, j + 1)) for n in indices for j in range(1, len(n) + 1)}
+
+    def test_ball_gram(self, monkeypatch):
+        # the Gegenbauer evaluations, recorded in every module that holds
+        # the function, with the rule they run on
+        from ballfourier import ball, classical, quadrature, tanh_family
+        calls = []
+        original = classical.gegenbauer
+
+        def recording(n, lam, x):
+            calls.append((n, lam, np.asarray(x).tobytes()))
+            return original(n, lam, x)
+
+        for module in (ball, quadrature, tanh_family):
+            if getattr(module, "gegenbauer", None) is original:
+                monkeypatch.setattr(module, "gegenbauer", recording)
+        mu, r = 0.5, 3
+        keys = self._keys(self.INDICES)
+        assert len(keys) < r * len(self.INDICES)
+        for spec in (ball_default_spec(r), QuadratureSpec(nodes_per_axis=64, panels=1)):
+            calls.clear()
+            ball_gram_matrix(self.INDICES, mu, spec)
+            rules = [_jacgauss_cached(spec.nodes_per_axis, mu - 0.5 + (r - j) / 2.0,
+                                      mu - 0.5 + (r - j) / 2.0)[0] for j in range(1, r + 1)]
+            expect = [(nj, mu + m + (r - j) / 2.0, rules[j - 1].tobytes()) for j, nj, m in keys]
+            assert sorted(calls) == sorted(expect)
+
+    @pytest.mark.parametrize("mode", ["separated", "tanh"])
+    def test_fourier_tables(self, monkeypatch, mode):
+        from ballfourier import quadrature
+        name = "_fourier_axis_integral" if mode == "separated" else "_tanh_axis_integral"
+        calls = []
+        original = getattr(quadrature, name)
+
+        def recording(key, *args):
+            calls.append(key)
+            return original(key, *args)
+
+        monkeypatch.setattr(quadrature, name, recording)
+        grid = np.array(list(itertools.product((-3.0, 0.5, 2.0), repeat=3)))
+        specs = ((QuadratureSpec(), QuadratureSpec(nodes_per_axis=2048, panels=128))
+                 if mode == "separated" else (None,))
+        for spec in specs:
+            calls.clear()
+            fourier_numeric_table(self.INDICES, 1.2, 0.7, grid, spec, mode)
+            assert sorted(calls) == sorted(self._keys(self.INDICES))
+
+    def test_d_pairings(self, monkeypatch):
+        # one factor per axis key and sign: a = a1 at +ix, a = a2 at -ix
+        from ballfourier import quadrature
+        calls = []
+        rows = quadrature.d_axis_rows
+
+        def recording(j, r, m, degrees, x_j, a1, a2):
+            calls.extend((a1, j, nj, m) for nj in degrees)
+            return rows(j, r, m, degrees, x_j, a1, a2)
+
+        monkeypatch.setattr(quadrature, "d_axis_rows", recording)
+        keys = self._keys(self.INDICES)
+        base = QuadratureSpec(nodes_per_axis=800, panels=50, truncation_halfwidth=40.0 / 1.75)
+        for spec in (base, QuadratureSpec(1600, base.truncation_halfwidth, 100)):
+            calls.clear()
+            d_biorthogonality_gram(self.INDICES, 1.0, 0.75, spec)
+            assert sorted(calls) == sorted((a, *key) for a in (1.0, 0.75) for key in keys)
 
 
 class TestGramsAtNonDyadicParameters:

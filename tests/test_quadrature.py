@@ -14,7 +14,8 @@ from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
                                     ball_inner_product_numeric, d_biorthogonality_gram,
                                     d_biorthogonality_integral, doubled_spec,
                                     hahn_default_spec, hahn_gram_matrix)
-from ballfourier.tanh_family import family_axis_factor, fourier_prefactor, theta_factor
+from ballfourier.tanh_family import (_axis_keys, family_axis_factor, fourier_prefactor,
+                                     theta_factor)
 from ballfourier.verify import make_report
 from conftest import rel_err
 
@@ -172,11 +173,11 @@ class TestFourierAxisIntegral:
         params = FamilyParams(0.75, 1.25, (2, 1))
         xi = rng.uniform(-3.0, 3.0, size=9)
         phases = np.exp(-1j * xi[:, None] * _line_rule(spec)[0])
-        for j in (1, 2):
-            batched = _fourier_axis_integral(j, params, phases, spec)
+        for key in _axis_keys(params.n):
+            batched = _fourier_axis_integral(key, 2, 0.75, 1.25, phases, spec)
             assert batched.shape == xi.shape
             for value, row in zip(batched, phases):
-                assert value == _fourier_axis_integral(j, params, row, spec)
+                assert value == _fourier_axis_integral(key, 2, 0.75, 1.25, row, spec)
 
 
 class TestPhaseCache:
@@ -192,10 +193,12 @@ class TestPhaseCache:
         for spec in (QuadratureSpec(), doubled_spec(QuadratureSpec()), big):
             x, w = _line_rule(spec)
             product = np.ones(len(xi), dtype=np.complex128)
-            for j in (1, 2):
+            for key in _axis_keys(params.n):
+                j = key[0]
                 phases = np.exp(-1j * vectors[:, j - 1, None] * x)
                 reference = np.sum((w * family_axis_factor(j, params, x)) * phases, axis=-1)
-                assert _same_bits(_fourier_axis_integral(j, params, phases, spec), reference)
+                assert _same_bits(_fourier_axis_integral(key, 2, 1.25, 0.5, phases, spec),
+                                  reference)
                 product = product * reference
             # the separated mode forms its own phase rows: the same bits
             assert _same_bits(fourier_numeric(params, vectors, spec), product)
@@ -326,9 +329,9 @@ class TestBatchedFourierNumeric:
         calls = []
         original = quadrature._fourier_axis_integral
 
-        def recording(j, params, phases, spec):
-            calls.append((j, len(phases)))
-            return original(j, params, phases, spec)
+        def recording(key, r, a, mu, phases, spec):
+            calls.append((key[0], len(phases)))
+            return original(key, r, a, mu, phases, spec)
 
         monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording)
         grid = list(itertools.product((-3.0, 0.5, 2.0), repeat=2))
@@ -340,11 +343,11 @@ class TestBatchedFourierNumeric:
         params = FamilyParams(0.9, 1.1, (2, 1))
         xi = rng.uniform(-3.0, 3.0, size=5)
         phases = np.exp(-1j * xi[:, None] * _tanh_rule()[2])
-        for j in (1, 2):
-            batched = _tanh_axis_integral(j, params, phases)
+        for key in _axis_keys(params.n):
+            batched = _tanh_axis_integral(key, 2, 0.9, 1.1, phases)
             assert batched.shape == xi.shape
             for value, row in zip(batched, phases):
-                assert value == _tanh_axis_integral(j, params, row)
+                assert value == _tanh_axis_integral(key, 2, 0.9, 1.1, row)
 
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(ValueError):
@@ -401,11 +404,12 @@ class TestFourierTables:
             params = FamilyParams(a, mu, n)
             value = complex(fourier_prefactor(params))
             oracle = np.ones(xi.shape[:-1], dtype=np.complex128)
-            for j in range(1, r + 1):
+            for key in _axis_keys(n):
+                j = key[0]
                 value = value * theta_factor(j, r, params, xi[..., j - 1])
                 distinct, inverse = np.unique(xi[..., j - 1], return_inverse=True)
                 phases = np.exp(-1j * distinct[:, None] * _line_rule(spec)[0])
-                axis = _fourier_axis_integral(j, params, phases, spec)
+                axis = _fourier_axis_integral(key, r, a, mu, phases, spec)
                 oracle = oracle * axis[inverse.reshape(oracle.shape)]
             assert _same_bits(closed[p], value)
             assert _same_bits(numeric[p], oracle)
@@ -415,14 +419,13 @@ class TestFourierTables:
         axis_calls, ladder_calls = [], []
         axis_integral, ladder = quadrature._fourier_axis_integral, tanh_family.axis_ladder
 
-        def recording_axis(j, params, phases, spec):
-            axis_calls.append((j, params.n[j - 1], tail_sum(params.n, j + 1),
-                               np.shape(phases)[:-1]))
-            return axis_integral(j, params, phases, spec)
+        def recording_axis(key, r, a, mu, phases, spec):
+            axis_calls.append((*key, np.shape(phases)[:-1]))
+            return axis_integral(key, r, a, mu, phases, spec)
 
-        def recording_ladder(j, r, m, a, mu, z, degrees, peak=False):
+        def recording_ladder(j, r, m, a, mu, z, degrees):
             ladder_calls.append((j, m, tuple(degrees), np.shape(z)))
-            return ladder(j, r, m, a, mu, z, degrees, peak)
+            return ladder(j, r, m, a, mu, z, degrees)
 
         monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording_axis)
         monkeypatch.setattr(tanh_family, "axis_ladder", recording_ladder)
