@@ -22,7 +22,8 @@ from .classical import continuous_hahn, gegenbauer, jacobi
 from .dfamily import DParams, d_family_eval
 from .errors import DomainError
 from .tanh_family import FamilyParams, family_eval, fourier_closed_form, theta_factor
-from .verify import SUITE_NAMES, fourier_report, report_to_dict, reports_to_json, run_suite
+from .verify import (SUITE_NAMES, _sorted_json, fourier_report, report_to_dict, reports_to_json,
+                     run_suite)
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -200,7 +201,7 @@ def _reports_to_csv(reports) -> str:
     writer.writerow(header)
     for report in reports:
         data = report_to_dict(report)
-        row = [data["identity_name"], json.dumps(data["parameters"], sort_keys=True)]
+        row = [data["identity_name"], _sorted_json(data["parameters"])]
         row += [repr(data[key]) for key in header[2:9]]
         row += [str(data["passed"]).lower(), str(data["low_confidence"]).lower()]
         writer.writerow(row)

@@ -18,15 +18,27 @@ Xeon with numpy 2.4, a batch costs about 75-85 ns per point where
 Re z >= 0.5 (numpy's complex ``log`` alone is about 37 ns per point, and
 the complex-ufunc form this replaced took about 160 ns), and about 155 ns
 per point with Re z spread over [-4.5, 12], where a third of the points
-take 1 to 5 recurrence steps.  A 0-d call runs the same kernel on numpy
-scalars, about 17 us, and agrees bit for bit with the same entry of a
-batch.  The kernel runs cache-blocked: arrays larger than ``_BLOCK``
-entries are evaluated in flat slices by :func:`_blockwise`, which the
-terminating-series kernel in :mod:`hypergeometric` shares.
+take 1 to 5 recurrence steps.  The kernel runs cache-blocked: arrays
+larger than ``_BLOCK`` entries are evaluated in flat slices by
+:func:`_blockwise`, which the terminating-series kernel in
+:mod:`hypergeometric` shares.
+
+A 0-d call runs the same kernel bodies on Python floats: :func:`_blockwise`
+hands a 0-d call its operands as Python numbers, and the real
+:func:`log_gamma` path converts its argument itself.  Python and
+numpy-scalar arithmetic are both unfused IEEE double, so a 0-d value
+agrees bit for bit with the same entry of a batch (a nan may differ in its
+sign bit), and only the transcendental calls still go through numpy.
+Measured per 0-d call on the same 2-core Xeon (median of six alternating
+runs; numpy scalars before, Python floats now): real ``log_gamma``
+18 -> 4 us, complex ``log_gamma`` 27 -> 17 us, ``beta_conjugate``
+51 -> 24 us, ``gamma_pair`` 61 -> 42 us.  0-d results are still numpy
+scalars of the batch's dtype.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -63,6 +75,9 @@ _LANCZOS_C = (
 _LOG_SQRT_TWO_PI = 0.91893853320467274178
 _LOG_PI = 1.1447298858494001741
 _LOG_TWO = 0.69314718055994530942
+# smallest normal double; the shifted real path takes the log of a
+# subnormal argument at it
+_TINY = float(np.finfo(np.float64).tiny)
 # exp() overflows double beyond this; gamma() raises OverflowError instead.
 _LOG_DBL_MAX = 709.782712893384
 # beyond this |Re zz| or |Im zz| the Lanczos terms c_k / (zz + k) are below
@@ -85,15 +100,16 @@ def _check_poles(a: np.ndarray) -> None:
 
 
 def _lanczos_sum(zz):
-    # real zz = z - 1, valid for z >= 0.5
-    s = np.full_like(zz, _LANCZOS_C[0])
+    # real zz = z - 1, valid for z >= 0.5; an array or a Python float
+    s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s = s + _LANCZOS_C[k] / (zz + k)
     return s
 
 
 def _log_gamma_right(zz):
-    # log Gamma(zz + 1) for real zz + 1 >= 0.5
+    # log Gamma(zz + 1) for real zz + 1 >= 0.5; a Python float gives a
+    # numpy float64
     t = zz + (_LANCZOS_G + 0.5)
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(_lanczos_sum(zz))
 
@@ -102,16 +118,21 @@ def _blockwise(kernel, *args):
     """Evaluate the elementwise ``kernel`` over the broadcast of ``args``.
 
     ``kernel`` takes arrays and returns a tuple of arrays of their broadcast
-    shape.  Up to ``_BLOCK`` entries it runs once on ``args`` as given, so a
-    0-d call is the one-block case of the same code.  Beyond that it runs on
-    flat ``_BLOCK``-sized slices written into preallocated outputs, so every
-    temporary of the kernel stays in cache; inputs of size one are passed
-    whole to every slice, and each entry comes out bit-identical to an
-    unblocked call.
+    shape.  A 0-d call hands it Python numbers instead (``ndarray.item()``):
+    the kernels are written in operators, and Python and numpy-scalar
+    arithmetic are the same unfused IEEE double, so the values keep their
+    bits at a fraction of a numpy scalar's cost per operation.  Up to
+    ``_BLOCK`` entries it runs once on ``args`` as given.  Beyond that it
+    runs on flat ``_BLOCK``-sized slices written into preallocated outputs,
+    so every temporary of the kernel stays in cache; inputs of size one are
+    passed whole to every slice, and each entry comes out bit-identical to
+    an unblocked call.
     """
     arrays = [np.asarray(a) for a in args]
     shapes = {a.shape for a in arrays}
     shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    if not shape:
+        return kernel(*[a.item() for a in arrays])
     size = math.prod(shape)
     if size <= _BLOCK:
         return kernel(*arrays)
@@ -168,10 +189,17 @@ def _log_gamma_right_planes(x, y):
     does not overflow at any |Im z|, log |S| from the squared modulus (|S|
     is of order one), and the arguments from ``arctan2``.  Every imaginary
     part is odd in y and every real part even, so conjugate symmetry is
-    exact.
+    exact.  ``x`` and ``y`` are arrays or, for a 0-d call, Python floats;
+    the same statements run on both.
     """
-    xc = np.minimum(x, _LANCZOS_CLAMP)
-    yc = np.maximum(np.minimum(y, _LANCZOS_CLAMP), -_LANCZOS_CLAMP)
+    if isinstance(x, np.ndarray):
+        xc = np.minimum(x, _LANCZOS_CLAMP)
+        yc = np.maximum(np.minimum(y, _LANCZOS_CLAMP), -_LANCZOS_CLAMP)
+    else:
+        # min and max keep a Python float one (the ufuncs would return a
+        # numpy scalar); with the operand first, a nan stays nan as in numpy
+        xc = min(x, _LANCZOS_CLAMP)
+        yc = max(min(y, _LANCZOS_CLAMP), -_LANCZOS_CLAMP)
     y2 = yc * yc
     s_re = _LANCZOS_C[0]
     s_im = 0.0
@@ -215,8 +243,12 @@ def _log_gamma_block(x, y) -> tuple[np.ndarray]:
     ``2 pi i sign(Im z) floor(Re z / 2 + 1/4)`` (D. E. G. Hare, "Computing
     the principal branch of log-Gamma", J. Algorithms 25, 1997), so the cost
     no longer grows with |x|.  Non-finite entries come back non-finite.  A
-    0-d input runs the same code on numpy scalars.
+    0-d call passes Python floats: with x >= 0.5 (or nan) there is nothing
+    to gather, and the planes run on them directly; with x < 0.5 the
+    gather, shift and reflection below run on 0-d arrays.
     """
+    if isinstance(x, float) and isinstance(y, float) and not x < 0.5:
+        return (_complex(*_log_gamma_right_planes(x - 1.0, y)),)
     if np.shape(x) != np.shape(y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
@@ -276,15 +308,20 @@ def log_gamma(z):
     """
     arr = np.asarray(z)
     scalar = arr.ndim == 0
-    if not np.iscomplexobj(arr) and (arr > 0.0).all():
+    if scalar and not np.iscomplexobj(arr):
+        # a 0-d real call runs the kernel on a Python float
+        a = float(arr)
+        if a >= 0.5:
+            return _log_gamma_right(a - 1.0)
+        if a > 0.0:
+            return _log_gamma_right(a) - np.log(max(a, _TINY))
+    elif not np.iscomplexobj(arr) and (arr > 0.0).all():
         a = arr.astype(np.float64)
         if (a >= 0.5).all():
-            out = _log_gamma_right(a - 1.0)
-        else:
-            # shift once into the Lanczos region; argument stays positive
-            out = np.where(a >= 0.5, _log_gamma_right(np.maximum(a, 0.5) - 1.0),
-                           _log_gamma_right(a) - np.log(np.maximum(a, np.finfo(float).tiny)))
-        return out[()] if scalar else out
+            return _log_gamma_right(a - 1.0)
+        # shift once into the Lanczos region; argument stays positive
+        return np.where(a >= 0.5, _log_gamma_right(np.maximum(a, 0.5) - 1.0),
+                        _log_gamma_right(a) - np.log(np.maximum(a, _TINY)))
     out = _log_gamma_complex(arr)
     return out[()] if scalar else out
 
@@ -374,6 +411,11 @@ def pochhammer(base, order: int):
     result = base
     for k in range(1, order):
         result = result * (base + k)
-    if not np.all(np.isfinite(np.asarray(result, dtype=np.complex128))):
+    if isinstance(result, np.ndarray):
+        finite = np.isfinite(np.asarray(result, dtype=np.complex128)).all()
+    else:
+        # a number is checked without building an array
+        finite = cmath.isfinite(result)
+    if not finite:
         raise OverflowError("pochhammer overflow")
     return result

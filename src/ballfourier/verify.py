@@ -41,6 +41,9 @@ _LOW_CONFIDENCE_RATIO = 1e-10
 # relative tolerance and absolute floor of closed form against oracle
 _FOURIER_TOLERANCE = 1e-6
 _FOURIER_FLOOR = 1e-9
+# json.dumps(value, sort_keys=True) without building an encoder per call:
+# the report sort key and the CSV parameters cell
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclasses.dataclass(frozen=True)
@@ -424,8 +427,7 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 def canonical_sort(reports):
     """Canonical report order: identity name, then JSON-encoded parameters."""
-    return sorted(reports, key=lambda rep: (rep.identity_name,
-                                            json.dumps(rep.parameters, sort_keys=True)))
+    return sorted(reports, key=lambda rep: (rep.identity_name, _sorted_json(rep.parameters)))
 
 
 def run_suite(name: str, seed: int = 0, r_max: int = 3,

@@ -10,9 +10,9 @@ The reference for an entry is the same function called on a one-entry
 array (a batch of one).  For complex log-gamma a 0-d call agrees with it
 bit for bit too, since that kernel's arithmetic is real
 (``tests/test_special.py::TestScalarIsBatchOfOne``).  For the 3F2 kernels
-with complex parameters the two can differ in the last bit, because numpy
-turns 0-d results into numpy scalars, whose complex multiply is unfused
-while the array loops fuse it.  That is numpy's behaviour, not the
+with complex parameters the two can differ in the last bit, because a 0-d
+call runs on Python numbers, whose complex multiply is unfused, while
+numpy's array loops fuse it.  That is the arithmetic's behaviour, not the
 blocking's.
 """
 

@@ -133,9 +133,10 @@ class TestLadderKernel:
 
 
 class TestZeroDimensionalCalls:
-    """A 0-d call runs the recurrence on numpy scalars, whose complex
-    multiply is unfused; a batch runs numpy's array loops, which may fuse
-    multiply-adds.  The two differ in the last bits only."""
+    """A 0-d call runs the recurrence on Python numbers, whose complex
+    multiply is unfused (as a numpy scalar's is); a batch runs numpy's
+    array loops, which may fuse multiply-adds.  The two differ in the last
+    bits only."""
 
     @staticmethod
     def _ulps(a, b) -> float:

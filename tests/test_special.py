@@ -46,6 +46,18 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("base", [1e200, complex(1e200, 1.0), np.float64(1e200),
+                                      np.array([1.0, 1e200]), 10 ** 200])
+    def test_overflow_raises(self, base):
+        # Python int products grow exactly until their conversion overflows
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            pochhammer(base, 2)
+
+    def test_finite_products_pass(self):
+        assert pochhammer(10 ** 100, 2) == 10 ** 100 * (10 ** 100 + 1)
+        assert pochhammer(np.float64(1e150), 2) == np.float64(1e150) * np.float64(1e150 + 1)
+        assert pochhammer(np.array([1.0, 2.0]), 3).tolist() == [6.0, 24.0]
+
     @given(st.integers(min_value=-30, max_value=30),
            st.integers(min_value=0, max_value=8),
            st.integers(min_value=0, max_value=8))
@@ -300,7 +312,7 @@ def _same_bits(a, b) -> bool:
 
 
 class TestScalarIsBatchOfOne:
-    """A 0-d call runs the batch kernel on numpy scalars: every entry of a
+    """A 0-d call runs the batch kernel on Python numbers: every entry of a
     batch is bit-identical to the 0-d call on that entry."""
 
     def test_log_gamma(self):
