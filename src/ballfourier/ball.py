@@ -121,7 +121,9 @@ def ball_norm(n, mu: float) -> float:
 
     Gamma factors are combined in log space; the Pochhammer products are
     formed directly (their bases may be negative for mu in (-1/2, 0), and the
-    signs cancel against each other).
+    signs cancel against each other).  A product that leaves double range
+    raises OverflowError, as :func:`special.pochhammer` does; for mu in
+    [1/2, 3] and r <= 3 that happens from total degree 95-99 on.
     """
     n = validate_multi_index(n)
     mu = _check_mu(mu)
@@ -134,9 +136,13 @@ def ball_norm(n, mu: float) -> float:
         nj = n[j - 1]
         tj = tail_sum(n, j)
         tj1 = tail_sum(n, j + 1)
-        value *= (pochhammer(mu + 0.5 * (r - j), tj)
-                  * pochhammer(2.0 * mu + 2.0 * tj1 + r - j, nj)
-                  / (math.factorial(nj) * pochhammer(mu + 0.5 * (r - j + 1), tj)))
+        upper = pochhammer(mu + 0.5 * (r - j), tj) * pochhammer(2.0 * mu + 2.0 * tj1 + r - j, nj)
+        lower = math.factorial(nj) * pochhammer(mu + 0.5 * (r - j + 1), tj)
+        if not (math.isfinite(upper) and math.isfinite(lower)):
+            raise OverflowError("ball norm product exceeds double range")
+        value *= upper / lower
+    if not math.isfinite(value):
+        raise OverflowError("ball norm exceeds double range")
     return float(value)
 
 

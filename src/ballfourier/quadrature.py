@@ -27,14 +27,19 @@ Tables that depend only on the rule are built once per process.  The rules
 themselves are cached by their parameters; they are the only state kept
 between calls.  The Fourier phase rows exp(-i xi x) are formed once per
 table call for each axis, on that axis's distinct frequencies.  The Gram
-routes (:func:`ball_gram_matrix`, :func:`d_biorthogonality_gram`) evaluate
-each axis key's factor once per rule and sign, through
-:func:`tanh_family._axis_table`, with one gamma pair and one ladder per
-axis tail; :func:`hahn_gram_matrix` evaluates the Hahn weight once and its
-polynomials from one 3F2 ladder.  Every entry of the Hahn and D
-matrices, and every upper-triangle entry of the ball matrix (its lower
-triangle is the mirror), is bit-identical to the pairwise call on the
-same rule.
+routes (:func:`ball_gram_matrix`, :func:`d_biorthogonality_gram`) and both
+sides of :func:`parseval_sides` evaluate each axis key's factor once per
+rule and sign, through :func:`tanh_family._axis_table`, with one gamma pair
+and one ladder per axis tail; :func:`hahn_gram_matrix` evaluates the Hahn
+weight once and its polynomials from one 3F2 ladder.  One kernel,
+:func:`_pairing`, pairs such keyed tables: a head times, axis by axis, the
+node sum of a weighted row factor against a column factor.  Every entry
+of the Hahn and D matrices, and every upper-triangle entry of the ball
+matrix (its lower triangle is the mirror), is bit-identical to the
+pairwise call on the same rule.  The dense tensor cross-checks (ball,
+Fourier, D family) form their grids with :func:`_dense_grid`, which
+refuses more than 8e6 points before forming any, and weight them axis by
+axis with :func:`_axis_weighted`.
 
 Accumulation uses numpy's fixed pairwise reductions, so identical inputs
 produce bit-identical results regardless of scheduling.
@@ -43,20 +48,21 @@ produce bit-identical results regardless of scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import _check_mu, _index_list, ball_basis_eval, validate_multi_index
+from .ball import _check_mu, _index_list, ball_basis_eval
 from .classical import continuous_hahn_rows
 from .dfamily import DParams, d_axis_rows, d_family_eval
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
 from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_table,
-                          _frequency_vectors, _gegenbauer_factor, _sech_power,
-                          family_axis_factor, family_eval, fourier_prefactor, theta_factor)
+                          _frequency_vectors, _gegenbauer_factor, _sech_power, _theta_rows,
+                          family_eval, fourier_prefactor)
 
 __all__ = [
     "QuadratureSpec",
@@ -90,12 +96,12 @@ class QuadratureSpec:
     panels: int = 64
 
     def __post_init__(self) -> None:
-        if self.nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be at least 2")
-        if not self.truncation_halfwidth > 0:
-            raise ValueError("truncation_halfwidth must be positive")
-        if self.panels < 1:
-            raise ValueError("panels must be at least 1")
+        if not (isinstance(self.nodes_per_axis, numbers.Integral) and self.nodes_per_axis >= 2):
+            raise ValueError("nodes_per_axis must be an integer of at least 2")
+        if not 0 < self.truncation_halfwidth < math.inf:
+            raise ValueError("truncation_halfwidth must be positive and finite")
+        if not (isinstance(self.panels, numbers.Integral) and self.panels >= 1):
+            raise ValueError("panels must be an integer of at least 1")
 
 
 # Gauss-Jacobi nodes per axis of the default ball rule
@@ -219,11 +225,43 @@ def _tanh_rule(levels: int = 120, nodes_per_panel: int = 16, central_panels: int
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform oracle
+# Pairing kernel and dense grids
 # ---------------------------------------------------------------------------
 
 _TENSOR_GRID_LIMIT = 8_000_000
 
+
+def _pairing(keys_n, keys_m, rows, cols, head=1.0):
+    """``head`` times, axis by axis, the node sum of rows[key_n] *
+    cols[key_m] over the paired axis keys of ``keys_n`` and ``keys_m``.
+    The rows carry the rule weights, so each sum is the quadrature of one
+    axis factor pair; the product runs in axis order from the head."""
+    value = head
+    for key_n, key_m in zip(keys_n, keys_m):
+        value = value * np.sum(rows[key_n] * cols[key_m])
+    return value
+
+
+def _dense_grid(axes):
+    """Points of the dense tensor grid of the per-axis nodes ``axes``, shape
+    (len(axes[0]), ..., len(axes[-1]), r).  The grid is refused with
+    ValueError before it is formed if it has more than 8e6 points."""
+    if math.prod(len(nodes) for nodes in axes) > _TENSOR_GRID_LIMIT:
+        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _axis_weighted(values, weights):
+    """``values`` on a dense grid times weights[j] along grid axis j,
+    multiplied in axis order."""
+    for j, w in enumerate(weights):
+        values = values * w.reshape((1,) * j + (-1,) + (1,) * (len(weights) - j - 1))
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Fourier transform oracle
+# ---------------------------------------------------------------------------
 
 def _fourier_axis_integral(key, r: int, a: float, mu: float, phases, spec: QuadratureSpec):
     """Quadrature of the transform of the axis factor of the key
@@ -309,21 +347,14 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
         if spec is None:
             spec = QuadratureSpec()
         x, w = _line_rule(spec)
-        if len(x) ** r > _TENSOR_GRID_LIMIT:
-            raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
-        grids = np.meshgrid(*([x] * r), indexing="ij")
-        points = np.stack(grids, axis=-1)
-        values = family_eval(points, params)
+        values = family_eval(_dense_grid([x] * r), params)
         if not np.all(np.isfinite(values)):
             raise NonFiniteIntegrandError("family evaluation produced non-finite values")
+        values = values.astype(np.complex128)
         out = np.empty(xi.shape[:-1], dtype=np.complex128)
         for index in np.ndindex(out.shape):
-            acc = values.astype(np.complex128)
-            for j in range(r):
-                shape = [1] * r
-                shape[j] = len(x)
-                acc = acc * (w * np.exp(-1j * xi[index][j] * x)).reshape(shape)
-            out[index] = np.sum(acc)
+            out[index] = np.sum(_axis_weighted(values, [w * np.exp(-1j * xi_j * x)
+                                                        for xi_j in xi[index]]))
     else:
         raise ValueError("mode must be 'separated', 'tensor' or 'tanh'")
     return complex(out) if out.ndim == 0 else out
@@ -358,38 +389,17 @@ def _ball_rules(r: int, mu: float, nodes: int):
             for j in range(1, r + 1)]
 
 
-def _ball_grid(r: int, mu: float, nodes: int):
-    """Dense tensor grid of :func:`_ball_rules` mapped into the ball:
-    (points, weights) with points of shape (nodes^r, r)."""
-    if nodes ** r > _TENSOR_GRID_LIMIT:
-        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
-    axes, weights = zip(*_ball_rules(r, mu, nodes))
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    t = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(t.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    # x_j = t_j * prod_{k<j} sqrt(1 - t_k^2)
-    x = np.empty_like(t)
-    scale = np.ones(t.shape[0])
-    for j in range(r):
-        x[:, j] = t[:, j] * scale
-        scale = scale * np.sqrt(np.maximum(1.0 - t[:, j] ** 2, 0.0))
-    return x, w
-
-
-def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: str,
-                       degree: int):
-    """(rules, factors) for ball integrals of the basis polynomials
+def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, degree: int):
+    """(keys, rows, cols) for ball integrals of the basis polynomials
     ``indices``, whose pairs have total degree |n| + |m| <= ``degree``: the
-    rules the integral is summed on and, per index, its factor on each
-    rule.  ``separated`` has one Gauss-Jacobi rule per axis and the factors
-    (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j) on the nodes of axis
-    j, evaluated once per axis key; their product over j is the basis
-    polynomial at the mapped point.  ``tensor`` has the dense grid as its
-    one rule and the basis values on it, evaluated once per distinct
-    index.  The default rule is exact up to a pair degree of 63
+    pairing keys of each index and the keyed factor tables of
+    :func:`_pairing`, the rows weighted by the rule.  ``separated`` has one
+    Gauss-Jacobi rule per axis and the factors (1 - t_j^2)^(|n^{j+1}|/2)
+    C_{n_j}^{lambda_j}(t_j) on the nodes of axis j, evaluated once per axis
+    key; their product over j is the basis polynomial at the mapped point.
+    ``tensor`` keys each index by itself and has its basis values on the
+    dense grid of the same rules, evaluated once per distinct index.  The
+    default rule is exact up to a pair degree of 63
     (:func:`ball_default_spec`); beyond it a ``spec`` must be passed."""
     if mode not in ("separated", "tensor"):
         raise ValueError("mode must be 'separated' or 'tensor'")
@@ -400,11 +410,16 @@ def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: st
         if degree > 2 * spec.nodes_per_axis - 1:
             raise ValueError(f"pair degree {degree} is beyond the exact range of the default "
                              f"{spec.nodes_per_axis}-node rule; pass a QuadratureSpec")
-    if mode == "tensor":
-        x, w = _ball_grid(r, mu, spec.nodes_per_axis)
-        unique = {ix: [ball_basis_eval(ix, mu, x)] for ix in dict.fromkeys(indices)}
-        return [(x, w)], [unique[ix] for ix in indices]
     rules = _ball_rules(r, mu, spec.nodes_per_axis)
+    if mode == "tensor":
+        axes, weights = zip(*rules)
+        t = _dense_grid(axes)
+        # x_j = t_j * prod_{k<j} sqrt(1 - t_k^2)
+        radii = np.cumprod(np.sqrt(np.maximum(1.0 - t[..., :-1] ** 2, 0.0)), axis=-1)
+        x = t * np.concatenate([np.ones(t.shape[:-1] + (1,)), radii], axis=-1)
+        w = _axis_weighted(np.ones(t.shape[:-1]), weights)
+        cols = {ix: ball_basis_eval(ix, mu, x) for ix in dict.fromkeys(indices)}
+        return [[ix] for ix in indices], {ix: w * f for ix, f in cols.items()}, cols
 
     def ball_rows(j, m, degrees):
         t = rules[j - 1][0]
@@ -412,24 +427,8 @@ def _ball_factor_table(indices, mu: float, spec: QuadratureSpec | None, mode: st
         return [_gegenbauer_factor((j, nj, m), r, mu, weight, m / 2.0, t) for nj in degrees]
 
     member_keys = [_axis_keys(ix) for ix in indices]
-    factors = _axis_table(member_keys, ball_rows)
-    return rules, [[factors[key] for key in keys] for keys in member_keys]
-
-
-def _ball_pairing(fn, fm, rules) -> float:
-    """Product over the rules of the weighted node sums of fn * fm."""
-    value = 1.0
-    for f, g, (_, w) in zip(fn, fm, rules):
-        value *= float(np.sum(w * f * g))
-    return value
-
-
-def _index_pair(n, m):
-    n = validate_multi_index(n)
-    m = validate_multi_index(m)
-    if len(n) != len(m):
-        raise ValueError("multi-indices must have equal length")
-    return n, m, len(n)
+    cols = _axis_table(member_keys, ball_rows)
+    return member_keys, {key: rules[key[0] - 1][1] * f for key, f in cols.items()}, cols
 
 
 def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None,
@@ -441,9 +440,9 @@ def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = No
     same rule as a dense grid of nodes^r <= 8e6 points through
     :func:`ball_basis_eval`, as an independent check.
     """
-    n, m, _ = _index_pair(n, m)
-    rules, (fn, fm) = _ball_factor_table([n, m], mu, spec, mode, sum(n) + sum(m))
-    return _ball_pairing(fn, fm, rules)
+    n, m = _index_list([n, m])
+    (keys_n, keys_m), rows, cols = _ball_tables([n, m], mu, spec, mode, sum(n) + sum(m))
+    return float(_pairing(keys_n, keys_m, rows, cols))
 
 
 def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
@@ -451,13 +450,12 @@ def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
     """Gram matrix of several basis polynomials on one shared rule (modes
     as in :func:`ball_inner_product_numeric`)."""
     indices = _index_list(indices)
-    rules, basis = _ball_factor_table(indices, mu, spec, mode,
-                                      2 * max(sum(ix) for ix in indices))
+    keys, rows, cols = _ball_tables(indices, mu, spec, mode, 2 * max(sum(ix) for ix in indices))
     count = len(indices)
     gram = np.empty((count, count))
     for p in range(count):
         for q in range(p, count):
-            gram[p, q] = gram[q, p] = _ball_pairing(basis[p], basis[q], rules)
+            gram[p, q] = gram[q, p] = _pairing(keys[p], keys[q], rows, cols)
     return gram
 
 
@@ -534,14 +532,8 @@ def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
         row_keys, lambda j, m, degrees: d_axis_rows(j, r, m, degrees, 1j * x, a1, a2)).items()}
     minus = _axis_table(
         col_keys, lambda j, m, degrees: d_axis_rows(j, r, m, degrees, -1j * x, a2, a1))
-    out = np.empty((len(rows), len(cols)), dtype=np.complex128)
-    for p, keys_n in enumerate(row_keys):
-        for q, keys_m in enumerate(col_keys):
-            value = 1.0 + 0.0j
-            for key_n, key_m in zip(keys_n, keys_m):
-                value *= np.sum(plus[key_n] * minus[key_m])
-            out[p, q] = value
-    return out
+    return np.array([[_pairing(keys_n, keys_m, plus, minus) for keys_m in col_keys]
+                     for keys_n in row_keys], dtype=np.complex128)
 
 
 def d_biorthogonality_integral(n, m, a1: float, a2: float,
@@ -552,7 +544,7 @@ def d_biorthogonality_integral(n, m, a1: float, a2: float,
     parameters swapped, over R^r.  ``separated`` (default) is the one-entry
     case of :func:`d_biorthogonality_gram`; ``tensor`` sums the same rule
     as a dense grid through :func:`d_family_eval`, as an independent check."""
-    n, m, r = _index_pair(n, m)
+    n, m = _index_list([n, m])
     if mode == "separated":
         return complex(_d_pairings([n], [m], a1, a2, spec)[0, 0])
     if mode != "tensor":
@@ -560,18 +552,10 @@ def d_biorthogonality_integral(n, m, a1: float, a2: float,
     if spec is None:
         spec = _d_pair_spec(a1, a2)
     x, w = _line_rule(spec)
-    if len(x) ** r > _TENSOR_GRID_LIMIT:
-        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
-    grids = np.meshgrid(*([x] * r), indexing="ij")
-    points = np.stack(grids, axis=-1).astype(np.complex128)
+    points = _dense_grid([x] * len(n)).astype(np.complex128)
     fn = d_family_eval(1j * points, DParams(a1, a2, n))
     fm = d_family_eval(-1j * points, DParams(a2, a1, m))
-    acc = fn * fm
-    for j in range(r):
-        shape = [1] * r
-        shape[j] = len(x)
-        acc = acc * w.reshape(shape)
-    return complex(np.sum(acc))
+    return complex(np.sum(_axis_weighted(fn * fm, [w] * len(n))))
 
 
 def d_biorthogonality_gram(indices, a1: float, a2: float,
@@ -593,18 +577,33 @@ def parseval_sides(n, m, a1: float, a2: float, spec: QuadratureSpec | None = Non
     mu = a1 + a2 - 1/2: (2 pi)^r <f, g>_x and the xi-side pairing of the
     closed-form transforms, both as tensor-product sums over the line rule
     of ``spec`` evaluated one axis at a time.  Both sides equal
-    (2 pi)^r times the ball norm times a multi-Kronecker delta.
+    (2 pi)^r times the ball norm times a multi-Kronecker delta.  Each side
+    pairs the :func:`_axis_table` factors of f (a = a1) and g (a = a2): the
+    Gegenbauer factors, and the theta rows from the prefactor product.
     """
-    n, m, r = _index_pair(n, m)
+    n, m = _index_list([n, m])
+    r = len(n)
     mu = DParams(a1, a2, (0,) * r).mu  # validates a1, a2 and the coupling
     if spec is None:
         spec = QuadratureSpec()
     x, w = _line_rule(spec)
-    fp = FamilyParams(a1, mu, n)
-    gp = FamilyParams(a2, mu, m)
-    x_side = 1.0
-    xi_side = complex(fourier_prefactor(fp)) * complex(fourier_prefactor(gp))
-    for j in range(1, r + 1):
-        x_side *= float(np.sum(w * family_axis_factor(j, fp, x) * family_axis_factor(j, gp, x)))
-        xi_side *= np.sum(w * theta_factor(j, r, fp, x) * np.conj(theta_factor(j, r, gp, x)))
+    sech2, t = 1.0 / np.cosh(x) ** 2, np.tanh(x)
+    keys_n, keys_m = _axis_keys(n), _axis_keys(m)
+
+    def x_rows(a):
+        return lambda j, tail, degrees: [_gegenbauer_factor(
+            (j, nj, tail), r, mu, sech2, _sech_power((j, nj, tail), r, a), t) for nj in degrees]
+
+    def theta_rows(a):
+        return lambda j, tail, degrees: _theta_rows(j, r, tail, degrees, a, mu, x)
+
+    def weighted(table):
+        return {key: w * factor for key, factor in table.items()}
+
+    x_side = _pairing(keys_n, keys_m, weighted(_axis_table([keys_n], x_rows(a1))),
+                      _axis_table([keys_m], x_rows(a2)))
+    head = (complex(fourier_prefactor(FamilyParams(a1, mu, n)))
+            * complex(fourier_prefactor(FamilyParams(a2, mu, m))))
+    conj = {key: np.conj(factor) for key, factor in _axis_table([keys_m], theta_rows(a2)).items()}
+    xi_side = _pairing(keys_n, keys_m, weighted(_axis_table([keys_n], theta_rows(a1))), conj, head)
     return complex((2.0 * math.pi) ** r * x_side), complex(xi_side)

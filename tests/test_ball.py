@@ -7,6 +7,7 @@ from ballfourier import (DomainError, ball_basis_eval, ball_norm,
                          ball_operator_residual, ball_space_dim, gegenbauer,
                          gegenbauer_norm, tail_sum, validate_multi_index)
 from ballfourier.quadrature import ball_inner_product_numeric
+from ballfourier.special import log_gamma, pochhammer
 from conftest import rel_err
 
 
@@ -120,6 +121,41 @@ class TestBallNorm:
         for n in [(0, 0, 0), (1, 1, 0), (0, 1, 2)]:
             numeric = ball_inner_product_numeric(n, n, 0.75)
             assert rel_err(numeric, ball_norm(n, 0.75)) <= 1e-12
+
+    @staticmethod
+    def _unchecked_norm(n, mu):
+        # the norm formula with no range check, in the same operation order
+        r, nn = len(n), sum(n)
+        log_part = (0.5 * r * math.log(math.pi) + log_gamma(mu + 0.5)
+                    - log_gamma(mu + 0.5 * (r + 1) + nn))
+        value = float(np.exp(log_part)) * pochhammer(mu + 0.5 * r, nn)
+        for j in range(1, r + 1):
+            nj, tj, tj1 = n[j - 1], tail_sum(n, j), tail_sum(n, j + 1)
+            value *= (pochhammer(mu + 0.5 * (r - j), tj)
+                      * pochhammer(2.0 * mu + 2.0 * tj1 + r - j, nj)
+                      / (math.factorial(nj) * pochhammer(mu + 0.5 * (r - j + 1), tj)))
+        return value
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
+    def test_high_degree_is_finite_or_raises(self, mu):
+        # past its range the norm raises instead of returning nan or inf;
+        # a value it does return is the unchecked formula's, bit for bit
+        raised = 0
+        for degree in range(90, 151):
+            for n in [(degree,), (degree - 1, 1), (0, degree), (1, degree - 2, 1)]:
+                try:
+                    value = ball_norm(n, mu)
+                except OverflowError:
+                    raised += 1
+                    continue
+                assert math.isfinite(value) and value > 0.0, n
+                assert value.hex() == self._unchecked_norm(n, mu).hex(), n
+        assert 0 < raised < 4 * 61
+
+    @pytest.mark.parametrize("n, mu", [((99,), 0.5), ((98,), 1.0), ((97,), 3.0)])
+    def test_former_nan_cases_raise(self, n, mu):
+        with pytest.raises(OverflowError):
+            ball_norm(n, mu)
 
 
 class TestOperatorResidual:

@@ -35,6 +35,13 @@ class TestQuadratureSpec:
             QuadratureSpec(truncation_halfwidth=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(panels=0)
+        # a fractional node or panel count, or an infinite or nan window
+        for bad in ({"nodes_per_axis": 100.5}, {"nodes_per_axis": 100.0}, {"panels": 2.5},
+                    {"truncation_halfwidth": math.inf}, {"truncation_halfwidth": math.nan}):
+            with pytest.raises(ValueError):
+                QuadratureSpec(**bad)
+        spec = QuadratureSpec(np.int64(256), 20.0, np.int64(16))
+        assert len(_line_rule(spec)[0]) == 256
 
 
 class TestFourierNumeric:
@@ -150,12 +157,24 @@ class TestBallInnerProduct:
             assert abs(one - one_dense) <= 1e-14 * norms[p] * norms[q]
             assert one == sep[p, q]
 
-    def test_tensor_mode_grid_limit(self):
+    def test_tensor_mode_grid_limit(self, monkeypatch):
+        # every dense cross-check refuses more than 8e6 points before it
+        # forms a grid: here forming one fails the test
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a dense grid was formed")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
         assert ball_default_spec(5).nodes_per_axis ** 5 > _TENSOR_GRID_LIMIT
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tensor grid too large"):
             ball_inner_product_numeric((0,) * 5, (0,) * 5, 0.5, mode="tensor")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tensor grid too large"):
             ball_gram_matrix([(0, 0, 0)], 0.5, QuadratureSpec(256, panels=1), mode="tensor")
+        # r = 3 on the default Fourier (1,024-node) and D-pairing (800-node) rules
+        assert len(_line_rule(QuadratureSpec())[0]) ** 3 > _TENSOR_GRID_LIMIT
+        with pytest.raises(ValueError, match="tensor grid too large"):
+            fourier_numeric(FamilyParams(1.0, 0.5, (0, 1, 0)), [0.0, 0.5, 1.0], mode="tensor")
+        with pytest.raises(ValueError, match="tensor grid too large"):
+            d_biorthogonality_integral((0, 0, 0), (1, 0, 0), 1.0, 0.75, mode="tensor")
         # the separated default reaches the same r at per-axis cost
         value = ball_inner_product_numeric((1, 0, 0, 0, 1), (1, 0, 0, 0, 1), 0.5)
         assert rel_err(value, ball_norm((1, 0, 0, 0, 1), 0.5)) <= 1e-12
@@ -550,6 +569,27 @@ class TestParseval:
     def test_enforces_coupling_validity(self):
         with pytest.raises(ValueError):
             parseval_sides((0,), (0,), 0.25, 0.25)
+
+    @pytest.mark.parametrize("n, m", [((2,), (1,)), ((1, 2), (0, 2)), ((1, 0, 2), (0, 2, 1))])
+    def test_sides_equal_per_axis_sums_bitwise(self, n, m):
+        # the reference writes each side out axis by axis from the public
+        # per-axis factors, the head first: 1 on the x side, the product of
+        # the two prefactors on the xi side
+        a1, a2 = 1.1, 0.65
+        r = len(n)
+        fp, gp = FamilyParams(a1, a1 + a2 - 0.5, n), FamilyParams(a2, a1 + a2 - 0.5, m)
+        for spec in (QuadratureSpec(), doubled_spec(QuadratureSpec())):
+            x, w = _line_rule(spec)
+            x_side = 1.0
+            xi_side = complex(fourier_prefactor(fp)) * complex(fourier_prefactor(gp))
+            for j in range(1, r + 1):
+                x_side *= np.sum(w * family_axis_factor(j, fp, x) * family_axis_factor(j, gp, x))
+                xi_side *= np.sum(w * theta_factor(j, r, fp, x)
+                                  * np.conj(theta_factor(j, r, gp, x)))
+            lhs, rhs = parseval_sides(n, m, a1, a2, spec)
+            assert type(lhs) is complex and type(rhs) is complex
+            assert _same_bits(lhs, (2.0 * math.pi) ** r * x_side)
+            assert _same_bits(rhs, xi_side)
 
 
 class TestVerificationReport:

@@ -137,6 +137,17 @@ class TestLayering:
                     for alias in node.names if alias.name.startswith("_")}
         assert private == {"_d_pair_spec"}
 
+    def test_quadrature_takes_axis_factors_from_the_axis_table(self):
+        # the one-axis public factors would bypass tanh_family._axis_table;
+        # every name, attribute and import of the module is checked
+        tree = ast.parse(inspect.getsource(quadrature))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "_axis_table" in names
+        assert not names & {"family_axis_factor", "theta_factor"}
+
     def test_verdicts_are_built_in_verify_only(self):
         # the oracle returns numbers; every report is built by verify
         package = Path(verify.__file__).parent
