@@ -97,12 +97,24 @@ def gegenbauer(n: int, lam: float, x):
     dtype = np.result_type(arr.dtype, np.float64)
     if n == 0:
         return np.ones(arr.shape, dtype=dtype)[()]
-    prev = np.ones(arr.shape, dtype=dtype)
-    curr = (2.0 * lam * arr).astype(dtype, copy=False)
+    if arr.ndim == 0 and arr.dtype == np.float64:
+        # a 0-d real call runs the recurrence on a Python float; its real
+        # operations are unfused in numpy's array loops too, so the value
+        # keeps its batch entry's bits.  A complex 0-d x stays on arrays
+        t = arr.item()
+        return dtype.type(_gegenbauer_recurrence(n, lam, t, 1.0, 2.0 * lam * t))
+    return _gegenbauer_recurrence(n, lam, arr, np.ones(arr.shape, dtype=dtype),
+                                  (2.0 * lam * arr).astype(dtype, copy=False))[()]
+
+
+def _gegenbauer_recurrence(n: int, lam: float, x, prev, curr):
+    """C_n^(lambda)(x), n >= 1, from C_0 = ``prev`` and C_1 = ``curr`` by the
+    three-term recurrence in the degree.  ``x`` is an array or a Python
+    float; the same statements run on both."""
     for k in range(2, n + 1):
-        prev, curr = curr, (2.0 * (k - 1.0 + lam) * arr * curr
+        prev, curr = curr, (2.0 * (k - 1.0 + lam) * x * curr
                             - (k - 2.0 + 2.0 * lam) * prev) / k
-    return curr[()]
+    return curr
 
 
 def gegenbauer_series(n: int, lam: float, x):
@@ -132,12 +144,18 @@ def gegenbauer_norm(n: int, lam: float) -> float:
     Assembled in log space; Gamma(lambda) is rewritten as
     Gamma(lambda+1)/lambda so that negative lambda in (-1/2, 0) stays on
     positive gamma arguments (the signs of lambda and (2 lambda)_n cancel).
+    A numerator or denominator that leaves double range raises
+    OverflowError, as :func:`ball.ball_norm` does; for lambda in [1/2, 3]
+    that happens from n = 167-170 on.
     """
     n = _check_degree(n)
     lam = _check_gegenbauer_lambda(lam)
     log_part = log_gamma(lam + 0.5) + log_gamma(0.5) - log_gamma(lam + 1.0)
-    return float(np.exp(log_part) * lam * pochhammer(2.0 * lam, n)
-                 / (math.factorial(n) * (n + lam)))
+    upper = float(np.exp(log_part)) * lam * pochhammer(2.0 * lam, n)
+    lower = math.factorial(n) * (n + lam)
+    if not (math.isfinite(upper) and math.isfinite(lower)):
+        raise OverflowError("Gegenbauer norm product exceeds double range")
+    return upper / lower
 
 
 def continuous_hahn_rows(degrees, x, params):

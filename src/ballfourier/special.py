@@ -25,14 +25,20 @@ larger than ``_BLOCK`` entries are evaluated in flat slices by
 
 A 0-d call runs the same kernel bodies on Python floats: :func:`_blockwise`
 hands a 0-d call its operands as Python numbers, and the real
-:func:`log_gamma` path converts its argument itself.  Python and
-numpy-scalar arithmetic are both unfused IEEE double, so a 0-d value
-agrees bit for bit with the same entry of a batch (a nan may differ in its
-sign bit), and only the transcendental calls still go through numpy.
-Measured per 0-d call on the same 2-core Xeon (median of six alternating
-runs; numpy scalars before, Python floats now): real ``log_gamma``
-18 -> 4 us, complex ``log_gamma`` 27 -> 17 us, ``beta_conjugate``
-51 -> 24 us, ``gamma_pair`` 61 -> 42 us.  0-d results are still numpy
+:func:`log_gamma` path converts its argument itself.  Complex log-gamma
+left of Re z = 0.5 runs its pole test, shift recurrence and reflection on
+them too, in the batch's order of operations.  Python and numpy-scalar
+arithmetic are both unfused IEEE double, so a 0-d value agrees bit for
+bit with the same entry of a batch (a nan may differ in its sign bit), and
+only the transcendental calls still go through numpy.  Measured per 0-d
+call on the same 2-core Xeon (median of alternating runs; numpy scalars
+or 0-d arrays before, Python floats now): real ``log_gamma`` 18 -> 4 us,
+complex ``log_gamma`` 27 -> 17 us at Re z >= 0.5, ``beta_conjugate``
+51 -> 24 us, ``gamma_pair`` 61 -> 42 us.  Left of Re z = 0.5, in later
+runs where the right half-plane took 19 us, complex ``log_gamma`` went
+from 76-89 to 24-46 us (the most for the reflection) and ``gamma_pair``
+with both real parts there from 173 to 48 us, its overflow test now
+reading the two real parts as numbers.  0-d results are still numpy
 scalars of the batch's dtype.
 """
 
@@ -243,12 +249,41 @@ def _log_gamma_block(x, y) -> tuple[np.ndarray]:
     ``2 pi i sign(Im z) floor(Re z / 2 + 1/4)`` (D. E. G. Hare, "Computing
     the principal branch of log-Gamma", J. Algorithms 25, 1997), so the cost
     no longer grows with |x|.  Non-finite entries come back non-finite.  A
-    0-d call passes Python floats: with x >= 0.5 (or nan) there is nothing
-    to gather, and the planes run on them directly; with x < 0.5 the
-    gather, shift and reflection below run on 0-d arrays.
+    0-d call passes Python floats, and the pole test, shift and reflection
+    run on them in the batch's order of operations: the shift sums its
+    rows x + j, j = 0 .. int(0.5 - x), in row order like the batch's
+    ``cumsum``, adding 0.0 for a row at 0.5, so the value keeps its batch
+    entry's bits.  Only ``log``, ``hypot``, ``arctan2`` and
+    :func:`_log_sin_pi` still go through numpy.
     """
-    if isinstance(x, float) and isinstance(y, float) and not x < 0.5:
-        return (_complex(*_log_gamma_right_planes(x - 1.0, y)),)
+    if isinstance(x, float) and isinstance(y, float):
+        if not x < 0.5:
+            return (_complex(*_log_gamma_right_planes(x - 1.0, y)),)
+        # x == floor(x) of the batch, where floor(-inf) is -inf
+        if y == 0.0 and (x.is_integer() or x == -math.inf):
+            raise PoleError("gamma function evaluated at a nonpositive integer")
+        if x < -_SHIFT_CAP:
+            re, im = _log_gamma_right_planes((1.0 - x) - 1.0, -y)
+            # math.floor raises at -inf, where the batch's floor is -inf
+            quarter = 0.5 * x + 0.25
+            unwind = math.copysign(2.0 * np.pi, y) * (
+                float(math.floor(quarter)) if quarter > -math.inf else quarter)
+            z = complex(x, y)
+            value = (_LOG_PI + 1j * unwind) - _log_sin_pi(np.array([z]))[0] - complex(re, im)
+            return (_complex(value.real, value.imag),)
+        sum_re, sum_im = float(np.log(np.hypot(x, y))), float(np.arctan2(y, x))
+        steps = 1
+        for j in range(1, int(0.5 - x) + 1):
+            row = j + x
+            if row < 0.5:
+                sum_re += float(np.log(np.hypot(row, y)))
+                sum_im += float(np.arctan2(y, row))
+                steps += 1
+            else:
+                sum_re += 0.0
+                sum_im += 0.0
+        re, im = _log_gamma_right_planes((x + steps) - 1.0, y)
+        return (_complex(re - sum_re, im - sum_im),)
     if np.shape(x) != np.shape(y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
@@ -371,7 +406,14 @@ def gamma_pair(a, b):
     """
     log_a = log_gamma(a)
     log_b = log_gamma(b)
-    if (np.maximum(np.real(log_a), np.real(log_b)) > _LOG_DBL_MAX).any():
+    if isinstance(log_a, np.generic) and isinstance(log_b, np.generic):
+        # 0-d operands, tested as numbers; as np.maximum does, a nan in
+        # either real part means no overflow
+        re_a, re_b = float(log_a.real), float(log_b.real)
+        overflow = (re_a > _LOG_DBL_MAX or re_b > _LOG_DBL_MAX) and re_a == re_a and re_b == re_b
+    else:
+        overflow = (np.maximum(np.real(log_a), np.real(log_b)) > _LOG_DBL_MAX).any()
+    if overflow:
         raise OverflowError("gamma overflow: argument too large for double range")
     return np.exp(log_a + log_b)
 

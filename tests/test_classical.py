@@ -9,7 +9,7 @@ from ballfourier import (continuous_hahn, gegenbauer,
                          gegenbauer_norm, gegenbauer_series,
                          hahn_orthogonality_constant, jacobi, pochhammer)
 from ballfourier.quadrature import _jacgauss_cached
-from ballfourier.special import beta_conjugate
+from ballfourier.special import beta_conjugate, log_gamma
 from conftest import rel_err
 
 # independent direct-summation oracle (mpmath, dps=50): p_2(0.3; 1, 1/2, 1/2, 1)
@@ -162,6 +162,27 @@ class TestGegenbauerNorm:
             values = gegenbauer(n, lam, nodes)
             integral = float(np.sum(weights * values * values))
             assert rel_err(integral, gegenbauer_norm(n, lam)) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_high_degree_is_finite_or_raises(self, lam):
+        # n! (n + lambda) leaves double range one degree before n! does, which
+        # once gave 0.0 at n = 170 (true value 2/341 at lambda = 1/2); every
+        # value returned is finite, nonzero and the one-expression quotient
+        log_part = log_gamma(lam + 0.5) + log_gamma(0.5) - log_gamma(lam + 1.0)
+        returned = 0
+        for n in range(160, 201):
+            try:
+                value = gegenbauer_norm(n, lam)
+            except OverflowError:
+                continue
+            returned += 1
+            assert math.isfinite(value) and value != 0.0, n
+            expect = float(np.exp(log_part) * lam * pochhammer(2.0 * lam, n)
+                           / (math.factorial(n) * (n + lam)))
+            assert value.hex() == expect.hex(), n
+        assert returned >= 6
+        with pytest.raises(OverflowError):
+            gegenbauer_norm(170, lam)
 
 
 class TestContinuousHahn:
