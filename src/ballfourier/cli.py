@@ -1,18 +1,26 @@
 """Command-line front end: evaluate, transform, verify, tabulate.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
-Outputs are deterministic — the same arguments (and seed) produce
-byte-identical files.  Floats are written with Python's shortest
-round-trip representation.
+Exit codes: 0 success, 1 verification failure, 2 usage/configuration error
+(an ``--output`` path that cannot be written included).  Outputs are
+deterministic — the same arguments (and seed) produce byte-identical files.
+Floats are written with Python's shortest round-trip representation.
+
+Every command computes its whole result first and only then writes it,
+through :func:`_write_output`: a usage error therefore writes nothing, and
+the output file is opened only after the run.  The writing itself is
+streamed (verify reports and table rows go to the destination one at a
+time, stdout through a buffer), so the full text is never held in memory.
+A reader that closes stdout early ends the output without a traceback, and
+the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -65,20 +73,69 @@ def _parse_vector(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(part) for part in text.split(","))
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+class _UnwritableOutput(Exception):
+    """The --output destination could not be opened or written."""
 
 
-def _json_value_record(inputs: dict, value) -> str:
-    value = complex(value)
-    record = {"inputs": inputs, "value_re": value.real, "value_im": value.imag}
-    return json.dumps(record, sort_keys=True)
+class _StdoutBuffer:
+    """Text bound for stdout, passed on in chunks of about 64 KiB (one
+    system call each, also when stdout is unbuffered); ``close`` ends the
+    output with a newline if it does not already end with one."""
+
+    _CHUNK = 1 << 16
+
+    def __init__(self) -> None:
+        self._parts: list[str] = []
+        self._size = 0
+        self._last = ""
+
+    def write(self, text: str) -> None:
+        if text:
+            self._parts.append(text)
+            self._size += len(text)
+            self._last = text[-1]
+            if self._size >= self._CHUNK:
+                self._flush()
+
+    def _flush(self) -> None:
+        sys.stdout.write("".join(self._parts))
+        self._parts.clear()
+        self._size = 0
+
+    def close(self) -> None:
+        if self._last != "\n":
+            self.write("\n")
+        self._flush()
+        sys.stdout.flush()
+
+
+def _write_output(write, path: str | None) -> None:
+    """The one output path of every command: ``write(handle)`` writes the
+    finished result to the file at ``path``, opened only now, or to stdout.
+    An unwritable path is a usage error; a stdout reader that has gone
+    away ends the output quietly."""
+    if path is not None:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                write(handle)
+        except OSError as exc:
+            raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return
+    buffer = _StdoutBuffer()
+    try:
+        write(buffer)
+        buffer.close()
+    except BrokenPipeError:
+        # what is still buffered, and the flush at exit, go to the null
+        # device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_record(record: dict, path: str | None) -> None:
+    text = json.dumps(record, sort_keys=True)
+    _write_output(lambda out: out.write(text), path)
 
 
 def _require(parser: argparse.ArgumentParser, args, names) -> None:
@@ -160,7 +217,9 @@ def _cmd_eval(parser, args) -> int:
     except (ValueError, DomainError) as exc:
         parser.error(str(exc))
     _check_finite(parser, value)
-    _write_output(_json_value_record(inputs, value), args.output)
+    value = complex(value)
+    _write_record({"inputs": inputs, "value_re": value.real, "value_im": value.imag},
+                  args.output)
     return 0
 
 
@@ -189,13 +248,12 @@ def _cmd_fourier(parser, args) -> int:
                        "passed": report.passed})
         if not report.passed:
             status = VERIFY_FAILURE
-    _write_output(json.dumps(record, sort_keys=True), args.output)
+    _write_record(record, args.output)
     return status
 
 
-def _reports_to_csv(reports) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _reports_to_csv(reports, handle) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     header = ["identity_name", "parameters", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
               "abs_error", "rel_error", "tolerance", "passed", "low_confidence"]
     writer.writerow(header)
@@ -205,7 +263,6 @@ def _reports_to_csv(reports) -> str:
         row += [repr(data[key]) for key in header[2:9]]
         row += [str(data["passed"]).lower(), str(data["low_confidence"]).lower()]
         writer.writerow(row)
-    return buffer.getvalue()
 
 
 def _cmd_verify(parser, args) -> int:
@@ -215,14 +272,17 @@ def _cmd_verify(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        text = reports_to_json(reports) + "\n"
+        def write(out):
+            reports_to_json(reports, out)
+            out.write("\n")
     else:
-        text = _reports_to_csv(reports)
-    _write_output(text, args.output)
+        def write(out):
+            _reports_to_csv(reports, out)
+    _write_output(write, args.output)
     failed = sum(1 for report in reports if not report.passed)
-    summary = f"{len(reports) - failed}/{len(reports)} checks passed"
     if args.output is not None:
-        sys.stdout.write(summary + "\n")
+        summary = f"{len(reports) - failed}/{len(reports)} checks passed\n"
+        _write_output(lambda out: out.write(summary), None)
     return 0 if failed == 0 else VERIFY_FAILURE
 
 
@@ -268,12 +328,14 @@ def _cmd_table(parser, args) -> int:
     else:
         parser.error(f"unknown table function {fn!r}")
     _check_finite(parser, values)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header + ["value_re", "value_im"])
-    for point, value in zip(points.tolist(), np.asarray(values, dtype=complex).tolist()):
-        writer.writerow([repr(float(c)) for c in (*point, value.real, value.imag)])
-    _write_output(buffer.getvalue(), args.output)
+    rows = zip(points.tolist(), np.asarray(values, dtype=complex).tolist())
+
+    def write(out):
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header + ["value_re", "value_im"])
+        for point, value in rows:
+            writer.writerow([repr(float(c)) for c in (*point, value.real, value.imag)])
+    _write_output(write, args.output)
     return 0
 
 
@@ -377,7 +439,7 @@ def main(argv=None) -> int:
         # non-finite results are reported as usage errors, not as warnings
         with np.errstate(all="ignore"):
             return args.func(parser, args)
-    except (ValueError, DomainError, OverflowError) as exc:
+    except (ValueError, DomainError, OverflowError, _UnwritableOutput) as exc:
         parser.exit(USAGE_ERROR, f"error: {exc}\n")
 
 

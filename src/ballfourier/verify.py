@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -44,6 +45,8 @@ _FOURIER_FLOOR = 1e-9
 # json.dumps(value, sort_keys=True) without building an encoder per call:
 # the report sort key and the CSV parameters cell
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
+# one report of the indented JSON list, encoded at the top level
+_indented_json = json.JSONEncoder(indent=2).encode
 
 
 @dataclasses.dataclass(frozen=True)
@@ -479,9 +482,22 @@ def report_from_dict(data: dict) -> VerificationReport:
     )
 
 
-def reports_to_json(reports) -> str:
-    return json.dumps([report_to_dict(rep) for rep in reports], indent=2,
-                      sort_keys=False)
+def reports_to_json(reports, handle=None) -> str | None:
+    """The reports as one indented JSON list, the text of
+    ``json.dumps([report_to_dict(rep) for rep in reports], indent=2)``.
+
+    Each report is encoded on its own and shifted one level in (encoded
+    strings hold no raw newline).  With a text ``handle`` every report is
+    written as soon as it is encoded, so the whole text is never built, and
+    None is returned; without one the text is returned."""
+    out = io.StringIO() if handle is None else handle
+    opening = "[\n  "
+    for rep in reports:
+        out.write(opening)
+        out.write(_indented_json(report_to_dict(rep)).replace("\n", "\n  "))
+        opening = ",\n  "
+    out.write("[]" if opening == "[\n  " else "\n]")
+    return out.getvalue() if handle is None else None
 
 
 def reports_from_json(text: str):

@@ -1,14 +1,20 @@
 import contextlib
+import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballfourier import FamilyParams, ball_basis_eval, cli, fourier_closed_form, theta_factor
+from ballfourier import (FamilyParams, ball_basis_eval, cli, fourier_closed_form, gegenbauer,
+                         theta_factor)
+from ballfourier.verify import fourier_report, report_to_dict, reports_to_json, run_suite
 
 
 def run_cli(args, capsys):
@@ -500,3 +506,116 @@ class TestArgumentVectors:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
+
+
+def _run_both(args, capsysbinary, tmp_path):
+    """(exit code, stdout bytes) with no --output, and (exit code, file
+    bytes, stdout bytes) with one."""
+    code, out = run_cli(args, capsysbinary)
+    path = tmp_path / "out"
+    file_code, file_out = run_cli(args + ["--output", str(path)], capsysbinary)
+    return (code, out), (file_code, path.read_bytes(), file_out)
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+class TestOutputBytes:
+    """The streamed writers give the bytes of the text built in one piece:
+    the same to a file and to stdout, where a missing final newline is
+    added."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify(self, capsysbinary, tmp_path, fmt):
+        args = ["verify", "--suite", "parseval", "--r-max", "2", "--format", fmt]
+        reports = run_suite("parseval", r_max=2)
+        if fmt == "json":
+            expected = reports_to_json(reports) + "\n"
+        else:
+            header = ["identity_name", "parameters", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+                      "abs_error", "rel_error", "tolerance", "passed", "low_confidence"]
+            rows = [header]
+            for report in reports:
+                data = report_to_dict(report)
+                rows.append([data["identity_name"], json.dumps(data["parameters"], sort_keys=True)]
+                            + [repr(data[key]) for key in header[2:9]]
+                            + [str(data["passed"]).lower(), str(data["low_confidence"]).lower()])
+            expected = _csv_text(rows)
+        (code, out), (file_code, data, summary) = _run_both(args, capsysbinary, tmp_path)
+        assert code == file_code == 0
+        assert out == data == expected.encode()
+        assert summary == f"{len(reports)}/{len(reports)} checks passed\n".encode()
+
+    def test_eval(self, capsysbinary, tmp_path):
+        args = ["eval", "--fn", "gegenbauer", "--n", "3", "--lambda", "0.7", "--x", "0.3"]
+        record = {"inputs": {"fn": "gegenbauer", "n": 3, "lambda": 0.7, "x": 0.3},
+                  "value_re": float(gegenbauer(3, 0.7, 0.3)), "value_im": 0.0}
+        expected = json.dumps(record, sort_keys=True).encode()
+        (code, out), (file_code, data, file_out) = _run_both(args, capsysbinary, tmp_path)
+        assert code == file_code == 0
+        assert (out, data, file_out) == (expected + b"\n", expected, b"")
+
+    def test_fourier(self, capsysbinary, tmp_path):
+        args = ["fourier", "--n", "1,2", "--a", "1", "--mu", "0.5", "--xi", "0.3,1.2",
+                "--check"]
+        params = FamilyParams(1.0, 0.5, (1, 2))
+        closed = fourier_closed_form(params, np.array([0.3, 1.2]))
+        report = fourier_report(params, np.array([0.3, 1.2]), None)
+        record = {"inputs": {"n": [1, 2], "a": 1.0, "mu": 0.5, "xi": [0.3, 1.2]},
+                  "closed_re": closed.real, "closed_im": closed.imag,
+                  "oracle_re": report.rhs.real, "oracle_im": report.rhs.imag,
+                  "rel_error": report.rel_error, "tolerance": report.tolerance,
+                  "passed": report.passed}
+        expected = json.dumps(record, sort_keys=True).encode()
+        (code, out), (file_code, data, file_out) = _run_both(args, capsysbinary, tmp_path)
+        assert code == file_code == 0
+        assert (out, data, file_out) == (expected + b"\n", expected, b"")
+
+    def test_table(self, capsysbinary, tmp_path):
+        args = ["table", "--fn", "theta", "--n", "2,1", "--a", "1", "--mu", "0.5",
+                "--start", "-1", "--stop", "1", "--step", "0.5"]
+        points = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        values = theta_factor(1, 2, FamilyParams(1.0, 0.5, (2, 1)), np.array(points))
+        expected = _csv_text([["xi", "value_re", "value_im"]]
+                             + [[repr(x), repr(v.real), repr(v.imag)]
+                                for x, v in zip(points, values.tolist())]).encode()
+        (code, out), (file_code, data, file_out) = _run_both(args, capsysbinary, tmp_path)
+        assert code == file_code == 0
+        assert (out, data, file_out) == (expected, expected, b"")
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("args", [
+        ["verify", "--suite", "hahn-ort"],
+        ["eval", "--fn", "gegenbauer", "--n", "3", "--lambda", "0.7", "--x", "0.3"],
+    ])
+    @pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                               ("directory", "Is a directory")])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, args, where, reason):
+        path = str(tmp_path / "no" / "such" / "dir" / "x.json" if where == "missing"
+                   else tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(args + ["--output", path])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+    def test_closed_pipe_keeps_the_exit_code(self):
+        # buffered stdout, as in a pipeline; the report text (about 190 KB)
+        # is larger than a pipe's buffer, so the writer meets the closed end
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "ballfourier.cli", "verify",
+                                 "--suite", "fourier-paths", "--r-max", "1"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(5) == b"[\n  {"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""

@@ -343,3 +343,54 @@ class TestBatchedClosedForm:
     def test_single_vector_is_complex_scalar(self):
         value = fourier_closed_form(FamilyParams(1.0, 0.5, (1, 2)), [0.5, -1.0])
         assert isinstance(value, complex)
+
+
+def _mp_fourier(n, a, mu, xi):
+    """The paper's closed form at 50 digits: the product over axes j of
+    2^(m + 2a + (k-2)/2) (2 lam)_{n_j} / n_j! B(b + i xi_j/2, b - i xi_j/2)
+    3F2(-n_j, n_j + 2 lam, b + i xi_j/2; m + 2a + k/2, m + mu + (k+1)/2; 1),
+    with m = |n^{j+1}|, k = r - j, lam = m + mu + k/2 and b = a + m/2 + k/4.
+    The terminating 3F2 is summed term by term."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, mu = mp.mpf(a), mp.mpf(mu)
+        value = mp.mpc(1)
+        r = len(n)
+        for j in range(r):
+            nj, m, k = n[j], sum(n[j + 1:]), r - 1 - j
+            lam = m + mu + mp.mpf(k) / 2
+            b = a + mp.mpf(m) / 2 + mp.mpf(k) / 4
+            plus, minus = b + 0.5j * mp.mpf(xi[j]), b - 0.5j * mp.mpf(xi[j])
+            upper = (-nj, nj + 2 * lam, plus)
+            lower = (m + 2 * a + mp.mpf(k) / 2, m + mu + mp.mpf(k + 1) / 2)
+            term = series = mp.mpc(1)
+            for i in range(nj):
+                term *= ((upper[0] + i) * (upper[1] + i) * (upper[2] + i)
+                         / ((lower[0] + i) * (lower[1] + i) * (i + 1)))
+                series += term
+            value *= (mp.power(2, m + 2 * a + mp.mpf(k - 2) / 2) * mp.rf(2 * lam, nj)
+                      / mp.factorial(nj) * mp.gamma(plus) * mp.gamma(minus)
+                      / mp.gamma(2 * b) * series)
+        return complex(value)
+
+
+class TestLargeFrequencies:
+    """The closed form far past the |xi| <= 3 of the suites, down to values
+    near 1e-270, against the 50-digit formula."""
+
+    @pytest.mark.parametrize("a, mu", [(1.0, 0.5), (0.5, 0.5), (1.75, 1.25)])
+    def test_matches_mpmath(self, a, mu):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for n in [(0,), (4,), (12,), (30,), (3, 2, 1), (10, 10, 10)]:
+            for case, size in enumerate((20.0, 80.0, 200.0, 400.0)):
+                # one large component, on a different axis each time; the
+                # others in [-1, 0.5]; |xi| = size
+                xi = rng.uniform(-1.0, 0.5, size=len(n))
+                axis = case % len(n)
+                xi[axis] = 0.0
+                xi[axis] = (-1) ** case * math.sqrt(size ** 2 - float(xi @ xi))
+                got = fourier_closed_form(FamilyParams(a, mu, n), xi)
+                assert got != 0
+                worst = max(worst, rel_err(got, _mp_fourier(n, a, mu, xi)))
+        assert worst <= 1e-12

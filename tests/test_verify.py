@@ -1,9 +1,11 @@
 import ast
 import inspect
+import io
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ballfourier import cli, quadrature, verify
@@ -250,3 +252,51 @@ class TestSerialization:
         text1 = reports_to_json(run_suite("ball-pde", seed=5, r_max=2))
         text2 = reports_to_json(run_suite("ball-pde", seed=5, r_max=2))
         assert text1 == text2
+
+
+def _dumps_all(reports) -> str:
+    """The list encoded in one piece, as reports_to_json must reproduce it."""
+    return json.dumps([report_to_dict(rep) for rep in reports], indent=2)
+
+
+def _hand_built_reports():
+    def report(name, parameters, lhs, rel_error=0.0):
+        return verify.VerificationReport(name, parameters, lhs, 1.0 + 0.0j, 0.0, rel_error,
+                                         1e-6, False, True)
+    return [
+        report("nan", {"n": [1, 2]}, 1.0 + 0.0j, rel_error=math.nan),
+        report("inf", {"xi": 0.5}, complex(math.inf, -math.inf)),
+        report("negative zero", {"x": -0.0}, complex(-0.0, -0.0)),
+        report('quote " and \\ and é and ∞', {'key "q"': 'naïve "x"\n', "ω": "π"}, 0.5j),
+        report("empty", {}, 1.0 + 2.0j),
+        report("nested", {"grid": [[1, [2, []]], {"deep": {"a": [0.1, {}]}}]}, 3.0 + 0.0j),
+        report("tuple", {"n": (3, 2, 1), "pairs": ((0, 1), (2, 3))}, 1.0 + 0.0j),
+        report("numpy", {"a": np.float64(0.1), "mu": [np.float64(-0.0), np.float64(1e300)]},
+               complex(np.float64(2.5), np.float64(-1e-320)), rel_error=np.float64(1e-17)),
+    ]
+
+
+class TestStreamedJson:
+    """reports_to_json writes each report on its own; the text must be that
+    of encoding the whole list at once."""
+
+    @pytest.mark.parametrize("suite, r_max", [("hahn-ort", 3), ("fourier-paths", 2),
+                                              ("dfamily-ort", 2)])
+    def test_suite_output_matches_one_piece_encoding(self, suite, r_max):
+        reports = run_suite(suite, seed=4, r_max=r_max)
+        assert reports_to_json(reports) == _dumps_all(reports)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 8])
+    def test_hand_built_reports(self, count):
+        reports = _hand_built_reports()[:count]
+        assert reports_to_json(reports) == _dumps_all(reports)
+
+    def test_each_edge_case_alone(self):
+        for report in _hand_built_reports():
+            assert reports_to_json([report]) == _dumps_all([report])
+
+    def test_handle_receives_the_returned_text(self):
+        reports = _hand_built_reports() + run_suite("hahn-ort")
+        handle = io.StringIO()
+        assert reports_to_json(reports, handle) is None
+        assert handle.getvalue() == reports_to_json(reports) == _dumps_all(reports)
