@@ -3,9 +3,10 @@ return numbers only; :mod:`ballfourier.verify` turns them into verdicts.
 
 These engines are the ground truth the closed forms are checked against:
 
-* real-line integrals use composite Gauss-Legendre panels over [-T, T]
-  (the integrands are analytic with exponential decay, so panelled rules
-  reach near machine precision);
+* real-line integrals take their nodes from :func:`_line_rule`: composite
+  Gauss-Legendre panels over [-T, T] (the integrands are analytic with
+  exponential decay, so panelled rules reach near machine precision), or
+  the tanh-mapped whole-line rule of :func:`tanh_default_spec`;
 * ball integrals use the nested radius parameterization with per-axis
   Gauss-Jacobi rules that absorb the weight exactly; in those coordinates a
   product of two basis polynomials is a product of one-variable factors
@@ -17,11 +18,10 @@ These engines are the ground truth the closed forms are checked against:
 * Fourier integrals are tensor-product quadratures; because every family
   member separates across axes, the tensor sum is normally evaluated in
   factored per-axis form (one reduction per axis for a whole set of
-  frequencies), with a dense tensor mode and a tanh-substituted mode
-  retained as independent cross-checks; the axis-j integral depends on the
-  member only through its axis key (j, n_j, |n^{j+1}|), so a table over
-  many multi-indices (:func:`fourier_numeric_table`, separated and tanh
-  modes) computes it once per key.
+  frequencies), with a dense tensor mode retained as the independent
+  cross-check; the axis-j integral depends on the member only through its
+  axis key (j, n_j, |n^{j+1}|), so a table over many multi-indices
+  (:func:`fourier_numeric_table`) computes it once per key.
 
 Tables that depend only on the rule are built once per process.  The rules
 themselves are cached by their parameters; they are the only state kept
@@ -68,6 +68,8 @@ __all__ = [
     "QuadratureSpec",
     "ball_default_spec",
     "hahn_default_spec",
+    "d_pair_spec",
+    "tanh_default_spec",
     "fourier_numeric",
     "fourier_numeric_table",
     "ball_inner_product_numeric",
@@ -79,13 +81,21 @@ __all__ = [
     "parseval_sides",
 ]
 
+# cells of the whole-line rule in u = tanh x: 8 central panels on
+# |u| <= 1/2 and, on each side, 119 dyadic levels 2^-(l+1) <= 1 - |u| <= 2^-l
+_TANH_CENTRAL, _TANH_LEVELS = 8, 119
+_TANH_CELLS = _TANH_CENTRAL + 2 * _TANH_LEVELS
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node budget and truncation for the oracle.
 
     ``nodes_per_axis`` is the total node count along one axis; line rules
-    spread it over ``panels`` equal Gauss-Legendre panels.  The defaults are
-    the real-line/Fourier rule.  Separated evaluation makes the per-axis
+    split it into ``panels`` equal Gauss-Legendre panels of at least 2
+    nodes.  ``truncation_halfwidth=math.inf`` names the whole-line rule,
+    whose 246 cells take panels / 246 panels each.  The defaults are the
+    real-line/Fourier rule.  Separated evaluation makes the per-axis
     budget cheap in any dimension, so they are deliberately generous: 64
     panels of 16 nodes resolve both the slowest sech decay (a = 1/2) and
     the sharpest one in the tested range at |xi| <= 3 to better than 1e-12.
@@ -98,10 +108,14 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.nodes_per_axis, numbers.Integral) and self.nodes_per_axis >= 2):
             raise ValueError("nodes_per_axis must be an integer of at least 2")
-        if not 0 < self.truncation_halfwidth < math.inf:
-            raise ValueError("truncation_halfwidth must be positive and finite")
+        if not 0 < self.truncation_halfwidth <= math.inf:
+            raise ValueError("truncation_halfwidth must be positive")
         if not (isinstance(self.panels, numbers.Integral) and self.panels >= 1):
             raise ValueError("panels must be an integer of at least 1")
+        if self.nodes_per_axis % self.panels or self.nodes_per_axis < 2 * self.panels:
+            raise ValueError("panels must split nodes_per_axis into equal panels of >= 2 nodes")
+        if self.truncation_halfwidth == math.inf and self.panels % _TANH_CELLS:
+            raise ValueError(f"the whole-line rule needs a multiple of {_TANH_CELLS} panels")
 
 
 # Gauss-Jacobi nodes per axis of the default ball rule
@@ -125,12 +139,27 @@ def ball_default_spec(r: int) -> QuadratureSpec:
 
 
 def doubled_spec(spec: QuadratureSpec) -> QuadratureSpec:
-    """Same rule with twice the nodes (and panels, for line rules): the
-    resolution step of the stability gate the verification suites apply
-    before issuing a verdict."""
+    """Same rule with twice the nodes (and panels, for line rules; on the
+    whole line every cell gets twice the panels): the resolution step of the
+    stability gate the verification suites apply before issuing a verdict."""
     return QuadratureSpec(nodes_per_axis=2 * spec.nodes_per_axis,
                           truncation_halfwidth=spec.truncation_halfwidth,
                           panels=2 * spec.panels)
+
+
+def tanh_default_spec() -> QuadratureSpec:
+    """The whole-line rule: 16 Gauss-Legendre nodes in each of the 246
+    cells of u = tanh x, 3,936 nodes, and no truncation.  At degree 30 it
+    keeps the Fourier oracle at rounding level, where the default line rule
+    is off by 1.1e-5."""
+    return QuadratureSpec(nodes_per_axis=16 * _TANH_CELLS, truncation_halfwidth=math.inf,
+                          panels=_TANH_CELLS)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -162,66 +191,53 @@ def _jacgauss_cached(k: int, alpha: float, beta: float):
     total_mass = float(2.0 ** (ab + 1.0)
                        * np.exp(log_gamma(alpha + 1.0) + log_gamma(beta + 1.0)
                                 - log_gamma(ab + 2.0)))
-    weights = total_mass * vectors[0, :] ** 2
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _read_only(nodes, total_mass * vectors[0, :] ** 2)
 
 
 @lru_cache(maxsize=None)
 def _composite_rule(lo: float, hi: float, panels: int, nodes_per_panel: int):
+    """(x, w, tanh x, sech^2 x) of ``panels`` equal Gauss-Legendre panels
+    on [lo, hi]."""
     xg, wg = _leggauss_cached(nodes_per_panel)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     x = (centers[:, None] + half * xg[None, :]).ravel()
-    w = np.tile(half * wg, panels)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _read_only(x, np.tile(half * wg, panels), np.tanh(x), 1.0 / np.cosh(x) ** 2)
+
+
+@lru_cache(maxsize=None)
+def _tanh_rule(splits: int, nodes_per_panel: int):
+    """(x, w, tanh x, sech^2 x) of the whole-line rule x = artanh u: each
+    cell of u is split into ``splits`` equal Gauss-Legendre panels, w is
+    w_u / (1 - u^2), and tanh x and sech^2 x are the map's u and 1 - u^2.
+    The dyadic cells are parameterized by v = 1 - |u|, so 1 - u^2 and
+    artanh u are formed without cancellation."""
+    xg, wg = _leggauss_cached(nodes_per_panel)
+    edges = np.linspace(-0.5, 0.5, _TANH_CENTRAL * splits + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    u = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * xg).ravel()
+    # the dyadic cells of one side, in v, from 1 - |u| = 1/2 toward 0
+    vedges = (2.0 ** -np.arange(2, _TANH_LEVELS + 2))[:, None] * (
+        1.0 + np.arange(splits + 1) / splits)
+    vhalf = (0.5 * (vedges[:, 1:] - vedges[:, :-1])).reshape(-1, 1)
+    v = ((0.5 * (vedges[:, :-1] + vedges[:, 1:])).reshape(-1, 1) + vhalf * xg).ravel()
+    x_side, w_side = 0.5 * np.log((2.0 - v) / v), (vhalf * wg).ravel()
+    om2 = np.concatenate([1.0 - u * u, v * (2.0 - v), v * (2.0 - v)])
+    w = np.concatenate([np.tile(half * wg, len(edges) - 1), w_side, w_side]) / om2
+    return _read_only(np.concatenate([np.arctanh(u), x_side, -x_side]), w,
+                      np.concatenate([u, 1.0 - v, -(1.0 - v)]), om2)
 
 
 def _line_rule(spec: QuadratureSpec):
-    nodes_per_panel = max(2, -(-spec.nodes_per_axis // spec.panels))
+    """(x, w, tanh x, sech^2 x) of the line rule of ``spec``, the one source
+    of nodes of every oracle integral on R; a finite window has equal
+    panels on [-T, T], the whole line the cells of :func:`_tanh_rule`."""
+    nodes_per_panel = spec.nodes_per_axis // spec.panels
+    if spec.truncation_halfwidth == math.inf:
+        return _tanh_rule(spec.panels // _TANH_CELLS, nodes_per_panel)
     return _composite_rule(-spec.truncation_halfwidth, spec.truncation_halfwidth,
                            spec.panels, nodes_per_panel)
-
-
-# ---------------------------------------------------------------------------
-# tanh-substituted node set
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _tanh_rule(levels: int = 120, nodes_per_panel: int = 16, central_panels: int = 8):
-    """Nodes on (-1, 1) for integrands singular/oscillatory at the endpoints.
-
-    Panels halve dyadically toward +-1; endpoint panels are parameterized by
-    the distance v = 1 - |u| so that 1 - u^2 and artanh(u) are formed without
-    cancellation.  Returns (u, 1 - u^2, artanh(u), w).
-    """
-    xg, wg = _leggauss_cached(nodes_per_panel)
-    us, om2s, xs, ws = [], [], [], []
-    edges = np.linspace(-0.5, 0.5, central_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (lo + hi) + half * xg
-        us.append(u)
-        om2s.append(1.0 - u * u)
-        xs.append(np.arctanh(u))
-        ws.append(half * wg)
-    for sign in (1.0, -1.0):
-        for lev in range(1, levels):
-            vhi, vlo = 2.0 ** (-lev), 2.0 ** (-lev - 1)
-            mid, vhalf = 0.5 * (vlo + vhi), 0.5 * (vhi - vlo)
-            v = mid + vhalf * xg
-            us.append(sign * (1.0 - v))
-            om2s.append(v * (2.0 - v))
-            xs.append(sign * 0.5 * np.log((2.0 - v) / v))
-            ws.append(vhalf * wg)
-    out = tuple(np.concatenate(part) for part in (us, om2s, xs, ws))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,38 +284,23 @@ def _fourier_axis_integral(key, r: int, a: float, mu: float, phases, spec: Quadr
     (j, n_j, m) against ``phases``, the rows exp(-i xi x) on the nodes of
     the line rule of ``spec``, one row per frequency: one pairwise node sum
     per row, so a row's value does not depend on the other rows."""
-    x, w = _line_rule(spec)
-    factor = _gegenbauer_factor(key, r, mu, 1.0 / np.cosh(x) ** 2, _sech_power(key, r, a),
-                                np.tanh(x))
+    _, w, t, sech2 = _line_rule(spec)
+    factor = _gegenbauer_factor(key, r, mu, sech2, _sech_power(key, r, a), t)
     return np.sum((w * factor) * phases, axis=-1)
 
 
-def _tanh_axis_integral(key, r: int, a: float, mu: float, phases):
-    """Transform of the axis factor of the key (j, n_j, m) against
-    ``phases``, the rows exp(-i xi x) on the tanh-substituted node set of
-    :func:`_tanh_rule`."""
-    u, om2, _, w = _tanh_rule()
-    factor = _gegenbauer_factor(key, r, mu, om2, _sech_power(key, r, a) - 1.0, u)
-    return np.sum(w * (factor * phases), axis=-1)
-
-
-def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
-    """Separated or tanh-mode transforms of each member of ``members``
-    (parameters sharing a, mu and r) at the frequency vectors ``xi``, shape
+def _separated_table(members, xi, spec: QuadratureSpec | None):
+    """Separated transforms of each member of ``members`` (parameters
+    sharing a, mu and r) at the frequency vectors ``xi``, shape
     (len(members),) + xi.shape[:-1]: one axis integral per axis key, on the
     phase rows of the distinct frequencies of that axis, formed once per
-    call.  One vector is a batch of one, so its value is the batch entry.
-    The tanh mode has one fixed node set, so it takes no ``spec``."""
-    if mode not in ("separated", "tanh"):
-        raise ValueError("mode must be 'separated' or 'tanh'")
-    if mode == "tanh" and spec is not None:
-        raise ValueError("the tanh mode integrates on a fixed node set; pass spec=None")
+    call.  One vector is a batch of one, so its value is the batch entry."""
     r, a, mu = members[0].r, members[0].a, members[0].mu
     xi = _frequency_vectors(xi, r)
     if spec is None:
         spec = QuadratureSpec()
     flat = xi.reshape(-1, r)
-    nodes = _line_rule(spec)[0] if mode == "separated" else _tanh_rule()[2]
+    nodes = _line_rule(spec)[0]
     columns = []
     for column in flat.T:
         distinct, inverse = np.unique(column, return_inverse=True)
@@ -307,10 +308,8 @@ def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
 
     def axis_rows(j, m, degrees):
         phases, inverse = columns[j - 1]
-        if mode == "separated":
-            return [_fourier_axis_integral((j, nj, m), r, a, mu, phases, spec)[inverse]
-                    for nj in degrees]
-        return [_tanh_axis_integral((j, nj, m), r, a, mu, phases)[inverse] for nj in degrees]
+        return [_fourier_axis_integral((j, nj, m), r, a, mu, phases, spec)[inverse]
+                for nj in degrees]
 
     member_keys = [_axis_keys(params.n) for params in members]
     factors = _axis_table(member_keys, axis_rows)
@@ -321,32 +320,31 @@ def _separated_table(members, xi, spec: QuadratureSpec | None, mode: str):
 
 def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None,
                     mode: str = "separated"):
-    """Numerical Fourier transform of a family member (kernel exp(-i xi.x)).
+    """Numerical Fourier transform of a family member (kernel exp(-i xi.x))
+    on the line rule of ``spec``, by default :class:`QuadratureSpec`;
+    :func:`tanh_default_spec` is the whole-line rule, at rounding level
+    past the default's degree range.
 
     ``xi`` has shape (..., r): one length-r frequency vector gives a complex
     scalar, a batch of them an array of shape ``xi.shape[:-1]``.  Modes:
 
     * ``separated`` (default): the tensor-product quadrature sum evaluated in
       factored per-axis form — exact reordering of the same sum, at per-axis
-      cost; each axis is integrated once on its distinct frequencies.
+      cost; each axis is integrated once on its distinct frequencies.  It is
+      the one-member case of :func:`fourier_numeric_table`.
     * ``tensor``: dense tensor-product sum; the integrand is evaluated
-      through the ball-basis route, making no use of separability.
-    * ``tanh``: per axis, substitute u = tanh x and integrate over (-1, 1)
-      with the kernel ((1+u)/(1-u))^(-i xi/2) and Jacobian (1-u^2)^(-1) on
-      fixed endpoint-clustered panels; a ``spec`` is rejected.
-
-    All modes agree to quadrature accuracy; the extra modes exist as
-    independent checks of the default.  ``separated`` and ``tanh`` are the
-    one-member case of :func:`fourier_numeric_table`.
+      through the ball-basis route, making no use of separability.  The
+      modes agree to rounding on one rule; the tensor mode is the
+      independent check of the default.
     """
-    if mode in ("separated", "tanh"):
-        out = _separated_table([params], xi, spec, mode)[0]
+    if mode == "separated":
+        out = _separated_table([params], xi, spec)[0]
     elif mode == "tensor":
         r = params.r
         xi = _frequency_vectors(xi, r)
         if spec is None:
             spec = QuadratureSpec()
-        x, w = _line_rule(spec)
+        x, w = _line_rule(spec)[:2]
         values = family_eval(_dense_grid([x] * r), params)
         if not np.all(np.isfinite(values)):
             raise NonFiniteIntegrandError("family evaluation produced non-finite values")
@@ -356,22 +354,21 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
             out[index] = np.sum(_axis_weighted(values, [w * np.exp(-1j * xi_j * x)
                                                         for xi_j in xi[index]]))
     else:
-        raise ValueError("mode must be 'separated', 'tensor' or 'tanh'")
+        raise ValueError("mode must be 'separated' or 'tensor'")
     return complex(out) if out.ndim == 0 else out
 
 
 def fourier_numeric_table(indices, a: float, mu: float, xi,
-                          spec: QuadratureSpec | None = None, mode: str = "separated"):
+                          spec: QuadratureSpec | None = None):
     """Numerical transforms of the members ``indices`` (multi-indices of one
     length r) with parameters (a, mu) at the frequency vectors ``xi`` of
-    shape (..., r), in the ``separated`` or ``tanh`` mode of
-    :func:`fourier_numeric`: an array of shape (len(indices),) +
-    xi.shape[:-1] whose row p is :func:`fourier_numeric` of indices[p],
-    bit for bit.  Each axis integral is computed once per distinct axis key
-    (j, n_j, |n^{j+1}|), so the cost grows with the number of keys, not with
-    the number of indices."""
+    shape (..., r), on the line rule of ``spec``: an array of shape
+    (len(indices),) + xi.shape[:-1] whose row p is the separated
+    :func:`fourier_numeric` of indices[p], bit for bit.  Each axis integral
+    is computed once per distinct axis key (j, n_j, |n^{j+1}|), so the cost
+    grows with the number of keys, not with the number of indices."""
     members = [FamilyParams(a, mu, n) for n in _index_list(indices)]
-    return _separated_table(members, xi, spec, mode)
+    return _separated_table(members, xi, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,8 @@ def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, deg
     ``tensor`` keys each index by itself and has its basis values on the
     dense grid of the same rules, evaluated once per distinct index.  The
     default rule is exact up to a pair degree of 63
-    (:func:`ball_default_spec`); beyond it a ``spec`` must be passed."""
+    (:func:`ball_default_spec`); beyond it a ``spec`` must be passed.  A
+    whole-line ``spec`` is refused before any rule is built."""
     if mode not in ("separated", "tensor"):
         raise ValueError("mode must be 'separated' or 'tensor'")
     mu = _check_mu(mu)
@@ -410,6 +408,8 @@ def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, deg
         if degree > 2 * spec.nodes_per_axis - 1:
             raise ValueError(f"pair degree {degree} is beyond the exact range of the default "
                              f"{spec.nodes_per_axis}-node rule; pass a QuadratureSpec")
+    elif spec.truncation_halfwidth == math.inf:
+        raise ValueError("the whole-line rule is a rule on R, not a ball rule")
     rules = _ball_rules(r, mu, spec.nodes_per_axis)
     if mode == "tensor":
         axes, weights = zip(*rules)
@@ -469,7 +469,8 @@ def hahn_default_spec() -> QuadratureSpec:
     return QuadratureSpec(nodes_per_axis=768, truncation_halfwidth=12.0, panels=48)
 
 
-def _d_pair_spec(a1: float, a2: float) -> QuadratureSpec:
+def d_pair_spec(a1: float, a2: float) -> QuadratureSpec:
+    """Default line rule of the gamma-pair pairings at (a1, a2)."""
     # gamma-pair decay exp(-pi |x|) per axis; 40/(a1+a2) covers the tested
     # parameter range with tail below 1e-12 (checked by range doubling).
     # The integrand has poles at distance min(2 a1, 2 a2) off the axis, so
@@ -484,7 +485,7 @@ def _hahn_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None
     polynomial once, and each row's weighted polynomial once."""
     if spec is None:
         spec = hahn_default_spec()
-    x, w = _line_rule(spec)
+    x, w = _line_rule(spec)[:2]
     weight = np.exp(2.0 * np.real(log_gamma(a1 + 1j * x)) + 2.0 * np.real(log_gamma(a2 + 1j * x)))
     params = (a1, a2, a2, a1)
     degrees = list(dict.fromkeys([*rows, *cols]))
@@ -523,8 +524,8 @@ def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
     axis at a time on one rule; the axis factors of each sign are formed
     once per axis key, from one ladder per axis tail."""
     if spec is None:
-        spec = _d_pair_spec(a1, a2)
-    x, w = _line_rule(spec)
+        spec = d_pair_spec(a1, a2)
+    x, w = _line_rule(spec)[:2]
     r = len(rows[0])
     row_keys = [_axis_keys(n) for n in rows]
     col_keys = [_axis_keys(m) for m in cols]
@@ -550,8 +551,8 @@ def d_biorthogonality_integral(n, m, a1: float, a2: float,
     if mode != "tensor":
         raise ValueError("mode must be 'separated' or 'tensor'")
     if spec is None:
-        spec = _d_pair_spec(a1, a2)
-    x, w = _line_rule(spec)
+        spec = d_pair_spec(a1, a2)
+    x, w = _line_rule(spec)[:2]
     points = _dense_grid([x] * len(n)).astype(np.complex128)
     fn = d_family_eval(1j * points, DParams(a1, a2, n))
     fm = d_family_eval(-1j * points, DParams(a2, a1, m))
@@ -586,8 +587,7 @@ def parseval_sides(n, m, a1: float, a2: float, spec: QuadratureSpec | None = Non
     mu = DParams(a1, a2, (0,) * r).mu  # validates a1, a2 and the coupling
     if spec is None:
         spec = QuadratureSpec()
-    x, w = _line_rule(spec)
-    sech2, t = 1.0 / np.cosh(x) ** 2, np.tanh(x)
+    x, w, t, sech2 = _line_rule(spec)
     keys_n, keys_m = _axis_keys(n), _axis_keys(m)
 
     def x_rows(a):

@@ -149,9 +149,9 @@ def _sech_power(key, r: int, a: float) -> float:
 
 def _gegenbauer_factor(key, r: int, mu: float, weight, power, t):
     """weight^power * C_{n_j}^{lambda_j}(t) of the axis key (j, n_j, m),
-    lambda_j = mu + m + (r - j)/2: the x-side axis factor of the family, of
-    its tanh-substituted integrand and (weight 1 - t^2, power m/2) of the
-    ball basis in nested-radius coordinates."""
+    lambda_j = mu + m + (r - j)/2: the x-side axis factor of the family and
+    (weight 1 - t^2, power m/2) of the ball basis in nested-radius
+    coordinates."""
     j, nj, m = key
     return weight ** power * gegenbauer(nj, mu + m + (r - j) / 2.0, t)
 

@@ -404,7 +404,7 @@ def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
         cases.append(((1.0, 0.75), _multi_indices(2, 2)))
     reports = []
     for (a1, a2), indices in cases:
-        grams = _base_and_doubled(quad._d_pair_spec(a1, a2), lambda s: quad.d_biorthogonality_gram(
+        grams = _base_and_doubled(quad.d_pair_spec(a1, a2), lambda s: quad.d_biorthogonality_gram(
             indices, a1, a2, s))
         for (p, n), (q, m) in itertools.combinations_with_replacement(enumerate(indices), 2):
             reports.append(_ort_report(

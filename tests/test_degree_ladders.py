@@ -20,8 +20,8 @@ from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from ballfourier.quadrature import (QuadratureSpec, _jacgauss_cached, ball_default_spec,
                                     ball_gram_matrix, ball_inner_product_numeric,
                                     d_biorthogonality_gram, d_biorthogonality_integral,
-                                    fourier_numeric_table, hahn_gram_matrix,
-                                    hahn_orthogonality_integral)
+                                    doubled_spec, fourier_numeric_table, hahn_gram_matrix,
+                                    hahn_orthogonality_integral, tanh_default_spec)
 from ballfourier.tanh_family import fourier_closed_form_table
 
 
@@ -279,24 +279,26 @@ class TestOneFactorPerAxisKey:
             expect = [(nj, mu + m + (r - j) / 2.0, rules[j - 1].tobytes()) for j, nj, m in keys]
             assert sorted(calls) == sorted(expect)
 
-    @pytest.mark.parametrize("mode", ["separated", "tanh"])
-    def test_fourier_tables(self, monkeypatch, mode):
+    @pytest.mark.parametrize("specs", [
+        pytest.param((QuadratureSpec(), QuadratureSpec(nodes_per_axis=2048, panels=128)),
+                     id="separated"),
+        pytest.param((tanh_default_spec(), doubled_spec(tanh_default_spec())), id="tanh"),
+    ])
+    def test_fourier_tables(self, monkeypatch, specs):
+        # the finite-window rule and the whole-line (tanh-mapped) rule
         from ballfourier import quadrature
-        name = "_fourier_axis_integral" if mode == "separated" else "_tanh_axis_integral"
         calls = []
-        original = getattr(quadrature, name)
+        original = quadrature._fourier_axis_integral
 
         def recording(key, *args):
             calls.append(key)
             return original(key, *args)
 
-        monkeypatch.setattr(quadrature, name, recording)
+        monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording)
         grid = np.array(list(itertools.product((-3.0, 0.5, 2.0), repeat=3)))
-        specs = ((QuadratureSpec(), QuadratureSpec(nodes_per_axis=2048, panels=128))
-                 if mode == "separated" else (None,))
         for spec in specs:
             calls.clear()
-            fourier_numeric_table(self.INDICES, 1.2, 0.7, grid, spec, mode)
+            fourier_numeric_table(self.INDICES, 1.2, 0.7, grid, spec)
             assert sorted(calls) == sorted(self._keys(self.INDICES))
 
     def test_d_pairings(self, monkeypatch):

@@ -10,10 +10,10 @@ from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          fourier_numeric_table, gegenbauer, hahn_orthogonality_constant,
                          hahn_orthogonality_integral, parseval_sides, tail_sum)
 from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
-                                    _line_rule, _tanh_rule, ball_default_spec, ball_gram_matrix,
+                                    _line_rule, ball_default_spec, ball_gram_matrix,
                                     ball_inner_product_numeric, d_biorthogonality_gram,
                                     d_biorthogonality_integral, doubled_spec,
-                                    hahn_default_spec, hahn_gram_matrix)
+                                    hahn_default_spec, hahn_gram_matrix, tanh_default_spec)
 from ballfourier.tanh_family import (_axis_keys, family_axis_factor, fourier_prefactor,
                                      theta_factor)
 from ballfourier.verify import make_report
@@ -35,13 +35,26 @@ class TestQuadratureSpec:
             QuadratureSpec(truncation_halfwidth=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(panels=0)
-        # a fractional node or panel count, or an infinite or nan window
+        # a fractional node or panel count, a nan window, or an infinite one
+        # whose 64 panels are not a whole-line layout (a multiple of 246)
         for bad in ({"nodes_per_axis": 100.5}, {"nodes_per_axis": 100.0}, {"panels": 2.5},
                     {"truncation_halfwidth": math.inf}, {"truncation_halfwidth": math.nan}):
             with pytest.raises(ValueError):
                 QuadratureSpec(**bad)
         spec = QuadratureSpec(np.int64(256), 20.0, np.int64(16))
         assert len(_line_rule(spec)[0]) == 256
+
+    def test_node_count_is_exact(self):
+        # the panels split the node count evenly, at least 2 nodes each;
+        # 100 nodes on 64 panels used to build 128
+        for nodes, panels in ((100, 64), (64, 64), (3, 2), (10, 4)):
+            with pytest.raises(ValueError, match="equal panels"):
+                QuadratureSpec(nodes, panels=panels)
+        with pytest.raises(ValueError, match="multiple of 246"):
+            QuadratureSpec(123 * 16, math.inf, 123)
+        for spec in (QuadratureSpec(96, panels=48), QuadratureSpec(2, panels=1),
+                     QuadratureSpec(246 * 4, math.inf, 246), doubled_spec(tanh_default_spec())):
+            assert len(_line_rule(spec)[0]) == spec.nodes_per_axis
 
 
 class TestFourierNumeric:
@@ -79,11 +92,12 @@ class TestFourierNumeric:
         (1.75, 1.25, (3,), -2.4),
     ])
     def test_tanh_mode_matches_direct(self, case):
-        # the substituted and direct evaluations are independent node sets
+        # the whole-line (tanh-mapped) and default line rules are
+        # independent node sets
         a, mu, n, xi = case
         params = FamilyParams(a, mu, n)
         direct = fourier_numeric(params, [xi])
-        substituted = fourier_numeric(params, [xi], mode="tanh")
+        substituted = fourier_numeric(params, [xi], tanh_default_spec())
         assert abs(direct - substituted) <= 1e-9 * max(abs(direct), 1e-3)
 
     def test_node_doubling_stability(self):
@@ -102,20 +116,64 @@ class TestFourierNumeric:
 
     def test_rejects_bad_mode(self):
         params = FamilyParams(1.0, 0.5, (0,))
-        with pytest.raises(ValueError):
-            fourier_numeric(params, [0.0], mode="monte-carlo")
+        # the tanh-mapped rule is a spec (tanh_default_spec), not a mode
+        for mode in ("monte-carlo", "tanh"):
+            with pytest.raises(ValueError):
+                fourier_numeric(params, [0.0], mode=mode)
 
-    def test_tanh_mode_rejects_a_spec(self):
-        # the tanh node set is fixed; a doubled rule would return the same
-        # number twice, so a rule is refused rather than ignored
-        params = FamilyParams(1.0, 0.5, (1, 1))
-        spec = QuadratureSpec(8, panels=1)
-        with pytest.raises(ValueError, match="tanh"):
-            fourier_numeric(params, [0.5, 1.0], spec, "tanh")
-        with pytest.raises(ValueError, match="tanh"):
-            fourier_numeric_table([(1, 1), (0, 2)], 1.0, 0.5, [0.5, 1.0], spec, "tanh")
-        with pytest.raises(ValueError, match="tanh"):
-            fourier_numeric(params, [0.5, 1.0], QuadratureSpec(), "tanh")
+
+class TestWholeLineRule:
+    """The tanh-mapped rule on all of R, ``truncation_halfwidth=math.inf``."""
+
+    @pytest.mark.parametrize("a, mu", [(0.5, 0.5), (1.75, 1.25)])
+    @pytest.mark.parametrize("n", [(12,), (20,), (30,), (8, 2, 2)])
+    def test_high_degree_oracle_at_rounding_level(self, a, mu, n):
+        # the default line rule is off by 1.1e-5 (a = mu = 1/2) and 1.1e-2
+        # (a = 1.75, mu = 1.25) at n = 30
+        params = FamilyParams(a, mu, n)
+        xi = [3.0] if len(n) == 1 else [3.0, -1.0, 0.5]
+        closed = fourier_closed_form(params, xi)
+        base = fourier_numeric(params, xi, tanh_default_spec())
+        fine = fourier_numeric(params, xi, doubled_spec(tanh_default_spec()))
+        assert abs(base - closed) <= 1e-13 * abs(closed)
+        assert abs(base - fine) <= 1e-13 * abs(closed)
+
+    def test_doubling_refines_the_center(self):
+        # a refinement that only added tail nodes would leave the center,
+        # where the integrand lives, as it was and fake a stable value
+        cut = math.atanh(0.5)
+        base = _line_rule(tanh_default_spec())[0]
+        fine = _line_rule(doubled_spec(tanh_default_spec()))[0]
+        assert len(base) == 3936 and len(fine) == 2 * len(base)
+        assert np.count_nonzero(np.abs(fine) <= cut) == 2 * np.count_nonzero(np.abs(base) <= cut)
+        assert np.max(np.abs(fine)) > np.max(np.abs(base)) > 41.0
+
+    def test_map_values(self):
+        # tanh x and sech^2 x are the map's u and 1 - u^2 (recomputing them
+        # from x made the oracle 10 times less accurate), which agree with
+        # the functions of x to rounding; the weights integrate sech^2 to 2
+        for spec in (tanh_default_spec(), doubled_spec(tanh_default_spec())):
+            x, w, t, sech2 = _line_rule(spec)
+            center = np.abs(t) <= 0.5
+            assert np.array_equal(x[center], np.arctanh(t[center]))
+            assert np.array_equal(sech2[center], 1.0 - t[center] * t[center])
+            assert np.allclose(t, np.tanh(x), rtol=1e-15, atol=0.0)
+            assert np.allclose(sech2, 1.0 / np.cosh(x) ** 2, rtol=1e-13, atol=0.0)
+            assert abs(np.sum(w * sech2) - 2.0) <= 1e-15
+            assert not any(arr.flags.writeable for arr in (x, w, t, sech2))
+
+    def test_ball_routes_refuse_it_before_building_a_rule(self, monkeypatch):
+        from ballfourier import quadrature
+
+        def no_rule(*args):
+            raise AssertionError("a ball rule was built")
+
+        monkeypatch.setattr(quadrature, "_jacgauss_cached", no_rule)
+        for mode in ("separated", "tensor"):
+            with pytest.raises(ValueError, match="whole-line"):
+                ball_inner_product_numeric((1, 0), (1, 0), 0.5, tanh_default_spec(), mode)
+            with pytest.raises(ValueError, match="whole-line"):
+                ball_gram_matrix([(0, 0), (1, 0)], 0.5, tanh_default_spec(), mode)
 
 
 class TestBallInnerProduct:
@@ -210,7 +268,7 @@ class TestPhaseCache:
         big = QuadratureSpec(nodes_per_axis=8192, panels=256)
         assert len(_line_rule(big)[0]) > 4096
         for spec in (QuadratureSpec(), doubled_spec(QuadratureSpec()), big):
-            x, w = _line_rule(spec)
+            x, w = _line_rule(spec)[:2]
             product = np.ones(len(xi), dtype=np.complex128)
             for key in _axis_keys(params.n):
                 j = key[0]
@@ -224,20 +282,24 @@ class TestPhaseCache:
             assert _same_bits(fourier_numeric(params, vectors[4], spec), product[4])
 
     def test_tanh_mode_equals_uncached_sum_bitwise(self, rng):
-        # the reference writes each axis integrand out in one expression
+        # the reference writes each axis integrand out in one expression, on
+        # the whole-line rule's nodes x = artanh u, weights w_u / (1 - u^2)
+        # and the map's u and 1 - u^2
         params = FamilyParams(0.9, 1.1, (2, 1))
         vectors = rng.uniform(-3.0, 3.0, size=(7, 2))
         vectors[0] = 0.0
-        u, om2, xmap, w = _tanh_rule()
-        product = np.ones(len(vectors), dtype=np.complex128)
-        for j in (1, 2):
-            m = tail_sum(params.n, j + 1)
-            integrand = (om2 ** (params.a + (2 - j) / 4.0 + m / 2.0 - 1.0)
-                         * gegenbauer(params.n[j - 1], params.mu + m + (2 - j) / 2.0, u)
-                         * np.exp(-1j * vectors[:, j - 1, None] * xmap))
-            product = product * np.sum(w * integrand, axis=-1)
-        assert _same_bits(fourier_numeric(params, vectors, mode="tanh"), product)
-        assert _same_bits(fourier_numeric(params, vectors[3], mode="tanh"), product[3])
+        for spec in (tanh_default_spec(), doubled_spec(tanh_default_spec())):
+            xmap, w, u, om2 = _line_rule(spec)
+            product = np.ones(len(vectors), dtype=np.complex128)
+            for j in (1, 2):
+                m = tail_sum(params.n, j + 1)
+                factor = (om2 ** (params.a + (2 - j) / 4.0 + m / 2.0)
+                          * gegenbauer(params.n[j - 1], params.mu + m + (2 - j) / 2.0, u))
+                product = product * np.sum((w * factor)
+                                           * np.exp(-1j * vectors[:, j - 1, None] * xmap),
+                                           axis=-1)
+            assert _same_bits(fourier_numeric(params, vectors, spec), product)
+            assert _same_bits(fourier_numeric(params, vectors[3], spec), product[3])
 
 
 class TestProcessState:
@@ -282,7 +344,7 @@ class TestGramRoutes:
         from ballfourier.dfamily import d_axis_factor
         from ballfourier.special import log_gamma
         a1, a2 = 1.0, 0.75
-        x, w = _line_rule(hahn_default_spec())
+        x, w = _line_rule(hahn_default_spec())[:2]
         weight = np.exp(2.0 * np.real(log_gamma(a1 + 1j * x))
                         + 2.0 * np.real(log_gamma(a2 + 1j * x)))
         gram = hahn_gram_matrix([1, 3], a1, a2)
@@ -290,7 +352,7 @@ class TestGramRoutes:
         assert _same_bits(gram[0, 1], np.sum(w * (weight * p1 * p3)))
         assert _same_bits(gram[1, 1], np.sum(w * (weight * p3 * p3)))
         n, m = (1, 1), (0, 2)
-        x, w = _line_rule(QuadratureSpec(800, 40.0 / (a1 + a2), 50))
+        x, w = _line_rule(QuadratureSpec(800, 40.0 / (a1 + a2), 50))[:2]
         reference = 1.0 + 0.0j
         for j in (1, 2):
             reference *= np.sum(w * d_axis_factor(j, 2, 1j * x, n, a1, a2)
@@ -323,7 +385,7 @@ class TestGramRoutes:
 class TestBatchedFourierNumeric:
     @pytest.mark.parametrize("mode, spec", [
         ("separated", None),
-        ("tanh", None),
+        pytest.param("separated", tanh_default_spec(), id="tanh"),
         ("tensor", QuadratureSpec(nodes_per_axis=48, panels=3)),
     ])
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -358,15 +420,16 @@ class TestBatchedFourierNumeric:
         assert calls == [(1, 3), (2, 3)]
 
     def test_tanh_axis_integral_batched_equals_per_frequency_bitwise(self, rng):
-        from ballfourier.quadrature import _tanh_axis_integral
+        # the axis integral on the whole-line rule
+        spec = tanh_default_spec()
         params = FamilyParams(0.9, 1.1, (2, 1))
         xi = rng.uniform(-3.0, 3.0, size=5)
-        phases = np.exp(-1j * xi[:, None] * _tanh_rule()[2])
+        phases = np.exp(-1j * xi[:, None] * _line_rule(spec)[0])
         for key in _axis_keys(params.n):
-            batched = _tanh_axis_integral(key, 2, 0.9, 1.1, phases)
+            batched = _fourier_axis_integral(key, 2, 0.9, 1.1, phases, spec)
             assert batched.shape == xi.shape
             for value, row in zip(batched, phases):
-                assert value == _tanh_axis_integral(key, 2, 0.9, 1.1, row)
+                assert value == _fourier_axis_integral(key, 2, 0.9, 1.1, row, spec)
 
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(ValueError):
@@ -401,14 +464,11 @@ class TestFourierTables:
             assert closed.shape == shape
             for row, n in zip(closed, indices):
                 assert _same_bits(row, fourier_closed_form(FamilyParams(a, mu, n), xi))
-            for spec, mode in ((QuadratureSpec(), "separated"),
-                               (doubled_spec(QuadratureSpec()), "separated"),
-                               (None, "tanh")):
-                numeric = fourier_numeric_table(indices, a, mu, xi, spec, mode)
+            for spec in (QuadratureSpec(), doubled_spec(QuadratureSpec()), tanh_default_spec()):
+                numeric = fourier_numeric_table(indices, a, mu, xi, spec)
                 assert numeric.shape == shape
                 for row, n in zip(numeric, indices):
-                    assert _same_bits(row, fourier_numeric(FamilyParams(a, mu, n), xi,
-                                                           spec, mode))
+                    assert _same_bits(row, fourier_numeric(FamilyParams(a, mu, n), xi, spec))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_rows_are_the_per_axis_products(self, rng, r):
@@ -481,13 +541,14 @@ class TestFourierTables:
                 table([(1, 0)], 1.0, 0.5, xi)  # wrong frequency vector length
 
     def test_tensor_mode_is_per_index_only(self):
-        with pytest.raises(ValueError):
+        # the table route has no mode parameter
+        with pytest.raises(TypeError):
             fourier_numeric_table([(1,)], 1.0, 0.5, [0.1], mode="tensor")
 
     def test_single_vector_calls_stay_complex_scalars(self):
         params = FamilyParams(1.0, 0.5, (1, 2))
-        for mode in ("separated", "tanh"):
-            assert isinstance(fourier_numeric(params, [0.5, -1.0], mode=mode), complex)
+        for spec in (None, tanh_default_spec()):
+            assert isinstance(fourier_numeric(params, [0.5, -1.0], spec), complex)
         assert isinstance(fourier_closed_form(params, [0.5, -1.0]), complex)
         assert fourier_closed_form_table([(1, 2)], 1.0, 0.5, [0.5, -1.0]).shape == (1,)
 
@@ -558,7 +619,7 @@ class TestParseval:
         mu = a1 + a2 - 0.5
         lhs, _ = parseval_sides(n, m, a1, a2)
         spec = QuadratureSpec(nodes_per_axis=384, panels=24)
-        x, w = _line_rule(spec)
+        x, w = _line_rule(spec)[:2]
         grid = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
         values = (family_eval(grid, FamilyParams(a1, mu, n))
                   * family_eval(grid, FamilyParams(a2, mu, m)))
@@ -579,7 +640,7 @@ class TestParseval:
         r = len(n)
         fp, gp = FamilyParams(a1, a1 + a2 - 0.5, n), FamilyParams(a2, a1 + a2 - 0.5, m)
         for spec in (QuadratureSpec(), doubled_spec(QuadratureSpec())):
-            x, w = _line_rule(spec)
+            x, w = _line_rule(spec)[:2]
             x_side = 1.0
             xi_side = complex(fourier_prefactor(fp)) * complex(fourier_prefactor(gp))
             for j in range(1, r + 1):

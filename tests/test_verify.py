@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import io
 import json
@@ -127,8 +128,7 @@ class TestSuites:
 
 class TestLayering:
     def test_no_private_library_routes(self):
-        # the suites reach quadrature and the families through public names;
-        # the pair spec is the one (a1, a2)-dependent default a suite doubles
+        # the suites reach quadrature and the families through public names
         tree = ast.parse(inspect.getsource(verify))
         private = {node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -137,7 +137,7 @@ class TestLayering:
                     if isinstance(node, ast.ImportFrom) and node.module in (
                         "quadrature", "tanh_family")
                     for alias in node.names if alias.name.startswith("_")}
-        assert private == {"_d_pair_spec"}
+        assert private == set()
 
     def test_quadrature_takes_axis_factors_from_the_axis_table(self):
         # the one-axis public factors would bypass tanh_family._axis_table;
@@ -252,6 +252,25 @@ class TestSerialization:
         text1 = reports_to_json(run_suite("ball-pde", seed=5, r_max=2))
         text2 = reports_to_json(run_suite("ball-pde", seed=5, r_max=2))
         assert text1 == text2
+
+
+# SHA-256 prefixes of `ballfourier verify --suite all --r-max 3 --seed S`
+# output; rounding may differ on another numpy, so they are checked only on
+# the numpy they were recorded with
+_RECORDED_NUMPY = "2.4."
+_VERIFY_ALL_SHA256 = {0: "76440e894d87be2e", 1: "e046c1e0f29336ce"}
+
+
+class TestRecordedBytes:
+    @pytest.mark.skipif(not np.__version__.startswith(_RECORDED_NUMPY),
+                        reason=f"digests recorded with numpy {_RECORDED_NUMPY}x, "
+                               f"this is numpy {np.__version__}")
+    @pytest.mark.parametrize("seed", sorted(_VERIFY_ALL_SHA256))
+    def test_verify_all_output_digest(self, seed):
+        reports = run_suite("all", seed, 3)
+        assert len(reports) == 3336 and all(report.passed for report in reports)
+        text = reports_to_json(reports) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == _VERIFY_ALL_SHA256[seed]
 
 
 def _dumps_all(reports) -> str:
