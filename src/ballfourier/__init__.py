@@ -2,7 +2,7 @@
 transforms, and a quadrature oracle that machine-checks the identities."""
 
 from .ball import (ball_basis_eval, ball_norm, ball_operator_residual,
-                   ball_space_dim, tail_sum, validate_multi_index)
+                   ball_polynomial, ball_space_dim, tail_sum, validate_multi_index)
 from .classical import (continuous_hahn, gegenbauer,
                         gegenbauer_norm, gegenbauer_series,
                         hahn_orthogonality_constant, jacobi)
@@ -33,7 +33,7 @@ __all__ = [
     "jacobi", "gegenbauer", "gegenbauer_series", "gegenbauer_norm", "continuous_hahn",
     "hahn_orthogonality_constant",
     "tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",
-    "ball_norm", "ball_operator_residual",
+    "ball_norm", "ball_polynomial", "ball_operator_residual",
     "tanh_ball_map", "family_eval", "family_eval_peel_first", "family_eval_peel_last",
     "theta_factor", "theta_factor_hahn", "fourier_closed_form", "fourier_closed_form_table",
     "fourier_via_recursion",

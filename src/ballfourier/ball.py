@@ -3,12 +3,14 @@
 The basis is the nested Gegenbauer product: factor j rescales coordinate
 x_j by the radius left over from the first j-1 coordinates.  Points are
 numpy arrays whose last axis has length r; evaluation broadcasts over any
-leading batch axes.
+leading batch axes.  :func:`ball_polynomial` builds a member in rationals,
+on which :func:`ball_operator_residual` checks the eigenvalue equation exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -16,14 +18,8 @@ from .classical import gegenbauer
 from .errors import DomainError
 from .special import log_gamma, pochhammer
 
-__all__ = [
-    "tail_sum",
-    "validate_multi_index",
-    "ball_space_dim",
-    "ball_basis_eval",
-    "ball_norm",
-    "ball_operator_residual",
-]
+__all__ = ["tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",
+           "ball_norm", "ball_polynomial", "ball_operator_residual"]
 
 # ||x|| may exceed 1 by this much before a point is rejected (roundoff slack).
 _NORM_SLACK = 1e-12
@@ -56,10 +52,6 @@ def _index_list(indices) -> list[tuple[int, ...]]:
 def tail_sum(n, j: int) -> int:
     """|n^j| = n_j + ... + n_r for 1-based j; j = r+1 gives 0."""
     return int(sum(n[j - 1:]))
-
-
-def total_degree(n) -> int:
-    return tail_sum(n, 1)
 
 
 def ball_space_dim(n: int, r: int) -> int:
@@ -128,7 +120,7 @@ def ball_norm(n, mu: float) -> float:
     n = validate_multi_index(n)
     mu = _check_mu(mu)
     r = len(n)
-    nn = total_degree(n)
+    nn = sum(n)
     log_part = (0.5 * r * math.log(math.pi) + log_gamma(mu + 0.5)
                 - log_gamma(mu + 0.5 * (r + 1) + nn))
     value = float(np.exp(log_part)) * pochhammer(mu + 0.5 * r, nn)
@@ -146,49 +138,61 @@ def ball_norm(n, mu: float) -> float:
     return float(value)
 
 
-def ball_operator_residual(n, mu: float, x, h: float) -> float:
-    """Finite-difference residual of the ball eigenvalue equation at ``x``.
+def ball_polynomial(n, mu: float) -> dict:
+    """The basis polynomial ``n`` as ``{exponents: Fraction}``, exact (a float
+    mu is a dyadic rational).  Axis j contributes s^{n_j} C_{n_j}^{lambda_j}
+    (x_j / s), s^2 = 1 - |x_{<j}|^2, from C_n^lambda(t) = sum_k (-1)^k
+    (lambda)_{n-k} (2t)^{n-2k} / (k! (n-2k)!): only even powers of s occur."""
+    from fractions import Fraction
 
-    The second-order operator is assembled exactly as displayed — a Laplacian
-    minus the divergence of x_j (2 mu - 1 + x . grad) — by nesting central
-    differences of step ``h``; no algebraic simplification is applied, so the
-    check is independent of how the operator might be expanded.  Returns
-    |L P + (|n| + r)(|n| + 2 mu - 1) P|, which is O(h^2) for eigenfunctions.
-    """
     n = validate_multi_index(n)
-    mu = _check_mu(mu)
-    r = len(n)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (r,):
-        raise ValueError(f"point must be a vector of length {r}")
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if np.linalg.norm(x) + 2.0 * h >= 1.0:
-        raise DomainError("finite-difference stencil would leave the unit ball")
+    mu, r = Fraction(_check_mu(mu)), len(n)
+    poly = {(0,) * r: Fraction(1)}
+    for j in range(1, r + 1):
+        nj, lam = n[j - 1], mu + tail_sum(n, j + 1) + Fraction(r - j, 2)
+        product, power = defaultdict(int), poly  # power = poly * s^(2k)
+        for k in range(nj // 2 + 1):
+            coeff = Fraction((-1) ** k * 2 ** (nj - 2 * k),
+                             math.factorial(k) * math.factorial(nj - 2 * k))
+            coeff *= math.prod(lam + i for i in range(nj - k))
+            following = defaultdict(int, power)
+            for alpha, c in power.items():
+                product[_shift(alpha, j - 1, nj - 2 * k)] += coeff * c
+                for i in range(j - 1):
+                    following[_shift(alpha, i, 2)] -= c
+            power = following
+        poly = {alpha: c for alpha, c in product.items() if c}
+    return poly
 
-    def P(pt):
-        return float(ball_basis_eval(n, mu, pt))
 
-    def grad(pt):
-        g = np.empty(r)
-        for i in range(r):
-            e = np.zeros(r)
-            e[i] = h
-            g[i] = (P(pt + e) - P(pt - e)) / (2.0 * h)
-        return g
+def _shift(alpha, i: int, k: int) -> tuple[int, ...]:
+    """The exponents of x^alpha times x_i^k (0-based i)."""
+    return alpha[:i] + (alpha[i] + k,) + alpha[i + 1:]
 
-    def transport(pt, j):
-        # x_j (2 mu - 1 + sum_i x_i d/dx_i) P at pt
-        return pt[j] * ((2.0 * mu - 1.0) * P(pt) + float(np.dot(pt, grad(pt))))
 
-    lap = 0.0
-    div = 0.0
-    p0 = P(x)
-    for j in range(r):
-        e = np.zeros(r)
-        e[j] = h
-        lap += (P(x + e) - 2.0 * p0 + P(x - e)) / (h * h)
-        div += (transport(x + e, j) - transport(x - e, j)) / (2.0 * h)
-    nn = total_degree(n)
-    eigen = (nn + r) * (nn + 2.0 * mu - 1.0)
-    return abs(lap - div + eigen * p0)
+def ball_operator_residual(n, mu: float) -> float:
+    """Largest |coefficient| of L P + (|n| + r)(|n| + 2 mu - 1) P for the
+    member P = :func:`ball_polynomial`, exactly 0 for an eigenfunction.  L is
+    applied as displayed, monomial by monomial, in rational arithmetic: a
+    Laplacian minus the divergence of x_j (2 mu - 1 + x . grad)."""
+    from fractions import Fraction
+
+    n = validate_multi_index(n)
+    r, nn, drift = len(n), sum(n), 2 * Fraction(_check_mu(mu)) - 1
+    image = defaultdict(int)
+    for alpha, c in ball_polynomial(n, mu).items():
+        # x . grad x^alpha = |alpha| x^alpha; times x_j, d/dx_j gives alpha_j + 1
+        divergence = (drift + sum(alpha)) * sum(a + 1 for a in alpha)
+        image[alpha] += c * ((nn + r) * (nn + drift) - divergence)
+        for i, a in enumerate(alpha):
+            if a >= 2:
+                image[_shift(alpha, i, -2)] += c * a * (a - 1)
+    return float(max(abs(c) for c in image.values()))
+
+
+def _polynomial_value(poly: dict, x) -> float:
+    """``poly`` at the float point ``x``, exact up to the final rounding."""
+    from fractions import Fraction
+
+    x = [Fraction(float(v)) for v in x]
+    return float(sum(c * math.prod(v ** a for v, a in zip(x, alpha)) for alpha, c in poly.items()))

@@ -125,19 +125,21 @@ def d_family_eval_hahn(x, params: DParams):
 
 
 def d_orthogonality_constant(n, a1: float, a2: float) -> float:
-    """Diagonal constant of the +ix / -ix parameter-swapped pairing over R^r."""
+    """Diagonal constant of the +ix / -ix parameter-swapped pairing over R^r.
+    The duplication formula on Gamma(2s + 2m + r - j) gives its power of two,
+    2^(2r(1 - s)) over all axes and 2^-(2m + r - j) on axis j."""
     n = validate_multi_index(n)
     if not (a1 > 0 and a2 > 0):
         raise ValueError("parameters must satisfy a1 > 0 and a2 > 0")
     r = len(n)
     s = a1 + a2
     mu = s - 0.5
-    value = (2.0 * math.pi) ** r * 2.0 ** (-2.0 * r * s + r + 1) * ball_norm(n, mu)
+    value = (2.0 * math.pi) ** r * 2.0 ** (2 * r - 2.0 * r * s) * ball_norm(n, mu)
     for j in range(1, r + 1):
         nj = n[j - 1]
         m = tail_sum(n, j + 1)
         log_gammas = (log_gamma(m + 2.0 * a1 + (r - j) / 2.0)
                       + log_gamma(m + 2.0 * a2 + (r - j) / 2.0))
-        value *= (math.factorial(nj) ** 2 * float(np.exp(log_gammas))
-                  / (2.0 ** (2 * m) * pochhammer(2.0 * m + 2.0 * s + r - j - 1.0, nj) ** 2))
+        value *= (math.factorial(nj) ** 2 * float(np.exp(log_gammas)) / 2.0 ** (2 * m + r - j)
+                  / pochhammer(2.0 * m + 2.0 * s + r - j - 1.0, nj) ** 2)
     return float(value)

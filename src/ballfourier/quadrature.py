@@ -118,8 +118,9 @@ class QuadratureSpec:
             raise ValueError(f"the whole-line rule needs a multiple of {_TANH_CELLS} panels")
 
 
-# Gauss-Jacobi nodes per axis of the default ball rule
-_BALL_NODES = 32
+# Gauss-Jacobi nodes per axis of the default ball rule and of the largest
+# (exact to pair degree 1,023, far past where ball_norm overflows, about 95)
+_BALL_NODES, _BALL_MAX_NODES = 32, 512
 
 
 def ball_default_spec(r: int) -> QuadratureSpec:
@@ -398,7 +399,8 @@ def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, deg
     dense grid of the same rules, evaluated once per distinct index.  The
     default rule is exact up to a pair degree of 63
     (:func:`ball_default_spec`); beyond it a ``spec`` must be passed.  A
-    whole-line ``spec`` is refused before any rule is built."""
+    whole-line ``spec`` or one of more than 512 nodes per axis is refused
+    before any rule is built."""
     if mode not in ("separated", "tensor"):
         raise ValueError("mode must be 'separated' or 'tensor'")
     mu = _check_mu(mu)
@@ -410,6 +412,8 @@ def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, deg
                              f"{spec.nodes_per_axis}-node rule; pass a QuadratureSpec")
     elif spec.truncation_halfwidth == math.inf:
         raise ValueError("the whole-line rule is a rule on R, not a ball rule")
+    elif spec.nodes_per_axis > _BALL_MAX_NODES:
+        raise ValueError(f"a ball rule takes at most {_BALL_MAX_NODES} nodes per axis")
     rules = _ball_rules(r, mu, spec.nodes_per_axis)
     if mode == "tensor":
         axes, weights = zip(*rules)

@@ -8,8 +8,8 @@ a canonically ordered list of reports (sorted by identity name, then by the
 JSON encoding of the parameters), so output files are byte-stable across
 runs.  Random parameter sweeps draw from SplitMix64, a documented 64-bit
 generator, making sweeps reproducible from the seed alone.  A suite holds
-its case table and verdicts only: every number comes from a public route of
-the library, and every quadrature verdict passes one node-doubling gate.
+its case table and verdicts only: every number comes from a route of the
+library, and every quadrature verdict passes one node-doubling gate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from . import quadrature as quad
-from .ball import ball_norm, ball_operator_residual, tail_sum
+from .ball import (_polynomial_value, ball_basis_eval, ball_norm, ball_operator_residual,
+                   ball_polynomial, tail_sum)
 from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
 from .special import beta_conjugate, gamma
@@ -42,6 +43,9 @@ _LOW_CONFIDENCE_RATIO = 1e-10
 # relative tolerance and absolute floor of closed form against oracle
 _FOURIER_TOLERANCE = 1e-6
 _FOURIER_FLOOR = 1e-9
+# relative tolerance and absolute floor of ball_basis_eval against the exact
+# polynomial: 1e3 over the worst error at seeds 0-9 (8.6e-16 rel, 2.8e-16 abs)
+_VALUE_TOLERANCE = 1e-12
 # json.dumps(value, sort_keys=True) without building an encoder per call:
 # the report sort key and the CSV parameters cell
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
@@ -199,36 +203,22 @@ def _suite_ball_ort(seed: int, r_max: int, tolerance: float | None):
 
 
 def _suite_ball_pde(seed: int, r_max: int, tolerance: float | None):
-    tol = tolerance if tolerance is not None else 0.2
+    # the exact residual's target is 0; ball_basis_eval's is the exact value
     rng = SplitMix64(seed)
-    hs = (1e-2, 5e-3, 2.5e-3)
     reports = []
-    cases = 0
-    while cases < 10:
+    for _ in range(10):
         r = rng.integer(1, min(3, r_max))
         n = _random_multi_index(rng, r, 3)
-        if max(n) < 2:
-            # multilinear members are differentiated exactly by the stencils;
-            # no h^2 truncation term to measure a slope from
-            continue
         mu = rng.uniform(0.3, 1.8)
-        point = np.array([rng.uniform(-0.4, 0.4) for _ in range(r)])
-        if np.linalg.norm(point) > 0.55:
-            continue
-        residuals = [ball_operator_residual(n, mu, point, h) for h in hs]
-        if residuals[0] < 1e-8:
-            # degenerate low-degree case: finite differences are exact
-            reports.append(make_report(
-                "ball-pde", {"r": r, "n": list(n), "mu": mu, "point": list(point),
-                             "quantity": "residual"},
-                residuals[0], 0.0, 1.0, abs_floor=1e-8))
-        else:
-            slope = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
-            reports.append(make_report(
-                "ball-pde", {"r": r, "n": list(n), "mu": mu, "point": list(point),
-                             "quantity": "richardson-slope"},
-                slope, 2.0, tol / 2.0, abs_floor=tol))
-        cases += 1
+        point = [rng.uniform(-0.4, 0.4) for _ in range(r)]
+        exact = _polynomial_value(ball_polynomial(n, mu), point)
+        base = {"r": r, "n": list(n), "mu": mu}
+        reports.append(make_report("ball-pde", {**base, "quantity": "residual"},
+                                   ball_operator_residual(n, mu), 0.0, tolerance or 0.0))
+        reports.append(make_report(
+            "ball-pde", {**base, "point": point, "quantity": "value"},
+            ball_basis_eval(n, mu, np.array(point)), exact,
+            _VALUE_TOLERANCE if tolerance is None else tolerance, abs_floor=_VALUE_TOLERANCE))
     return reports
 
 

@@ -17,6 +17,7 @@ import pytest
 
 import ballfourier as bf
 from ballfourier import quadrature as quad
+from ballfourier.ball import _polynomial_value
 from ballfourier.quadrature import _jacgauss_cached
 from ballfourier.tanh_family import theta_factor_hahn, fourier_prefactor
 from ballfourier.verify import (SplitMix64, _multi_indices, fourier_value_scale,
@@ -104,32 +105,30 @@ def test_criterion_03_ball_orthogonality():
 
 
 def test_criterion_04_ball_pde_eigenfunction():
-    """Richardson slope 2 +- 0.2 of the finite-difference residual."""
+    """Exact residual 0 of the eigenvalue equation, in rational arithmetic."""
     rng = SplitMix64(4)
-    hs = (1e-2, 5e-3, 2.5e-3)
-    slopes = []
-    measured = 0
-    while measured < 20:
+    members = []
+    while len(members) < 20:
         r = rng.integer(1, 3)
         n = [0] * r
         for _ in range(rng.integer(2, 3)):
             n[rng.integer(0, r - 1)] += 1
         n = tuple(n)
         if max(n) < 2:
-            continue  # multilinear members: stencils are exact, no h^2 term
+            continue  # the 20 members with a coordinate degree of 2 or more
         mu = rng.uniform(0.3, 1.8)
         point = np.array([rng.uniform(-0.3, 0.3) for _ in range(r)])
-        residuals = [bf.ball_operator_residual(n, mu, point, h) for h in hs]
-        slope = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
-        assert 1.8 <= slope <= 2.2, (r, n, mu, point, residuals)
-        slopes.append(slope)
-        measured += 1
-    # degenerate members are exact up to roundoff
-    for n, r in (((1,), 1), ((1, 1), 2), ((1, 0, 1), 3)):
-        residual = bf.ball_operator_residual(n, 0.7, np.full(r, 0.15), 5e-3)
-        assert residual <= 1e-8
-    announce(4, f"ball PDE residual: slopes in [{min(slopes):.3f}, {max(slopes):.3f}] "
-                "(target 2 +- 0.2), exact low-degree members <= 1e-8")
+        members.append((n, mu, point))
+    members += [((1,), 0.7, np.full(1, 0.15)), ((1, 1), 0.7, np.full(2, 0.15)),
+                ((1, 0, 1), 0.7, np.full(3, 0.15))]
+    worst = 0.0
+    for n, mu, point in members:
+        assert bf.ball_operator_residual(n, mu) == 0.0, (n, mu)
+        exact = _polynomial_value(bf.ball_polynomial(n, mu), point)
+        worst = max(worst, rel_err(bf.ball_basis_eval(n, mu, point), exact))
+    assert worst <= 1e-12
+    announce(4, f"ball PDE residual exactly 0 for {len(members)} members; "
+                f"ball_basis_eval within {worst:.1e} of the exact polynomial (tol 1e-12)")
 
 
 FOURIER_GRID_XI = {1: (-3.0, -1.5, 0.0, 0.5, 1.0, 2.0, 3.0),

@@ -1,13 +1,17 @@
+import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ballfourier import (DomainError, ball_basis_eval, ball_norm,
-                         ball_operator_residual, ball_space_dim, gegenbauer,
-                         gegenbauer_norm, tail_sum, validate_multi_index)
+from ballfourier import (DomainError, ball, ball_basis_eval, ball_norm,
+                         ball_operator_residual, ball_polynomial, ball_space_dim,
+                         gegenbauer, gegenbauer_norm, tail_sum, validate_multi_index)
+from ballfourier.ball import _polynomial_value
 from ballfourier.quadrature import ball_inner_product_numeric
 from ballfourier.special import log_gamma, pochhammer
+from ballfourier.verify import SplitMix64, _random_multi_index
 from conftest import rel_err
 
 
@@ -159,42 +163,75 @@ class TestBallNorm:
 
 
 class TestOperatorResidual:
+    EIGEN_INDICES = [(2, 1, 0), (4, 4, 4), (6, 3, 3), (2, 2, 2, 2, 2, 2), (0, 0, 12),
+                     (0, 0, 0, 0, 0, 12)]
+    # dyadic, non-dyadic, large, negative and an arbitrary float mu
+    MUS = [0.75, 1.0 / 3.0, 1.5, -0.25, 0.7312]
+
     def test_constant_is_exact_eigenfunction(self):
-        residual = ball_operator_residual((0, 0), 0.8, np.array([0.2, -0.1]), 1e-3)
-        assert residual <= 1e-10
-
-    def test_quadratic_residual_bound(self):
-        # measured FD truncation at h = 1e-3 is ~1.6e-6 of the eigenterm scale
-        x = np.array([0.2])
-        residual = ball_operator_residual((2,), 1.0, x, 1e-3)
-        p = float(ball_basis_eval((2,), 1.0, x))
-        scale = abs((2 + 1) * (2 + 2 * 1.0 - 1) * p)
-        assert residual <= 1e-5 * scale
-
-    def test_bivariate_residual_bound(self):
-        x = np.array([0.1, 0.2])
-        residual = ball_operator_residual((1, 1), 0.5, x, 1e-3)
-        p = float(ball_basis_eval((1, 1), 0.5, x))
-        scale = max(abs((2 + 2) * (2 + 2 * 0.5 - 1) * p), 1.0)
-        assert residual <= 1e-5 * scale
-
-    def test_richardson_slope(self):
-        hs = (1e-2, 5e-3, 2.5e-3)
-        for n, mu, x in [((2,), 1.0, np.array([0.2])),
-                         ((2, 1), 0.8, np.array([0.1, 0.2])),
-                         ((0, 3), 1.2, np.array([-0.2, 0.15])),
-                         ((2, 0, 1), 0.6, np.array([0.1, -0.15, 0.2]))]:
-            residuals = [ball_operator_residual(n, mu, x, h) for h in hs]
-            slope = np.polyfit(np.log(hs), np.log(residuals), 1)[0]
-            assert 1.8 <= slope <= 2.2
+        assert ball_operator_residual((0, 0), 0.8) == 0.0
 
     def test_multilinear_members_are_exact(self):
-        # every n_j <= 1: the nested stencils differentiate exactly
-        residual = ball_operator_residual((1, 1), 0.5, np.array([0.1, 0.2]), 1e-3)
-        assert residual <= 1e-9
+        assert ball_operator_residual((1, 1), 0.5) == 0.0
 
-    def test_stencil_domain_guard(self):
-        with pytest.raises(DomainError):
-            ball_operator_residual((1,), 0.5, np.array([0.999]), 1e-2)
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("n", EIGEN_INDICES)
+    def test_residual_is_exactly_zero(self, n, mu):
+        assert ball_operator_residual(n, mu) == 0.0
+
+    def test_takes_the_member_only(self):
+        assert list(inspect.signature(ball_operator_residual).parameters) == ["n", "mu"]
         with pytest.raises(ValueError):
-            ball_operator_residual((1,), 0.5, np.array([0.1]), -1e-3)
+            ball_operator_residual((1,), 0.0)
+        with pytest.raises(ValueError):
+            ball_operator_residual((1, -1), 0.5)
+
+    def test_non_eigenfunction_is_caught(self, monkeypatch):
+        # the member of another mu, and a sum of members of two degrees
+        other = ball_polynomial((2, 1, 0), 1.25)
+        mixed = dict(ball_polynomial((0, 0, 0), 0.75))
+        for alpha, c in ball_polynomial((2, 1, 0), 0.75).items():
+            mixed[alpha] = mixed.get(alpha, 0) + c
+        for poly in (other, mixed):
+            monkeypatch.setattr(ball, "ball_polynomial", lambda n, mu: poly)
+            assert ball_operator_residual((2, 1, 0), 0.75) > 0.1
+
+    def test_eigenvalue_of_the_next_degree_is_caught(self, monkeypatch):
+        # P_m of degree |n| + 1 paired with the eigenvalue of degree |n|
+        for n, m in [((0,), (1,)), ((2, 1, 0), (2, 1, 1)), ((0, 0, 12), (0, 1, 12))]:
+            poly = ball_polynomial(m, 0.75)
+            monkeypatch.setattr(ball, "ball_polynomial", lambda n, mu: poly)
+            assert ball_operator_residual(n, 0.75) > 0.1
+
+
+class TestBallPolynomial:
+    def test_coefficients_are_exact_rationals(self):
+        poly = ball_polynomial((2, 0, 3), 1.0 / 3.0)
+        assert poly and all(type(c) is Fraction and c != 0 for c in poly.values())
+        assert all(len(alpha) == 3 for alpha in poly)
+
+    def test_first_degree_disc_member(self):
+        # 2 mu x2, independently of x1
+        assert ball_polynomial((0, 1), 0.75) == {(0, 1): Fraction(3, 2)}
+
+    def test_r1_is_the_gegenbauer_sum(self):
+        # C_2^lambda(t) = 2 lambda (lambda + 1) t^2 - lambda
+        lam = Fraction(0.7)
+        assert ball_polynomial((2,), 0.7) == {(2,): 2 * lam * (lam + 1), (0,): -lam}
+
+    def test_batch_evaluator_agrees(self):
+        # worst relative error over these seeds 0-9 is 1.1e-14; the bound
+        # has about 1e3 of headroom
+        worst = 0.0
+        for seed in range(10):
+            draw = SplitMix64(seed)
+            for _ in range(6):
+                r = draw.integer(1, 6)
+                n = _random_multi_index(draw, r, 12)
+                mu = draw.uniform(-0.4, 2.0)
+                points = np.array([[draw.uniform(-0.4, 0.4) for _ in range(r)]
+                                   for _ in range(4)])
+                poly = ball_polynomial(n, mu)
+                for point, value in zip(points, ball_basis_eval(n, mu, points)):
+                    worst = max(worst, rel_err(value, _polynomial_value(poly, point)))
+        assert worst <= 1e-11

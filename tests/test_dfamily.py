@@ -6,6 +6,8 @@ import pytest
 from ballfourier import (DParams, ball_norm, continuous_hahn, d_family_eval,
                          d_family_eval_hahn, d_orthogonality_constant, gamma,
                          hyp3f2_unit, pochhammer)
+from ballfourier import verify
+from ballfourier.quadrature import d_biorthogonality_gram
 from conftest import rel_err
 
 
@@ -154,3 +156,22 @@ class TestOrthogonalityConstant:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             d_orthogonality_constant((0,), -1.0, 1.0)
+
+
+class TestConstantPastTwoAxes:
+    """Past r = 2 the per-axis 2^-(r - j) of the duplication formula shows;
+    without it the constant is 2^((r - 1)(r - 2)/2) times too large."""
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_against_the_d_integral_and_the_parseval_xi_side(self, r):
+        # worst relative errors over these cases: 4.2e-15 (D integral) and
+        # 5.7e-15 (xi side); the bound has about 1e3 of headroom
+        indices = [(0,) * r, (1,) + (0,) * (r - 1), (0,) * (r - 1) + (2,)]
+        for a1, a2 in ((1.1, 0.6), (0.7, 1.3)):
+            gram = d_biorthogonality_gram(indices, a1, a2)
+            for k, n in enumerate(indices):
+                assert rel_err(gram[k, k], d_orthogonality_constant(n, a1, a2)) <= 5e-12
+        for n in indices:
+            reports = verify._parseval_case(n, n, 1.0, 0.75, 5e-12, 5e-12)
+            assert [rep.identity_name for rep in reports if rep.passed] == [
+                "parseval", "parseval-ball-value", "parseval-pair-constant"]

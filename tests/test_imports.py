@@ -7,6 +7,8 @@ not bind is a broken export.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,12 @@ def test_the_check_flags_both_faults():
               "def scale(x: Sequence) -> float:\n"
               "    return float(x)\n")
     assert _faults(source) == (["math", "tail_sum"], ["missing"])
+
+
+def test_package_import_leaves_fractions_unloaded():
+    # only the exact ball routes use rationals; importing them would add
+    # to every process start
+    code = "import sys, ballfourier; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

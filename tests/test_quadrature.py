@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,29 @@ class TestWholeLineRule:
                 ball_inner_product_numeric((1, 0), (1, 0), 0.5, tanh_default_spec(), mode)
             with pytest.raises(ValueError, match="whole-line"):
                 ball_gram_matrix([(0, 0), (1, 0)], 0.5, tanh_default_spec(), mode)
+
+
+class TestBallNodeBound:
+    def test_large_rule_is_refused_before_it_is_built(self, monkeypatch):
+        # a 20,000-node Golub-Welsch rule is a 3.2 GB eigenproblem
+        from ballfourier import quadrature
+
+        def no_rule(*args):
+            raise AssertionError("a ball rule was built")
+
+        monkeypatch.setattr(quadrature, "_jacgauss_cached", no_rule)
+        spec = QuadratureSpec(nodes_per_axis=20_000, panels=1)
+        for mode in ("separated", "tensor"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="nodes per axis"):
+                ball_inner_product_numeric((1, 0), (1, 0), 0.5, spec, mode)
+            with pytest.raises(ValueError, match="nodes per axis"):
+                ball_gram_matrix([(0, 0), (1, 0)], 0.5, spec, mode)
+            assert time.perf_counter() - start < 0.1
+
+    def test_largest_rule_is_built(self):
+        spec = QuadratureSpec(nodes_per_axis=512, panels=1)
+        assert ball_inner_product_numeric((0,), (0,), 0.5, spec) == pytest.approx(2.0, rel=1e-13)
 
 
 class TestBallInnerProduct:

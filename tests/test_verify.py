@@ -254,23 +254,37 @@ class TestSerialization:
         assert text1 == text2
 
 
-# SHA-256 prefixes of `ballfourier verify --suite all --r-max 3 --seed S`
-# output; rounding may differ on another numpy, so they are checked only on
-# the numpy they were recorded with
+# per suite, the report count and the SHA-256 prefix of the output of
+# `ballfourier verify --suite NAME --r-max 3 --seed S`, so that a change to one
+# suite moves one digest; rounding may differ on another numpy, so they are
+# checked only on the numpy they were recorded with
 _RECORDED_NUMPY = "2.4."
-_VERIFY_ALL_SHA256 = {0: "76440e894d87be2e", 1: "e046c1e0f29336ce"}
+_SEED_FREE_SHA256 = {
+    "gegenbauer-ort": (84, "b65ca6575cd26123"), "ball-ort": (114, "6429009b5e426468"),
+    "fourier-oracle": (2670, "93a986d89f8bfe73"), "hahn-ort": (30, "abbb75ed747eeec9"),
+    "parseval": (27, "1fc48b70ab49a1f3"), "dfamily-ort": (41, "600632fa61199ebf"),
+}
+_SUITE_SHA256 = {
+    0: {**_SEED_FREE_SHA256, "ball-pde": (20, "67db1b724fb4b2dc"),
+        "fourier-paths": (360, "ac7ee507b616cbb8")},
+    1: {**_SEED_FREE_SHA256, "ball-pde": (20, "917738655d047208"),
+        "fourier-paths": (360, "5b29bd26985e5fc6")},
+}
 
 
 class TestRecordedBytes:
     @pytest.mark.skipif(not np.__version__.startswith(_RECORDED_NUMPY),
                         reason=f"digests recorded with numpy {_RECORDED_NUMPY}x, "
                                f"this is numpy {np.__version__}")
-    @pytest.mark.parametrize("seed", sorted(_VERIFY_ALL_SHA256))
+    @pytest.mark.parametrize("seed", sorted(_SUITE_SHA256))
     def test_verify_all_output_digest(self, seed):
-        reports = run_suite("all", seed, 3)
-        assert len(reports) == 3336 and all(report.passed for report in reports)
-        text = reports_to_json(reports) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == _VERIFY_ALL_SHA256[seed]
+        digests = {}
+        for name in verify._SUITES:
+            reports = run_suite(name, seed, 3)
+            assert all(report.passed for report in reports), name
+            text = reports_to_json(reports) + "\n"
+            digests[name] = (len(reports), hashlib.sha256(text.encode()).hexdigest()[:16])
+        assert digests == _SUITE_SHA256[seed]
 
 
 def _dumps_all(reports) -> str:
