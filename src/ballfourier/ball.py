@@ -1,10 +1,13 @@
 """Orthogonal polynomial basis on the unit ball.
 
 The basis is the nested Gegenbauer product: factor j rescales coordinate
-x_j by the radius left over from the first j-1 coordinates.  Points are
-numpy arrays whose last axis has length r; evaluation broadcasts over any
-leading batch axes.  :func:`ball_polynomial` builds a member in rationals,
-on which :func:`ball_operator_residual` checks the eigenvalue equation exactly.
+x_j by the radius s left over from the first j-1 coordinates.  Only even
+powers of s occur, so :func:`ball_basis_eval` runs the Gegenbauer
+recurrence in x_j with s^2 in place of the radius: a polynomial in x on the
+whole closed ball.  Points are numpy arrays whose last axis has length r;
+evaluation broadcasts over any leading batch axes.  :func:`ball_polynomial`
+builds a member in rationals, on which :func:`ball_operator_residual`
+checks the eigenvalue equation exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .classical import gegenbauer
+from .classical import _gegenbauer_recurrence
 from .errors import DomainError
 from .special import log_gamma, pochhammer
 
@@ -23,10 +26,6 @@ __all__ = ["tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eva
 
 # ||x|| may exceed 1 by this much before a point is rejected (roundoff slack).
 _NORM_SLACK = 1e-12
-# 1 - ||x_{j-1}||^2 below this is treated as the boundary; admitted points can
-# reach about -2e-12 through the norm slack above, anything lower is an error.
-_BOUNDARY_EPS = 1e-14
-_PARTIAL_FLOOR = -4e-12
 
 
 def validate_multi_index(n) -> tuple[int, ...]:
@@ -72,9 +71,12 @@ def _check_mu(mu: float) -> float:
 def ball_basis_eval(n, mu: float, x):
     """Evaluate the ball basis polynomial indexed by ``n`` at point(s) ``x``.
 
-    ``x`` has shape (..., r).  On the boundary of an intermediate radius the
-    continuous extension is used: factors with n_j > 0 vanish, factors with
-    n_j = 0 are 1.  Points with ||x|| > 1 + 1e-12 raise :class:`DomainError`.
+    ``x`` has shape (..., r).  Axis j contributes s^{n_j} C_{n_j}^{lambda_j}
+    (x_j / s), s^2 = 1 - |x_{<j}|^2, from the Gegenbauer recurrence with its
+    degree k - 2 term scaled by s^2: a polynomial in x and s^2, right up to
+    the sphere.  A single point (shape (r,)) runs on Python floats and keeps
+    its batch entry's bits.  Points with ||x|| > 1 + 1e-12 raise
+    :class:`DomainError`.
     """
     n = validate_multi_index(n)
     mu = _check_mu(mu)
@@ -82,30 +84,17 @@ def ball_basis_eval(n, mu: float, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != r:
         raise ValueError(f"point must have {r} coordinates on its last axis")
-    norm = np.sqrt(np.sum(x * x, axis=-1))
-    if np.any(norm > 1.0 + _NORM_SLACK):
+    if np.any(np.sqrt(np.sum(x * x, axis=-1)) > 1.0 + _NORM_SLACK):
         raise DomainError("point lies outside the closed unit ball")
 
-    result = np.ones(x.shape[:-1], dtype=np.float64)
-    cum = np.zeros(x.shape[:-1], dtype=np.float64)
-    for j in range(1, r + 1):
-        nj = n[j - 1]
-        lam = mu + tail_sum(n, j + 1) + (r - j) / 2.0
-        s2 = 1.0 - cum
-        if np.any(s2 < _PARTIAL_FLOOR):
-            raise DomainError("partial norm exceeds 1 beyond roundoff tolerance")
-        boundary = s2 <= _BOUNDARY_EPS
-        s2_safe = np.where(boundary, 1.0, np.maximum(s2, 0.0))
-        xj = x[..., j - 1]
-        t = np.where(boundary, 0.0, xj / np.sqrt(s2_safe))
-        if nj == 0:
-            factor = np.ones_like(result)
-        else:
-            factor = np.where(boundary, 0.0,
-                              np.maximum(s2, 0.0) ** (nj / 2.0) * gegenbauer(nj, lam, t))
-        result = result * factor
-        cum = cum + xj * xj
-    return result[()]
+    value = s2 = 1.0
+    coords = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
+    for j, (nj, xj) in enumerate(zip(n, coords), start=1):
+        if nj:
+            lam = mu + tail_sum(n, j + 1) + (r - j) / 2.0
+            value = value * _gegenbauer_recurrence(nj, lam, xj, 1.0, 2.0 * lam * xj, s2)
+        s2 = s2 - xj * xj
+    return np.float64(value) if x.ndim == 1 else value * np.ones(x.shape[:-1])
 
 
 def ball_norm(n, mu: float) -> float:

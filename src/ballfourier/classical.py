@@ -2,7 +2,8 @@
 
 Normalizations match the hypergeometric representations used throughout the
 library.  The Gegenbauer evaluation route is the three-term recurrence in
-the degree; the terminating 2F1 form (the one the ball transforms
+the degree; :func:`ball.ball_basis_eval` runs it with the degree k - 2 term
+scaled by s^2.  The terminating 2F1 form (the one the ball transforms
 generalize, :func:`gegenbauer_series`) and the explicit Jacobi sum exist as
 independent cross-check paths only.  The continuous Hahn polynomials of
 several degrees come from one 3F2 degree ladder
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .hypergeometric import _terminating_sum, hyp3f2_ladder
-from .special import log_gamma, pochhammer
+from .special import _LOG_DBL_MAX, log_gamma, pochhammer
 
 __all__ = [
     "jacobi",
@@ -107,13 +108,17 @@ def gegenbauer(n: int, lam: float, x):
                                   (2.0 * lam * arr).astype(dtype, copy=False))[()]
 
 
-def _gegenbauer_recurrence(n: int, lam: float, x, prev, curr):
-    """C_n^(lambda)(x), n >= 1, from C_0 = ``prev`` and C_1 = ``curr`` by the
-    three-term recurrence in the degree.  ``x`` is an array or a Python
-    float; the same statements run on both."""
+def _gegenbauer_recurrence(n: int, lam: float, x, prev, curr, s2=1.0):
+    """s^n C_n^(lambda)(x / s), n >= 1, from the value at degree 0
+    (``prev``) and 1 (``curr``) by the three-term recurrence in the degree
+    with its degree k - 2 term scaled by ``s2`` = s^2: a polynomial in x and
+    s^2, with no square root or division by s.  The default s2 = 1.0 gives
+    C_n^(lambda)(x) with the bits of the unscaled recurrence, since a product
+    by 1.0 is exact.  ``x`` and ``s2`` are arrays or Python floats; the same
+    statements run on both."""
     for k in range(2, n + 1):
         prev, curr = curr, (2.0 * (k - 1.0 + lam) * x * curr
-                            - (k - 2.0 + 2.0 * lam) * prev) / k
+                            - (k - 2.0 + 2.0 * lam) * s2 * prev) / k
     return curr
 
 
@@ -184,7 +189,9 @@ def continuous_hahn(n: int, x, params):
 
 def hahn_orthogonality_constant(n: int, a1: float, a2: float) -> float:
     """Orthogonality normalization of p_n(x; a1, a2, a2, a1) on the real line
-    under the gamma-product weight, for real a1, a2 > 0."""
+    under the gamma-product weight, for real a1, a2 > 0.  A value past double
+    range raises OverflowError, as :func:`gegenbauer_norm` does; at
+    a1 = a2 = 1/2 that happens from n = 99 on."""
     n = _check_degree(n)
     if not (a1 > 0 and a2 > 0):
         raise ValueError("Hahn orthogonality requires a1, a2 > 0")
@@ -194,4 +201,6 @@ def hahn_orthogonality_constant(n: int, a1: float, a2: float) -> float:
                + 2.0 * log_gamma(s + n)
                - log_gamma(n + 1.0) - math.log(n + s - 0.5)
                - log_gamma(2.0 * s + n - 1.0))
+    if log_val > _LOG_DBL_MAX:
+        raise OverflowError("Hahn orthogonality constant exceeds double range")
     return float(np.exp(log_val))

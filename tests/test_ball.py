@@ -75,10 +75,36 @@ class TestBasisEval:
             assert rel_err(ball_basis_eval((0, 1), mu, x), expect) <= 1e-13
 
     def test_batched_matches_scalar(self, rng):
-        pts = rng.uniform(-0.5, 0.5, size=(40, 3))
-        batch = ball_basis_eval((1, 0, 2), 0.9, pts)
-        for pt, value in zip(pts, batch):
-            assert rel_err(ball_basis_eval((1, 0, 2), 0.9, pt), value) <= 1e-14
+        # a single point runs on Python floats, a batch on arrays: same bits
+        for r in range(1, 7):
+            for _ in range(4):
+                n = tuple(int(v) for v in rng.integers(0, 5, size=r))
+                mu = rng.uniform(-0.4, 2.0)
+                pts = rng.uniform(-1.0, 1.0, size=(40, r))
+                pts /= np.maximum(1.0, np.linalg.norm(pts, axis=1))[:, None]
+                batch = ball_basis_eval(n, mu, pts)
+                for pt, value in zip(pts, batch):
+                    assert ball_basis_eval(n, mu, pt).tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("n, x", [
+        ((0, 1), (math.sqrt(1.0 - 1e-15), 3e-8)),    # exact value 3e-8 at mu = 1/2
+        ((0, 2), (math.sqrt(1.0 - 4e-15), 5e-8)),    # 1.75e-15
+        ((0, 0, 1), (0.6, 0.8, 1e-7)),               # 1e-7; ||x|| - 1 = 4.9e-15
+    ])
+    def test_near_the_boundary_is_the_polynomial(self, n, x):
+        # inside the ball (or the 1e-12 slack) but within 1e-14 of a zero
+        # radius; worst relative error over these mu is 8.8e-15, the bound has
+        # about 1e3 of headroom
+        for mu in (-0.3, 0.25, 0.5, 0.75, 1.3, 2.5):
+            exact = _polynomial_value(ball_polynomial(n, mu), x)
+            assert exact != 0.0
+            assert rel_err(ball_basis_eval(n, mu, np.array(x)), exact) <= 1e-11
+
+    def test_zero_index_shapes(self):
+        batch = ball_basis_eval((0, 0), 0.7, np.zeros((4, 3, 2)))
+        assert batch.shape == (4, 3) and batch.dtype == np.float64 and np.all(batch == 1.0)
+        assert type(ball_basis_eval((0, 0), 0.7, [0.1, 0.2])) is np.float64
+        assert type(ball_basis_eval((2, 1), 0.7, [0.1, 0.2])) is np.float64
 
     def test_outside_ball_raises(self):
         with pytest.raises(DomainError):

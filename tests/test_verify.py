@@ -265,7 +265,7 @@ _SEED_FREE_SHA256 = {
     "parseval": (27, "1fc48b70ab49a1f3"), "dfamily-ort": (41, "600632fa61199ebf"),
 }
 _SUITE_SHA256 = {
-    0: {**_SEED_FREE_SHA256, "ball-pde": (20, "67db1b724fb4b2dc"),
+    0: {**_SEED_FREE_SHA256, "ball-pde": (20, "bfd7f4ca6215171d"),
         "fourier-paths": (360, "ac7ee507b616cbb8")},
     1: {**_SEED_FREE_SHA256, "ball-pde": (20, "917738655d047208"),
         "fourier-paths": (360, "5b29bd26985e5fc6")},
