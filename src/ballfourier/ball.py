@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 
 from .classical import _gegenbauer_recurrence
 from .errors import DomainError
-from .special import log_gamma, pochhammer
+from .special import _blockwise, log_gamma, pochhammer
 
 __all__ = ["tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",
            "ball_norm", "ball_polynomial", "ball_operator_residual"]
@@ -74,9 +75,10 @@ def ball_basis_eval(n, mu: float, x):
     ``x`` has shape (..., r).  Axis j contributes s^{n_j} C_{n_j}^{lambda_j}
     (x_j / s), s^2 = 1 - |x_{<j}|^2, from the Gegenbauer recurrence with its
     degree k - 2 term scaled by s^2: a polynomial in x and s^2, right up to
-    the sphere.  A single point (shape (r,)) runs on Python floats and keeps
-    its batch entry's bits.  Points with ||x|| > 1 + 1e-12 raise
-    :class:`DomainError`.
+    the sphere.  The columns x[..., j] run per block
+    (:func:`special._blockwise`); a single point (shape (r,)) runs on
+    Python floats and keeps its batch entry's bits.  Points with
+    ||x|| > 1 + 1e-12 raise :class:`DomainError`.
     """
     n = validate_multi_index(n)
     mu = _check_mu(mu)
@@ -84,17 +86,28 @@ def ball_basis_eval(n, mu: float, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != r:
         raise ValueError(f"point must have {r} coordinates on its last axis")
-    if np.any(np.sqrt(np.sum(x * x, axis=-1)) > 1.0 + _NORM_SLACK):
-        raise DomainError("point lies outside the closed unit ball")
+    return _blockwise(partial(_ball_block, n, mu), *(x[..., j] for j in range(r)))[0]
 
+
+def _ball_block(n, mu: float, *coords):
+    """:func:`ball_basis_eval` of one block of points, from their
+    coordinates: arrays or, for a single point, Python floats."""
+    # |x|^2 summed in axis order, as np.sum over the last axis does
+    norm2 = coords[0] * coords[0]
+    for xj in coords[1:]:
+        norm2 = norm2 + xj * xj
+    if np.any(np.sqrt(norm2) > 1.0 + _NORM_SLACK):
+        raise DomainError("point lies outside the closed unit ball")
+    r = len(n)
     value = s2 = 1.0
-    coords = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
     for j, (nj, xj) in enumerate(zip(n, coords), start=1):
         if nj:
             lam = mu + tail_sum(n, j + 1) + (r - j) / 2.0
             value = value * _gegenbauer_recurrence(nj, lam, xj, 1.0, 2.0 * lam * xj, s2)
         s2 = s2 - xj * xj
-    return np.float64(value) if x.ndim == 1 else value * np.ones(x.shape[:-1])
+    if isinstance(value, np.ndarray):
+        return (value,)
+    return (np.float64(value) if isinstance(coords[0], float) else np.full(coords[0].shape, value),)
 
 
 def ball_norm(n, mu: float) -> float:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .hypergeometric import _terminating_sum, hyp3f2_ladder
-from .special import _LOG_DBL_MAX, log_gamma, pochhammer
+from .special import _LOG_DBL_MAX, _blockwise, log_gamma, pochhammer
 
 __all__ = [
     "jacobi",
@@ -90,7 +90,8 @@ def gegenbauer(n: int, lam: float, x):
     exact in floating point.  The definitional terminating-2F1 form is
     available as :func:`gegenbauer_series`; its alternating sum loses up to
     ~1e-10 relative accuracy by n = 10, which is why it is not the
-    production path (the two are cross-checked in the test suite).
+    production path (the two are cross-checked in the test suite).  A
+    batch runs per block (:func:`special._blockwise`).
     """
     n = _check_degree(n)
     lam = _check_gegenbauer_lambda(lam)
@@ -104,8 +105,14 @@ def gegenbauer(n: int, lam: float, x):
         # keeps its batch entry's bits.  A complex 0-d x stays on arrays
         t = arr.item()
         return dtype.type(_gegenbauer_recurrence(n, lam, t, 1.0, 2.0 * lam * t))
-    return _gegenbauer_recurrence(n, lam, arr, np.ones(arr.shape, dtype=dtype),
-                                  (2.0 * lam * arr).astype(dtype, copy=False))[()]
+
+    def recurrence(x):
+        return (_gegenbauer_recurrence(n, lam, x, np.ones(x.shape, dtype=dtype),
+                                       (2.0 * lam * x).astype(dtype, copy=False)),)
+
+    if arr.ndim == 0:
+        return recurrence(arr)[0][()]
+    return _blockwise(recurrence, arr)[0]
 
 
 def _gegenbauer_recurrence(n: int, lam: float, x, prev, curr, s2=1.0):

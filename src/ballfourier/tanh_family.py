@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .ball import _index_list, ball_basis_eval, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .hypergeometric import hyp3f2_ladder, hyp3f2_unit
-from .special import beta_conjugate, pochhammer
+from .special import _blockwise, beta_conjugate, pochhammer
 
 __all__ = [
     "FamilyParams",
@@ -86,13 +87,25 @@ def tanh_ball_map(x):
 
 
 def family_eval(x, params: FamilyParams):
-    """Evaluate the family member at point(s) ``x`` of shape (..., r)."""
+    """Evaluate the family member at point(s) ``x`` of shape (..., r).
+
+    The columns x[..., j] run per block (:func:`special._blockwise`) and
+    are stacked back to shape (..., r) in each block: numpy's power takes
+    its square and sqrt shortcuts for some operand layouts only, and the
+    stacked block keeps those of an unblocked call."""
     x = np.asarray(x, dtype=np.float64)
     r = params.r
     if x.ndim == 0 or x.shape[-1] != r:
         raise ValueError(f"point must have {r} coordinates on its last axis")
+    return _blockwise(lambda *columns: (_family_points(params, np.stack(columns, axis=-1)),),
+                      *(x[..., j] for j in range(r)))[0]
+
+
+def _family_points(params: FamilyParams, x):
+    """:func:`family_eval` at the points ``x`` of shape (..., r): the
+    sech^2 powers times the ball basis at the mapped points."""
     sech2 = 1.0 / np.cosh(x) ** 2
-    exponents = params.a + (r - 1 - np.arange(r)) / 4.0
+    exponents = params.a + (params.r - 1 - np.arange(params.r)) / 4.0
     prefactor = np.prod(sech2 ** exponents, axis=-1)
     return prefactor * ball_basis_eval(params.n, params.mu, tanh_ball_map(x))
 
@@ -203,13 +216,16 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     """Axis-j theta factor: beta factor times terminating 3F2 at unit argument.
 
     ``xi`` may be a scalar or an array (the transform of axis j is evaluated
-    at every entry).  At real ``xi`` the two beta arguments are a conjugate
-    pair a + m/2 + q +- i xi/2, so the beta factor is
-    :func:`special.beta_conjugate` with one real part for all of ``xi``.
+    at every entry, per block of :func:`special._blockwise`).  At real
+    ``xi`` the two beta arguments are a conjugate pair a + m/2 + q +- i xi/2,
+    so the beta factor is :func:`special.beta_conjugate` with one real part
+    for all of ``xi``.
     """
     xi = np.asarray(xi, dtype=np.float64)
     m = _axis_tail(j, r, params.n)
-    return _theta_rows(j, r, m, (params.n[j - 1],), params.a, params.mu, xi)[0]
+    rows = partial(_theta_rows, j, r, m, (params.n[j - 1],), params.a, params.mu)
+    # a 0-d xi stays a 0-d array; a batch runs per block
+    return (rows(xi) if xi.ndim == 0 else _blockwise(rows, xi))[0]
 
 
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):

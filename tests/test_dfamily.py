@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -156,6 +158,22 @@ class TestOrthogonalityConstant:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             d_orthogonality_constant((0,), -1.0, 1.0)
+
+    def test_large_parameters_against_mpmath(self):
+        # 2 pi 2^(2 - 4s) Gamma(4a)^2 times the ball norm sqrt(pi)
+        # Gamma(mu + 1/2) / Gamma(mu + 1), s = 2a, mu = s - 1/2
+        a = 40
+        with mpmath.workdps(30):
+            exact = (2 * mpmath.pi * mpmath.mpf(2) ** (2 - 4 * a) * mpmath.gamma(2 * a) ** 2
+                     * mpmath.sqrt(mpmath.pi) * mpmath.gamma(2 * a) / mpmath.gamma(2 * a + 0.5))
+        assert rel_err(d_orthogonality_constant((0,), a, a), float(exact)) <= 1e-12
+
+    def test_past_double_range_raises(self):
+        # Gamma(100)^2 is about 8.7e311; the constant itself is 2.42e252
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                d_orthogonality_constant((0,), 50, 50)
 
 
 class TestConstantPastTwoAxes:
