@@ -18,10 +18,10 @@ These engines are the ground truth the closed forms are checked against:
 * Fourier integrals are tensor-product quadratures; because every family
   member separates across axes, the tensor sum is normally evaluated in
   factored per-axis form (one reduction per axis for a whole set of
-  frequencies), with a dense tensor mode retained as the independent
-  cross-check; the axis-j integral depends on the member only through its
-  axis key (j, n_j, |n^{j+1}|), so a table over many multi-indices
-  (:func:`fourier_numeric_table`) computes it once per key.
+  frequencies), with a dense tensor mode through the peel-last recursion
+  as the independent cross-check; the axis-j integral depends on the
+  member only through its axis key (j, n_j, |n^{j+1}|), so a table over
+  many multi-indices (:func:`fourier_numeric_table`) computes it once per key.
 
 Tables that depend only on the rule are built once per process.  The rules
 themselves are cached by their parameters; they are the only state kept
@@ -59,10 +59,10 @@ from .ball import _check_mu, _index_list, ball_basis_eval
 from .classical import continuous_hahn_rows
 from .dfamily import DParams, d_axis_rows, d_family_eval
 from .errors import NonFiniteIntegrandError
-from .special import log_gamma
+from .special import _blockwise, log_gamma
 from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_table,
                           _frequency_vectors, _gegenbauer_factor, _sech_power, _theta_rows,
-                          family_eval, fourier_prefactor)
+                          family_eval_peel_last, fourier_prefactor)
 
 __all__ = [
     "QuadratureSpec",
@@ -333,10 +333,10 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
       factored per-axis form — exact reordering of the same sum, at per-axis
       cost; each axis is integrated once on its distinct frequencies.  It is
       the one-member case of :func:`fourier_numeric_table`.
-    * ``tensor``: dense tensor-product sum; the integrand is evaluated
-      through the ball-basis route, making no use of separability.  The
-      modes agree to rounding on one rule; the tensor mode is the
-      independent check of the default.
+    * ``tensor``: dense tensor-product sum of the peel-last recursion
+      :func:`family_eval_peel_last`, not of the axis factors the separated
+      mode sums (or of :func:`family_eval`, their product); the modes agree
+      to rounding on one rule, and the tensor mode is the independent check.
     """
     if mode == "separated":
         out = _separated_table([params], xi, spec)[0]
@@ -346,7 +346,9 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
         if spec is None:
             spec = QuadratureSpec()
         x, w = _line_rule(spec)[:2]
-        values = family_eval(_dense_grid([x] * r), params)
+        # per block of grid points, so the temporaries stay block-sized
+        values = _blockwise(lambda *coords: (family_eval_peel_last(np.stack(coords, -1), params),),
+                            *np.moveaxis(_dense_grid([x] * r), -1, 0))[0]
         if not np.all(np.isfinite(values)):
             raise NonFiniteIntegrandError("family evaluation produced non-finite values")
         values = values.astype(np.complex128)

@@ -37,17 +37,20 @@ seeds, 2-core Xeon, numpy 2.4).
 A 0-d call runs the same kernel bodies on Python floats: :func:`_blockwise`
 hands a 0-d call its operands as Python numbers, and the real
 :func:`log_gamma` path converts its argument itself.  Complex log-gamma
-left of Re z = 0.5 runs its pole test, shift recurrence and reflection on
-them too, in the batch's order of operations.  Python and numpy-scalar
-arithmetic are both unfused IEEE double, so a 0-d value agrees bit for
-bit with the same entry of a batch (a nan may differ in its sign bit), and
-only the transcendental calls still go through numpy.  Measured per 0-d
-call on the same 2-core Xeon (median of alternating runs; numpy scalars
-or 0-d arrays before, Python floats now): real ``log_gamma`` 18 -> 4 us,
-complex ``log_gamma`` 27 -> 17 us at Re z >= 0.5, ``beta_conjugate``
-51 -> 24 us, ``gamma_pair`` 61 -> 42 us.  Left of Re z = 0.5, in later
-runs where the right half-plane took 19 us, complex ``log_gamma`` went
-from 76-89 to 24-46 us (the most for the reflection) and ``gamma_pair``
+left of Re z = 0.5 runs its pole test and shift recurrence on them too, in
+the batch's order of operations; left of Re z = -16 it reflects as a
+batch of one.  Python and numpy-scalar arithmetic are both unfused IEEE
+double, so a 0-d value agrees bit for bit with the same entry of a batch
+(a nan may differ in its sign bit), and only the transcendental calls
+still go through numpy.  Measured per 0-d call on the same 2-core Xeon
+(median of alternating runs; numpy scalars or 0-d arrays before, Python
+floats now): real ``log_gamma`` 18 -> 4 us, complex ``log_gamma``
+27 -> 17 us at Re z >= 0.5, ``beta_conjugate`` 51 -> 24 us,
+``gamma_pair`` 61 -> 42 us.  Left of Re z = 0.5, in later runs where the
+right half-plane took 19 us, complex ``log_gamma`` went from 76-89 to
+24-31 us with 1 to 3 shift steps (a reflection takes 49-76 us as a batch
+of one, against 39-46 us on Python floats; no benchmark workload reflects
+a 0-d call) and ``gamma_pair``
 with both real parts there from 173 to 48 us, its overflow test now
 reading the two real parts as numbers.  0-d results are still numpy
 scalars of the batch's dtype.
@@ -264,28 +267,20 @@ def _log_gamma_block(x, y) -> tuple[np.ndarray]:
     ``2 pi i sign(Im z) floor(Re z / 2 + 1/4)`` (D. E. G. Hare, "Computing
     the principal branch of log-Gamma", J. Algorithms 25, 1997), so the cost
     no longer grows with |x|.  Non-finite entries come back non-finite.  A
-    0-d call passes Python floats, and the pole test, shift and reflection
-    run on them in the batch's order of operations: the shift sums its
-    rows x + j, j = 0 .. int(0.5 - x), in row order like the batch's
-    ``cumsum``, adding 0.0 for a row at 0.5, so the value keeps its batch
-    entry's bits.  Only ``log``, ``hypot``, ``arctan2`` and
-    :func:`_log_sin_pi` still go through numpy.
+    0-d call passes Python floats, and the pole test and shift run on them
+    in the batch's order of operations: the shift sums its rows x + j,
+    j = 0 .. int(0.5 - x), in row order like the batch's ``cumsum``, adding
+    0.0 for a row at 0.5, so the value keeps its batch entry's bits.  Only
+    ``log``, ``hypot`` and ``arctan2`` still go through numpy there.  A 0-d
+    call that reflects runs the array body below as a batch of one.
     """
-    if isinstance(x, float) and isinstance(y, float):
+    # a 0-d call left of -_SHIFT_CAP reflects as a batch of one
+    if isinstance(x, float) and isinstance(y, float) and not x < -_SHIFT_CAP:
         if not x < 0.5:
             return (_complex(*_log_gamma_right_planes(x - 1.0, y)),)
-        # x == floor(x) of the batch, where floor(-inf) is -inf
-        if y == 0.0 and (x.is_integer() or x == -math.inf):
+        # x == floor(x) of the batch
+        if y == 0.0 and x.is_integer():
             raise PoleError("gamma function evaluated at a nonpositive integer")
-        if x < -_SHIFT_CAP:
-            re, im = _log_gamma_right_planes((1.0 - x) - 1.0, -y)
-            # math.floor raises at -inf, where the batch's floor is -inf
-            quarter = 0.5 * x + 0.25
-            unwind = math.copysign(2.0 * np.pi, y) * (
-                float(math.floor(quarter)) if quarter > -math.inf else quarter)
-            z = complex(x, y)
-            value = (_LOG_PI + 1j * unwind) - _log_sin_pi(np.array([z]))[0] - complex(re, im)
-            return (_complex(value.real, value.imag),)
         sum_re, sum_im = float(np.log(np.hypot(x, y))), float(np.arctan2(y, x))
         steps = 1
         for j in range(1, int(0.5 - x) + 1):

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .ball import _index_list, ball_basis_eval, tail_sum, validate_multi_index
+from .ball import _index_list, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .hypergeometric import hyp3f2_ladder, hyp3f2_unit
 from .special import _blockwise, beta_conjugate, pochhammer
@@ -87,27 +87,27 @@ def tanh_ball_map(x):
 
 
 def family_eval(x, params: FamilyParams):
-    """Evaluate the family member at point(s) ``x`` of shape (..., r).
-
-    The columns x[..., j] run per block (:func:`special._blockwise`) and
-    are stacked back to shape (..., r) in each block: numpy's power takes
-    its square and sqrt shortcuts for some operand layouts only, and the
-    stacked block keeps those of an unblocked call."""
+    """Evaluate the family member at point(s) ``x`` of shape (..., r): the
+    product, in axis order, of the :func:`family_axis_factor` values
+    sech^2(x_j)^{p_j} C_{n_j}^{lambda_j}(tanh x_j).  It equals the sech
+    powers times the ball basis at :func:`tanh_ball_map`, without that
+    form's 1 - |v_{<j}|^2, which cancels as tanh x_j -> 1.  The rows
+    x.reshape(-1, r) run per block (:func:`special._blockwise`), so a single
+    point keeps its batch entry's bits; it comes back as a scalar."""
     x = np.asarray(x, dtype=np.float64)
     r = params.r
     if x.ndim == 0 or x.shape[-1] != r:
         raise ValueError(f"point must have {r} coordinates on its last axis")
-    return _blockwise(lambda *columns: (_family_points(params, np.stack(columns, axis=-1)),),
-                      *(x[..., j] for j in range(r)))[0]
+    values = _blockwise(partial(_axis_product, params), *x.reshape(-1, r).T)[0]
+    return values.reshape(x.shape[:-1])[()]
 
 
-def _family_points(params: FamilyParams, x):
-    """:func:`family_eval` at the points ``x`` of shape (..., r): the
-    sech^2 powers times the ball basis at the mapped points."""
-    sech2 = 1.0 / np.cosh(x) ** 2
-    exponents = params.a + (params.r - 1 - np.arange(params.r)) / 4.0
-    prefactor = np.prod(sech2 ** exponents, axis=-1)
-    return prefactor * ball_basis_eval(params.n, params.mu, tanh_ball_map(x))
+def _axis_product(params: FamilyParams, *columns):
+    """:func:`family_eval` of one block, from the point coordinates."""
+    value = family_axis_factor(1, params, columns[0])
+    for j in range(2, params.r + 1):
+        value *= family_axis_factor(j, params, columns[j - 1])
+    return (value,)
 
 
 def family_eval_peel_first(x, params: FamilyParams):
@@ -139,11 +139,11 @@ def family_eval_peel_last(x, params: FamilyParams):
 
 
 def family_axis_factor(j: int, params: FamilyParams, x):
-    """Axis-j factor of the fully separated form of the family.
-
-    The product of these factors over j = 1..r equals :func:`family_eval`
-    (this is the peel-first recursion unrolled): the member's axis-j
-    :func:`_gegenbauer_factor` at t = tanh x with the weight sech^2 x.
+    """Axis-j factor of the fully separated form of the family: the
+    member's axis-j :func:`_gegenbauer_factor` at t = tanh x with the weight
+    sech^2 x, the factor the Fourier oracle integrates.  :func:`family_eval`
+    is the product of these factors over j = 1..r, in axis order (the
+    peel-first recursion unrolled).
     """
     r = params.r
     if not 1 <= j <= r:

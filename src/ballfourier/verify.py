@@ -292,9 +292,9 @@ _FOURIER_GRID_XI = {1: (-3.0, -1.0, 0.0, 0.5, 2.0, 3.0),
 
 def fourier_report(params: FamilyParams, xi, tolerance: float | None = None):
     """Closed-form transform of ``params`` at the frequency vector ``xi``
-    (lhs) against the separated quadrature oracle (rhs), with the oracle
-    behind the node-doubling gate."""
-    oracle, fine = _base_and_doubled(quad.QuadratureSpec(),
+    (lhs) against the separated oracle on the whole-line rule (rhs), with
+    the oracle behind the node-doubling gate."""
+    oracle, fine = _base_and_doubled(quad.tanh_default_spec(),
                                      lambda s: quad.fourier_numeric(params, xi, s))
     parameters = {"r": params.r, "n": list(params.n), "a": params.a, "mu": params.mu,
                   "xi": [float(v) for v in xi]}

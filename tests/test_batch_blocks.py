@@ -4,7 +4,11 @@ Each route runs its whole per-point pipeline on one block at a time and
 writes into one preallocated output, so a batch larger than a block keeps
 the bits of an unblocked evaluation and holds no full-size temporaries.
 The digests below were recorded before the routes were blocked; 20,481
-points leave a partial last block, and the (97, 211) batch is 2-D.
+points leave a partial last block, and the (97, 211) batch is 2-D.  The
+r >= 2 family digests and the single-point digest were recorded again
+when ``family_eval`` became the product of its axis factors, whose values
+are closer to 40-digit mpmath than those of the ball basis at the mapped
+point.
 """
 
 import hashlib
@@ -90,27 +94,27 @@ _SHA256 = {
         "gegenbauer real": "19ca385e1c3115e6", "gegenbauer complex": "63abfb10f3a7195d",
         "ball r=1": "e8101202eeca6589", "family r=1": "0467f154bd6e62af",
         "dfamily r=1": "45aa2c6d9008128f", "ball r=2": "44c2cd8a2eff4903",
-        "family r=2": "606c7bb60385e069", "dfamily r=2": "c418fb940ecb5f97",
-        "ball r=3": "58580f99f677bdf4", "family r=3": "bfd35fe253171f36",
+        "family r=2": "fff6b042efefa173", "dfamily r=2": "c418fb940ecb5f97",
+        "ball r=3": "58580f99f677bdf4", "family r=3": "2c4fbe762a652ecf",
         "dfamily r=3": "bcc5bb7393952a12", "gamma_pair complex": "030ddc9a405fcc90",
         "gamma_pair positive real": "e13c4bb162b20972", "gamma_pair mixed real": "5a0364953b8826f8",
         "family r=1 a=2.0": "ee9867bfd124e90b", "family r=1 a=0.5": "ca4c4e194fc024c3",
-        "family r=2 a=0.5": "dba8ef6e1f79757d", "family r=3 a=0.25": "82383c243c05eb5e",
+        "family r=2 a=0.5": "29f881f7bce529bf", "family r=3 a=0.25": "daf8a6cf9ab0a270",
     },
     (97, 211): {
         "theta r=3 j=2": "3f6f86c89cb749a6", "theta r=1": "9b3c241d5de52ab8",
         "gegenbauer real": "ea4fcf0afee48926", "gegenbauer complex": "28bb5119ce743268",
         "ball r=1": "1512ffd0461f3a80", "family r=1": "a70fdffa7158bd6e",
         "dfamily r=1": "6e28c09fadba42cf", "ball r=2": "2841cc3c74ce7c9c",
-        "family r=2": "e991d0eaa2e83b90", "dfamily r=2": "5a5fe6ebf361c6e2",
-        "ball r=3": "772f3901077afd1c", "family r=3": "60ac778742b15701",
+        "family r=2": "09ff192e1e42c74b", "dfamily r=2": "5a5fe6ebf361c6e2",
+        "ball r=3": "772f3901077afd1c", "family r=3": "7ff53f06dc29abfb",
         "dfamily r=3": "445ec7bd5d0fa185", "gamma_pair complex": "5f9696a52e3ff6cb",
         "gamma_pair positive real": "57ede995fe7f1f92", "gamma_pair mixed real": "0aacbba5ab07bc61",
         "family r=1 a=2.0": "d212775025f85eea", "family r=1 a=0.5": "2f41a38851e12093",
-        "family r=2 a=0.5": "32dcc032523b3e4f", "family r=3 a=0.25": "296e4ee945c5a3d3",
+        "family r=2 a=0.5": "797bee1d32db4d60", "family r=3 a=0.25": "a554719461d25be1",
     },
 }
-_SINGLE_POINTS_SHA256 = "0562dab862ee2023"
+_SINGLE_POINTS_SHA256 = "8fc8d7cccc6c97fa"
 
 
 class TestRecordedBits:

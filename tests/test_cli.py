@@ -139,13 +139,13 @@ class TestFourier:
         assert math.copysign(1.0, json.loads(out)["tolerance"]) == 1.0
 
     def test_check_is_gated_by_node_doubling(self, capsys, monkeypatch):
-        # an oracle that matches the closed form on the default rule but
+        # an oracle that matches the closed form on the check's rule but
         # moves by 1e-3 on the doubled rule must not pass the check
         from ballfourier import quadrature
 
         def drifting(params, xi, spec=None, mode="separated"):
             value = fourier_closed_form(params, xi)
-            return value if spec in (None, quadrature.QuadratureSpec()) else value + 1e-3
+            return value if spec == quadrature.tanh_default_spec() else value + 1e-3
 
         monkeypatch.setattr(quadrature, "fourier_numeric", drifting)
         code, out = run_cli(["fourier", "--r", "1", "--n", "0", "--a", "0.5",
@@ -154,6 +154,16 @@ class TestFourier:
         record = json.loads(out)
         assert record["passed"] is False
         assert record["rel_error"] == 0.0
+
+    def test_check_at_high_degree(self, capsys):
+        # the check integrates on the whole-line rule; the truncated default
+        # line rule is off by 1.1e-2 here and failed a right closed form
+        code, out = run_cli(["fourier", "--n", "30", "--a", "1.75", "--mu", "1.25",
+                             "--xi", "3", "--check"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["passed"] is True
+        assert record["rel_error"] <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_nan_frequency_check_exits_2(self, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballfourier import (FamilyParams, family_eval, family_eval_peel_first,
+from ballfourier import (FamilyParams, ball_basis_eval, family_eval, family_eval_peel_first,
                          family_eval_peel_last, fourier_closed_form,
                          fourier_via_recursion, gegenbauer, hyp3f2_unit,
                          pochhammer, tail_sum, tanh_ball_map, theta_factor,
@@ -92,8 +92,57 @@ class TestFamilyEval:
             x = rng.uniform(-2.5, 2.5, size=r)
             reference = family_eval(x, params)
             scale = max(abs(reference), 1e-14)
+            # the paper's definition: sech powers times the ball basis at the
+            # tanh-mapped point
+            sech2 = 1.0 / np.cosh(x) ** 2
+            powers = params.a + (r - 1 - np.arange(r)) / 4.0
+            definition = (np.prod(sech2 ** powers)
+                          * ball_basis_eval(params.n, params.mu, tanh_ball_map(x)))
+            assert abs(definition - reference) / scale <= 1e-12
             assert abs(family_eval_peel_first(x, params) - reference) / scale <= 1e-12
             assert abs(family_eval_peel_last(x, params) - reference) / scale <= 1e-12
+
+    @pytest.mark.parametrize("n, rest", [((0, 3), (0.3,)), ((2, 3, 4), (0.3, -0.7))])
+    def test_far_from_the_origin_matches_mpmath(self, n, rest):
+        # tanh x_1 -> 1 there: the ball basis at the mapped point cancels in
+        # s^2 = 1 - |v_{<j}|^2 (wrong in every digit at x_1 = 20), the axis
+        # product does not
+        mp = pytest.importorskip("mpmath")
+        a, mu = 0.9, 1.2
+        params = FamilyParams(a, mu, n)
+        r = len(n)
+        for x1 in (5.0, 8.0, 12.0, 20.0, -5.0, -8.0, -12.0, -20.0):
+            x = (x1,) + rest
+            with mp.workdps(40):
+                # the definition at 40 digits: sech powers times the ball
+                # basis at the tanh-mapped point
+                xm = [mp.mpf(v) for v in x]
+                value, carry, norm2 = mp.mpf(1), mp.mpf(1), mp.mpf(0)
+                for j in range(r):
+                    m = sum(n[j + 1:])
+                    value *= mp.sech(xm[j]) ** (2 * a + mp.mpf(r - 1 - j) / 2)
+                    v = mp.tanh(xm[j]) * carry
+                    carry *= mp.sech(xm[j])
+                    s = mp.sqrt(1 - norm2)
+                    value *= s ** n[j] * mp.gegenbauer(n[j], mu + m + mp.mpf(r - 1 - j) / 2, v / s)
+                    norm2 += v * v
+                expect = float(value)
+            assert rel_err(family_eval(np.array(x), params), expect) <= 1e-12, x
+
+    def test_single_point_is_its_batch_entry(self):
+        # one point runs the array loops of a batch, so numpy's power takes
+        # the same shortcuts (exponents 2 and 1/2 at a = 2, 1/4 and 1/2)
+        rng = np.random.default_rng(2025)
+        for r in (1, 2, 3):
+            for a in (0.25, 0.5, 2.0, float(rng.uniform(0.3, 2.0))):
+                n = tuple(int(v) for v in rng.integers(0, 9, r))
+                params = FamilyParams(a, float(rng.uniform(0.2, 2.0)), n)
+                x = rng.normal(scale=1.5, size=(300, r))
+                batch = family_eval(x, params)
+                for point, entry in zip(x, batch):
+                    single = family_eval(point, params)
+                    assert np.ndim(single) == 0
+                    assert single.tobytes() == entry.tobytes(), (r, a, n, point)
 
     def test_axis_factorization(self, rng):
         for _ in range(50):
