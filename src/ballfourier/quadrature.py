@@ -37,9 +37,9 @@ node sum of a weighted row factor against a column factor.  Every entry
 of the Hahn and D matrices, and every upper-triangle entry of the ball
 matrix (its lower triangle is the mirror), is bit-identical to the
 pairwise call on the same rule.  The dense tensor cross-checks (ball,
-Fourier, D family) form their grids with :func:`_dense_grid`, which
-refuses more than 8e6 points before forming any, and weight them axis by
-axis with :func:`_axis_weighted`.
+Fourier, D family) are one sum, :func:`_tensor_sum`, which holds one slab
+of at most 2^15 grid points at a time; its cap of 8e6 points bounds their
+time, not their memory.
 
 Accumulation uses numpy's fixed pairwise reductions, so identical inputs
 produce bit-identical results regardless of scheduling.
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,7 +59,7 @@ from .ball import _check_mu, _index_list, ball_basis_eval
 from .classical import continuous_hahn_rows
 from .dfamily import DParams, d_axis_rows, d_family_eval
 from .errors import NonFiniteIntegrandError
-from .special import _blockwise, log_gamma
+from .special import log_gamma
 from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_table,
                           _frequency_vectors, _gegenbauer_factor, _sech_power, _theta_rows,
                           family_eval_peel_last, fourier_prefactor)
@@ -165,8 +165,7 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _leggauss_cached(k: int):
-    x, w = leggauss(k)
-    return x, w
+    return leggauss(k)
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +184,10 @@ def _jacgauss_cached(k: int, alpha: float, beta: float):
     diag[0] = (beta - alpha) / (ab + 2.0)
     idx = np.arange(1, k)
     diag[1:] = (beta ** 2 - alpha ** 2) / ((2.0 * idx + ab) * (2.0 * idx + ab + 2.0))
-    sub = np.sqrt(4.0 * idx * (idx + alpha) * (idx + beta) * (idx + ab)
-                  / ((2.0 * idx + ab) ** 2 * (2.0 * idx + ab + 1.0) * (2.0 * idx + ab - 1.0)))
+    # the first squared off-diagonal in closed form: the general one is 0/0 at ab = -1
+    first, idx = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0)), idx[1:]
+    sub = np.sqrt(np.concatenate([[first][:k - 1], 4.0 * idx * (idx + alpha) * (idx + beta) * (
+        idx + ab) / ((2.0 * idx + ab) ** 2 * (2.0 * idx + ab + 1.0) * (2.0 * idx + ab - 1.0))]))
     matrix = np.diag(diag) + np.diag(sub, 1) + np.diag(sub, -1)
     nodes, vectors = np.linalg.eigh(matrix)
     total_mass = float(2.0 ** (ab + 1.0)
@@ -242,10 +243,11 @@ def _line_rule(spec: QuadratureSpec):
 
 
 # ---------------------------------------------------------------------------
-# Pairing kernel and dense grids
+# Pairing kernel and the dense tensor sum
 # ---------------------------------------------------------------------------
 
-_TENSOR_GRID_LIMIT = 8_000_000
+# one slab at a time, so the grid cap bounds a dense sum's time, not its memory
+_TENSOR_GRID_LIMIT, _SLAB_POINTS = 8_000_000, 1 << 15
 
 
 def _pairing(keys_n, keys_m, rows, cols, head=1.0):
@@ -259,21 +261,35 @@ def _pairing(keys_n, keys_m, rows, cols, head=1.0):
     return value
 
 
-def _dense_grid(axes):
-    """Points of the dense tensor grid of the per-axis nodes ``axes``, shape
-    (len(axes[0]), ..., len(axes[-1]), r).  The grid is refused with
-    ValueError before it is formed if it has more than 8e6 points."""
-    if math.prod(len(nodes) for nodes in axes) > _TENSOR_GRID_LIMIT:
+def _tensor_sum(rules, integrand):
+    """The dense sum of every ``tensor`` mode: entry [k, m] of the (K, M)
+    result sums, over the grid of the per-axis ``rules`` (nodes, weights:
+    K rows, or one), value row m of ``integrand`` times the product of the
+    points' axis weights of row k.  A slab fixes a node on each axis before
+    axis c, the first one followed by at most 2^15 grid points, and takes a
+    run of nodes of axis c with the grid of the later axes; integrand(points)
+    gets its points, (P, r) in C order.  More than 8e6 points are refused
+    before any is formed; a non-finite value raises NonFiniteIntegrandError.
+    Order: slab by slab in C order, entry [k, m] adds np.sum(values_m *
+    weight_k), weight_k the slab's weights of row k multiplied in axis order."""
+    nodes, weights = zip(*((x, np.atleast_2d(w)) for x, w in rules))
+    sizes = [len(x) for x in nodes]
+    if math.prod(sizes) > _TENSOR_GRID_LIMIT:
         raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
-def _axis_weighted(values, weights):
-    """``values`` on a dense grid times weights[j] along grid axis j,
-    multiplied in axis order."""
-    for j, w in enumerate(weights):
-        values = values * w.reshape((1,) * j + (-1,) + (1,) * (len(weights) - j - 1))
-    return values
+    c = next(j for j in range(len(sizes)) if math.prod(sizes[j + 1:]) <= _SLAB_POINTS)
+    run = max(1, _SLAB_POINTS // math.prod(sizes[c + 1:]))
+    total = 0
+    for *fixed, part in np.ndindex(*sizes[:c], -(-sizes[c] // run)):
+        cut = [slice(i, i + 1) for i in fixed] + [slice(part * run, (part + 1) * run)]
+        cut += [slice(None)] * (len(sizes) - c - 1)
+        grid = np.meshgrid(*(x[s] for x, s in zip(nodes, cut)), indexing="ij", copy=False)
+        points = np.stack(grid).reshape(len(sizes), -1).T  # contiguous columns
+        rows = [[w[k, s] for w, s in zip(weights, cut)] for k in range(len(weights[0]))]
+        total = total + np.array([[np.sum(values * reduce(np.multiply.outer, row).ravel())
+                                   for row in rows] for values in integrand(points)]).T
+    if not np.all(np.isfinite(total)):
+        raise NonFiniteIntegrandError("dense tensor integrand produced non-finite values")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +359,11 @@ def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None
     elif mode == "tensor":
         r = params.r
         xi = _frequency_vectors(xi, r)
-        if spec is None:
-            spec = QuadratureSpec()
-        x, w = _line_rule(spec)[:2]
-        # per block of grid points, so the temporaries stay block-sized
-        values = _blockwise(lambda *coords: (family_eval_peel_last(np.stack(coords, -1), params),),
-                            *np.moveaxis(_dense_grid([x] * r), -1, 0))[0]
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteIntegrandError("family evaluation produced non-finite values")
-        values = values.astype(np.complex128)
-        out = np.empty(xi.shape[:-1], dtype=np.complex128)
-        for index in np.ndindex(out.shape):
-            out[index] = np.sum(_axis_weighted(values, [w * np.exp(-1j * xi_j * x)
-                                                        for xi_j in xi[index]]))
+        x, w = _line_rule(spec or QuadratureSpec())[:2]
+        # weight rows w exp(-i xi_j x), one per frequency vector; complex even if none
+        rules = [(x, w * np.exp(-1j * np.multiply.outer(xi_j, x))) for xi_j in xi.reshape(-1, r).T]
+        out = _tensor_sum(rules, lambda points: (family_eval_peel_last(points, params),))
+        out = out[:, 0].astype(np.complex128).reshape(xi.shape[:-1])
     else:
         raise ValueError("mode must be 'separated' or 'tensor'")
     return complex(out) if out.ndim == 0 else out
@@ -389,26 +397,21 @@ def _ball_rules(r: int, mu: float, nodes: int):
             for j in range(1, r + 1)]
 
 
-def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, degree: int):
-    """(keys, rows, cols) for ball integrals of the basis polynomials
-    ``indices``, whose pairs have total degree |n| + |m| <= ``degree``: the
-    pairing keys of each index and the keyed factor tables of
-    :func:`_pairing`, the rows weighted by the rule.  ``separated`` has one
-    Gauss-Jacobi rule per axis and the factors (1 - t_j^2)^(|n^{j+1}|/2)
-    C_{n_j}^{lambda_j}(t_j) on the nodes of axis j, evaluated once per axis
-    key; their product over j is the basis polynomial at the mapped point.
-    ``tensor`` keys each index by itself and has its basis values on the
-    dense grid of the same rules, evaluated once per distinct index.  The
-    default rule is exact up to a pair degree of 63
-    (:func:`ball_default_spec`); beyond it a ``spec`` must be passed.  A
-    whole-line ``spec`` or one of more than 512 nodes per axis is refused
-    before any rule is built."""
+def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None, mode: str):
+    """Ball integrals of indices[p] * indices[q] for each (p, q) in ``pairs``
+    on one Gauss-Jacobi rule per axis.  ``separated`` pairs the factors
+    (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j), each axis key's once;
+    ``tensor`` is the :func:`_tensor_sum` of the basis values on the same
+    rules.  The default rule is exact up to pair degree 63; beyond it a
+    ``spec`` must be passed.  A whole-line ``spec`` or one of more than 512
+    nodes per axis is refused before any rule is built."""
     if mode not in ("separated", "tensor"):
         raise ValueError("mode must be 'separated' or 'tensor'")
     mu = _check_mu(mu)
     r = len(indices[0])
     if spec is None:
         spec = ball_default_spec(r)
+        degree = max(sum(indices[p]) + sum(indices[q]) for p, q in pairs)
         if degree > 2 * spec.nodes_per_axis - 1:
             raise ValueError(f"pair degree {degree} is beyond the exact range of the default "
                              f"{spec.nodes_per_axis}-node rule; pass a QuadratureSpec")
@@ -418,23 +421,24 @@ def _ball_tables(indices, mu: float, spec: QuadratureSpec | None, mode: str, deg
         raise ValueError(f"a ball rule takes at most {_BALL_MAX_NODES} nodes per axis")
     rules = _ball_rules(r, mu, spec.nodes_per_axis)
     if mode == "tensor":
-        axes, weights = zip(*rules)
-        t = _dense_grid(axes)
-        # x_j = t_j * prod_{k<j} sqrt(1 - t_k^2)
-        radii = np.cumprod(np.sqrt(np.maximum(1.0 - t[..., :-1] ** 2, 0.0)), axis=-1)
-        x = t * np.concatenate([np.ones(t.shape[:-1] + (1,)), radii], axis=-1)
-        w = _axis_weighted(np.ones(t.shape[:-1]), weights)
-        cols = {ix: ball_basis_eval(ix, mu, x) for ix in dict.fromkeys(indices)}
-        return [[ix] for ix in indices], {ix: w * f for ix, f in cols.items()}, cols
+        def integrand(t):
+            # x_j = t_j * prod_{k<j} sqrt(1 - t_k^2)
+            radii = np.cumprod(np.sqrt(np.maximum(1.0 - t[:, :-1] ** 2, 0.0)), axis=1)
+            x = t * np.hstack([np.ones((len(t), 1)), radii])
+            basis = {ix: ball_basis_eval(ix, mu, x) for ix in dict.fromkeys(indices)}
+            return (basis[indices[p]] * basis[indices[q]] for p, q in pairs)
+
+        return _tensor_sum(rules, integrand)[0]
 
     def ball_rows(j, m, degrees):
         t = rules[j - 1][0]
         weight = 1.0 - t * t
         return [_gegenbauer_factor((j, nj, m), r, mu, weight, m / 2.0, t) for nj in degrees]
 
-    member_keys = [_axis_keys(ix) for ix in indices]
-    cols = _axis_table(member_keys, ball_rows)
-    return member_keys, {key: rules[key[0] - 1][1] * f for key, f in cols.items()}, cols
+    keys = [_axis_keys(ix) for ix in indices]
+    cols = _axis_table(keys, ball_rows)
+    rows = {key: rules[key[0] - 1][1] * f for key, f in cols.items()}
+    return np.array([_pairing(keys[p], keys[q], rows, cols) for p, q in pairs])
 
 
 def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None,
@@ -444,11 +448,9 @@ def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = No
     ``separated`` (default) sums the per-axis factors of the integrand on
     the per-axis Gauss-Jacobi rules, at per-axis cost; ``tensor`` sums the
     same rule as a dense grid of nodes^r <= 8e6 points through
-    :func:`ball_basis_eval`, as an independent check.
+    :func:`ball_basis_eval`, one slab at a time, as an independent check.
     """
-    n, m = _index_list([n, m])
-    (keys_n, keys_m), rows, cols = _ball_tables([n, m], mu, spec, mode, sum(n) + sum(m))
-    return float(_pairing(keys_n, keys_m, rows, cols))
+    return float(_ball_pairings(_index_list([n, m]), [(0, 1)], mu, spec, mode)[0])
 
 
 def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
@@ -456,12 +458,10 @@ def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
     """Gram matrix of several basis polynomials on one shared rule (modes
     as in :func:`ball_inner_product_numeric`)."""
     indices = _index_list(indices)
-    keys, rows, cols = _ball_tables(indices, mu, spec, mode, 2 * max(sum(ix) for ix in indices))
-    count = len(indices)
-    gram = np.empty((count, count))
-    for p in range(count):
-        for q in range(p, count):
-            gram[p, q] = gram[q, p] = _pairing(keys[p], keys[q], rows, cols)
+    upper = np.triu_indices(len(indices))
+    gram = np.empty((len(indices), len(indices)))
+    gram[upper] = _ball_pairings(indices, list(zip(*upper)), mu, spec, mode)
+    gram.T[upper] = gram[upper]
     return gram
 
 
@@ -558,11 +558,9 @@ def d_biorthogonality_integral(n, m, a1: float, a2: float,
         raise ValueError("mode must be 'separated' or 'tensor'")
     if spec is None:
         spec = d_pair_spec(a1, a2)
-    x, w = _line_rule(spec)[:2]
-    points = _dense_grid([x] * len(n)).astype(np.complex128)
-    fn = d_family_eval(1j * points, DParams(a1, a2, n))
-    fm = d_family_eval(-1j * points, DParams(a2, a1, m))
-    return complex(np.sum(_axis_weighted(fn * fm, [w] * len(n))))
+    f, g = DParams(a1, a2, n), DParams(a2, a1, m)
+    return complex(_tensor_sum([_line_rule(spec)[:2]] * len(n), lambda points: (
+        d_family_eval(1j * points, f) * d_family_eval(-1j * points, g),))[0, 0])
 
 
 def d_biorthogonality_gram(indices, a1: float, a2: float,

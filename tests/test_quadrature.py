@@ -1,7 +1,9 @@
 import itertools
 import math
 import time
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          fourier_numeric_table, gegenbauer, hahn_orthogonality_constant,
                          hahn_orthogonality_integral, parseval_sides, tail_sum)
 from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
-                                    _line_rule, ball_default_spec, ball_gram_matrix,
-                                    ball_inner_product_numeric, d_biorthogonality_gram,
-                                    d_biorthogonality_integral, doubled_spec,
-                                    hahn_default_spec, hahn_gram_matrix, tanh_default_spec)
+                                    _jacgauss_cached, _line_rule, ball_default_spec,
+                                    ball_gram_matrix, ball_inner_product_numeric,
+                                    d_biorthogonality_gram, d_biorthogonality_integral,
+                                    doubled_spec, hahn_default_spec, hahn_gram_matrix,
+                                    tanh_default_spec)
 from ballfourier.tanh_family import (_axis_keys, family_axis_factor, fourier_prefactor,
                                      theta_factor)
 from ballfourier.verify import make_report
@@ -75,9 +78,10 @@ class TestFourierNumeric:
         assert rel_err(oracle, closed) <= 1e-6
 
     def test_tensor_mode_matches_separated(self, rng):
-        spec = QuadratureSpec(nodes_per_axis=192, panels=12)
-        for _ in range(4):
-            r = int(rng.integers(1, 3))
+        # four draws at r <= 2, then r = 4 on a coarse rule (24^4 points)
+        fine, coarse = QuadratureSpec(nodes_per_axis=192, panels=12), QuadratureSpec(24, panels=2)
+        for draw in range(5):
+            r, spec = (int(rng.integers(1, 3)), fine) if draw < 4 else (4, coarse)
             n = tuple(int(v) for v in rng.integers(0, 3, size=r))
             params = FamilyParams(float(rng.uniform(0.5, 1.5)), 0.75, n)
             xi = rng.uniform(-2, 2, size=r)
@@ -224,7 +228,8 @@ class TestBallInnerProduct:
                 assert abs(gram[p, q] - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
-    @pytest.mark.parametrize("r, mu", [(1, 0.5), (1, -0.3), (2, 1.5), (3, 0.5), (3, 0.8)])
+    @pytest.mark.parametrize("r, mu", [(1, 0.5), (1, -0.3), (2, 1.5), (3, 0.5), (3, 0.8),
+                                       (4, 0.5)])
     def test_separated_matches_tensor(self, r, mu):
         spec = QuadratureSpec(nodes_per_axis=12, panels=1)
         indices = [n for n in itertools.product(range(4), repeat=r) if sum(n) <= 3]
@@ -266,6 +271,66 @@ class TestBallInnerProduct:
             ball_inner_product_numeric((0, 0), (0, 0), 0.5, mode="dense")
         with pytest.raises(ValueError):
             ball_gram_matrix([(0, 0)], -0.5)
+
+
+# r = 3 dense calls on grids of 96^3 (Fourier, ball) and 48^3 (D family)
+# points, with their separated counterparts
+_DENSE_CALLS = {
+    "fourier": lambda mode: fourier_numeric(
+        FamilyParams(1.0, 0.5, (1, 0, 1)), [0.5, -1.0, 2.0],
+        QuadratureSpec(96, panels=6, truncation_halfwidth=14.0), mode),
+    "ball": lambda mode: ball_gram_matrix(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 1)], 0.5, QuadratureSpec(96, panels=1), mode),
+    "d-family": lambda mode: d_biorthogonality_integral(
+        (1, 0, 0), (1, 0, 0), 1.0, 0.75,
+        QuadratureSpec(48, panels=3, truncation_halfwidth=40.0 / 1.75), mode),
+}
+
+
+class TestDenseTensorSum:
+    @pytest.mark.parametrize("name", sorted(_DENSE_CALLS))
+    def test_peak_memory_stays_at_a_slab(self, name):
+        # forming the whole grid peaked at 42.6 (Fourier), 106 (ball) and
+        # 16.3 MB (D family) traced; one slab at a time stays near 3-6 MB
+        call = _DENSE_CALLS[name]
+        call("separated")  # builds the rule
+        tracemalloc.start()
+        try:
+            call("tensor")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_non_finite_integrand_raises(self):
+        # degree 600 at mu = 600 is not finite on this rule; the separated
+        # mode returns nan there, and make_report fails a non-finite side;
+        # the kernel's overflow warnings are silenced, as the CLI does
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegrandError):
+            fourier_numeric(FamilyParams(0.5, 600.0, (600,)), [0.5], QuadratureSpec(96, panels=6),
+                            mode="tensor")
+
+
+class TestGaussJacobiRule:
+    def test_chebyshev_weight(self):
+        # alpha + beta = -1, where the general recurrence coefficient is 0/0
+        nodes, weights = _jacgauss_cached(2, -0.5, -0.5)
+        assert np.allclose(nodes, [-math.sqrt(0.5), math.sqrt(0.5)], rtol=0.0, atol=1e-15)
+        assert np.allclose(weights, math.pi / 2.0, rtol=1e-15, atol=0.0)
+
+    def test_moments_at_alpha_plus_beta_minus_one(self):
+        # a 3-node rule integrates x^k, k <= 5, exactly against
+        # (1 - x)^alpha (1 + x)^beta; with x = 2u - 1 each moment is a sum of
+        # beta functions
+        alpha, beta = -0.25, -0.75
+        nodes, weights = _jacgauss_cached(3, alpha, beta)
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            moments = [float(2 ** (a + b + 1) * mpmath.fsum(
+                mpmath.binomial(k, i) * 2 ** i * (-1) ** (k - i) * mpmath.beta(b + i + 1, a + 1)
+                for i in range(k + 1))) for k in range(6)]
+        for k, exact in enumerate(moments):
+            assert abs(np.sum(weights * nodes ** k) - exact) <= 1e-14 * moments[0]
 
 
 class TestFourierAxisIntegral:
@@ -607,6 +672,12 @@ class TestDBiorthogonality:
         tens = d_biorthogonality_integral((1, 0), (1, 0), 1.0, 0.75,
                                           spec=spec, mode="tensor")
         assert rel_err(sep, tens) <= 1e-10
+        # r = 4 on a coarse rule (16^4 points): both modes sum the same grid
+        coarse = QuadratureSpec(nodes_per_axis=16, panels=2, truncation_halfwidth=40.0 / 1.75)
+        n = (1, 0, 0, 1)
+        sep = d_biorthogonality_integral(n, n, 1.0, 0.75, spec=coarse)
+        tens = d_biorthogonality_integral(n, n, 1.0, 0.75, spec=coarse, mode="tensor")
+        assert rel_err(sep, tens) <= 1e-13
 
     def test_truncation_range_doubling(self):
         # halving/doubling the truncation window leaves the value unchanged
