@@ -2,12 +2,10 @@
 transforms, and a quadrature oracle that machine-checks the identities."""
 
 from .ball import (ball_basis_eval, ball_norm, ball_operator_residual,
-                   ball_polynomial, ball_space_dim, tail_sum, validate_multi_index)
-from .classical import (continuous_hahn, gegenbauer,
-                        gegenbauer_norm, gegenbauer_series,
+                   ball_polynomial, tail_sum, validate_multi_index)
+from .classical import (continuous_hahn, gegenbauer, gegenbauer_norm,
                         hahn_orthogonality_constant, jacobi)
-from .dfamily import (DParams, d_family_eval, d_family_eval_hahn,
-                      d_orthogonality_constant)
+from .dfamily import DParams, d_family_eval, d_orthogonality_constant
 from .errors import (DenominatorPoleError, DomainError,
                      NonFiniteIntegrandError, PoleError)
 from .hypergeometric import HypergeometricSpec, hyp3f2_unit
@@ -16,8 +14,7 @@ from .quadrature import (QuadratureSpec, ball_inner_product_numeric,
                          fourier_numeric_table, hahn_orthogonality_integral,
                          parseval_sides)
 from .special import gamma, log_gamma, pochhammer
-from .tanh_family import (FamilyParams, family_eval, family_eval_peel_first,
-                          family_eval_peel_last, fourier_closed_form,
+from .tanh_family import (FamilyParams, family_eval, family_eval_peel_last, fourier_closed_form,
                           fourier_closed_form_table, fourier_via_recursion,
                           tanh_ball_map, theta_factor, theta_factor_hahn)
 from .verify import VerificationReport
@@ -30,14 +27,14 @@ __all__ = [
     "PoleError", "DenominatorPoleError", "DomainError", "NonFiniteIntegrandError",
     "log_gamma", "gamma", "pochhammer",
     "hyp3f2_unit",
-    "jacobi", "gegenbauer", "gegenbauer_series", "gegenbauer_norm", "continuous_hahn",
+    "jacobi", "gegenbauer", "gegenbauer_norm", "continuous_hahn",
     "hahn_orthogonality_constant",
-    "tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",
+    "tail_sum", "validate_multi_index", "ball_basis_eval",
     "ball_norm", "ball_polynomial", "ball_operator_residual",
-    "tanh_ball_map", "family_eval", "family_eval_peel_first", "family_eval_peel_last",
+    "tanh_ball_map", "family_eval", "family_eval_peel_last",
     "theta_factor", "theta_factor_hahn", "fourier_closed_form", "fourier_closed_form_table",
     "fourier_via_recursion",
-    "d_family_eval", "d_family_eval_hahn", "d_orthogonality_constant",
+    "d_family_eval", "d_orthogonality_constant",
     "fourier_numeric", "fourier_numeric_table", "ball_inner_product_numeric",
     "hahn_orthogonality_integral", "d_biorthogonality_integral", "parseval_sides",
     "__version__",

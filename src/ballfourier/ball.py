@@ -22,8 +22,8 @@ from .classical import _gegenbauer_recurrence
 from .errors import DomainError
 from .special import _blockwise, log_gamma, pochhammer
 
-__all__ = ["tail_sum", "validate_multi_index", "ball_space_dim", "ball_basis_eval",
-           "ball_norm", "ball_polynomial", "ball_operator_residual"]
+__all__ = ["tail_sum", "validate_multi_index", "ball_basis_eval", "ball_norm",
+           "ball_polynomial", "ball_operator_residual"]
 
 # ||x|| may exceed 1 by this much before a point is rejected (roundoff slack).
 _NORM_SLACK = 1e-12
@@ -52,13 +52,6 @@ def _index_list(indices) -> list[tuple[int, ...]]:
 def tail_sum(n, j: int) -> int:
     """|n^j| = n_j + ... + n_r for 1-based j; j = r+1 gives 0."""
     return int(sum(n[j - 1:]))
-
-
-def ball_space_dim(n: int, r: int) -> int:
-    """Dimension of the degree-n orthogonal polynomial space in r variables."""
-    if n < 0 or r < 1:
-        raise ValueError("need degree n >= 0 and dimension r >= 1")
-    return math.comb(n + r - 1, n)
 
 
 def _check_mu(mu: float) -> float:

@@ -3,9 +3,8 @@
 Normalizations match the hypergeometric representations used throughout the
 library.  The Gegenbauer evaluation route is the three-term recurrence in
 the degree; :func:`ball.ball_basis_eval` runs it with the degree k - 2 term
-scaled by s^2.  The terminating 2F1 form (the one the ball transforms
-generalize, :func:`gegenbauer_series`) and the explicit Jacobi sum exist as
-independent cross-check paths only.  The continuous Hahn polynomials of
+scaled by s^2.  The explicit Jacobi sum exists as an independent
+cross-check path only.  The continuous Hahn polynomials of
 several degrees come from one 3F2 degree ladder
 (:func:`continuous_hahn_rows`); a single degree is its one-degree case.
 """
@@ -16,13 +15,12 @@ import math
 
 import numpy as np
 
-from .hypergeometric import _terminating_sum, hyp3f2_ladder
+from .hypergeometric import hyp3f2_ladder
 from .special import _LOG_DBL_MAX, _blockwise, log_gamma, pochhammer
 
 __all__ = [
     "jacobi",
     "gegenbauer",
-    "gegenbauer_series",
     "gegenbauer_norm",
     "continuous_hahn",
     "continuous_hahn_rows",
@@ -87,11 +85,10 @@ def gegenbauer(n: int, lam: float, x):
     ``x`` may be real, complex, or an array of either.  Evaluation runs the
     standard three-term recurrence in the degree, which is stable on and
     near [-1, 1] and keeps the parity identity C_n(-x) = (-1)^n C_n(x)
-    exact in floating point.  The definitional terminating-2F1 form is
-    available as :func:`gegenbauer_series`; its alternating sum loses up to
-    ~1e-10 relative accuracy by n = 10, which is why it is not the
-    production path (the two are cross-checked in the test suite).  A
-    batch runs per block (:func:`special._blockwise`).
+    exact in floating point.  The definitional terminating-2F1 sum
+    alternates and loses up to ~1e-10 relative accuracy by n = 10, so it
+    serves only as the tests' cross-check.  A batch runs per block
+    (:func:`special._blockwise`).
     """
     n = _check_degree(n)
     lam = _check_gegenbauer_lambda(lam)
@@ -127,27 +124,6 @@ def _gegenbauer_recurrence(n: int, lam: float, x, prev, curr, s2=1.0):
         prev, curr = curr, (2.0 * (k - 1.0 + lam) * x * curr
                             - (k - 2.0 + 2.0 * lam) * s2 * prev) / k
     return curr
-
-
-def gegenbauer_series(n: int, lam: float, x):
-    """C_n^(lambda)(x) through the terminating 2F1 sum (definitional form).
-
-    Kept as an identity cross-check against :func:`gegenbauer`; see there
-    for why the recurrence is the production path.
-    """
-    n = _check_degree(n)
-    lam = _check_gegenbauer_lambda(lam)
-    prefactor = pochhammer(2.0 * lam, n) / math.factorial(n)
-    arr = np.asarray(x)
-    if not np.iscomplexobj(arr):
-        # parity reduction keeps the 2F1 argument in [0, 1/2]
-        sign = np.where(arr < 0.0, (-1.0) ** n, 1.0)
-        z = (1.0 - np.abs(arr)) / 2.0
-        value, _ = _terminating_sum([-float(n), n + 2.0 * lam], [lam + 0.5], z, n)
-        return prefactor * (sign * value)[()]
-    z = (1.0 - arr) / 2.0
-    value, _ = _terminating_sum([-float(n), n + 2.0 * lam], [lam + 0.5], z, n)
-    return prefactor * value[()]
 
 
 def gegenbauer_norm(n: int, lam: float) -> float:

@@ -9,7 +9,7 @@ Every command computes its whole result first and only then writes it,
 through :func:`_write_output`: a usage error therefore writes nothing, and
 the output file is opened only after the run.  The writing itself is
 streamed (verify reports and table rows go to the destination one at a
-time, stdout through a buffer), so the full text is never held in memory.
+time), so the full text is never held in memory.
 A reader that closes stdout early ends the output without a traceback, and
 the exit code stays the command's own.
 """
@@ -77,38 +77,6 @@ class _UnwritableOutput(Exception):
     """The --output destination could not be opened or written."""
 
 
-class _StdoutBuffer:
-    """Text bound for stdout, passed on in chunks of about 64 KiB (one
-    system call each, also when stdout is unbuffered); ``close`` ends the
-    output with a newline if it does not already end with one."""
-
-    _CHUNK = 1 << 16
-
-    def __init__(self) -> None:
-        self._parts: list[str] = []
-        self._size = 0
-        self._last = ""
-
-    def write(self, text: str) -> None:
-        if text:
-            self._parts.append(text)
-            self._size += len(text)
-            self._last = text[-1]
-            if self._size >= self._CHUNK:
-                self._flush()
-
-    def _flush(self) -> None:
-        sys.stdout.write("".join(self._parts))
-        self._parts.clear()
-        self._size = 0
-
-    def close(self) -> None:
-        if self._last != "\n":
-            self.write("\n")
-        self._flush()
-        sys.stdout.flush()
-
-
 def _write_output(write, path: str | None) -> None:
     """The one output path of every command: ``write(handle)`` writes the
     finished result to the file at ``path``, opened only now, or to stdout.
@@ -121,10 +89,9 @@ def _write_output(write, path: str | None) -> None:
         except OSError as exc:
             raise _UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
         return
-    buffer = _StdoutBuffer()
     try:
-        write(buffer)
-        buffer.close()
+        write(sys.stdout)
+        sys.stdout.flush()
     except BrokenPipeError:
         # what is still buffered, and the flush at exit, go to the null
         # device instead of raising again
@@ -134,7 +101,11 @@ def _write_output(write, path: str | None) -> None:
 
 
 def _write_record(record: dict, path: str | None) -> None:
+    """One JSON record; on stdout it ends with a newline, as every other
+    command's text does."""
     text = json.dumps(record, sort_keys=True)
+    if path is None:
+        text += "\n"
     _write_output(lambda out: out.write(text), path)
 
 
@@ -304,6 +275,8 @@ def _cmd_table(parser, args) -> int:
         _require(parser, args, ("n", "mu", "grid"))
         if len(args.n) != 2:
             parser.error("--fn ball tables are 2-dimensional; give --n with two entries")
+        if args.grid < 0:
+            parser.error("--grid must not be negative")
         _check_table_size(args.grid ** 2, sum(args.n))
         header = ["x1", "x2"]
         axis = np.linspace(-1.0, 1.0, args.grid)

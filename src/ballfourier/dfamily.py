@@ -2,9 +2,10 @@
 
 Each member is a product over axes of two gamma factors and a terminating
 3F2; equivalently, of gamma factors and a continuous Hahn polynomial at
--i x_j / 2.  Pairing a member at +ix against the parameter-swapped member at
--ix over R^r gives a diagonal (multi-Kronecker) orthogonality whose constant
-is implemented here in closed form.
+-i x_j / 2.  The library evaluates the 3F2 form; the tests check it against
+the Hahn form.  Pairing a member at +ix against the parameter-swapped
+member at -ix over R^r gives a diagonal (multi-Kronecker) orthogonality
+whose constant is implemented here in closed form.
 
 The construction couples the ball weight to the decay parameters through
 mu = a1 + a2 - 1/2; that value is derived, never passed.  The axis factors
@@ -21,17 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import ball_norm, tail_sum, validate_multi_index
-from .classical import continuous_hahn
-from .special import _LOG_DBL_MAX, _blockwise, gamma, gamma_pair, log_gamma, pochhammer
-from .tanh_family import _axis_tail, _tail_parameters, axis_ladder
+from .special import _LOG_DBL_MAX, _blockwise, gamma_pair, log_gamma, pochhammer
+from .tanh_family import _axis_tail, axis_ladder
 
 __all__ = [
     "DParams",
     "d_axis_rows",
     "d_axis_factor",
-    "d_axis_factor_hahn",
     "d_family_eval",
-    "d_family_eval_hahn",
     "d_orthogonality_constant",
 ]
 
@@ -83,27 +81,13 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
     return d_axis_rows(j, r, _axis_tail(j, r, n), (n[j - 1],), np.asarray(x_j), a1, a2)[0]
 
 
-def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):
-    """Axis-j factor in continuous-Hahn form; must equal :func:`d_axis_factor`."""
-    nj = n[j - 1]
-    m = _axis_tail(j, r, n)
-    q, gplus, gminus, _, lower1, lower2 = _tail_parameters(j, r, m, a1, a1 + a2 - 0.5,
-                                                           np.asarray(x_j))
-    big_a1 = a1 + m / 2.0 + q
-    big_a2 = a2 + m / 2.0 + q
-    prefactor = (math.factorial(nj) * (1j ** (-nj))
-                 / (pochhammer(complex(lower2), nj) * pochhammer(complex(lower1), nj)))
-    hahn = continuous_hahn(nj, -0.5j * np.asarray(x_j),
-                           (big_a1, big_a2, big_a2, big_a1))
-    return prefactor * gamma(gminus) * gamma(gplus) * hahn
-
-
-def _eval_product(x, params: DParams, axis_factor):
-    """The product of the axis factors over the columns x[..., j], in axis
-    order.  A complex batch runs per block (:func:`special._blockwise`).  A
-    single point keeps its 0-d arrays, and a real ``x`` runs unblocked,
-    because the gamma pair of each axis chooses its real or complex route
-    over the whole batch."""
+def d_family_eval(x, params: DParams):
+    """Evaluate the family member at complex point(s) ``x`` of shape (..., r):
+    the product of the :func:`d_axis_factor` values over the columns
+    x[..., j], in axis order.  A complex batch runs per block
+    (:func:`special._blockwise`).  A single point keeps its 0-d arrays, and
+    a real ``x`` runs unblocked, because the gamma pair of each axis chooses
+    its real or complex route over the whole batch."""
     x = np.asarray(x)
     r = params.r
     if x.ndim == 0 or x.shape[-1] != r:
@@ -112,7 +96,7 @@ def _eval_product(x, params: DParams, axis_factor):
     def product(*columns):
         value = None
         for j, xj in enumerate(columns, start=1):
-            factor = axis_factor(j, r, xj, params.n, params.a1, params.a2)
+            factor = d_axis_factor(j, r, xj, params.n, params.a1, params.a2)
             value = factor if value is None else value * factor
         return (value,)
 
@@ -120,16 +104,6 @@ def _eval_product(x, params: DParams, axis_factor):
     if x.ndim == 1 or not np.iscomplexobj(x):
         return product(*columns)[0]
     return _blockwise(product, *columns)[0]
-
-
-def d_family_eval(x, params: DParams):
-    """Evaluate the family member at complex point(s) ``x`` of shape (..., r)."""
-    return _eval_product(x, params, d_axis_factor)
-
-
-def d_family_eval_hahn(x, params: DParams):
-    """Hahn-form evaluation; agrees with :func:`d_family_eval` identically."""
-    return _eval_product(x, params, d_axis_factor_hahn)
 
 
 def d_orthogonality_constant(n, a1: float, a2: float) -> float:

@@ -16,26 +16,21 @@ workload reaches it, and its measured accuracy is stated in
 :func:`hyp3f2_ladder`.
 :func:`hyp3f2_unit` is the one-degree case, with s = upper2 - n + 1.  The
 general engine :func:`_terminating_sum` sums a terminating pFq forward with
-compensated (Kahan) addition; it serves the Gegenbauer 2F1 cross-check, the
-spec objects and the 3F2 at Re s <= 0.  Both kernels run cache-blocked
-through :func:`special._blockwise`.
+compensated (Kahan) addition; it serves the spec objects and the 3F2 at
+Re s <= 0.  Both kernels run cache-blocked through
+:func:`special._blockwise`.
 
 A 0-d call runs the same recurrence body on Python numbers, whose complex
 multiply is unfused like a numpy scalar's and gives the same bits
 (``tests/test_scalar_route.py`` pins it against a recurrence on numpy
 scalars).  The argument checks of :func:`hyp3f2_ladder` and
 :func:`hyp3f2_unit` pass a Python number (numpy's float64 and complex128
-scalars among them) without ``np.ndim``, and the degrees in one pass:
-about 1.1 us, against 4.7 us with three ``np.ndim`` calls.  A degree-0
-call costs about 10 us and a degree-8 ladder about 25 us per 0-d call,
-against 16 and 31 us with the ``np.ndim`` checks and 37 us for the
-degree-8 ladder on numpy scalars (2-core Xeon, medians of alternating
-runs).  A batch
-runs numpy's array loops, which fuse multiply-adds where the CPU has them.
-So at complex u a 0-d value and its batch entry can differ in the last
-bits.  0-d calls stay off one-entry arrays anyway: running them that way
-makes the two agree, but an earlier measurement put its cost at about 20%
-of the eval-scalar benchmark.
+scalars among them) without ``np.ndim``, whose per-call cost would
+dominate a 0-d call, and check the degrees in one pass.  A batch runs
+numpy's array loops, which fuse multiply-adds where the CPU has them.  So
+at complex u a 0-d value and its batch entry can differ in the last bits.
+0-d calls stay off one-entry arrays anyway: running them that way makes
+the two agree, but costs about 20% of the eval-scalar benchmark.
 Measured on x86-64 with numpy 2.4 over 300 seeded draws (degrees 0..12):
 at most 1.2e-15 ulp of |value| for ``theta_factor`` at real frequencies
 and 4.1 ulp for ``d_axis_factor`` at complex x (up to 7.5 ulp over 900

@@ -13,12 +13,8 @@ parameter ranges, so hitting a pole signals a caller bug.
 
 Complex log-gamma works in real arithmetic on the planes x = Re z and
 y = Im z: no complex ufunc runs in its Lanczos sum, its logarithms or its
-pole test, which only the gathered entries with x < 0.5 need.  On a 2-core
-Xeon with numpy 2.4, a batch costs about 75-85 ns per point where
-Re z >= 0.5 (numpy's complex ``log`` alone is about 37 ns per point, and
-the complex-ufunc form this replaced took about 160 ns), and about 155 ns
-per point with Re z spread over [-4.5, 12], where a third of the points
-take 1 to 5 recurrence steps.
+pole test, which only the gathered entries with x < 0.5 need, because
+the complex-ufunc form costs about twice as much per point.
 
 :func:`_blockwise` is the library's one blocking layer: a batch larger than
 ``_BLOCK`` entries runs in flat slices of that length, each through the
@@ -28,32 +24,23 @@ so do the batched routes above them (``classical.gegenbauer``,
 ``ball.ball_basis_eval``, ``tanh_family.theta_factor`` and
 ``family_eval``, ``dfamily.d_family_eval``), whose inner calls then see
 one block each.  On 1e5 points the routes hold their output and
-block-sized temporaries only, and glibc keeps reusing the same heap pages:
-one cycle of the benchmark's eval-batch calls (108 calls on 1e5 points)
-took 94,000 to 125,000 minor page faults and 0.15 to 0.33 s of system
-time unblocked, and about 12 faults and no system time blocked (four
-seeds, 2-core Xeon, numpy 2.4).
+block-sized temporaries only, so glibc keeps reusing the same heap pages
+instead of faulting in fresh ones on every call.
 
 A 0-d call runs the same kernel bodies on Python floats: :func:`_blockwise`
 hands a 0-d call its operands as Python numbers, and the real
 :func:`log_gamma` path converts its argument itself.  Complex log-gamma
 left of Re z = 0.5 runs its pole test and shift recurrence on them too, in
 the batch's order of operations; left of Re z = -16 it reflects as a
-batch of one.  Python and numpy-scalar arithmetic are both unfused IEEE
-double, so a 0-d value agrees bit for bit with the same entry of a batch
-(a nan may differ in its sign bit), and only the transcendental calls
-still go through numpy.  Measured per 0-d call on the same 2-core Xeon
-(median of alternating runs; numpy scalars or 0-d arrays before, Python
-floats now): real ``log_gamma`` 18 -> 4 us, complex ``log_gamma``
-27 -> 17 us at Re z >= 0.5, ``beta_conjugate`` 51 -> 24 us,
-``gamma_pair`` 61 -> 42 us.  Left of Re z = 0.5, in later runs where the
-right half-plane took 19 us, complex ``log_gamma`` went from 76-89 to
-24-31 us with 1 to 3 shift steps (a reflection takes 49-76 us as a batch
-of one, against 39-46 us on Python floats; no benchmark workload reflects
-a 0-d call) and ``gamma_pair``
-with both real parts there from 173 to 48 us, its overflow test now
-reading the two real parts as numbers.  0-d results are still numpy
-scalars of the batch's dtype.
+batch of one, since no benchmark workload reflects a 0-d call.  Python
+numbers skip numpy's per-call overhead on 0-d arrays and scalars, which
+dominates a single value, and :func:`gamma_pair` reads its two real parts
+as numbers for its overflow test.  Python and numpy-scalar arithmetic are
+both unfused IEEE double, so a 0-d value agrees bit for bit with the same
+entry of a batch (a nan may differ in its sign bit), and only the
+transcendental calls go through numpy (``tests/test_scalar_route.py`` pins
+the route and the bits).  0-d results are numpy scalars of the batch's
+dtype.
 """
 
 from __future__ import annotations

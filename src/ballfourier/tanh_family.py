@@ -38,7 +38,6 @@ __all__ = [
     "FamilyParams",
     "tanh_ball_map",
     "family_eval",
-    "family_eval_peel_first",
     "family_eval_peel_last",
     "family_axis_factor",
     "theta_factor",
@@ -108,20 +107,6 @@ def _axis_product(params: FamilyParams, *columns):
     for j in range(2, params.r + 1):
         value *= family_axis_factor(j, params, columns[j - 1])
     return (value,)
-
-
-def family_eval_peel_first(x, params: FamilyParams):
-    """Same value as :func:`family_eval`, built by peeling x_1 recursively."""
-    x = np.asarray(x, dtype=np.float64)
-    r = params.r
-    m = tail_sum(params.n, 2)
-    sech2 = 1.0 / np.cosh(x[..., 0]) ** 2
-    head = (sech2 ** (params.a + m / 2.0 + (r - 1) / 4.0)
-            * gegenbauer(params.n[0], m + params.mu + (r - 1) / 2.0, np.tanh(x[..., 0])))
-    if r == 1:
-        return head
-    rest = FamilyParams(params.a, params.mu, params.n[1:])
-    return head * family_eval_peel_first(x[..., 1:], rest)
 
 
 def family_eval_peel_last(x, params: FamilyParams):

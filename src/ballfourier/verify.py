@@ -110,19 +110,28 @@ def _base_and_doubled(spec, integral):
     return [integral(s) for s in (spec, quad.doubled_spec(spec))]
 
 
-def _ort_report(name, parameters, n, m, norm, values, tolerance, floor_factor,
-                override=None):
-    """Orthogonality verdict on the (base, doubled-rule) quadrature values of
-    <p_n, p_m>: the target is norm(n) on the diagonal and 0 off it, where
-    the floor is ``floor_factor`` * sqrt(norm(n) norm(m)); ``tolerance``
-    is the suite's and ``override`` the user's (see :func:`_gated_report`)."""
-    value, fine = values
-    if n == m:
-        target, floor = norm(n), 0.0
-    else:
-        target, floor = 0.0, floor_factor * math.sqrt(norm(n) * norm(m))
-    return _gated_report(name, parameters, value, target, tolerance, floor, [(value, fine)],
-                         override)
+def _gram_reports(name, pairs, spec, gram, norm, tolerance, floor_factor, parameters,
+                  override):
+    """Orthogonality verdicts of one case: ``gram(indices, s)`` is the Gram
+    matrix on the rule ``s``, built on ``spec`` and on its node-doubled
+    rule, with the indices of ``pairs`` in order of first appearance, so
+    each listed pair (n, m) is an upper-triangle entry summed in its own
+    order.  The target of <p_n, p_m> is norm(n) on the diagonal and 0 off
+    it, where the floor is ``floor_factor`` * sqrt(norm(n) norm(m));
+    ``tolerance`` is the suite's and ``override`` the user's (see
+    :func:`_gated_report`), and ``parameters(n, m)`` the report's."""
+    position = {ix: k for k, ix in enumerate(dict.fromkeys(ix for pair in pairs for ix in pair))}
+    grams = _base_and_doubled(spec, lambda s: gram(list(position), s))
+    reports = []
+    for n, m in pairs:
+        value, fine = (g[position[n], position[m]] for g in grams)
+        if n == m:
+            target, floor = norm(n), 0.0
+        else:
+            target, floor = 0.0, floor_factor * math.sqrt(norm(n) * norm(m))
+        reports.append(_gated_report(name, parameters(n, m), value, target, tolerance, floor,
+                                     [(value, fine)], override))
+    return reports
 
 
 class SplitMix64:
@@ -167,15 +176,14 @@ def _random_multi_index(rng: SplitMix64, r: int, max_total: int) -> tuple[int, .
 
 def _suite_gegenbauer_ort(seed: int, r_max: int, tolerance: float | None):
     # a degree-n Gegenbauer polynomial is the r = 1 ball basis member (n,)
+    pairs = list(itertools.combinations_with_replacement(range(7), 2))
     reports = []
     for lam in (0.3, 1.0, 2.5):
-        grams = _base_and_doubled(quad.ball_default_spec(1), lambda s: quad.ball_gram_matrix(
-            [(k,) for k in range(7)], lam, s))
-        for n, m in itertools.combinations_with_replacement(range(7), 2):
-            reports.append(_ort_report(
-                "gegenbauer-ort", {"lambda": lam, "n": n, "m": m}, n, m,
-                lambda k: gegenbauer_norm(k, lam), [g[n, m] for g in grams], 1e-10, 1e-10,
-                tolerance))
+        reports += _gram_reports(
+            "gegenbauer-ort", pairs, quad.ball_default_spec(1),
+            lambda degrees, s: quad.ball_gram_matrix([(k,) for k in degrees], lam, s),
+            lambda k: gegenbauer_norm(k, lam), 1e-10, 1e-10,
+            lambda n, m: {"lambda": lam, "n": n, "m": m}, tolerance)
     return reports
 
 
@@ -188,17 +196,11 @@ def _suite_ball_ort(seed: int, r_max: int, tolerance: float | None):
                                            ((2, 0, 0), (0, 0, 2)), ((0, 1, 1), (0, 1, 1))]))
     reports = []
     for r, mu, default_tol, floor_factor, pairs in cases:
-        # Gram indices in order of first appearance, so each listed pair is
-        # an upper-triangle entry summed in its own (n, m) order
-        position = {ix: k for k, ix in
-                    enumerate(dict.fromkeys(ix for pair in pairs for ix in pair))}
-        grams = _base_and_doubled(quad.ball_default_spec(r), lambda s: quad.ball_gram_matrix(
-            list(position), mu, s))
-        for n, m in pairs:
-            reports.append(_ort_report(
-                "ball-ort", {"r": r, "mu": mu, "n": list(n), "m": list(m)}, n, m,
-                lambda ix: ball_norm(ix, mu), [g[position[n], position[m]] for g in grams],
-                default_tol, floor_factor, tolerance))
+        reports += _gram_reports(
+            "ball-ort", pairs, quad.ball_default_spec(r),
+            lambda indices, s: quad.ball_gram_matrix(indices, mu, s),
+            lambda ix: ball_norm(ix, mu), default_tol, floor_factor,
+            lambda n, m: {"r": r, "mu": mu, "n": list(n), "m": list(m)}, tolerance)
     return reports
 
 
@@ -330,16 +332,14 @@ def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
 
 
 def _suite_hahn_ort(seed: int, r_max: int, tolerance: float | None):
-    degrees = range(5)
+    pairs = list(itertools.combinations_with_replacement(range(5), 2))
     reports = []
     for a1, a2 in ((0.5, 0.5), (1.0, 0.75)):
-        grams = _base_and_doubled(quad.hahn_default_spec(), lambda s: quad.hahn_gram_matrix(
-            degrees, a1, a2, s))
-        for n, m in itertools.combinations_with_replacement(degrees, 2):
-            reports.append(_ort_report(
-                "hahn-ort", {"a1": a1, "a2": a2, "n": n, "m": m}, n, m,
-                lambda k: hahn_orthogonality_constant(k, a1, a2), [g[n, m] for g in grams],
-                1e-6, 1e-6, tolerance))
+        reports += _gram_reports(
+            "hahn-ort", pairs, quad.hahn_default_spec(),
+            lambda degrees, s: quad.hahn_gram_matrix(degrees, a1, a2, s),
+            lambda k: hahn_orthogonality_constant(k, a1, a2), 1e-6, 1e-6,
+            lambda n, m: {"a1": a1, "a2": a2, "n": n, "m": m}, tolerance)
     return reports
 
 
@@ -394,13 +394,13 @@ def _suite_dfamily_ort(seed: int, r_max: int, tolerance: float | None):
         cases.append(((1.0, 0.75), _multi_indices(2, 2)))
     reports = []
     for (a1, a2), indices in cases:
-        grams = _base_and_doubled(quad.d_pair_spec(a1, a2), lambda s: quad.d_biorthogonality_gram(
-            indices, a1, a2, s))
-        for (p, n), (q, m) in itertools.combinations_with_replacement(enumerate(indices), 2):
-            reports.append(_ort_report(
-                "dfamily-ort", {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)},
-                n, m, lambda ix: d_orthogonality_constant(ix, a1, a2), [g[p, q] for g in grams],
-                1e-4, 1e-5, tolerance))
+        reports += _gram_reports(
+            "dfamily-ort", list(itertools.combinations_with_replacement(indices, 2)),
+            quad.d_pair_spec(a1, a2),
+            lambda ix, s: quad.d_biorthogonality_gram(ix, a1, a2, s),
+            lambda ix: d_orthogonality_constant(ix, a1, a2), 1e-4, 1e-5,
+            lambda n, m: {"r": len(n), "a1": a1, "a2": a2, "n": list(n), "m": list(m)},
+            tolerance)
     return reports
 
 

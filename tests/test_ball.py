@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ballfourier import (DomainError, ball, ball_basis_eval, ball_norm,
-                         ball_operator_residual, ball_polynomial, ball_space_dim,
+                         ball_operator_residual, ball_polynomial,
                          gegenbauer, gegenbauer_norm, tail_sum, validate_multi_index)
 from ballfourier.ball import _polynomial_value
 from ballfourier.quadrature import ball_inner_product_numeric
@@ -31,24 +31,6 @@ class TestMultiIndex:
             validate_multi_index([1, -1])
         with pytest.raises(ValueError):
             validate_multi_index([1.5, 0])
-
-
-class TestSpaceDim:
-    def test_degree_zero(self):
-        for r in range(1, 5):
-            assert ball_space_dim(0, r) == 1
-
-    def test_small_cases(self):
-        assert ball_space_dim(3, 2) == 4
-        assert ball_space_dim(2, 3) == 6
-
-    def test_counts_multi_indices(self):
-        import itertools
-        for r in range(1, 5):
-            for degree in range(7):
-                count = sum(1 for combo in itertools.product(range(degree + 1), repeat=r)
-                            if sum(combo) == degree)
-                assert count == ball_space_dim(degree, r)
 
 
 class TestBasisEval:

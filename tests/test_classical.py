@@ -8,12 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from ballfourier import (continuous_hahn, gegenbauer,
-                         gegenbauer_norm, gegenbauer_series,
+from ballfourier import (continuous_hahn, gegenbauer, gegenbauer_norm,
                          hahn_orthogonality_constant, jacobi, pochhammer)
 from ballfourier.quadrature import _jacgauss_cached
 from ballfourier.special import beta_conjugate, log_gamma
 from conftest import rel_err
+from reference_routes import gegenbauer_series
 
 # independent direct-summation oracle (mpmath, dps=50): p_2(0.3; 1, 1/2, 1/2, 1)
 HAHN_P2_EXAMPLE = -0.35

@@ -333,12 +333,23 @@ class TestTable:
                              "--step", "0.5"], capsys)
         assert code == 0
         assert out == "xi,value_re,value_im\n"
+        code, out = run_cli(["table", "--fn", "ball", "--n", "1,1", "--mu", "0.5",
+                             "--grid", "0"], capsys)
+        assert code == 0
+        assert out == "x1,x2,value_re,value_im\n"
 
     def test_bad_grid_exits_2(self, capsys):
-        code, _ = run_cli(["table", "--fn", "theta", "--n", "2", "--a", "1",
-                           "--mu", "1", "--start", "0", "--stop", "1",
-                           "--step", "-0.5"], capsys)
-        assert code == 2
+        # each refusal is a usage error that names the option
+        for args, option in [(["--fn", "theta", "--n", "2", "--a", "1", "--mu", "1",
+                               "--start", "0", "--stop", "1", "--step", "-0.5"], "--step"),
+                             (["--fn", "ball", "--n", "1,1", "--mu", "0.5", "--grid", "-3"],
+                              "--grid")]:
+            with pytest.raises(SystemExit) as info:
+                cli.main(["table", *args])
+            captured = capsys.readouterr()
+            assert info.value.code == 2
+            assert captured.out == ""
+            assert option in captured.err
 
     @pytest.mark.parametrize("args", [
         ["--fn", "theta", "--n", "2", "--a", "1", "--mu", "1",
@@ -597,6 +608,25 @@ class TestOutputBytes:
         (code, out), (file_code, data, file_out) = _run_both(args, capsysbinary, tmp_path)
         assert code == file_code == 0
         assert (out, data, file_out) == (expected, expected, b"")
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_process_stdout(self, capsysbinary, tmp_path, unbuffered):
+        # a real process's stdout redirected to a file, which capsys replaces
+        # above, with and without PYTHONUNBUFFERED
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        for args, newline in [(["verify", "--suite", "hahn-ort", "--r-max", "1"], b""),
+                              (["eval", "--fn", "gegenbauer", "--n", "3", "--lambda", "0.7",
+                                "--x", "0.3"], b"\n")]:
+            path, stdout = tmp_path / "out", tmp_path / "stdout"
+            assert run_cli(args + ["--output", str(path)], capsysbinary)[0] == 0
+            with open(stdout, "wb") as handle:
+                proc = subprocess.run([sys.executable, "-m", "ballfourier.cli", *args],
+                                      stdout=handle, stderr=subprocess.PIPE, env=env,
+                                      timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert stdout.read_bytes() == path.read_bytes() + newline
 
 
 class TestOutputErrors:

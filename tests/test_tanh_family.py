@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballfourier import (FamilyParams, ball_basis_eval, family_eval, family_eval_peel_first,
+from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
                          family_eval_peel_last, fourier_closed_form,
                          fourier_via_recursion, gegenbauer, hyp3f2_unit,
                          pochhammer, tail_sum, tanh_ball_map, theta_factor,
@@ -13,6 +13,7 @@ from ballfourier.tanh_family import (_tail_parameters, axis_ladder, family_axis_
                                      fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
+from reference_routes import family_eval_peel_first
 
 # frozen direct arithmetic: tanh(1), tanh(1)*sech(1)
 UPSILON_11 = (0.7615941559557649, 0.49355434756457306)
