@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, transform, verify, tabulate.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error
-(an ``--output`` path that cannot be written included).  Outputs are
+(an ``--output`` path that cannot be written included); a usage error
+found inside a subcommand prints that subcommand's usage.  Outputs are
 deterministic — the same arguments (and seed) produce byte-identical files.
 Floats are written with Python's shortest round-trip representation.
 
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -110,9 +112,13 @@ def _write_record(record: dict, path: str | None) -> None:
 
 
 def _require(parser: argparse.ArgumentParser, args, names) -> None:
+    """Refuse a run that lacks one of the options stored at ``names``,
+    naming the option as it is spelled (dest ``lam`` is ``--lambda``)."""
     for name in names:
         if getattr(args, name, None) is None:
-            parser.error(f"--{name.replace('_', '-')} is required for this function")
+            option = next((action.option_strings[0] for action in parser._actions
+                           if action.dest == name), "--" + name.replace("_", "-"))
+            parser.error(f"{option} is required for this function")
 
 
 def _check_r(parser, args, length: int) -> None:
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--a1", type=_finite_float)
     p_eval.add_argument("--a2", type=_finite_float)
     p_eval.add_argument("--x", type=_parse_vector, help="evaluation point (comma separated)")
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval.set_defaults(func=partial(_cmd_eval, p_eval))
 
     p_fourier = sub.add_parser("fourier", help="closed-form transform, optionally checked")
     add_common(p_fourier)
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.add_argument("--check", action="store_true",
                            help="compare against the quadrature oracle")
     p_fourier.add_argument("--tolerance", type=_tolerance, default=None)
-    p_fourier.set_defaults(func=_cmd_fourier)
+    p_fourier.set_defaults(func=partial(_cmd_fourier, p_fourier))
     for p in (p_eval, p_fourier):
         p.add_argument("--r", type=int, default=None,
                        help="dimension; cross-checked against vector arguments")
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller grids for smoke runs")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=partial(_cmd_verify, p_verify))
 
     p_table = sub.add_parser("table", help="CSV table of values over a grid")
     add_common(p_table)
@@ -401,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--stop", type=_finite_float)
     p_table.add_argument("--step", type=_finite_float)
     p_table.add_argument("--grid", type=int, help="grid points per axis (ball tables)")
-    p_table.set_defaults(func=_cmd_table)
+    p_table.set_defaults(func=partial(_cmd_table, p_table))
     return parser
 
 
@@ -411,7 +417,7 @@ def main(argv=None) -> int:
     try:
         # non-finite results are reported as usage errors, not as warnings
         with np.errstate(all="ignore"):
-            return args.func(parser, args)
+            return args.func(args)
     except (ValueError, DomainError, OverflowError, _UnwritableOutput) as exc:
         parser.exit(USAGE_ERROR, f"error: {exc}\n")
 

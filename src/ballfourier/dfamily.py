@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import ball_norm, tail_sum, validate_multi_index
-from .special import _LOG_DBL_MAX, _blockwise, gamma_pair, log_gamma, pochhammer
+from .special import _LOG_DBL_MAX, _blockwise, _number, gamma_pair, log_gamma, pochhammer
 from .tanh_family import _axis_tail, axis_ladder
 
 __all__ = [
@@ -77,17 +77,20 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 
     This is the theta factor's 3F2 with the gamma pair in place of the beta
     factor, under a -> a1 and mu -> a1 + a2 - 1/2: the one-degree case of
-    :func:`d_axis_rows`."""
-    return d_axis_rows(j, r, _axis_tail(j, r, n), (n[j - 1],), np.asarray(x_j), a1, a2)[0]
+    :func:`d_axis_rows`.  A 0-d ``x_j`` runs as a Python number."""
+    z = _number(x_j)
+    return d_axis_rows(j, r, _axis_tail(j, r, n), (n[j - 1],),
+                       np.asarray(x_j) if z is None else z, a1, a2)[0]
 
 
 def d_family_eval(x, params: DParams):
     """Evaluate the family member at complex point(s) ``x`` of shape (..., r):
     the product of the :func:`d_axis_factor` values over the columns
     x[..., j], in axis order.  A complex batch runs per block
-    (:func:`special._blockwise`).  A single point keeps its 0-d arrays, and
-    a real ``x`` runs unblocked, because the gamma pair of each axis chooses
-    its real or complex route over the whole batch."""
+    (:func:`special._blockwise`).  A single point runs on its coordinates
+    as Python numbers, and a real ``x`` runs unblocked, because the gamma
+    pair of each axis chooses its real or complex route over the whole
+    batch."""
     x = np.asarray(x)
     r = params.r
     if x.ndim == 0 or x.shape[-1] != r:
@@ -100,8 +103,10 @@ def d_family_eval(x, params: DParams):
             value = factor if value is None else value * factor
         return (value,)
 
+    if x.ndim == 1:
+        return product(*x.tolist())[0]
     columns = [x[..., j] for j in range(r)]
-    if x.ndim == 1 or not np.iscomplexobj(x):
+    if not np.iscomplexobj(x):
         return product(*columns)[0]
     return _blockwise(product, *columns)[0]
 

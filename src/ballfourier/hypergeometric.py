@@ -23,7 +23,12 @@ Re s <= 0.  Both kernels run cache-blocked through
 A 0-d call runs the same recurrence body on Python numbers, whose complex
 multiply is unfused like a numpy scalar's and gives the same bits
 (``tests/test_scalar_route.py`` pins it against a recurrence on numpy
-scalars).  The argument checks of :func:`hyp3f2_ladder` and
+scalars).  A 0-d ``u`` enters the recurrence once as a Python number
+(:func:`special._number`), with no array or :func:`special._blockwise`
+in between; the dtype is complex128 if ``u`` or a parameter is complex
+and float64 otherwise, as ``np.result_type`` gives it for a batch, and
+each requested degree is packed once as a numpy scalar of that dtype.
+The argument checks of :func:`hyp3f2_ladder` and
 :func:`hyp3f2_unit` pass a Python number (numpy's float64 and complex128
 scalars among them) without ``np.ndim``, whose per-call cost would
 dominate a 0-d call, and check the degrees in one pass.  A batch runs
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenominatorPoleError
-from .special import _blockwise
+from .special import _blockwise, _number
 
 __all__ = ["HypergeometricSpec", "pfq_diagnostics", "hyp3f2_unit", "hyp3f2_ladder"]
 
@@ -196,17 +201,29 @@ def _python_scalar(value):
 
 def _ladder(degrees: tuple, s, u, lower1, lower2):
     """The degree recurrence of :func:`_hyp3f2` (Re s > 0): Python-number
-    coefficient rows, formed once, run over every block of ``u``."""
+    coefficient rows, formed once, run over every block of ``u``, or on a
+    0-d ``u`` as a Python number."""
     n = max(degrees)
-    # u in double whatever its dtype: float32 entries would run the
-    # recurrence in single precision
-    u = np.asarray(u, dtype=np.result_type(np.float64, u))
-    dtype = np.result_type(u, s, lower1, lower2)
+    value = _number(u)
+    if value is None:
+        # u in double whatever its dtype: float32 entries would run the
+        # recurrence in single precision
+        u = np.asarray(u, dtype=np.result_type(np.float64, u))
+        dtype = np.result_type(u, s, lower1, lower2)
+    else:
+        u = value
+        # float parameters, as the library's routes pass them, skip np.result_type
+        floats = isinstance(s, float) and isinstance(lower1, float) and isinstance(lower2, float)
+        complex_ = isinstance(u, complex) or (
+            not floats and np.result_type(s, lower1, lower2).kind == "c")
+        dtype = np.dtype(np.complex128 if complex_ else np.float64)
     if n == 0:
         # F_0 = 1 at every entry
         return (np.ones(np.shape(u), dtype=dtype)[()],) * len(degrees)
     rows = _hahn_coefficients(n, _python_scalar(s), _python_scalar(lower1),
                               _python_scalar(lower2))
+    if value is not None:
+        return tuple([dtype.type(v) for v in _ladder_block(u, rows, degrees, dtype)])
     out = _blockwise(lambda u: _ladder_block(u, rows, degrees, dtype), u)
     return tuple([np.asarray(v, dtype=dtype)[()] for v in out])
 

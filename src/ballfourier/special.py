@@ -27,20 +27,26 @@ one block each.  On 1e5 points the routes hold their output and
 block-sized temporaries only, so glibc keeps reusing the same heap pages
 instead of faulting in fresh ones on every call.
 
-A 0-d call runs the same kernel bodies on Python floats: :func:`_blockwise`
-hands a 0-d call its operands as Python numbers, and the real
-:func:`log_gamma` path converts its argument itself.  Complex log-gamma
-left of Re z = 0.5 runs its pole test and shift recurrence on them too, in
-the batch's order of operations; left of Re z = -16 it reflects as a
-batch of one, since no benchmark workload reflects a 0-d call.  Python
-numbers skip numpy's per-call overhead on 0-d arrays and scalars, which
-dominates a single value, and :func:`gamma_pair` reads its two real parts
-as numbers for its overflow test.  Python and numpy-scalar arithmetic are
-both unfused IEEE double, so a 0-d value agrees bit for bit with the same
-entry of a batch (a nan may differ in its sign bit), and only the
-transcendental calls go through numpy (``tests/test_scalar_route.py`` pins
-the route and the bits).  0-d results are numpy scalars of the batch's
-dtype.
+A 0-d call runs the same kernel bodies on Python numbers.  A number
+enters once, at the public entry: :func:`log_gamma`, :func:`gamma_pair`
+and :func:`beta_conjugate` make a 0-d argument a Python float, or a
+Python complex if its dtype is complex (:func:`_number`), and hand it to
+the kernels with no array, numpy scalar or :func:`_blockwise` in between;
+a batched route called on 0-d input gets its operands as Python numbers
+from :func:`_blockwise`.  Complex log-gamma left of Re z = 0.5 runs its
+pole test and shift recurrence on them too, in the batch's order of
+operations; left of Re z = -16 it reflects as a batch of one, since no
+benchmark workload reflects a 0-d call.  Python numbers skip numpy's
+per-call overhead on 0-d arrays and scalars, which dominates a single
+value, and :func:`gamma_pair` reads its two real parts as numbers for its
+overflow test.  Python and numpy-scalar arithmetic are both unfused IEEE
+double, so a 0-d value agrees bit for bit with the same entry of a batch
+(a nan may differ in its sign bit), and only the transcendental calls go
+through numpy (``tests/test_scalar_route.py`` pins the route and the
+bits).  The value is packed once, where the kernel ends: complex
+log-gamma as ``np.complex128(complex(re, im))``, the real paths by
+numpy's ``log`` and ``exp``.  So 0-d results are numpy scalars of the
+batch's dtype, never 0-d arrays or Python numbers.
 """
 
 from __future__ import annotations
@@ -264,7 +270,8 @@ def _log_gamma_block(x, y) -> tuple[np.ndarray]:
     # a 0-d call left of -_SHIFT_CAP reflects as a batch of one
     if isinstance(x, float) and isinstance(y, float) and not x < -_SHIFT_CAP:
         if not x < 0.5:
-            return (_complex(*_log_gamma_right_planes(x - 1.0, y)),)
+            re, im = _log_gamma_right_planes(x - 1.0, y)
+            return (np.complex128(complex(re, im)),)
         # x == floor(x) of the batch
         if y == 0.0 and x.is_integer():
             raise PoleError("gamma function evaluated at a nonpositive integer")
@@ -280,7 +287,7 @@ def _log_gamma_block(x, y) -> tuple[np.ndarray]:
                 sum_re += 0.0
                 sum_im += 0.0
         re, im = _log_gamma_right_planes((x + steps) - 1.0, y)
-        return (_complex(re - sum_re, im - sum_im),)
+        return (np.complex128(complex(re - sum_re, im - sum_im)),)
     if np.shape(x) != np.shape(y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
@@ -331,6 +338,21 @@ def _log_gamma_complex(z) -> np.ndarray:
     return _blockwise(_log_gamma_block, z.real, z.imag)[0]
 
 
+def _number(value):
+    """A 0-d ``value`` as a Python float, or a Python complex if its dtype
+    is complex; None for an array.  The public entries of this module,
+    ``hypergeometric._ladder`` and ``dfamily.d_axis_factor`` read their
+    single values through it."""
+    if isinstance(value, float):  # numpy's float64 scalars among them
+        return float(value)
+    if isinstance(value, complex):  # and complex128
+        return complex(value)
+    value = np.asarray(value)
+    if value.ndim:
+        return None
+    return complex(value.item()) if np.iscomplexobj(value) else float(value.item())
+
+
 def log_gamma(z):
     """Principal-branch log Gamma.
 
@@ -338,24 +360,25 @@ def log_gamma(z):
     is computed on the complex path.  Raises :class:`PoleError` at
     nonpositive integers.
     """
-    arr = np.asarray(z)
-    scalar = arr.ndim == 0
-    if scalar and not np.iscomplexobj(arr):
-        # a 0-d real call runs the kernel on a Python float
-        a = float(arr)
-        if a >= 0.5:
-            return _log_gamma_right(a - 1.0)
-        if a > 0.0:
-            return _log_gamma_right(a) - np.log(max(a, _TINY))
-    elif not np.iscomplexobj(arr) and (arr > 0.0).all():
-        a = arr.astype(np.float64)
-        if (a >= 0.5).all():
-            return _log_gamma_right(a - 1.0)
-        # shift once into the Lanczos region; argument stays positive
-        return np.where(a >= 0.5, _log_gamma_right(np.maximum(a, 0.5) - 1.0),
-                        _log_gamma_right(a) - np.log(np.maximum(a, _TINY)))
-    out = _log_gamma_complex(arr)
-    return out[()] if scalar else out
+    value = _number(z)
+    if value is None:
+        arr = np.asarray(z)
+        if not np.iscomplexobj(arr) and (arr > 0.0).all():
+            a = arr.astype(np.float64)
+            if (a >= 0.5).all():
+                return _log_gamma_right(a - 1.0)
+            # shift once into the Lanczos region; argument stays positive
+            return np.where(a >= 0.5, _log_gamma_right(np.maximum(a, 0.5) - 1.0),
+                            _log_gamma_right(a) - np.log(np.maximum(a, _TINY)))
+        return _log_gamma_complex(arr)
+    if isinstance(value, float):
+        if value >= 0.5:
+            return _log_gamma_right(value - 1.0)
+        if value > 0.0:
+            return _log_gamma_right(value) - np.log(max(value, _TINY))
+    # the kernel packs the value, except that a reflection comes back as a
+    # 0-d batch of one
+    return _log_gamma_block(value.real, value.imag)[0][()]
 
 
 def _gamma_real(a: np.ndarray) -> np.ndarray:
@@ -404,9 +427,10 @@ def gamma_pair(a, b):
     its real route only for an operand whose entries are all positive; that
     choice is made here for the whole batch, so every block takes it alike.
     """
+    x, y = _number(a), _number(b)
+    if x is not None and y is not None:
+        return _gamma_pair_block(x, y)[0]
     a, b = np.asarray(a), np.asarray(b)
-    if not (a.ndim or b.ndim):
-        return _gamma_pair_block(a, b)[0]
     if not (np.iscomplexobj(a) or (a > 0.0).all()):
         a = a.astype(np.complex128)
     if not (np.iscomplexobj(b) or (b > 0.0).all()):
@@ -440,8 +464,13 @@ def beta_conjugate(x, y):
     2x < 0 that is when ceil(-2x) is odd.  Raises :class:`PoleError` at a
     gamma pole.
     """
-    x = np.asarray(x, dtype=np.float64)
-    lg = _blockwise(_log_gamma_block, x, y)[0]
+    re, im = _number(x), _number(y)
+    if re is None or im is None:
+        x = np.asarray(x, dtype=np.float64)
+        lg = _blockwise(_log_gamma_block, x, y)[0]
+    else:
+        x = float(re)
+        lg = _log_gamma_block(x, im)[0]
     lg2 = log_gamma(2.0 * x)
     if not np.iscomplexobj(lg2):
         return np.exp(2.0 * lg.real - lg2)

@@ -91,8 +91,10 @@ def family_eval(x, params: FamilyParams):
     sech^2(x_j)^{p_j} C_{n_j}^{lambda_j}(tanh x_j).  It equals the sech
     powers times the ball basis at :func:`tanh_ball_map`, without that
     form's 1 - |v_{<j}|^2, which cancels as tanh x_j -> 1.  The rows
-    x.reshape(-1, r) run per block (:func:`special._blockwise`), so a single
-    point keeps its batch entry's bits; it comes back as a scalar."""
+    x.reshape(-1, r) run per block (:func:`special._blockwise`).  A single
+    point is a block of one row, whose Gegenbauer recurrences run on
+    Python floats (:func:`family_axis_factor`), and keeps its batch entry's
+    bits; it comes back as a scalar."""
     x = np.asarray(x, dtype=np.float64)
     r = params.r
     if x.ndim == 0 or x.shape[-1] != r:
@@ -135,8 +137,12 @@ def family_axis_factor(j: int, params: FamilyParams, x):
         raise ValueError("axis index out of range")
     key = _axis_keys(params.n)[j - 1]
     x = np.asarray(x, dtype=np.float64)
+    t = np.tanh(x)
+    # a single point runs the Gegenbauer recurrence on a Python float; only
+    # the sech^2 power stays on its one-entry array, as in a batch, since
+    # numpy's power of an array and of a scalar can round apart
     return _gegenbauer_factor(key, r, params.mu, 1.0 / np.cosh(x) ** 2,
-                              _sech_power(key, r, params.a), np.tanh(x))
+                              _sech_power(key, r, params.a), t.item() if t.size == 1 else t)
 
 
 def _sech_power(key, r: int, a: float) -> float:
@@ -209,8 +215,8 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     xi = np.asarray(xi, dtype=np.float64)
     m = _axis_tail(j, r, params.n)
     rows = partial(_theta_rows, j, r, m, (params.n[j - 1],), params.a, params.mu)
-    # a 0-d xi stays a 0-d array; a batch runs per block
-    return (rows(xi) if xi.ndim == 0 else _blockwise(rows, xi))[0]
+    # a 0-d xi reaches the rows as a Python float, a batch per block
+    return _blockwise(rows, xi)[0]
 
 
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
@@ -313,10 +319,12 @@ def _closed_form_table(members, xi):
     shape = xi.shape[:-1]
     if shape:
         columns = [np.unique(xi[..., j].reshape(-1), return_inverse=True) for j in range(r)]
+    else:
+        point = xi.tolist()
 
     def theta_rows(j, m, degrees):
         if not shape:
-            return _theta_rows(j, r, m, degrees, a, mu, xi[j - 1])
+            return _theta_rows(j, r, m, degrees, a, mu, point[j - 1])
         distinct, inverse = columns[j - 1]
         return [row[inverse].reshape(shape)
                 for row in _theta_rows(j, r, m, degrees, a, mu, distinct)]
@@ -382,11 +390,11 @@ def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") ->
         raise ValueError("mode must be 'peel_first' or 'peel_last'")
     a, mu, n = params.a, params.mu, params.n
     if mode == "peel_first":
-        head = _sech_gegenbauer_transform(a, mu, n[0], tail_sum(n, 2), r - 1, xi[0])
+        head = _sech_gegenbauer_transform(a, mu, n[0], tail_sum(n, 2), r - 1, xi.item(0))
         if r == 1:
             return head
         return head * fourier_via_recursion(FamilyParams(a, mu, n[1:]), xi[1:], mode)
-    tail_factor = _sech_gegenbauer_transform(a, mu, n[-1], 0, 0, xi[-1])
+    tail_factor = _sech_gegenbauer_transform(a, mu, n[-1], 0, 0, xi.item(-1))
     if r == 1:
         return tail_factor
     rest = FamilyParams(a + n[-1] / 2.0 + 0.25, mu + n[-1] + 0.5, n[:-1])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -659,3 +660,50 @@ class TestOutputErrors:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert stderr == b""
+
+
+class TestRefusalMessages:
+    """A refusal inside a subcommand prints that subcommand's usage and
+    names the option as it is spelled on the command line."""
+
+    @staticmethod
+    def _refusal(args, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, command", [
+        (["table", "--fn", "ball", "--n", "1,1", "--mu", "0.5", "--grid", "-3"], "table"),
+        (["table", "--fn", "theta", "--n", "1,1", "--a", "1", "--mu", "0.5", "--axis", "3",
+          "--start", "0", "--stop", "1", "--step", "0.5"], "table"),
+        (["eval", "--fn", "ball", "--r", "3", "--n", "0,1", "--mu", "1", "--x", "0.3,0.4"], "eval"),
+        (["fourier", "--n", "1,1", "--a", "1", "--mu", "0.5", "--xi", "0.5"], "fourier"),
+        (["verify", "--suite", "parseval", "--r-max", "0"], "verify"),
+    ])
+    def test_usage_is_the_subcommand_s(self, capsys, args, command):
+        err = self._refusal(args, capsys)
+        assert err.startswith(f"usage: ballfourier {command} "), err
+        assert f"ballfourier {command}: error: " in err
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--fn", "gegenbauer", "--n", "3", "--x", "0.3"],
+        ["table", "--fn", "gegenbauer", "--n", "3", "--start", "0", "--stop", "1",
+         "--step", "0.5"],
+    ])
+    def test_missing_lambda_is_named_as_spelled(self, capsys, args):
+        err = self._refusal(args, capsys)
+        assert "error: --lambda is required for this function" in err
+        assert "--lam " not in err
+
+    def test_missing_option_with_a_plain_name(self, capsys):
+        err = self._refusal(["eval", "--fn", "d_family", "--n", "1", "--a1", "0.7",
+                             "--x", "0.2"], capsys)
+        assert "error: --a2 is required for this function" in err
+
+    def test_unstored_dest_falls_back_to_its_spelling(self, capsys):
+        parser = argparse.ArgumentParser(prog="ballfourier eval")
+        with pytest.raises(SystemExit) as exc:
+            cli._require(parser, argparse.Namespace(), ["some_dest"])
+        assert exc.value.code == 2
+        assert "error: --some-dest is required for this function" in capsys.readouterr().err

@@ -13,13 +13,15 @@ scalars written here and against the batch entry) and the edges
 warning.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
-from ballfourier import (FamilyParams, classical, gamma, gegenbauer, hypergeometric, log_gamma,
-                         special, theta_factor)
+from ballfourier import (DParams, FamilyParams, classical, d_family_eval, family_eval,
+                         fourier_closed_form, fourier_via_recursion, gamma, gegenbauer,
+                         hyp3f2_unit, hypergeometric, log_gamma, special, theta_factor)
 from ballfourier.errors import PoleError
 from ballfourier.hypergeometric import hyp3f2_ladder
 from ballfourier.special import beta_conjugate, gamma_pair
@@ -324,3 +326,81 @@ class TestEdgePlanes:
     def test_real_log_gamma_and_gamma(self, x):
         for fn in (log_gamma, gamma):
             self._check(_run(fn, x), _run(fn, np.array([x])))
+
+
+# rounding may differ on another numpy, so the digest is checked only on
+# the numpy it was recorded with
+_RECORDED_NUMPY = "2.4."
+_SINGLE_VALUES_SHA256 = "c33ac4c18f70021f"
+
+
+def _single_values():
+    """(name, value) of seeded 0-d calls of every single-value route, from
+    Python numbers, numpy scalars and 0-d arrays alike."""
+    rng = np.random.default_rng(2029)
+
+    def plane(lo, hi):
+        return complex(rng.uniform(lo, hi), rng.uniform(-8.0, 8.0))
+
+    for _ in range(6):
+        z = plane(0.5, 12.0)
+        yield "log_gamma right", log_gamma(z)
+        yield "log_gamma right, numpy scalar", log_gamma(np.complex128(z))
+        yield "log_gamma right, 0-d array", log_gamma(np.asarray(z))
+        yield "log_gamma shift", log_gamma(plane(-16.0, 0.5))
+        yield "log_gamma reflection", log_gamma(plane(-60.0, -16.0))
+        yield "log_gamma negative real", log_gamma(float(rng.uniform(-30.0, 0.0)))
+        yield "gamma_pair complex", gamma_pair(plane(-3.5, 6.0), plane(-3.5, 6.0))
+        yield "gamma_pair real", gamma_pair(float(rng.uniform(0.1, 9.0)),
+                                            np.float64(rng.uniform(0.1, 9.0)))
+        yield "gamma_pair mixed", gamma_pair(np.asarray(plane(0.2, 4.0)),
+                                             float(rng.uniform(-3.5, 0.0)))
+        x, y = (float(v) for v in rng.uniform(0.1, 4.0, 2))
+        yield "beta_conjugate", beta_conjugate(x, y)
+        yield "beta_conjugate, 0-d arrays", beta_conjugate(np.asarray(x), np.float64(y))
+        yield "beta_conjugate negative", beta_conjugate(float(rng.uniform(-2.4, -0.1)), y)
+        s, l1, l2 = float(rng.uniform(0.5, 9.0)), *(float(v) for v in rng.uniform(0.2, 5.0, 2))
+        yield from (("hyp3f2_ladder complex", v)
+                    for v in hyp3f2_ladder((0, 1, 5, 12), s, plane(-3.0, 3.0), l1, l2))
+        yield from (("hyp3f2_ladder real", v)
+                    for v in hyp3f2_ladder((0, 4, 9), s, np.float64(x), l1, l2))
+        yield from (("hyp3f2_ladder forward", v)
+                    for v in hyp3f2_ladder((2, 7), -float(rng.uniform(0.1, 5.9)),
+                                           plane(-3.0, 3.0), l1, l2))
+        yield "hyp3f2_unit", hyp3f2_unit(int(rng.integers(0, 13)), s, plane(-3.0, 3.0), l1, l2)
+        yield "hyp3f2_unit real", hyp3f2_unit(int(rng.integers(0, 13)), s, np.asarray(y), l1, l2)
+        for r in (1, 2, 3):
+            n = tuple(int(v) for v in rng.integers(0, 13, r))
+            params = FamilyParams(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.1, 2.0)), n)
+            xi = rng.uniform(-3.0, 3.0, r)
+            j = int(rng.integers(1, r + 1))
+            yield "theta_factor", theta_factor(j, r, params, float(xi[0]))
+            yield "theta_factor, 0-d array", theta_factor(j, r, params, np.asarray(xi[-1]))
+            yield "fourier_closed_form", fourier_closed_form(params, xi)
+            yield "fourier_via_recursion peel_first", fourier_via_recursion(params, xi)
+            yield "fourier_via_recursion peel_last", fourier_via_recursion(params, xi, "peel_last")
+            x = rng.normal(scale=1.5, size=r)
+            yield "family_eval", family_eval(x, params)
+            yield "family_eval, tuple", family_eval(tuple(x.tolist()), params)
+            d_params = DParams(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0)), n)
+            point = rng.uniform(-0.5, 0.5, r) + 1j * rng.uniform(-6.0, 6.0, r)
+            yield "d_family_eval", d_family_eval(point, d_params)
+            yield "d_family_eval real", d_family_eval(point.real, d_params)
+
+
+class TestRecordedSingleValues:
+    """Bits and result types of 0-d calls of every route that runs a single
+    value on Python numbers, recorded before those routes were thinned."""
+
+    def test_results_are_numpy_scalars(self):
+        for name, value in _single_values():
+            assert type(value) in (np.float64, np.complex128), (name, type(value))
+
+    @pytest.mark.skipif(not np.__version__.startswith(_RECORDED_NUMPY),
+                        reason=f"digest recorded with numpy {_RECORDED_NUMPY}x, "
+                               f"this is numpy {np.__version__}")
+    def test_values_keep_their_bits(self):
+        digest = hashlib.sha256()
+        for name, value in _single_values():
+            digest.update(name.encode() + type(value).__name__.encode() + value.tobytes())
+        assert digest.hexdigest()[:16] == _SINGLE_VALUES_SHA256

@@ -11,6 +11,8 @@ run (``perfbench/run.py --trace 1``).
 import types
 from pathlib import Path
 
+import numpy as np
+
 from ballfourier import verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -38,3 +40,60 @@ def test_install_finds_every_target_and_uninstall_restores_it():
         spans.uninstall()
     assert [dict(vars(m)) for m in modules] == before
     assert verify._SUITES == suites
+
+
+def _scalar_calls(lib):
+    """One 0-d call of each eval-scalar kind of the benchmark, looked up in
+    the module namespaces as they are now (after the tracer is installed)."""
+    tf, df = lib["tanh_family"], lib["dfamily"]
+    params = tf.FamilyParams(0.8, 0.6, (3, 5, 2))
+    xi = np.array([0.7, -1.2, 2.1])
+    return {
+        "fourier_closed_form": lambda: tf.fourier_closed_form(params, xi),
+        "fourier_via_recursion peel_first": lambda: tf.fourier_via_recursion(params, xi),
+        "fourier_via_recursion peel_last":
+            lambda: tf.fourier_via_recursion(params, xi, "peel_last"),
+        "theta_factor": lambda: tf.theta_factor(2, 3, params, 0.7),
+        "gegenbauer": lambda: lib["classical"].gegenbauer(7, 0.7, 0.3),
+        "ball_basis_eval": lambda: lib["ball"].ball_basis_eval((3, 1, 2), 0.45,
+                                                               np.array([0.2, -0.3, 0.4])),
+        "d_family_eval": lambda: df.d_family_eval(np.array([0.1 + 2.0j, -0.2 - 1.0j, 0.3 + 0.5j]),
+                                                  df.DParams(0.7, 1.1, (3, 5, 2))),
+        "log_gamma": lambda: lib["special"].log_gamma(-2.3 + 1.1j),
+    }
+
+
+# (calls, points) of every span one call opens, as the benchmark's traced
+# eval-scalar runs count them: gamma_pair passes through log_gamma, and
+# d_family_eval through d_axis_factor, so work moved off a wrapped name
+# fails here instead of making the traced counts incomparable
+_SCALAR_SPANS = {
+    "fourier_closed_form": {"tanh_family.fourier_closed_form": (1, None),
+                            "special.log_gamma": (3, 3)},
+    "fourier_via_recursion peel_first": {"tanh_family.fourier_via_recursion": (3, None),
+                                         "special.log_gamma": (3, 3)},
+    "fourier_via_recursion peel_last": {"tanh_family.fourier_via_recursion": (3, None),
+                                        "special.log_gamma": (3, 3)},
+    "theta_factor": {"tanh_family.theta_factor": (1, 1), "special.log_gamma": (1, 1)},
+    "gegenbauer": {"classical.gegenbauer": (1, 1)},
+    "ball_basis_eval": {"ball.ball_basis_eval": (1, 1)},
+    "d_family_eval": {"dfamily.d_axis_factor": (3, 3), "special.log_gamma": (6, 6)},
+    "log_gamma": {"special.log_gamma": (1, 1)},
+}
+
+
+def test_single_value_calls_keep_their_spans():
+    tracer = _tracer_module()
+    lib = {m.__name__.rsplit(".", 1)[-1]: m for m in tracer.library_modules("ballfourier")}
+    seen = {}
+    for kind in _SCALAR_SPANS:
+        spans = tracer.Tracer()
+        try:
+            spans.install("ballfourier")
+            _scalar_calls(lib)[kind]()
+        finally:
+            spans.uninstall()
+        summary = spans.summary(0.0)["spans"]
+        seen[kind] = {name: (span["calls"], span.get("points"))
+                      for name, span in summary.items() if span["calls"]}
+    assert seen == _SCALAR_SPANS
