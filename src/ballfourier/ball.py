@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import _gegenbauer_recurrence
 from .errors import DomainError
-from .special import _blockwise, log_gamma, pochhammer
+from .special import _blockwise, _real_array, log_gamma, pochhammer
 
 __all__ = ["tail_sum", "validate_multi_index", "ball_basis_eval", "ball_norm",
            "ball_polynomial", "ball_operator_residual"]
@@ -54,6 +54,25 @@ def tail_sum(n, j: int) -> int:
     return int(sum(n[j - 1:]))
 
 
+def _axis_lambda(j: int, r: int, m: int, mu: float) -> float:
+    """lambda_j = mu + m + (r - j)/2, the Gegenbauer parameter of axis j at
+    tail m = |n^{j+1}|, of the ball basis and of the tanh family alike."""
+    return mu + m + (r - j) / 2.0
+
+
+def _axis_parameters(j: int, r: int, m: int, a: float, mu: float):
+    """(q, p, lambda, s, lower1, lower2) of axis j at tail m = |n^{j+1}| of
+    the tanh family (a, mu), or of the gamma-pair family (a1, mu =
+    a1 + a2 - 1/2): q = (r - j)/4, the sech^2 power p = a + m/2 + q, and the
+    3F2(-n_j, n_j + s - 1, a + (m + z)/2 + q; lower1, lower2; 1) parameters
+    s = 2 lambda + 1, lower1 = lambda + 1/2, lower2 = 2a + m + (r - j)/2.
+    It sits below every family in the import graph, so all read this map."""
+    q = (r - j) / 4.0
+    lam = _axis_lambda(j, r, m, mu)
+    return (q, a + m / 2.0 + q, lam, 2.0 * lam + 1.0, m + mu + (r - j + 1) / 2.0,
+            m + 2.0 * a + (r - j) / 2.0)
+
+
 def _check_mu(mu: float) -> float:
     if not mu > -0.5:
         raise ValueError("ball weight parameter must satisfy mu > -1/2")
@@ -76,7 +95,7 @@ def ball_basis_eval(n, mu: float, x):
     n = validate_multi_index(n)
     mu = _check_mu(mu)
     r = len(n)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "x")
     if x.ndim == 0 or x.shape[-1] != r:
         raise ValueError(f"point must have {r} coordinates on its last axis")
     return _blockwise(partial(_ball_block, n, mu), *(x[..., j] for j in range(r)))[0]
@@ -95,7 +114,7 @@ def _ball_block(n, mu: float, *coords):
     value = s2 = 1.0
     for j, (nj, xj) in enumerate(zip(n, coords), start=1):
         if nj:
-            lam = mu + tail_sum(n, j + 1) + (r - j) / 2.0
+            lam = _axis_lambda(j, r, tail_sum(n, j + 1), mu)
             value = value * _gegenbauer_recurrence(nj, lam, xj, 1.0, 2.0 * lam * xj, s2)
         s2 = s2 - xj * xj
     if isinstance(value, np.ndarray):

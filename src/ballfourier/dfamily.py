@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import ball_norm, tail_sum, validate_multi_index
+from .ball import _axis_parameters, ball_norm, tail_sum, validate_multi_index
 from .special import _LOG_DBL_MAX, _blockwise, _number, gamma_pair, log_gamma, pochhammer
 from .tanh_family import _axis_tail, axis_ladder
 
@@ -128,8 +128,8 @@ def d_orthogonality_constant(n, a1: float, a2: float) -> float:
     for j in range(1, r + 1):
         nj = n[j - 1]
         m = tail_sum(n, j + 1)
-        log_gammas = (log_gamma(m + 2.0 * a1 + (r - j) / 2.0)
-                      + log_gamma(m + 2.0 * a2 + (r - j) / 2.0))
+        log_gammas = (log_gamma(_axis_parameters(j, r, m, a1, mu)[5])
+                      + log_gamma(_axis_parameters(j, r, m, a2, mu)[5]))
         if log_gammas > _LOG_DBL_MAX:
             raise OverflowError("D-family orthogonality constant exceeds double range")
         value *= (math.factorial(nj) ** 2 * float(np.exp(log_gammas)) / 2.0 ** (2 * m + r - j)

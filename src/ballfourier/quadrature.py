@@ -55,14 +55,14 @@ from functools import lru_cache, reduce
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import _check_mu, _index_list, ball_basis_eval
-from .classical import continuous_hahn_rows
+from .ball import _axis_lambda, _check_mu, _index_list, ball_basis_eval
+from .classical import continuous_hahn_rows, gegenbauer
 from .dfamily import DParams, d_axis_rows, d_family_eval
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
-from .tanh_family import (FamilyParams, _axis_keys, _axis_product_table, _axis_table,
-                          _frequency_vectors, _gegenbauer_factor, _sech_power, _theta_rows,
-                          family_eval_peel_last, fourier_prefactor)
+from .tanh_family import (FamilyParams, _axis_keys, _axis_table, _frequency_table,
+                          _frequency_vectors, _theta_rows, _x_factor, family_eval_peel_last,
+                          fourier_prefactor)
 
 __all__ = [
     "QuadratureSpec",
@@ -302,36 +302,28 @@ def _fourier_axis_integral(key, r: int, a: float, mu: float, phases, spec: Quadr
     the line rule of ``spec``, one row per frequency: one pairwise node sum
     per row, so a row's value does not depend on the other rows."""
     _, w, t, sech2 = _line_rule(spec)
-    factor = _gegenbauer_factor(key, r, mu, sech2, _sech_power(key, r, a), t)
-    return np.sum((w * factor) * phases, axis=-1)
+    return np.sum((w * _x_factor(key, r, a, mu, sech2, t)) * phases, axis=-1)
 
 
 def _separated_table(members, xi, spec: QuadratureSpec | None):
     """Separated transforms of each member of ``members`` (parameters
     sharing a, mu and r) at the frequency vectors ``xi``, shape
-    (len(members),) + xi.shape[:-1]: one axis integral per axis key, on the
-    phase rows of the distinct frequencies of that axis, formed once per
-    call.  One vector is a batch of one, so its value is the batch entry."""
+    (len(members),) + xi.shape[:-1]: the frequency table of one axis
+    integral per axis key on the phase rows of the axis, formed once per
+    axis.  One vector is a batch of one, so its value is the batch entry."""
     r, a, mu = members[0].r, members[0].a, members[0].mu
     xi = _frequency_vectors(xi, r)
     if spec is None:
         spec = QuadratureSpec()
-    flat = xi.reshape(-1, r)
     nodes = _line_rule(spec)[0]
-    columns = []
-    for column in flat.T:
-        distinct, inverse = np.unique(column, return_inverse=True)
-        columns.append((np.exp(-1j * distinct[:, None] * nodes), inverse))
+    phases = {}
 
-    def axis_rows(j, m, degrees):
-        phases, inverse = columns[j - 1]
-        return [_fourier_axis_integral((j, nj, m), r, a, mu, phases, spec)[inverse]
-                for nj in degrees]
+    def axis_rows(j, m, degrees, column):
+        if j not in phases:
+            phases[j] = np.exp(-1j * column[:, None] * nodes)
+        return [_fourier_axis_integral((j, nj, m), r, a, mu, phases[j], spec) for nj in degrees]
 
-    member_keys = [_axis_keys(params.n) for params in members]
-    factors = _axis_table(member_keys, axis_rows)
-    heads = [np.ones(len(flat), dtype=np.complex128)] * len(members)
-    table = _axis_product_table(member_keys, flat.shape[:1], heads, factors)
+    table = _frequency_table(members, xi.reshape(-1, r), axis_rows, lambda params: 1)
     return table.reshape((len(members),) + xi.shape[:-1])
 
 
@@ -432,8 +424,9 @@ def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None, mode:
 
     def ball_rows(j, m, degrees):
         t = rules[j - 1][0]
-        weight = 1.0 - t * t
-        return [_gegenbauer_factor((j, nj, m), r, mu, weight, m / 2.0, t) for nj in degrees]
+        weight = (1.0 - t * t) ** (m / 2.0)
+        lam = _axis_lambda(j, r, m, mu)
+        return [weight * gegenbauer(nj, lam, t) for nj in degrees]
 
     keys = [_axis_keys(ix) for ix in indices]
     cols = _axis_table(keys, ball_rows)
@@ -595,11 +588,11 @@ def parseval_sides(n, m, a1: float, a2: float, spec: QuadratureSpec | None = Non
     keys_n, keys_m = _axis_keys(n), _axis_keys(m)
 
     def x_rows(a):
-        return lambda j, tail, degrees: [_gegenbauer_factor(
-            (j, nj, tail), r, mu, sech2, _sech_power((j, nj, tail), r, a), t) for nj in degrees]
+        return lambda j, tail, degrees: [_x_factor((j, nj, tail), r, a, mu, sech2, t)
+                                         for nj in degrees]
 
     def theta_rows(a):
-        return lambda j, tail, degrees: _theta_rows(j, r, tail, degrees, a, mu, x)
+        return lambda j, tail, degrees: _theta_rows(r, a, mu, j, tail, degrees, x)
 
     def weighted(table):
         return {key: w * factor for key, factor in table.items()}

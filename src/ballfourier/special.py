@@ -91,6 +91,8 @@ _LOG_TWO = 0.69314718055994530942
 # smallest normal double; the shifted real path takes the log of a
 # subnormal argument at it
 _TINY = float(np.finfo(np.float64).tiny)
+# numpy's one native float64 descriptor: an identity test is its cheapest check
+_FLOAT64 = np.dtype(np.float64)
 # exp() overflows double beyond this; gamma() raises OverflowError instead.
 _LOG_DBL_MAX = 709.782712893384
 # beyond this |Re zz| or |Im zz| the Lanczos terms c_k / (zz + k) are below
@@ -351,6 +353,17 @@ def _number(value):
     if value.ndim:
         return None
     return complex(value.item()) if np.iscomplexobj(value) else float(value.item())
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array (one ``asarray`` if it is one already);
+    complex input raises ValueError naming the argument ``name``."""
+    arr = np.asarray(value)
+    if arr.dtype is not _FLOAT64:
+        if np.iscomplexobj(arr):
+            raise ValueError(f"{name} must be real, not complex")
+        arr = arr.astype(np.float64)
+    return arr
 
 
 def log_gamma(z):

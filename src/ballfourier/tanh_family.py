@@ -9,14 +9,14 @@ polynomial; both routes are implemented and cross-checked.  Every axis
 factor of the library (theta, the oracle's integrands, the ball basis in
 nested-radius coordinates, the gamma-pair family) depends on the member
 only through its axis key (j, n_j, |n^{j+1}|), and its parameters only
-through the axis tail (j, |n^{j+1}|).  :func:`_axis_table` is the one place
-where keys are grouped by tail; every separable route takes each key's
-factor from it once per rule.  :func:`axis_ladder` forms the 3F2
-parameters once per tail and runs one degree ladder for every n_j, and
-:func:`_gegenbauer_factor` is the keyed x-side factor.  So a table of
-transforms (:func:`fourier_closed_form_table`) runs one beta factor and
-one ladder per axis tail; a single member is the one-index table and
-:func:`theta_factor` the one-degree ladder.
+through the axis tail (j, |n^{j+1}|), all from :func:`ball._axis_parameters`.
+:func:`_axis_table` is the one place where keys are grouped by tail.
+:func:`axis_ladder` runs one 3F2 degree ladder per tail for every n_j, and
+:func:`_x_factor` is the keyed x-side factor.  :func:`_frequency_table`
+builds the closed form (:func:`fourier_closed_form_table`: one beta factor
+and one ladder per tail) and the separated Fourier oracle alike; a single
+member is the one-index table and :func:`theta_factor` the one-degree
+ladder.
 
 Transform convention: forward kernel exp(-i xi . x), no 1/(2 pi) prefactor.
 """
@@ -24,15 +24,16 @@ Transform convention: forward kernel exp(-i xi . x), no 1/(2 pi) prefactor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .ball import _index_list, tail_sum, validate_multi_index
+from .ball import _axis_lambda, _axis_parameters, _index_list, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .hypergeometric import hyp3f2_ladder, hyp3f2_unit
-from .special import _blockwise, beta_conjugate, pochhammer
+from .special import _blockwise, _real_array, beta_conjugate, pochhammer
 
 __all__ = [
     "FamilyParams",
@@ -48,11 +49,6 @@ __all__ = [
     "fourier_closed_form_table",
     "fourier_via_recursion",
 ]
-
-# natural-log scale beyond which the power of two in the closed form is
-# declared out of double range
-_LOG_SCALE_LIMIT = 700.0
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -76,7 +72,7 @@ class FamilyParams:
 
 def tanh_ball_map(x):
     """Map x in R^r to the open unit ball: v_j = tanh(x_j) prod_{k<j} sech(x_k)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "x")
     t = np.tanh(x)
     sech = 1.0 / np.cosh(x)
     prefix = np.ones_like(sech)
@@ -95,7 +91,7 @@ def family_eval(x, params: FamilyParams):
     point is a block of one row, whose Gegenbauer recurrences run on
     Python floats (:func:`family_axis_factor`), and keeps its batch entry's
     bits; it comes back as a scalar."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "x")
     r = params.r
     if x.ndim == 0 or x.shape[-1] != r:
         raise ValueError(f"point must have {r} coordinates on its last axis")
@@ -114,7 +110,7 @@ def _axis_product(params: FamilyParams, *columns):
 def family_eval_peel_last(x, params: FamilyParams):
     """Same value as :func:`family_eval`, built by peeling x_r with the
     shifted parameters (a + n_r/2 + 1/4, mu + n_r + 1/2)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "x")
     r = params.r
     sech2 = 1.0 / np.cosh(x[..., -1]) ** 2
     tail_factor = sech2 ** params.a * gegenbauer(params.n[-1], params.mu, np.tanh(x[..., -1]))
@@ -127,37 +123,29 @@ def family_eval_peel_last(x, params: FamilyParams):
 
 def family_axis_factor(j: int, params: FamilyParams, x):
     """Axis-j factor of the fully separated form of the family: the
-    member's axis-j :func:`_gegenbauer_factor` at t = tanh x with the weight
-    sech^2 x, the factor the Fourier oracle integrates.  :func:`family_eval`
-    is the product of these factors over j = 1..r, in axis order (the
-    peel-first recursion unrolled).
+    member's axis-j :func:`_x_factor` at t = tanh x, the factor the Fourier
+    oracle integrates.  :func:`family_eval` is the product of these factors
+    over j = 1..r, in axis order (the peel-first recursion unrolled).
     """
     r = params.r
     if not 1 <= j <= r:
         raise ValueError("axis index out of range")
     key = _axis_keys(params.n)[j - 1]
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array(x, "x")
     t = np.tanh(x)
     # a single point runs the Gegenbauer recurrence on a Python float; only
     # the sech^2 power stays on its one-entry array, as in a batch, since
     # numpy's power of an array and of a scalar can round apart
-    return _gegenbauer_factor(key, r, params.mu, 1.0 / np.cosh(x) ** 2,
-                              _sech_power(key, r, params.a), t.item() if t.size == 1 else t)
+    return _x_factor(key, r, params.a, params.mu, 1.0 / np.cosh(x) ** 2,
+                     t.item() if t.size == 1 else t)
 
 
-def _sech_power(key, r: int, a: float) -> float:
-    """a + (r - j)/4 + m/2, the power of sech^2 x of the axis key (j, n_j, m)."""
-    j, _, m = key
-    return a + (r - j) / 4.0 + m / 2.0
-
-
-def _gegenbauer_factor(key, r: int, mu: float, weight, power, t):
-    """weight^power * C_{n_j}^{lambda_j}(t) of the axis key (j, n_j, m),
-    lambda_j = mu + m + (r - j)/2: the x-side axis factor of the family and
-    (weight 1 - t^2, power m/2) of the ball basis in nested-radius
-    coordinates."""
+def _x_factor(key, r: int, a: float, mu: float, sech2, t):
+    """The x-side factor sech2^p * C_{n_j}^lambda(t) of the axis key
+    (j, n_j, m) at t = tanh x, sech2 = sech^2 x."""
     j, nj, m = key
-    return weight ** power * gegenbauer(nj, mu + m + (r - j) / 2.0, t)
+    _, p, lam, *_ = _axis_parameters(j, r, m, a, mu)
+    return sech2 ** p * gegenbauer(nj, lam, t)
 
 
 def _axis_tail(j: int, r: int, n) -> int:
@@ -169,37 +157,25 @@ def _axis_tail(j: int, r: int, n) -> int:
     return tail_sum(n, j + 1)
 
 
-def _tail_parameters(j: int, r: int, m: int, a: float, mu: float, z):
-    """(q, arg_plus, arg_minus, s, lower1, lower2) of axis j at tail
-    m = |n^{j+1}|: q = (r - j)/4, the gamma arguments a + (m +- z)/2 + q
-    and the 3F2(-n_j, n_j + s - 1, arg_plus; lower1, lower2; 1) parameters,
-    with s = 2(m + mu + (r - j)/2) + 1 > 0.  None depends on n_j."""
-    q = (r - j) / 4.0
-    arg_plus = a + (m + z) / 2.0 + q
-    arg_minus = a + (m - z) / 2.0 + q
-    s = 2.0 * (m + mu + (r - j) / 2.0) + 1.0
-    lower1 = m + mu + (r - j + 1) / 2.0
-    lower2 = m + 2.0 * a + (r - j) / 2.0
-    return q, arg_plus, arg_minus, s, lower1, lower2
-
-
 def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
     """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
     ``degrees``, from one degree recurrence (:func:`hyp3f2_ladder`):
     ``(arg_plus, arg_minus, values)``.  The parameters s, lower1, lower2
-    and the gamma arguments a + (m +- z)/2 + q depend on (j, m) only, so
-    one ladder serves every member sharing that axis tail.  Theta takes
-    z = i xi; the gamma-pair family takes z = x_j, a = a1 and
-    mu = a1 + a2 - 1/2."""
-    _, arg_plus, arg_minus, s, lower1, lower2 = _tail_parameters(j, r, m, a, mu, z)
+    (:func:`_axis_parameters`) and the gamma arguments a + (m +- z)/2 + q
+    depend on (j, m) only, so one ladder serves every member sharing that
+    axis tail.  Theta takes z = i xi; the gamma-pair family takes z = x_j,
+    a = a1 and mu = a1 + a2 - 1/2."""
+    q, _, _, s, lower1, lower2 = _axis_parameters(j, r, m, a, mu)
+    arg_plus = a + (m + z) / 2.0 + q
+    arg_minus = a + (m - z) / 2.0 + q
     return arg_plus, arg_minus, hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2)
 
 
-def _theta_rows(j: int, r: int, m: int, degrees, a: float, mu: float, xi):
+def _theta_rows(r: int, a: float, mu: float, j: int, m: int, degrees, xi):
     """Theta factors of axis j at tail m for every n_j in ``degrees`` at the
     frequencies ``xi``: one beta factor and one 3F2 ladder."""
     _, _, series = axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
-    beta = beta_conjugate(a + m / 2.0 + (r - j) / 4.0, xi / 2.0)
+    beta = beta_conjugate(_axis_parameters(j, r, m, a, mu)[1], xi / 2.0)
     return [beta * value for value in series]
 
 
@@ -212,9 +188,9 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     so the beta factor is :func:`special.beta_conjugate` with one real part
     for all of ``xi``.
     """
-    xi = np.asarray(xi, dtype=np.float64)
+    xi = _real_array(xi, "xi")
     m = _axis_tail(j, r, params.n)
-    rows = partial(_theta_rows, j, r, m, (params.n[j - 1],), params.a, params.mu)
+    rows = partial(_theta_rows, r, params.a, params.mu, j, m, (params.n[j - 1],))
     # a 0-d xi reaches the rows as a Python float, a batch per block
     return _blockwise(rows, xi)[0]
 
@@ -222,11 +198,10 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
 def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
     """The same theta factor written through a continuous Hahn polynomial
     evaluated at xi/2.  Must agree with :func:`theta_factor`."""
-    xi = np.asarray(xi, dtype=np.float64)
+    xi = _real_array(xi, "xi")
     m = _axis_tail(j, r, params.n)
-    q, _, _, _, lower1, lower2 = _tail_parameters(j, r, m, params.a, params.mu, 1j * xi)
+    q, big_a, _, _, lower1, lower2 = _axis_parameters(j, r, m, params.a, params.mu)
     nj = params.n[j - 1]
-    big_a = params.a + m / 2.0 + q
     big_b = params.mu - params.a + (m + 1.0) / 2.0 + q
     prefactor = math.factorial(nj) / ((1j ** nj)
                                       * pochhammer(complex(lower1), nj)
@@ -242,52 +217,29 @@ def _axis_keys(n) -> list[tuple[int, int, int]]:
     return [(j, n[j - 1], tail_sum(n, j + 1)) for j in range(1, len(n) + 1)]
 
 
-def _pochhammer_ratio(key, r: int, mu: float) -> float:
-    """(2(m + mu + (r - j)/2))_{n_j} / n_j! of the axis key (j, n_j, m)."""
-    j, nj, m = key
-    return pochhammer(2.0 * (m + mu + (r - j) / 2.0), nj) / math.factorial(nj)
-
-
-def _prefactor(params: FamilyParams, ratios) -> float:
-    """The power of two times the per-axis ``ratios`` (axis order)."""
-    r = params.r
-    n = params.n
-    exponent = 2.0 * r * params.a + r * (r - 5) / 4.0
-    exponent += sum((j + 1) * n[j + 1] for j in range(r - 1))
-    if exponent * math.log(2.0) > _LOG_SCALE_LIMIT:
-        raise OverflowError("closed-form scale exceeds double range")
-    value = 2.0 ** exponent
-    for ratio in ratios:
-        value *= ratio
-    return value
-
-
 def fourier_prefactor(params: FamilyParams) -> float:
     """Constant multiplying the product of theta factors in the closed form:
-    the power of two and the per-axis Pochhammer ratios."""
-    return _prefactor(params, [_pochhammer_ratio(key, params.r, params.mu)
-                               for key in _axis_keys(params.n)])
+    the power of two, refused from 2^1024 on, times the per-axis Pochhammer
+    ratios (2 lambda_j)_{n_j} / n_j! in axis order."""
+    r, a, mu, n = params.r, params.a, params.mu, params.n
+    exponent = 2.0 * r * a + r * (r - 5) / 4.0
+    exponent += sum((j + 1) * n[j + 1] for j in range(r - 1))
+    if exponent >= sys.float_info.max_exp:
+        raise OverflowError("closed-form scale exceeds double range")
+    value = 2.0 ** exponent
+    m = sum(n)
+    for j, nj in enumerate(n, start=1):
+        m -= nj  # the tail |n^{j+1}|
+        value *= pochhammer(2.0 * _axis_lambda(j, r, m, mu), nj) / math.factorial(nj)
+    return value
 
 
 def _frequency_vectors(xi, r: int) -> np.ndarray:
     """``xi`` as a float array of length-r frequency vectors, shape (..., r)."""
-    xi = np.asarray(xi, dtype=np.float64)
+    xi = _real_array(xi, "xi")
     if xi.ndim == 0 or xi.shape[-1] != r:
         raise ValueError(f"frequency vectors must have length {r} on the last axis")
     return xi
-
-
-def _axis_product_table(member_keys, shape, heads, factors):
-    """Rows head * f_1 * ... * f_r of shape ``shape``, one per entry of
-    ``member_keys`` (each member's :func:`_axis_keys`), from ``factors``,
-    one per distinct axis key.  Each row multiplies in axis order, as a
-    one-member table does, so batching changes no bit."""
-    out = np.empty((len(member_keys),) + shape, dtype=np.complex128)
-    for p, (value, keys) in enumerate(zip(heads, member_keys)):
-        for key in keys:
-            value = value * factors[key]
-        out[p] = value
-    return out
 
 
 def _axis_table(member_keys, tail_rows) -> dict:
@@ -307,33 +259,44 @@ def _axis_table(member_keys, tail_rows) -> dict:
     return factors
 
 
-def _closed_form_table(members, xi):
-    """Closed form of each member of ``members`` (parameters sharing a, mu
-    and r) at the frequency vectors ``xi``, shape (len(members),) +
-    xi.shape[:-1].  Per axis tail one beta factor and one 3F2 ladder give
-    the theta rows on the distinct entries of the column xi[..., j - 1]
-    (a single vector stays 0-d); the Pochhammer ratios are per axis key."""
-    r, a, mu = members[0].r, members[0].a, members[0].mu
+def _frequency_table(members, xi, tail_rows, head):
+    """Rows head(params) * f_1 * ... * f_r of ``members`` (sharing r) at
+    the frequency vectors ``xi``, shape (len(members),) + xi.shape[:-1].
+    ``tail_rows(j, m, degrees, column)`` gives the factors of the tail
+    (j, m) on the distinct entries of xi[..., j - 1], or on a single
+    vector's entry as a Python float.  Each row multiplies in axis order,
+    as a one-member table does, so batching changes no bit."""
+    r = members[0].r
     xi = _frequency_vectors(xi, r)
-    member_keys = [_axis_keys(params.n) for params in members]
     shape = xi.shape[:-1]
     if shape:
         columns = [np.unique(xi[..., j].reshape(-1), return_inverse=True) for j in range(r)]
+
+        def rows(j, m, degrees):
+            distinct, inverse = columns[j - 1]
+            return [row[inverse].reshape(shape) for row in tail_rows(j, m, degrees, distinct)]
     else:
         point = xi.tolist()
 
-    def theta_rows(j, m, degrees):
-        if not shape:
-            return _theta_rows(j, r, m, degrees, a, mu, point[j - 1])
-        distinct, inverse = columns[j - 1]
-        return [row[inverse].reshape(shape)
-                for row in _theta_rows(j, r, m, degrees, a, mu, distinct)]
+        def rows(j, m, degrees):
+            return tail_rows(j, m, degrees, point[j - 1])
 
-    factors = _axis_table(member_keys, theta_rows)
-    ratios = {key: _pochhammer_ratio(key, r, mu) for key in factors}
-    heads = [complex(_prefactor(params, [ratios[key] for key in keys]))
-             for params, keys in zip(members, member_keys)]
-    return _axis_product_table(member_keys, shape, heads, factors)
+    member_keys = [_axis_keys(params.n) for params in members]
+    factors = _axis_table(member_keys, rows)
+    out = np.empty((len(members),) + shape, dtype=np.complex128)
+    for p, (params, keys) in enumerate(zip(members, member_keys)):
+        value = head(params)
+        for key in keys:
+            value = value * factors[key]
+        out[p] = value
+    return out
+
+
+def _closed_form_table(members, xi):
+    """Closed form of ``members`` (sharing a, mu and r) at ``xi``: the
+    frequency table of the theta rows, headed by :func:`fourier_prefactor`."""
+    rows = partial(_theta_rows, members[0].r, members[0].a, members[0].mu)
+    return _frequency_table(members, xi, rows, lambda params: complex(fourier_prefactor(params)))
 
 
 def fourier_closed_form(params: FamilyParams, xi):
@@ -382,7 +345,7 @@ def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") ->
     (a + n_r/2 + 1/4, mu + n_r + 1/2).  Base case r = 1 is the sech-power
     Gegenbauer transform.
     """
-    xi = np.asarray(xi, dtype=np.float64)
+    xi = _real_array(xi, "xi")
     r = params.r
     if xi.shape != (r,):
         raise ValueError(f"frequency vector must have length {r}")

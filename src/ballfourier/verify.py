@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from . import quadrature as quad
-from .ball import (_polynomial_value, ball_basis_eval, ball_norm, ball_operator_residual,
-                   ball_polynomial, tail_sum)
+from .ball import (_axis_parameters, _polynomial_value, ball_basis_eval, ball_norm,
+                   ball_operator_residual, ball_polynomial, tail_sum)
 from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
 from .special import beta_conjugate, gamma
@@ -349,7 +349,7 @@ def _transform_pair_constant(params: FamilyParams) -> float:
     value = fourier_prefactor(params)
     r = params.r
     for j in range(1, r + 1):
-        value /= gamma(2.0 * params.a + tail_sum(params.n, j + 1) + (r - j) / 2.0)
+        value /= gamma(_axis_parameters(j, r, tail_sum(params.n, j + 1), params.a, params.mu)[5])
     return float(value)
 
 

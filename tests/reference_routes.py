@@ -14,7 +14,7 @@ import numpy as np
 from ballfourier import FamilyParams, continuous_hahn, gamma, gegenbauer, pochhammer, tail_sum
 from ballfourier.classical import _check_degree, _check_gegenbauer_lambda
 from ballfourier.hypergeometric import _terminating_sum
-from ballfourier.tanh_family import _axis_tail, _tail_parameters
+from ballfourier.tanh_family import _axis_tail
 
 
 def gegenbauer_series(n: int, lam: float, x):
@@ -55,11 +55,17 @@ def family_eval_peel_first(x, params: FamilyParams):
 
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):
     """Axis-j factor of the gamma-pair family in continuous-Hahn form; must
-    equal :func:`ballfourier.dfamily.d_axis_factor`."""
+    equal :func:`ballfourier.dfamily.d_axis_factor`.  Its parameters are
+    written out from the paper's formulas, with mu = a1 + a2 - 1/2:
+    q = (r - j)/4, the gamma arguments a1 + (m +- x_j)/2 + q and the
+    Pochhammer bases m + mu + (r - j + 1)/2 and 2 a1 + m + (r - j)/2."""
     nj = n[j - 1]
     m = _axis_tail(j, r, n)
-    q, gplus, gminus, _, lower1, lower2 = _tail_parameters(j, r, m, a1, a1 + a2 - 0.5,
-                                                           np.asarray(x_j))
+    q = (r - j) / 4.0
+    gplus = a1 + (m + np.asarray(x_j)) / 2.0 + q
+    gminus = a1 + (m - np.asarray(x_j)) / 2.0 + q
+    lower1 = m + a1 + a2 - 0.5 + (r - j + 1) / 2.0
+    lower2 = 2.0 * a1 + m + (r - j) / 2.0
     big_a1 = a1 + m / 2.0 + q
     big_a2 = a2 + m / 2.0 + q
     prefactor = (math.factorial(nj) * (1j ** (-nj))

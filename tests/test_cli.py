@@ -107,6 +107,14 @@ class TestFourier:
         assert code == 0
         assert json.loads(out)["rel_error"] <= 1e-6
 
+    def test_scale_up_to_the_double_range(self, capsys):
+        # the power of two 2^(2a - 1) is finite at a = 512, not at a = 513
+        args = ["fourier", "--n", "0", "--mu", "0.5", "--xi", "0"]
+        code, out = run_cli(args + ["--a", "512"], capsys)
+        assert code == 0
+        assert json.loads(out)["closed_re"] == pytest.approx(0.07835125996989818, rel=1e-11)
+        assert run_cli(args + ["--a", "513"], capsys)[0] == 2
+
     def test_missing_xi_exits_2(self, capsys):
         code, _ = run_cli(["fourier", "--r", "1", "--n", "0", "--a", "0.5",
                            "--mu", "0.5"], capsys)

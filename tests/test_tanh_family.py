@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
                          fourier_via_recursion, gegenbauer, hyp3f2_unit,
                          pochhammer, tail_sum, tanh_ball_map, theta_factor,
                          theta_factor_hahn)
+from ballfourier.ball import _axis_parameters
 from ballfourier.special import beta_conjugate
-from ballfourier.tanh_family import (_tail_parameters, axis_ladder, family_axis_factor,
+from ballfourier.quadrature import fourier_numeric
+from ballfourier.tanh_family import (axis_ladder, family_axis_factor, fourier_closed_form_table,
                                      fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
@@ -155,6 +158,26 @@ class TestFamilyEval:
             assert rel_err(product, family_eval(x, params)) <= 1e-12
 
 
+class TestAxisParameters:
+    # every field of the one per-axis map, exactly: at dyadic (a, mu) each
+    # formula is exact in double, so the floats must equal the rationals
+    @pytest.mark.parametrize("a, mu", [(0.25, 0.5), (0.5, -0.375), (1.125, 2.75),
+                                       (3.0, 0.0625)])
+    def test_each_field_is_the_papers_formula(self, a, mu):
+        fa, fmu = Fraction(a), Fraction(mu)
+        for r in range(1, 6):
+            for j in range(1, r + 1):
+                for m in range(13):
+                    q, p, lam, s, lower1, lower2 = map(Fraction,
+                                                       _axis_parameters(j, r, m, a, mu))
+                    assert q == Fraction(r - j, 4)
+                    assert p == fa + Fraction(m, 2) + Fraction(r - j, 4)
+                    assert lam == fmu + m + Fraction(r - j, 2)
+                    assert s == 2 * lam + 1
+                    assert lower1 == lam + Fraction(1, 2)
+                    assert lower2 == 2 * fa + m + Fraction(r - j, 2)
+
+
 class TestAxisSeries:
     # the per-axis 3F2 of one member: the one-degree case of axis_ladder
     def test_matches_the_spec_route(self, rng):
@@ -171,7 +194,8 @@ class TestAxisSeries:
             z = 1j * float(rng.uniform(-3, 3))
             m, nj = tail_sum(params.n, j + 1), params.n[j - 1]
             ap, am, (value,) = axis_ladder(j, r, m, params.a, params.mu, z, (nj,))
-            _, ap2, am2, s, lower1, lower2 = _tail_parameters(j, r, m, params.a, params.mu, z)
+            q, _, _, s, lower1, lower2 = _axis_parameters(j, r, m, params.a, params.mu)
+            ap2, am2 = params.a + (m + z) / 2.0 + q, params.a + (m - z) / 2.0 + q
             upper2 = nj + 2.0 * (m + params.mu + (r - j) / 2.0)
             spec = HypergeometricSpec((-float(nj), upper2, ap2), (lower1, lower2), 1.0, nj)
             assert (ap, am) == (ap2, am2)
@@ -353,6 +377,17 @@ class TestFourierClosedForm:
         with pytest.raises(OverflowError):
             fourier_prefactor(params)
 
+    def test_scale_up_to_the_double_range(self):
+        # the power of two is 2^(2a - 1) at r = 1, finite up to a = 512;
+        # the transform at 0 is the integral of sech^(2a), B(a, 1/2)
+        mp = pytest.importorskip("mpmath")
+        value = fourier_closed_form(FamilyParams(512.0, 0.5, (0,)), [0.0])
+        with mp.workdps(30):
+            exact = float(mp.beta(512, mp.mpf(1) / 2))
+        assert rel_err(value, exact) <= 1e-11
+        with pytest.raises(OverflowError):
+            fourier_prefactor(FamilyParams(513.0, 0.5, (0,)))
+
     def test_frequency_length_checked(self):
         params = FamilyParams(1.0, 0.5, (1, 0))
         with pytest.raises(ValueError):
@@ -444,3 +479,39 @@ class TestLargeFrequencies:
                 assert got != 0
                 worst = max(worst, rel_err(got, _mp_fourier(n, a, mu, xi)))
         assert worst <= 1e-12
+
+
+# the real-argument routes, each with the name of its real argument, called
+# on one value z at n = (2,), (a, mu) = (1/2, 1/2)
+_DEGREE_TWO = FamilyParams(0.5, 0.5, (2,))
+_REAL_ROUTES = {
+    "fourier_closed_form": (lambda z: fourier_closed_form(_DEGREE_TWO, [z]), "xi"),
+    "fourier_closed_form_table": (lambda z: fourier_closed_form_table([(2,)], 0.5, 0.5, [[z]]),
+                                  "xi"),
+    "fourier_numeric separated": (lambda z: fourier_numeric(_DEGREE_TWO, [z]), "xi"),
+    "fourier_numeric tensor": (lambda z: fourier_numeric(_DEGREE_TWO, [z], mode="tensor"), "xi"),
+    "fourier_via_recursion": (lambda z: fourier_via_recursion(_DEGREE_TWO, [z]), "xi"),
+    "theta_factor array": (lambda z: theta_factor(1, 1, _DEGREE_TWO, np.array([z])), "xi"),
+    "theta_factor number": (lambda z: theta_factor(1, 1, _DEGREE_TWO, z), "xi"),
+    "theta_factor_hahn": (lambda z: theta_factor_hahn(1, 1, _DEGREE_TWO, z), "xi"),
+    "family_eval": (lambda z: family_eval([z], _DEGREE_TWO), "x"),
+    "family_eval_peel_last": (lambda z: family_eval_peel_last(np.array([z]), _DEGREE_TWO), "x"),
+    "family_axis_factor": (lambda z: family_axis_factor(1, _DEGREE_TWO, z), "x"),
+    "ball_basis_eval": (lambda z: ball_basis_eval((2,), 0.5, [z / 4.0]), "x"),
+    "tanh_ball_map": (lambda z: tanh_ball_map([z]), "x"),
+}
+
+
+class TestRealInput:
+    # a real-argument route refuses complex input instead of dropping its
+    # imaginary part
+    @pytest.mark.parametrize("route", _REAL_ROUTES)
+    def test_complex_input_is_refused(self, route):
+        call, name = _REAL_ROUTES[route]
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call(1.0 + 2.0j)
+        # a complex dtype is refused even with a zero imaginary part
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call(np.complex128(1.0))
+        assert np.all(np.isfinite(call(1.0)))
+

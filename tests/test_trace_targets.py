@@ -5,7 +5,9 @@ namespace that holds them and raises ``TraceTargetMissing`` when a name is
 gone.  Here it is loaded from its source (read only, no bytecode written),
 installed on the package and uninstalled again, so that a rename or a
 deletion in the library fails tier-1 rather than only a traced benchmark
-run (``perfbench/run.py --trace 1``).
+run (``perfbench/run.py --trace 1``).  A traced verify-all pass must also
+reach every wrapped span but a listed few, so that work moved off a
+wrapped name onto a private one fails here instead of reading as zero.
 """
 
 import types
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ballfourier import verify
+from ballfourier import cli, verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -97,3 +99,33 @@ def test_single_value_calls_keep_their_spans():
         seen[kind] = {name: (span["calls"], span.get("points"))
                       for name, span in summary.items() if span["calls"]}
     assert seen == _SCALAR_SPANS
+
+
+# spans a traced verify-all pass leaves at zero calls, because the suites
+# reach their work through other names: the one-axis factors come from the
+# keyed axis tables, the pairwise integrals from the Gram routes, the 3F2
+# from its degree ladder, and no suite runs the spec diagnostics
+_VERIFY_ALL_ZERO = {
+    "hypergeometric.terminating_sum", "hypergeometric.pfq_diagnostics",
+    "tanh_family.theta_factor", "tanh_family.family_axis_factor", "dfamily.d_axis_factor",
+    "quadrature.ball_inner_product_numeric", "quadrature.d_biorthogonality_integral",
+    "quadrature.hahn_orthogonality_integral",
+}
+
+
+def test_verify_all_reaches_every_other_span(capsys):
+    tracer = _tracer_module()
+    spans = tracer.Tracer()
+    try:
+        spans.install("ballfourier")
+        assert cli.main(["verify", "--suite", "all", "--r-max", "3"]) == 0
+    finally:
+        spans.uninstall()
+    capsys.readouterr()
+    summary = spans.summary(0.0)["spans"]
+    assert {name for name, span in summary.items() if not span["calls"]} == _VERIFY_ALL_ZERO
+    # a span that is called counts its points (or terms) as well
+    uncounted = {(name, quantity) for name, span in summary.items() if span["calls"]
+                 for quantity, count in span.items()
+                 if quantity not in ("calls", "total_s", "self_s") and not count}
+    assert uncounted == set()
