@@ -11,17 +11,18 @@ These engines are the ground truth the closed forms are checked against:
   Gauss-Jacobi rules that absorb the weight exactly; in those coordinates a
   product of two basis polynomials is a product of one-variable factors
   (1 - t_j^2)^((|n^{j+1}| + |m^{j+1}|)/2) C_{n_j}(t_j) C_{m_j}(t_j), so the
-  tensor sum is evaluated one axis at a time, with the dense grid through
-  the ball basis retained as a small-r cross-check (``mode="tensor"``);
-  the default 32-node rule is exact up to |n| + |m| = 63
-  (:func:`ball_default_spec`);
+  tensor sum is evaluated one axis at a time; the default 32-node rule is
+  exact up to |n| + |m| = 63 (:func:`ball_default_spec`);
 * Fourier integrals are tensor-product quadratures; because every family
-  member separates across axes, the tensor sum is normally evaluated in
-  factored per-axis form (one reduction per axis for a whole set of
-  frequencies), with a dense tensor mode through the peel-last recursion
-  as the independent cross-check; the axis-j integral depends on the
-  member only through its axis key (j, n_j, |n^{j+1}|), so a table over
-  many multi-indices (:func:`fourier_numeric_table`) computes it once per key.
+  member separates across axes, the tensor sum is evaluated in factored
+  per-axis form (one reduction per axis for a whole set of frequencies);
+  the axis-j integral depends on the member only through its axis key
+  (j, n_j, |n^{j+1}|), so a table over many multi-indices
+  (:func:`fourier_numeric_table`) computes it once per key.
+
+Each oracle route has one path, the separated sum.  The dense tensor sums
+of the same rules (ball, Fourier, D family), through the evaluators these
+integrals referee, are cross-checks that live with the tests.
 
 Tables that depend only on the rule are built once per process.  The rules
 themselves are cached by their parameters; they are the only state kept
@@ -36,10 +37,7 @@ weight once and its polynomials from one 3F2 ladder.  One kernel,
 node sum of a weighted row factor against a column factor.  Every entry
 of the Hahn and D matrices, and every upper-triangle entry of the ball
 matrix (its lower triangle is the mirror), is bit-identical to the
-pairwise call on the same rule.  The dense tensor cross-checks (ball,
-Fourier, D family) are one sum, :func:`_tensor_sum`, which holds one slab
-of at most 2^15 grid points at a time; its cap of 8e6 points bounds their
-time, not their memory.
+pairwise call on the same rule.
 
 Accumulation uses numpy's fixed pairwise reductions, so identical inputs
 produce bit-identical results regardless of scheduling.
@@ -50,19 +48,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import _axis_lambda, _check_mu, _index_list, ball_basis_eval
+from .ball import _axis_lambda, _check_mu, _index_list
 from .classical import continuous_hahn_rows, gegenbauer
-from .dfamily import DParams, d_axis_rows, d_family_eval
+from .dfamily import DParams, d_axis_rows
 from .errors import NonFiniteIntegrandError
 from .special import log_gamma
 from .tanh_family import (FamilyParams, _axis_keys, _axis_table, _frequency_table,
-                          _frequency_vectors, _theta_rows, _x_factor, family_eval_peel_last,
-                          fourier_prefactor)
+                          _frequency_vectors, _theta_rows, _x_factor, fourier_prefactor)
 
 __all__ = [
     "QuadratureSpec",
@@ -243,12 +240,8 @@ def _line_rule(spec: QuadratureSpec):
 
 
 # ---------------------------------------------------------------------------
-# Pairing kernel and the dense tensor sum
+# Pairing kernel
 # ---------------------------------------------------------------------------
-
-# one slab at a time, so the grid cap bounds a dense sum's time, not its memory
-_TENSOR_GRID_LIMIT, _SLAB_POINTS = 8_000_000, 1 << 15
-
 
 def _pairing(keys_n, keys_m, rows, cols, head=1.0):
     """``head`` times, axis by axis, the node sum of rows[key_n] *
@@ -259,37 +252,6 @@ def _pairing(keys_n, keys_m, rows, cols, head=1.0):
     for key_n, key_m in zip(keys_n, keys_m):
         value = value * np.sum(rows[key_n] * cols[key_m])
     return value
-
-
-def _tensor_sum(rules, integrand):
-    """The dense sum of every ``tensor`` mode: entry [k, m] of the (K, M)
-    result sums, over the grid of the per-axis ``rules`` (nodes, weights:
-    K rows, or one), value row m of ``integrand`` times the product of the
-    points' axis weights of row k.  A slab fixes a node on each axis before
-    axis c, the first one followed by at most 2^15 grid points, and takes a
-    run of nodes of axis c with the grid of the later axes; integrand(points)
-    gets its points, (P, r) in C order.  More than 8e6 points are refused
-    before any is formed; a non-finite value raises NonFiniteIntegrandError.
-    Order: slab by slab in C order, entry [k, m] adds np.sum(values_m *
-    weight_k), weight_k the slab's weights of row k multiplied in axis order."""
-    nodes, weights = zip(*((x, np.atleast_2d(w)) for x, w in rules))
-    sizes = [len(x) for x in nodes]
-    if math.prod(sizes) > _TENSOR_GRID_LIMIT:
-        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
-    c = next(j for j in range(len(sizes)) if math.prod(sizes[j + 1:]) <= _SLAB_POINTS)
-    run = max(1, _SLAB_POINTS // math.prod(sizes[c + 1:]))
-    total = 0
-    for *fixed, part in np.ndindex(*sizes[:c], -(-sizes[c] // run)):
-        cut = [slice(i, i + 1) for i in fixed] + [slice(part * run, (part + 1) * run)]
-        cut += [slice(None)] * (len(sizes) - c - 1)
-        grid = np.meshgrid(*(x[s] for x, s in zip(nodes, cut)), indexing="ij", copy=False)
-        points = np.stack(grid).reshape(len(sizes), -1).T  # contiguous columns
-        rows = [[w[k, s] for w, s in zip(weights, cut)] for k in range(len(weights[0]))]
-        total = total + np.array([[np.sum(values * reduce(np.multiply.outer, row).ravel())
-                                   for row in rows] for values in integrand(points)]).T
-    if not np.all(np.isfinite(total)):
-        raise NonFiniteIntegrandError("dense tensor integrand produced non-finite values")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +289,20 @@ def _separated_table(members, xi, spec: QuadratureSpec | None):
     return table.reshape((len(members),) + xi.shape[:-1])
 
 
-def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None,
-                    mode: str = "separated"):
+def fourier_numeric(params: FamilyParams, xi, spec: QuadratureSpec | None = None):
     """Numerical Fourier transform of a family member (kernel exp(-i xi.x))
     on the line rule of ``spec``, by default :class:`QuadratureSpec`;
     :func:`tanh_default_spec` is the whole-line rule, at rounding level
     past the default's degree range.
 
     ``xi`` has shape (..., r): one length-r frequency vector gives a complex
-    scalar, a batch of them an array of shape ``xi.shape[:-1]``.  Modes:
-
-    * ``separated`` (default): the tensor-product quadrature sum evaluated in
-      factored per-axis form — exact reordering of the same sum, at per-axis
-      cost; each axis is integrated once on its distinct frequencies.  It is
-      the one-member case of :func:`fourier_numeric_table`.
-    * ``tensor``: dense tensor-product sum of the peel-last recursion
-      :func:`family_eval_peel_last`, not of the axis factors the separated
-      mode sums (or of :func:`family_eval`, their product); the modes agree
-      to rounding on one rule, and the tensor mode is the independent check.
+    scalar, a batch of them an array of shape ``xi.shape[:-1]``.  The
+    tensor-product quadrature sum is evaluated in factored per-axis form,
+    an exact reordering of the same sum at per-axis cost; each axis is
+    integrated once on its distinct frequencies.  It is the one-member case
+    of :func:`fourier_numeric_table`.
     """
-    if mode == "separated":
-        out = _separated_table([params], xi, spec)[0]
-    elif mode == "tensor":
-        r = params.r
-        xi = _frequency_vectors(xi, r)
-        x, w = _line_rule(spec or QuadratureSpec())[:2]
-        # weight rows w exp(-i xi_j x), one per frequency vector; complex even if none
-        rules = [(x, w * np.exp(-1j * np.multiply.outer(xi_j, x))) for xi_j in xi.reshape(-1, r).T]
-        out = _tensor_sum(rules, lambda points: (family_eval_peel_last(points, params),))
-        out = out[:, 0].astype(np.complex128).reshape(xi.shape[:-1])
-    else:
-        raise ValueError("mode must be 'separated' or 'tensor'")
+    out = _separated_table([params], xi, spec)[0]
     return complex(out) if out.ndim == 0 else out
 
 
@@ -366,7 +311,7 @@ def fourier_numeric_table(indices, a: float, mu: float, xi,
     """Numerical transforms of the members ``indices`` (multi-indices of one
     length r) with parameters (a, mu) at the frequency vectors ``xi`` of
     shape (..., r), on the line rule of ``spec``: an array of shape
-    (len(indices),) + xi.shape[:-1] whose row p is the separated
+    (len(indices),) + xi.shape[:-1] whose row p is
     :func:`fourier_numeric` of indices[p], bit for bit.  Each axis integral
     is computed once per distinct axis key (j, n_j, |n^{j+1}|), so the cost
     grows with the number of keys, not with the number of indices."""
@@ -378,28 +323,17 @@ def fourier_numeric_table(indices, a: float, mu: float, xi,
 # Ball inner products
 # ---------------------------------------------------------------------------
 
-def _ball_rules(r: int, mu: float, nodes: int):
-    """Per-axis rules of the nested-radius parameterization of the ball.
+def _ball_rules(indices, pairs, mu: float, spec: QuadratureSpec | None):
+    """Per-axis rules of the ball integrals of indices[p] * indices[q], (p, q)
+    in ``pairs``, in the nested-radius parameterization, at a checked mu.
 
     Axis j carries the Gauss-Jacobi rule with exponent mu - 1/2 + (r - j)/2,
     so the measure, weight and radius Jacobians are absorbed exactly; what is
-    left of the integrand is polynomial and integrates exactly.
+    left of the integrand is polynomial and integrates exactly.  The default
+    rule is exact up to pair degree 63; beyond it a ``spec`` must be passed.
+    A whole-line ``spec`` or one of more than 512 nodes per axis is refused
+    before any rule is built.
     """
-    return [_jacgauss_cached(nodes, mu - 0.5 + (r - j) / 2.0, mu - 0.5 + (r - j) / 2.0)
-            for j in range(1, r + 1)]
-
-
-def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None, mode: str):
-    """Ball integrals of indices[p] * indices[q] for each (p, q) in ``pairs``
-    on one Gauss-Jacobi rule per axis.  ``separated`` pairs the factors
-    (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j), each axis key's once;
-    ``tensor`` is the :func:`_tensor_sum` of the basis values on the same
-    rules.  The default rule is exact up to pair degree 63; beyond it a
-    ``spec`` must be passed.  A whole-line ``spec`` or one of more than 512
-    nodes per axis is refused before any rule is built."""
-    if mode not in ("separated", "tensor"):
-        raise ValueError("mode must be 'separated' or 'tensor'")
-    mu = _check_mu(mu)
     r = len(indices[0])
     if spec is None:
         spec = ball_default_spec(r)
@@ -411,16 +345,18 @@ def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None, mode:
         raise ValueError("the whole-line rule is a rule on R, not a ball rule")
     elif spec.nodes_per_axis > _BALL_MAX_NODES:
         raise ValueError(f"a ball rule takes at most {_BALL_MAX_NODES} nodes per axis")
-    rules = _ball_rules(r, mu, spec.nodes_per_axis)
-    if mode == "tensor":
-        def integrand(t):
-            # x_j = t_j * prod_{k<j} sqrt(1 - t_k^2)
-            radii = np.cumprod(np.sqrt(np.maximum(1.0 - t[:, :-1] ** 2, 0.0)), axis=1)
-            x = t * np.hstack([np.ones((len(t), 1)), radii])
-            basis = {ix: ball_basis_eval(ix, mu, x) for ix in dict.fromkeys(indices)}
-            return (basis[indices[p]] * basis[indices[q]] for p, q in pairs)
+    return [_jacgauss_cached(spec.nodes_per_axis, mu - 0.5 + (r - j) / 2.0,
+                             mu - 0.5 + (r - j) / 2.0) for j in range(1, r + 1)]
 
-        return _tensor_sum(rules, integrand)[0]
+
+def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None):
+    """Ball integrals of indices[p] * indices[q] for each (p, q) in ``pairs``
+    on one Gauss-Jacobi rule per axis (:func:`_ball_rules`): the pairing of
+    the factors (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j), each axis
+    key's once."""
+    mu = _check_mu(mu)
+    r = len(indices[0])
+    rules = _ball_rules(indices, pairs, mu, spec)
 
     def ball_rows(j, m, degrees):
         t = rules[j - 1][0]
@@ -434,26 +370,21 @@ def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None, mode:
     return np.array([_pairing(keys[p], keys[q], rows, cols) for p, q in pairs])
 
 
-def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None,
-                               mode: str = "separated") -> float:
-    """Weighted ball inner product of two basis polynomials by quadrature.
-
-    ``separated`` (default) sums the per-axis factors of the integrand on
-    the per-axis Gauss-Jacobi rules, at per-axis cost; ``tensor`` sums the
-    same rule as a dense grid of nodes^r <= 8e6 points through
-    :func:`ball_basis_eval`, one slab at a time, as an independent check.
-    """
-    return float(_ball_pairings(_index_list([n, m]), [(0, 1)], mu, spec, mode)[0])
+def ball_inner_product_numeric(n, m, mu: float, spec: QuadratureSpec | None = None) -> float:
+    """Weighted ball inner product of two basis polynomials by quadrature:
+    the per-axis factors of the integrand summed on the per-axis
+    Gauss-Jacobi rules, at per-axis cost."""
+    return float(_ball_pairings(_index_list([n, m]), [(0, 1)], mu, spec)[0])
 
 
-def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None,
-                     mode: str = "separated") -> np.ndarray:
-    """Gram matrix of several basis polynomials on one shared rule (modes
-    as in :func:`ball_inner_product_numeric`)."""
+def ball_gram_matrix(indices, mu: float, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Gram matrix of several basis polynomials on one shared rule: each
+    upper-triangle entry is :func:`ball_inner_product_numeric` of its pair,
+    bit for bit, and the lower triangle is its mirror."""
     indices = _index_list(indices)
     upper = np.triu_indices(len(indices))
     gram = np.empty((len(indices), len(indices)))
-    gram[upper] = _ball_pairings(indices, list(zip(*upper)), mu, spec, mode)
+    gram[upper] = _ball_pairings(indices, list(zip(*upper)), mu, spec)
     gram.T[upper] = gram[upper]
     return gram
 
@@ -537,29 +468,19 @@ def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
 
 
 def d_biorthogonality_integral(n, m, a1: float, a2: float,
-                               spec: QuadratureSpec | None = None,
-                               mode: str = "separated") -> complex:
+                               spec: QuadratureSpec | None = None) -> complex:
     """Pairing integral of the gamma-pair family member indexed by ``n`` at
     +ix (parameters a1, a2) against the member indexed by ``m`` at -ix with
-    parameters swapped, over R^r.  ``separated`` (default) is the one-entry
-    case of :func:`d_biorthogonality_gram`; ``tensor`` sums the same rule
-    as a dense grid through :func:`d_family_eval`, as an independent check."""
+    parameters swapped, over R^r, summed one axis at a time: the one-entry
+    case of :func:`d_biorthogonality_gram`."""
     n, m = _index_list([n, m])
-    if mode == "separated":
-        return complex(_d_pairings([n], [m], a1, a2, spec)[0, 0])
-    if mode != "tensor":
-        raise ValueError("mode must be 'separated' or 'tensor'")
-    if spec is None:
-        spec = d_pair_spec(a1, a2)
-    f, g = DParams(a1, a2, n), DParams(a2, a1, m)
-    return complex(_tensor_sum([_line_rule(spec)[:2]] * len(n), lambda points: (
-        d_family_eval(1j * points, f) * d_family_eval(-1j * points, g),))[0, 0])
+    return complex(_d_pairings([n], [m], a1, a2, spec)[0, 0])
 
 
 def d_biorthogonality_gram(indices, a1: float, a2: float,
                            spec: QuadratureSpec | None = None) -> np.ndarray:
     """Matrix of the pairings of the members ``indices`` on one rule: entry
-    [p, q] is the separated :func:`d_biorthogonality_integral` of
+    [p, q] is :func:`d_biorthogonality_integral` of
     indices[p] against indices[q], bit for bit.  The pairing is not
     symmetric, so every entry is summed."""
     indices = _index_list(indices)

@@ -10,6 +10,10 @@ factor of the library (theta, the oracle's integrands, the ball basis in
 nested-radius coordinates, the gamma-pair family) depends on the member
 only through its axis key (j, n_j, |n^{j+1}|), and its parameters only
 through the axis tail (j, |n^{j+1}|), all from :func:`ball._axis_parameters`.
+The family itself is evaluated one way, :func:`family_eval`, the product of
+those axis factors.  Its recursive evaluations, which peel off x_1 or x_r,
+are cross-checks kept with the tests; the x_r one is the integrand of the
+tests' dense Fourier grid.
 :func:`_axis_table` is the one place where keys are grouped by tail.
 :func:`axis_ladder` runs one 3F2 degree ladder per tail for every n_j, and
 :func:`_x_factor` is the keyed x-side factor.  :func:`_frequency_table`
@@ -39,7 +43,6 @@ __all__ = [
     "FamilyParams",
     "tanh_ball_map",
     "family_eval",
-    "family_eval_peel_last",
     "family_axis_factor",
     "theta_factor",
     "theta_factor_hahn",
@@ -105,20 +108,6 @@ def _axis_product(params: FamilyParams, *columns):
     for j in range(2, params.r + 1):
         value *= family_axis_factor(j, params, columns[j - 1])
     return (value,)
-
-
-def family_eval_peel_last(x, params: FamilyParams):
-    """Same value as :func:`family_eval`, built by peeling x_r with the
-    shifted parameters (a + n_r/2 + 1/4, mu + n_r + 1/2)."""
-    x = _real_array(x, "x")
-    r = params.r
-    sech2 = 1.0 / np.cosh(x[..., -1]) ** 2
-    tail_factor = sech2 ** params.a * gegenbauer(params.n[-1], params.mu, np.tanh(x[..., -1]))
-    if r == 1:
-        return tail_factor
-    nr = params.n[-1]
-    rest = FamilyParams(params.a + nr / 2.0 + 0.25, params.mu + nr + 0.5, params.n[:-1])
-    return tail_factor * family_eval_peel_last(x[..., :-1], rest)
 
 
 def family_axis_factor(j: int, params: FamilyParams, x):

@@ -231,7 +231,7 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     peak of axis j is max over k <= n_j of |F_k|, the same 3F2 at the lower
     degrees k with s held fixed: one ladder per axis gives every row."""
     r = params.r
-    scale = float(fourier_prefactor(params))
+    scale = abs(float(fourier_prefactor(params)))
     low_confidence = False
     for j in range(1, r + 1):
         arg_plus, _, values = axis_ladder(
@@ -248,9 +248,11 @@ def fourier_value_scale(params: FamilyParams, xi) -> float:
 
     The series inside each theta factor can sit near a polynomial zero, in
     which case path-equivalence comparisons are meaningful in absolute terms
-    against this scale (prefactor times beta magnitudes times the peak
-    3F2 magnitudes over the lower degrees), not in relative terms against
-    the suppressed value.
+    against this scale (the prefactor's magnitude times the beta magnitudes
+    times the peak 3F2 magnitudes over the lower degrees), not in relative
+    terms against the suppressed value.  It is positive: the prefactor is
+    negative for mu in (-1/2, 0), where a signed scale would turn the
+    absolute floor of a comparison negative.
     """
     return _theta_diagnostics(params, xi)[0]
 

@@ -2,19 +2,31 @@
 
 Each is a second derivation of a quantity the library computes by one
 production route: the Gegenbauer polynomial as its definitional terminating
-2F1, the tanh family by peeling x_1 recursively, and the gamma-pair family
-through continuous Hahn polynomials.  The tests compare them with the
-production routes; nothing in the package imports them.
+2F1, the tanh family by peeling x_1 or x_r recursively, and the gamma-pair
+family through continuous Hahn polynomials.  The quadrature oracle sums
+every integral one axis at a time; here the same rules are summed as dense
+tensor grids through the evaluators it referees, with no use of
+separability (:func:`tensor_sum`): the Fourier transform through the
+peel-last recursion, the ball inner products through ``ball_basis_eval`` at
+the nested-radius points, and the gamma-pair pairing through
+``d_family_eval``.  The tests compare them with the production routes;
+nothing in the package imports them.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
-from ballfourier import FamilyParams, continuous_hahn, gamma, gegenbauer, pochhammer, tail_sum
+from ballfourier import (DParams, FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
+                         ball_basis_eval, continuous_hahn, d_family_eval, gamma, gegenbauer,
+                         pochhammer, tail_sum)
+from ballfourier.ball import _check_mu, _index_list
 from ballfourier.classical import _check_degree, _check_gegenbauer_lambda
 from ballfourier.hypergeometric import _terminating_sum
-from ballfourier.tanh_family import _axis_tail
+from ballfourier.quadrature import _ball_rules, _line_rule, d_pair_spec
+from ballfourier.special import _real_array
+from ballfourier.tanh_family import _axis_tail, _frequency_vectors
 
 
 def gegenbauer_series(n: int, lam: float, x):
@@ -53,6 +65,20 @@ def family_eval_peel_first(x, params: FamilyParams):
     return head * family_eval_peel_first(x[..., 1:], rest)
 
 
+def family_eval_peel_last(x, params: FamilyParams):
+    """Same value as :func:`ballfourier.family_eval`, built by peeling x_r
+    with the shifted parameters (a + n_r/2 + 1/4, mu + n_r + 1/2)."""
+    x = _real_array(x, "x")
+    r = params.r
+    sech2 = 1.0 / np.cosh(x[..., -1]) ** 2
+    tail_factor = sech2 ** params.a * gegenbauer(params.n[-1], params.mu, np.tanh(x[..., -1]))
+    if r == 1:
+        return tail_factor
+    nr = params.n[-1]
+    rest = FamilyParams(params.a + nr / 2.0 + 0.25, params.mu + nr + 0.5, params.n[:-1])
+    return tail_factor * family_eval_peel_last(x[..., :-1], rest)
+
+
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):
     """Axis-j factor of the gamma-pair family in continuous-Hahn form; must
     equal :func:`ballfourier.dfamily.d_axis_factor`.  Its parameters are
@@ -84,3 +110,92 @@ def d_family_eval_hahn(x, params):
         value = value * d_axis_factor_hahn(j, params.r, x[..., j - 1], params.n,
                                            params.a1, params.a2)
     return value
+
+
+# one slab at a time, so the grid cap bounds a dense sum's time, not its memory
+TENSOR_GRID_LIMIT, SLAB_POINTS = 8_000_000, 1 << 15
+
+
+def tensor_sum(rules, integrand):
+    """The dense sum of every tensor route: entry [k, m] of the (K, M)
+    result sums, over the grid of the per-axis ``rules`` (nodes, weights:
+    K rows, or one), value row m of ``integrand`` times the product of the
+    points' axis weights of row k.  A slab fixes a node on each axis before
+    axis c, the first one followed by at most 2^15 grid points, and takes a
+    run of nodes of axis c with the grid of the later axes; integrand(points)
+    gets its points, (P, r) in C order.  More than 8e6 points are refused
+    before any is formed; a non-finite value raises NonFiniteIntegrandError.
+    Order: slab by slab in C order, entry [k, m] adds np.sum(values_m *
+    weight_k), weight_k the slab's weights of row k multiplied in axis order."""
+    nodes, weights = zip(*((x, np.atleast_2d(w)) for x, w in rules))
+    sizes = [len(x) for x in nodes]
+    if math.prod(sizes) > TENSOR_GRID_LIMIT:
+        raise ValueError("tensor grid too large; pass a coarser QuadratureSpec")
+    c = next(j for j in range(len(sizes)) if math.prod(sizes[j + 1:]) <= SLAB_POINTS)
+    run = max(1, SLAB_POINTS // math.prod(sizes[c + 1:]))
+    total = 0
+    for *fixed, part in np.ndindex(*sizes[:c], -(-sizes[c] // run)):
+        cut = [slice(i, i + 1) for i in fixed] + [slice(part * run, (part + 1) * run)]
+        cut += [slice(None)] * (len(sizes) - c - 1)
+        grid = np.meshgrid(*(x[s] for x, s in zip(nodes, cut)), indexing="ij", copy=False)
+        points = np.stack(grid).reshape(len(sizes), -1).T  # contiguous columns
+        rows = [[w[k, s] for w, s in zip(weights, cut)] for k in range(len(weights[0]))]
+        total = total + np.array([[np.sum(values * reduce(np.multiply.outer, row).ravel())
+                                   for row in rows] for values in integrand(points)]).T
+    if not np.all(np.isfinite(total)):
+        raise NonFiniteIntegrandError("dense tensor integrand produced non-finite values")
+    return total
+
+
+def fourier_numeric_tensor(params: FamilyParams, xi, spec: QuadratureSpec | None = None):
+    """:func:`ballfourier.fourier_numeric` as the dense tensor-product sum
+    of :func:`family_eval_peel_last` on the same line rule, not of the axis
+    factors the oracle sums (or of ``family_eval``, their product); the two
+    agree to rounding on one rule.  ``xi`` has shape (..., r), one weight
+    row w exp(-i xi_j x) per frequency vector on each axis."""
+    r = params.r
+    xi = _frequency_vectors(xi, r)
+    x, w = _line_rule(spec or QuadratureSpec())[:2]
+    # weight rows w exp(-i xi_j x), one per frequency vector; complex even if none
+    rules = [(x, w * np.exp(-1j * np.multiply.outer(xi_j, x))) for xi_j in xi.reshape(-1, r).T]
+    out = tensor_sum(rules, lambda points: (family_eval_peel_last(points, params),))
+    out = out[:, 0].astype(np.complex128).reshape(xi.shape[:-1])
+    return complex(out) if out.ndim == 0 else out
+
+
+def ball_gram_tensor(indices, mu: float, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """:func:`ballfourier.quadrature.ball_gram_matrix` as the dense sum of
+    the basis products through ``ball_basis_eval`` on the same per-axis
+    Gauss-Jacobi rules (and the same refusals), at the nested-radius points
+    x_j = t_j prod_{k<j} sqrt(1 - t_k^2): the upper triangle, mirrored.  An
+    entry does not depend on the other pairs, so entry [0, 1] of two
+    indices is their inner product."""
+    indices = _index_list(indices)
+    mu = _check_mu(mu)
+    upper = np.triu_indices(len(indices))
+    pairs = list(zip(*upper))
+    rules = _ball_rules(indices, pairs, mu, spec)
+
+    def integrand(t):
+        radii = np.cumprod(np.sqrt(np.maximum(1.0 - t[:, :-1] ** 2, 0.0)), axis=1)
+        x = t * np.hstack([np.ones((len(t), 1)), radii])
+        basis = {ix: ball_basis_eval(ix, mu, x) for ix in dict.fromkeys(indices)}
+        return (basis[indices[p]] * basis[indices[q]] for p, q in pairs)
+
+    gram = np.empty((len(indices), len(indices)))
+    gram[upper] = tensor_sum(rules, integrand)[0]
+    gram.T[upper] = gram[upper]
+    return gram
+
+
+def d_biorthogonality_tensor(n, m, a1: float, a2: float,
+                             spec: QuadratureSpec | None = None) -> complex:
+    """:func:`ballfourier.d_biorthogonality_integral` as the dense sum of
+    the pairing through ``d_family_eval`` at +ix and -ix on the same line
+    rule, by default :func:`ballfourier.quadrature.d_pair_spec`."""
+    n, m = _index_list([n, m])
+    if spec is None:
+        spec = d_pair_spec(a1, a2)
+    f, g = DParams(a1, a2, n), DParams(a2, a1, m)
+    return complex(tensor_sum([_line_rule(spec)[:2]] * len(n), lambda points: (
+        d_family_eval(1j * points, f) * d_family_eval(-1j * points, g),))[0, 0])

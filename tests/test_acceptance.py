@@ -23,6 +23,7 @@ from ballfourier.tanh_family import theta_factor_hahn, fourier_prefactor
 from ballfourier.verify import (SplitMix64, _multi_indices, fourier_value_scale,
                                 reports_from_json, reports_to_json, run_suite)
 from conftest import rel_err
+from reference_routes import fourier_numeric_tensor
 
 
 def announce(number: int, description: str) -> None:
@@ -169,7 +170,7 @@ def test_criterion_05_fourier_closed_form_vs_oracle():
         # window buys panel resolution within the tensor memory budget
         spec = tensor_spec if r == 2 else quad.QuadratureSpec(
             nodes_per_axis=192, panels=12, truncation_halfwidth=14.0)
-        dense = bf.fourier_numeric(params, np.array(xi), spec=spec, mode="tensor")
+        dense = fourier_numeric_tensor(params, np.array(xi), spec)
         closed = bf.fourier_closed_form(params, np.array(xi))
         assert rel_err(dense, closed) <= 1e-6, (r, n)
     announce(5, f"fourier closed form vs oracle: {checks} grid points, "

@@ -124,7 +124,7 @@ class TestFourier:
         from ballfourier import quadrature
 
         monkeypatch.setattr(quadrature, "fourier_numeric",
-                            lambda params, xi, spec=None, mode="separated": 123.0 + 0j)
+                            lambda params, xi, spec=None: 123.0 + 0j)
         code, out = run_cli(["fourier", "--r", "1", "--n", "0", "--a", "0.5",
                              "--mu", "0.5", "--xi", "0", "--check"], capsys)
         assert code == 1
@@ -152,7 +152,7 @@ class TestFourier:
         # moves by 1e-3 on the doubled rule must not pass the check
         from ballfourier import quadrature
 
-        def drifting(params, xi, spec=None, mode="separated"):
+        def drifting(params, xi, spec=None):
             value = fourier_closed_form(params, xi)
             return value if spec == quadrature.tanh_default_spec() else value + 1e-3
 

@@ -1,5 +1,5 @@
 """Every library module, and the tests' reference routes, reads what it
-imports and defines what it exports.
+imports and defines what it exports, and the public signatures are pinned.
 
 The repository runs no linter, so this walks each module's syntax tree.  An
 imported name that the module never reads, and does not re-export through
@@ -8,6 +8,7 @@ not bind is a broken export.
 """
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +90,74 @@ def test_package_import_leaves_fractions_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+# the parameter names of every callable the package and its oracle module
+# export; an option added to or removed from a public route shows here as a
+# reviewed diff.  The first entries recorded the removal of the oracle's
+# four ``mode`` options and of ``family_eval_peel_last``.  The exception
+# classes take Exception's arguments.
+_PUBLIC_SIGNATURES = {
+    "FamilyParams": ("a", "mu", "n"),
+    "DParams": ("a1", "a2", "n"),
+    "HypergeometricSpec": ("numerator_params", "denominator_params", "argument",
+                           "termination_order"),
+    "QuadratureSpec": ("nodes_per_axis", "truncation_halfwidth", "panels"),
+    "VerificationReport": ("identity_name", "parameters", "lhs", "rhs", "abs_error",
+                           "rel_error", "tolerance", "passed", "low_confidence"),
+    "PoleError": "exception",
+    "DenominatorPoleError": "exception",
+    "DomainError": "exception",
+    "NonFiniteIntegrandError": "exception",
+    "log_gamma": ("z",),
+    "gamma": ("z",),
+    "pochhammer": ("base", "order"),
+    "hyp3f2_unit": ("n", "upper2", "upper3", "lower1", "lower2"),
+    "jacobi": ("n", "alpha", "beta", "x"),
+    "gegenbauer": ("n", "lam", "x"),
+    "gegenbauer_norm": ("n", "lam"),
+    "continuous_hahn": ("n", "x", "params"),
+    "hahn_orthogonality_constant": ("n", "a1", "a2"),
+    "tail_sum": ("n", "j"),
+    "validate_multi_index": ("n",),
+    "ball_basis_eval": ("n", "mu", "x"),
+    "ball_norm": ("n", "mu"),
+    "ball_polynomial": ("n", "mu"),
+    "ball_operator_residual": ("n", "mu"),
+    "tanh_ball_map": ("x",),
+    "family_eval": ("x", "params"),
+    "theta_factor": ("j", "r", "params", "xi"),
+    "theta_factor_hahn": ("j", "r", "params", "xi"),
+    "fourier_closed_form": ("params", "xi"),
+    "fourier_closed_form_table": ("indices", "a", "mu", "xi"),
+    "fourier_via_recursion": ("params", "xi", "mode"),
+    "d_family_eval": ("x", "params"),
+    "d_orthogonality_constant": ("n", "a1", "a2"),
+    "fourier_numeric": ("params", "xi", "spec"),
+    "fourier_numeric_table": ("indices", "a", "mu", "xi", "spec"),
+    "ball_inner_product_numeric": ("n", "m", "mu", "spec"),
+    "hahn_orthogonality_integral": ("n", "m", "a1", "a2", "spec"),
+    "d_biorthogonality_integral": ("n", "m", "a1", "a2", "spec"),
+    "parseval_sides": ("n", "m", "a1", "a2", "spec"),
+    "ball_default_spec": ("r",),
+    "hahn_default_spec": (),
+    "d_pair_spec": ("a1", "a2"),
+    "tanh_default_spec": (),
+    "ball_gram_matrix": ("indices", "mu", "spec"),
+    "hahn_gram_matrix": ("degrees", "a1", "a2", "spec"),
+    "d_biorthogonality_gram": ("indices", "a1", "a2", "spec"),
+}
+
+
+def test_public_signatures_are_pinned():
+    import ballfourier
+    from ballfourier import quadrature
+
+    seen = {}
+    for name in dict.fromkeys([*ballfourier.__all__, *quadrature.__all__]):
+        obj = getattr(ballfourier, name, None) or getattr(quadrature, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            seen[name] = "exception"
+        elif callable(obj):
+            seen[name] = tuple(inspect.signature(obj).parameters)
+    assert seen == _PUBLIC_SIGNATURES

@@ -12,9 +12,9 @@ from ballfourier import (FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          fourier_closed_form_table, fourier_numeric,
                          fourier_numeric_table, gegenbauer, hahn_orthogonality_constant,
                          hahn_orthogonality_integral, parseval_sides, tail_sum)
-from ballfourier.quadrature import (_TENSOR_GRID_LIMIT, _fourier_axis_integral,
-                                    _jacgauss_cached, _line_rule, ball_default_spec,
-                                    ball_gram_matrix, ball_inner_product_numeric,
+from ballfourier.quadrature import (_fourier_axis_integral, _jacgauss_cached, _line_rule,
+                                    ball_default_spec, ball_gram_matrix,
+                                    ball_inner_product_numeric,
                                     d_biorthogonality_gram, d_biorthogonality_integral,
                                     doubled_spec, hahn_default_spec, hahn_gram_matrix,
                                     tanh_default_spec)
@@ -22,6 +22,8 @@ from ballfourier.tanh_family import (_axis_keys, family_axis_factor, fourier_pre
                                      theta_factor)
 from ballfourier.verify import make_report
 from conftest import rel_err
+from reference_routes import (TENSOR_GRID_LIMIT, ball_gram_tensor, d_biorthogonality_tensor,
+                              fourier_numeric_tensor)
 
 
 def _same_bits(a, b) -> bool:
@@ -86,7 +88,7 @@ class TestFourierNumeric:
             params = FamilyParams(float(rng.uniform(0.5, 1.5)), 0.75, n)
             xi = rng.uniform(-2, 2, size=r)
             sep = fourier_numeric(params, xi, spec=spec)
-            tens = fourier_numeric(params, xi, spec=spec, mode="tensor")
+            tens = fourier_numeric_tensor(params, xi, spec)
             assert abs(sep - tens) <= 1e-13 * max(abs(sep), 1.0)
 
     @pytest.mark.parametrize("case", [
@@ -118,13 +120,6 @@ class TestFourierNumeric:
         first = fourier_numeric(params, xi)
         second = fourier_numeric(params, xi)
         assert first == second
-
-    def test_rejects_bad_mode(self):
-        params = FamilyParams(1.0, 0.5, (0,))
-        # the tanh-mapped rule is a spec (tanh_default_spec), not a mode
-        for mode in ("monte-carlo", "tanh"):
-            with pytest.raises(ValueError):
-                fourier_numeric(params, [0.0], mode=mode)
 
 
 class TestWholeLineRule:
@@ -174,11 +169,14 @@ class TestWholeLineRule:
             raise AssertionError("a ball rule was built")
 
         monkeypatch.setattr(quadrature, "_jacgauss_cached", no_rule)
-        for mode in ("separated", "tensor"):
+        with pytest.raises(ValueError, match="whole-line"):
+            ball_inner_product_numeric((1, 0), (1, 0), 0.5, tanh_default_spec())
+        with pytest.raises(ValueError, match="whole-line"):
+            ball_gram_matrix([(0, 0), (1, 0)], 0.5, tanh_default_spec())
+        # the dense cross-check shares the oracle's rules and their refusals
+        for indices in ([(1, 0), (1, 0)], [(0, 0), (1, 0)]):
             with pytest.raises(ValueError, match="whole-line"):
-                ball_inner_product_numeric((1, 0), (1, 0), 0.5, tanh_default_spec(), mode)
-            with pytest.raises(ValueError, match="whole-line"):
-                ball_gram_matrix([(0, 0), (1, 0)], 0.5, tanh_default_spec(), mode)
+                ball_gram_tensor(indices, 0.5, tanh_default_spec())
 
 
 class TestBallNodeBound:
@@ -191,13 +189,16 @@ class TestBallNodeBound:
 
         monkeypatch.setattr(quadrature, "_jacgauss_cached", no_rule)
         spec = QuadratureSpec(nodes_per_axis=20_000, panels=1)
-        for mode in ("separated", "tensor"):
-            start = time.perf_counter()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="nodes per axis"):
+            ball_inner_product_numeric((1, 0), (1, 0), 0.5, spec)
+        with pytest.raises(ValueError, match="nodes per axis"):
+            ball_gram_matrix([(0, 0), (1, 0)], 0.5, spec)
+        # the dense cross-check shares the oracle's rules and their refusals
+        for indices in ([(1, 0), (1, 0)], [(0, 0), (1, 0)]):
             with pytest.raises(ValueError, match="nodes per axis"):
-                ball_inner_product_numeric((1, 0), (1, 0), 0.5, spec, mode)
-            with pytest.raises(ValueError, match="nodes per axis"):
-                ball_gram_matrix([(0, 0), (1, 0)], 0.5, spec, mode)
-            assert time.perf_counter() - start < 0.1
+                ball_gram_tensor(indices, 0.5, spec)
+        assert time.perf_counter() - start < 0.1
 
     def test_largest_rule_is_built(self):
         spec = QuadratureSpec(nodes_per_axis=512, panels=1)
@@ -234,13 +235,13 @@ class TestBallInnerProduct:
         spec = QuadratureSpec(nodes_per_axis=12, panels=1)
         indices = [n for n in itertools.product(range(4), repeat=r) if sum(n) <= 3]
         sep = ball_gram_matrix(indices, mu, spec)
-        dense = ball_gram_matrix(indices, mu, spec, mode="tensor")
+        dense = ball_gram_tensor(indices, mu, spec)
         norms = np.sqrt([ball_norm(n, mu) for n in indices])
         assert np.all(np.abs(sep - dense) <= 1e-14 * np.outer(norms, norms))
         for p, q in ((0, 0), (1, 1), (0, len(indices) - 1), (2, 3)):
             n, m = indices[p], indices[q]
             one = ball_inner_product_numeric(n, m, mu, spec)
-            one_dense = ball_inner_product_numeric(n, m, mu, spec, mode="tensor")
+            one_dense = ball_gram_tensor([n, m], mu, spec)[0, 1]
             assert abs(one - one_dense) <= 1e-14 * norms[p] * norms[q]
             assert one == sep[p, q]
 
@@ -251,39 +252,37 @@ class TestBallInnerProduct:
             raise AssertionError("a dense grid was formed")
 
         monkeypatch.setattr(np, "meshgrid", no_grid)
-        assert ball_default_spec(5).nodes_per_axis ** 5 > _TENSOR_GRID_LIMIT
+        assert ball_default_spec(5).nodes_per_axis ** 5 > TENSOR_GRID_LIMIT
         with pytest.raises(ValueError, match="tensor grid too large"):
-            ball_inner_product_numeric((0,) * 5, (0,) * 5, 0.5, mode="tensor")
+            ball_gram_tensor([(0,) * 5, (0,) * 5], 0.5)
         with pytest.raises(ValueError, match="tensor grid too large"):
-            ball_gram_matrix([(0, 0, 0)], 0.5, QuadratureSpec(256, panels=1), mode="tensor")
+            ball_gram_tensor([(0, 0, 0)], 0.5, QuadratureSpec(256, panels=1))
         # r = 3 on the default Fourier (1,024-node) and D-pairing (800-node) rules
-        assert len(_line_rule(QuadratureSpec())[0]) ** 3 > _TENSOR_GRID_LIMIT
+        assert len(_line_rule(QuadratureSpec())[0]) ** 3 > TENSOR_GRID_LIMIT
         with pytest.raises(ValueError, match="tensor grid too large"):
-            fourier_numeric(FamilyParams(1.0, 0.5, (0, 1, 0)), [0.0, 0.5, 1.0], mode="tensor")
+            fourier_numeric_tensor(FamilyParams(1.0, 0.5, (0, 1, 0)), [0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="tensor grid too large"):
-            d_biorthogonality_integral((0, 0, 0), (1, 0, 0), 1.0, 0.75, mode="tensor")
+            d_biorthogonality_tensor((0, 0, 0), (1, 0, 0), 1.0, 0.75)
         # the separated default reaches the same r at per-axis cost
         value = ball_inner_product_numeric((1, 0, 0, 0, 1), (1, 0, 0, 0, 1), 0.5)
         assert rel_err(value, ball_norm((1, 0, 0, 0, 1), 0.5)) <= 1e-12
 
-    def test_rejects_bad_mode_and_mu(self):
-        with pytest.raises(ValueError):
-            ball_inner_product_numeric((0, 0), (0, 0), 0.5, mode="dense")
+    def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
             ball_gram_matrix([(0, 0)], -0.5)
 
 
 # r = 3 dense calls on grids of 96^3 (Fourier, ball) and 48^3 (D family)
-# points, with their separated counterparts
+# points, after their separated counterparts: (oracle, dense, arguments)
 _DENSE_CALLS = {
-    "fourier": lambda mode: fourier_numeric(
+    "fourier": (fourier_numeric, fourier_numeric_tensor, (
         FamilyParams(1.0, 0.5, (1, 0, 1)), [0.5, -1.0, 2.0],
-        QuadratureSpec(96, panels=6, truncation_halfwidth=14.0), mode),
-    "ball": lambda mode: ball_gram_matrix(
-        [(0, 0, 0), (1, 0, 0), (0, 1, 1)], 0.5, QuadratureSpec(96, panels=1), mode),
-    "d-family": lambda mode: d_biorthogonality_integral(
+        QuadratureSpec(96, panels=6, truncation_halfwidth=14.0))),
+    "ball": (ball_gram_matrix, ball_gram_tensor, (
+        [(0, 0, 0), (1, 0, 0), (0, 1, 1)], 0.5, QuadratureSpec(96, panels=1))),
+    "d-family": (d_biorthogonality_integral, d_biorthogonality_tensor, (
         (1, 0, 0), (1, 0, 0), 1.0, 0.75,
-        QuadratureSpec(48, panels=3, truncation_halfwidth=40.0 / 1.75), mode),
+        QuadratureSpec(48, panels=3, truncation_halfwidth=40.0 / 1.75))),
 }
 
 
@@ -292,11 +291,11 @@ class TestDenseTensorSum:
     def test_peak_memory_stays_at_a_slab(self, name):
         # forming the whole grid peaked at 42.6 (Fourier), 106 (ball) and
         # 16.3 MB (D family) traced; one slab at a time stays near 3-6 MB
-        call = _DENSE_CALLS[name]
-        call("separated")  # builds the rule
+        oracle, dense, args = _DENSE_CALLS[name]
+        oracle(*args)  # builds the rule
         tracemalloc.start()
         try:
-            call("tensor")
+            dense(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,11 +303,11 @@ class TestDenseTensorSum:
 
     def test_non_finite_integrand_raises(self):
         # degree 600 at mu = 600 is not finite on this rule; the separated
-        # mode returns nan there, and make_report fails a non-finite side;
+        # oracle returns nan there, and make_report fails a non-finite side;
         # the kernel's overflow warnings are silenced, as the CLI does
         with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegrandError):
-            fourier_numeric(FamilyParams(0.5, 600.0, (600,)), [0.5], QuadratureSpec(96, panels=6),
-                            mode="tensor")
+            fourier_numeric_tensor(FamilyParams(0.5, 600.0, (600,)), [0.5],
+                                   QuadratureSpec(96, panels=6))
 
 
 class TestGaussJacobiRule:
@@ -472,24 +471,25 @@ class TestGramRoutes:
 
 
 class TestBatchedFourierNumeric:
-    @pytest.mark.parametrize("mode, spec", [
-        ("separated", None),
-        pytest.param("separated", tanh_default_spec(), id="tanh"),
-        ("tensor", QuadratureSpec(nodes_per_axis=48, panels=3)),
+    @pytest.mark.parametrize("route, spec", [
+        pytest.param(fourier_numeric, None, id="separated-None"),
+        pytest.param(fourier_numeric, tanh_default_spec(), id="tanh"),
+        pytest.param(fourier_numeric_tensor, QuadratureSpec(nodes_per_axis=48, panels=3),
+                     id="tensor-spec2"),
     ])
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_batch_entries_match_per_vector_calls(self, rng, mode, spec, r):
+    def test_batch_entries_match_per_vector_calls(self, rng, route, spec, r):
         params = FamilyParams(0.8, 0.6, tuple(int(v) for v in rng.integers(0, 3, size=r)))
         # 16 vectors: a one-vector call that leaves the batch's array loops
         # differs in the last bit on only a few percent of draws
         xi = rng.uniform(-3.0, 3.0, size=(16, r))
         xi[3] = xi[0]  # a repeated frequency vector
         xi[4, 0] = xi[1, 0]  # a frequency shared on one axis only
-        flat = fourier_numeric(params, xi, spec, mode)
-        grid = fourier_numeric(params, xi.reshape(2, 8, r), spec, mode)
+        flat = route(params, xi, spec)
+        grid = route(params, xi.reshape(2, 8, r), spec)
         assert flat.shape == (16,) and grid.shape == (2, 8)
         for k in range(16):
-            single = fourier_numeric(params, xi[k], spec, mode)
+            single = route(params, xi[k], spec)
             assert isinstance(single, complex)
             for batched in (flat[k], grid.reshape(-1)[k]):
                 assert _same_bits(batched, single)
@@ -630,9 +630,16 @@ class TestFourierTables:
                 table([(1, 0)], 1.0, 0.5, xi)  # wrong frequency vector length
 
     def test_tensor_mode_is_per_index_only(self):
-        # the table route has no mode parameter
-        with pytest.raises(TypeError):
-            fourier_numeric_table([(1,)], 1.0, 0.5, [0.1], mode="tensor")
+        # no oracle route has a mode parameter: the dense tensor sums are
+        # the tests' reference routes
+        calls = [(fourier_numeric_table, ([(1,)], 1.0, 0.5, [0.1])),
+                 (fourier_numeric, (FamilyParams(1.0, 0.5, (1,)), [0.1])),
+                 (ball_inner_product_numeric, ((1,), (1,), 0.5)),
+                 (ball_gram_matrix, ([(1,)], 0.5)),
+                 (d_biorthogonality_integral, ((1,), (1,), 1.0, 0.75))]
+        for route, args in calls:
+            with pytest.raises(TypeError):
+                route(*args, mode="tensor")
 
     def test_single_vector_calls_stay_complex_scalars(self):
         params = FamilyParams(1.0, 0.5, (1, 2))
@@ -669,14 +676,13 @@ class TestDBiorthogonality:
         spec = QuadratureSpec(nodes_per_axis=512, panels=32,
                               truncation_halfwidth=40.0 / 1.75)
         sep = d_biorthogonality_integral((1, 0), (1, 0), 1.0, 0.75)
-        tens = d_biorthogonality_integral((1, 0), (1, 0), 1.0, 0.75,
-                                          spec=spec, mode="tensor")
+        tens = d_biorthogonality_tensor((1, 0), (1, 0), 1.0, 0.75, spec)
         assert rel_err(sep, tens) <= 1e-10
-        # r = 4 on a coarse rule (16^4 points): both modes sum the same grid
+        # r = 4 on a coarse rule (16^4 points): both routes sum the same grid
         coarse = QuadratureSpec(nodes_per_axis=16, panels=2, truncation_halfwidth=40.0 / 1.75)
         n = (1, 0, 0, 1)
         sep = d_biorthogonality_integral(n, n, 1.0, 0.75, spec=coarse)
-        tens = d_biorthogonality_integral(n, n, 1.0, 0.75, spec=coarse, mode="tensor")
+        tens = d_biorthogonality_tensor(n, n, 1.0, 0.75, coarse)
         assert rel_err(sep, tens) <= 1e-13
 
     def test_truncation_range_doubling(self):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
-                         family_eval_peel_last, fourier_closed_form,
-                         fourier_via_recursion, gegenbauer, hyp3f2_unit,
+                         fourier_closed_form, fourier_via_recursion, gegenbauer, hyp3f2_unit,
                          pochhammer, tail_sum, tanh_ball_map, theta_factor,
                          theta_factor_hahn)
 from ballfourier.ball import _axis_parameters
@@ -16,7 +15,7 @@ from ballfourier.tanh_family import (axis_ladder, family_axis_factor, fourier_cl
                                      fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
-from reference_routes import family_eval_peel_first
+from reference_routes import family_eval_peel_first, family_eval_peel_last
 
 # frozen direct arithmetic: tanh(1), tanh(1)*sech(1)
 UPSILON_11 = (0.7615941559557649, 0.49355434756457306)
@@ -489,13 +488,11 @@ _REAL_ROUTES = {
     "fourier_closed_form_table": (lambda z: fourier_closed_form_table([(2,)], 0.5, 0.5, [[z]]),
                                   "xi"),
     "fourier_numeric separated": (lambda z: fourier_numeric(_DEGREE_TWO, [z]), "xi"),
-    "fourier_numeric tensor": (lambda z: fourier_numeric(_DEGREE_TWO, [z], mode="tensor"), "xi"),
     "fourier_via_recursion": (lambda z: fourier_via_recursion(_DEGREE_TWO, [z]), "xi"),
     "theta_factor array": (lambda z: theta_factor(1, 1, _DEGREE_TWO, np.array([z])), "xi"),
     "theta_factor number": (lambda z: theta_factor(1, 1, _DEGREE_TWO, z), "xi"),
     "theta_factor_hahn": (lambda z: theta_factor_hahn(1, 1, _DEGREE_TWO, z), "xi"),
     "family_eval": (lambda z: family_eval([z], _DEGREE_TWO), "x"),
-    "family_eval_peel_last": (lambda z: family_eval_peel_last(np.array([z]), _DEGREE_TWO), "x"),
     "family_axis_factor": (lambda z: family_axis_factor(1, _DEGREE_TWO, z), "x"),
     "ball_basis_eval": (lambda z: ball_basis_eval((2,), 0.5, [z / 4.0]), "x"),
     "tanh_ball_map": (lambda z: tanh_ball_map([z]), "x"),

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballfourier import cli, quadrature, verify
+from ballfourier import FamilyParams, cli, quadrature, verify
+from ballfourier.tanh_family import fourier_prefactor
 from ballfourier.verify import (SUITE_NAMES, SplitMix64, _gated_report,
                                 canonical_sort, make_report, report_from_dict,
                                 report_to_dict, reports_from_json, reports_to_json,
@@ -121,6 +122,30 @@ class TestSuites:
         b = run_suite("fourier-paths", seed=2, r_max=2)
         assert a != b
 
+    def test_fourier_value_scale_is_positive(self):
+        # the signed prefactor is negative for mu in (-1/2, 0); the scale
+        # began from it, so the fourier-paths floor tol * scale was negative
+        # there and could never apply
+        params = FamilyParams(0.8, -0.3, (1, 2))
+        assert fourier_prefactor(params) < 0
+        scale = verify.fourier_value_scale(params, np.array([0.5, 1.0]))
+        assert scale > 0
+        assert scale == 1.8389694780381762  # the magnitude of the signed value
+
+    def test_fourier_paths_floors_are_positive(self, monkeypatch):
+        # at seed 0, 63 of the 360 reports have mu < 0; each gets a floor
+        floors, make = [], verify.make_report
+
+        def recording(name, parameters, lhs, rhs, tolerance, **kwargs):
+            floors.append((parameters["mu"], kwargs["abs_floor"]))
+            return make(name, parameters, lhs, rhs, tolerance, **kwargs)
+
+        monkeypatch.setattr(verify, "make_report", recording)
+        run_suite("fourier-paths", seed=0)
+        assert len(floors) == 360
+        assert sum(mu < 0 for mu, _ in floors) == 63
+        assert all(floor > 0 for _, floor in floors)
+
     def test_tolerance_override_can_fail(self):
         reports = run_suite("gegenbauer-ort", tolerance=1e-18)
         assert any(not r.passed for r in reports)
@@ -140,15 +165,17 @@ class TestLayering:
         assert private == set()
 
     def test_quadrature_takes_axis_factors_from_the_axis_table(self):
-        # the one-axis public factors would bypass tanh_family._axis_table;
-        # every name, attribute and import of the module is checked
+        # the one-axis public factors would bypass tanh_family._axis_table,
+        # and the evaluators the oracle referees would bring a dense path
+        # back; every name, attribute and import of the module is checked
         tree = ast.parse(inspect.getsource(quadrature))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert "_axis_table" in names
-        assert not names & {"family_axis_factor", "theta_factor"}
+        assert not names & {"family_axis_factor", "theta_factor", "ball_basis_eval",
+                            "d_family_eval", "family_eval", "family_eval_peel_last"}
 
     def test_verdicts_are_built_in_verify_only(self):
         # the oracle returns numbers; every report is built by verify
