@@ -250,13 +250,14 @@ def _axis_table(member_keys, tail_rows) -> dict:
 
 def _frequency_table(members, xi, tail_rows, head):
     """Rows head(params) * f_1 * ... * f_r of ``members`` (sharing r) at
-    the frequency vectors ``xi``, shape (len(members),) + xi.shape[:-1].
+    the frequency vectors ``xi``, a float array of shape (..., r) checked
+    by :func:`_frequency_vectors`: the result has shape
+    (len(members),) + xi.shape[:-1].
     ``tail_rows(j, m, degrees, column)`` gives the factors of the tail
     (j, m) on the distinct entries of xi[..., j - 1], or on a single
     vector's entry as a Python float.  Each row multiplies in axis order,
     as a one-member table does, so batching changes no bit."""
     r = members[0].r
-    xi = _frequency_vectors(xi, r)
     shape = xi.shape[:-1]
     if shape:
         columns = [np.unique(xi[..., j].reshape(-1), return_inverse=True) for j in range(r)]
@@ -284,8 +285,10 @@ def _frequency_table(members, xi, tail_rows, head):
 def _closed_form_table(members, xi):
     """Closed form of ``members`` (sharing a, mu and r) at ``xi``: the
     frequency table of the theta rows, headed by :func:`fourier_prefactor`."""
-    rows = partial(_theta_rows, members[0].r, members[0].a, members[0].mu)
-    return _frequency_table(members, xi, rows, lambda params: complex(fourier_prefactor(params)))
+    r = members[0].r
+    rows = partial(_theta_rows, r, members[0].a, members[0].mu)
+    return _frequency_table(members, _frequency_vectors(xi, r), rows,
+                            lambda params: complex(fourier_prefactor(params)))
 
 
 def fourier_closed_form(params: FamilyParams, xi):

@@ -49,8 +49,18 @@ _VALUE_TOLERANCE = 1e-12
 # json.dumps(value, sort_keys=True) without building an encoder per call:
 # the report sort key and the CSV parameters cell
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
-# one report of the indented JSON list, encoded at the top level
-_indented_json = json.JSONEncoder(indent=2).encode
+# json's leaf encoders: its C string encoder (ensure_ascii), for strings
+# and keys, and the repr of the floats between -_INFINITY and _INFINITY
+_json_string = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_INFINITY = math.inf
+# the newline and indent of a report field in the indented list
+_FIELD_INDENT = "\n    "
+# one report of the indented list, its fields in report_to_dict order
+_REPORT_TEMPLATE = ("{\n    \"identity_name\": %s,\n    \"parameters\": %s,\n    \"lhs_re\": %s,"
+                    "\n    \"lhs_im\": %s,\n    \"rhs_re\": %s,\n    \"rhs_im\": %s,"
+                    "\n    \"abs_error\": %s,\n    \"rel_error\": %s,\n    \"tolerance\": %s,"
+                    "\n    \"passed\": %s,\n    \"low_confidence\": %s\n  }")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -474,19 +484,91 @@ def report_from_dict(data: dict) -> VerificationReport:
     )
 
 
+def _json_text(value, indent=_FIELD_INDENT, path=()) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, its lines
+    shifted to ``indent`` (a newline and the spaces of its level), by the
+    rules of :func:`reports_to_json` in json's order of checks (a float
+    first, which no other branch can match).  Keys are coerced as json
+    coerces them.  Whatever json refuses raises as json raises: TypeError
+    for another type (numpy.int64, numpy.bool_) or key, and ValueError
+    for a container that holds itself; ``path`` holds the ids of the
+    enclosing containers."""
+    if isinstance(value, float):
+        if -_INFINITY < value < _INFINITY:
+            return _float_repr(value)
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        path = _enter(value, path)
+        inner = indent + "  "
+        items = [_json_text(item, inner, path) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        path = _enter(value, path)
+        inner = indent + "  "
+        items = [_json_string(key if isinstance(key, str) else _json_key(key)) + ": "
+                 + _json_text(item, inner, path) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _enter(container, path: tuple) -> tuple:
+    """``path`` with the id of ``container`` added; ValueError, as json
+    raises it, if the container already encloses itself."""
+    if id(container) in path:
+        raise ValueError("Circular reference detected")
+    return path + (id(container),)
+
+
+def _json_key(key) -> str:
+    """A non-string dict key as json coerces it to a string."""
+    if isinstance(key, (float, int)) or key is None:
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def reports_to_json(reports, handle=None) -> str | None:
     """The reports as one indented JSON list, the text of
-    ``json.dumps([report_to_dict(rep) for rep in reports], indent=2)``.
+    ``json.dumps([report_to_dict(rep) for rep in reports], indent=2)``,
+    byte for byte.
 
-    Each report is encoded on its own and shifted one level in (encoded
-    strings hold no raw newline).  With a text ``handle`` every report is
-    written as soon as it is encoded, so the whole text is never built, and
-    None is returned; without one the text is returned."""
+    Each report fills one fixed template of the eleven schema keys, in
+    :func:`report_to_dict` order, and :func:`_json_text` writes its values
+    by the leaf rules json applies: ``encode_basestring_ascii`` (json's C
+    string encoder) for strings and keys, ``float.__repr__`` for finite
+    floats and NaN, Infinity, -Infinity otherwise, ``int.__repr__``,
+    true, false and null; ``parameters`` is laid out as ``indent=2`` lays
+    it out, and whatever json refuses raises as it does.  The template
+    replaces ``JSONEncoder(indent=2)``: json runs its C encoder only
+    without ``indent``, so every value went through the generators of its
+    pure-Python encoder, which took longer than the fourier-oracle suite
+    and left cyclic garbage at each report for the collector.
+
+    With a text ``handle`` every report is written as soon as it is
+    formatted, so the whole text is never built, and None is returned;
+    without one the text is returned."""
     out = io.StringIO() if handle is None else handle
+    text = _json_text
     opening = "[\n  "
     for rep in reports:
-        out.write(opening)
-        out.write(_indented_json(report_to_dict(rep)).replace("\n", "\n  "))
+        lhs, rhs = rep.lhs, rep.rhs
+        out.write(opening + _REPORT_TEMPLATE % (
+            text(rep.identity_name), text(rep.parameters), text(lhs.real), text(lhs.imag),
+            text(rhs.real), text(rhs.imag), text(rep.abs_error), text(rep.rel_error),
+            text(rep.tolerance), text(rep.passed), text(rep.low_confidence)))
         opening = ",\n  "
     out.write("[]" if opening == "[\n  " else "\n]")
     return out.getvalue() if handle is None else None

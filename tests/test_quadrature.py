@@ -616,6 +616,28 @@ class TestFourierTables:
         assert all(set(degrees) == tails[j, m] for j, m, degrees, _ in ladder_calls)
         assert {call[3] for call in ladder_calls} == {(2,)}
 
+    def test_frequencies_are_checked_once(self, monkeypatch):
+        # the oracle hands its checked array to the frequency table, as the
+        # closed form does, so each route validates xi once per call
+        from ballfourier import quadrature, tanh_family
+        calls = []
+        check = tanh_family._frequency_vectors
+
+        def recording(xi, r):
+            calls.append(r)
+            return check(xi, r)
+
+        monkeypatch.setattr(quadrature, "_frequency_vectors", recording)
+        monkeypatch.setattr(tanh_family, "_frequency_vectors", recording)
+        params, xi = FamilyParams(1.0, 0.5, (1, 2)), np.zeros((4, 2))
+        for route in (lambda: fourier_numeric(params, xi),
+                      lambda: fourier_numeric_table([(1, 2), (0, 1)], 1.0, 0.5, xi),
+                      lambda: fourier_closed_form(params, xi),
+                      lambda: fourier_closed_form_table([(1, 2), (0, 1)], 1.0, 0.5, xi)):
+            calls.clear()
+            route()
+            assert calls == [2]
+
     @pytest.mark.parametrize("table", [fourier_closed_form_table, fourier_numeric_table])
     def test_rejects_bad_input(self, table):
         with pytest.raises(ValueError, match="empty list"):

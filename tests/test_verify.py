@@ -1,13 +1,18 @@
 import ast
+import dataclasses
+import gc
 import hashlib
 import inspect
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ballfourier import FamilyParams, cli, quadrature, verify
 from ballfourier.tanh_family import fourier_prefactor
@@ -360,3 +365,115 @@ class TestStreamedJson:
         handle = io.StringIO()
         assert reports_to_json(reports, handle) is None
         assert handle.getvalue() == reports_to_json(reports) == _dumps_all(reports)
+
+
+# floats where json's text is easy to get wrong: both zeros, the non-finite
+# values, subnormals and the edges of repr's switch to exponent form
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225073858507201e-308,
+                1e16, 9999999999999998.0, 1e-05, 0.0001, 1.7976931348623157e308]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+# numbers json writes, numpy.float64 among them
+_NUMBERS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers())
+# quotes, backslashes, control characters, a line separator, a non-BMP
+# character and a lone surrogate among any others
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé\u2028\U0001f600\ud800'),
+                          st.characters()), max_size=8)
+_LEAVES = st.one_of(_NUMBERS, _TEXT, st.booleans(), st.none())
+_KEYS = st.one_of(_TEXT, _FLOATS, st.integers(), st.booleans(), st.none())
+
+
+def _nested(leaves, keys):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4)), max_leaves=12)
+
+
+def _reports(leaves, keys, passed=st.booleans()):
+    complexes = st.builds(complex, _FLOATS, _FLOATS)
+    report = st.builds(verify.VerificationReport, _TEXT,
+                       st.dictionaries(keys, _nested(leaves, keys), max_size=5),
+                       complexes, complexes, _NUMBERS, _NUMBERS, _NUMBERS, passed, st.booleans())
+    return st.lists(report, max_size=3)
+
+
+# values and keys json refuses, mixed with the ones it writes
+_REFUSED = st.sampled_from([np.int64(3), np.bool_(True), np.float32(0.5), 1j, b"x", {1},
+                            object()])
+_REFUSED_KEYS = st.sampled_from([(1, 2), b"k", np.int64(1), frozenset()])
+
+
+def _self_holding():
+    loop = [1.0]
+    loop.append(loop)
+    return loop
+
+
+def _outcome(write):
+    """The text ``write`` returns, or the type of the error it raises."""
+    try:
+        return write()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestJsonFormatter:
+    """reports_to_json formats every value itself; its text and its
+    refusals must be those of json.dumps(..., indent=2) on any report."""
+
+    @settings(max_examples=150)
+    @given(_reports(_LEAVES, _KEYS, st.one_of(st.booleans(), st.integers(0, 1))))
+    @example([verify.VerificationReport("zeros", {"z": [0.0, -0.0], -0.0: 0.0, 0.0: -0.0},
+                                        complex(0.0, -0.0), complex(-0.0, 0.0), 0.0, -0.0,
+                                        np.float64(-0.0), True, False)])
+    def test_matches_one_piece_encoding(self, reports):
+        handle = io.StringIO()
+        reports_to_json(reports, handle)
+        assert reports_to_json(reports) == handle.getvalue() == _dumps_all(reports)
+
+    @settings(max_examples=100)
+    @given(_reports(st.one_of(_LEAVES, _REFUSED), st.one_of(_KEYS, _REFUSED_KEYS),
+                    st.one_of(st.booleans(), st.sampled_from([np.bool_(True), np.bool_(False)]))))
+    def test_refuses_what_json_refuses(self, reports):
+        outcome = _outcome(lambda: _dumps_all(reports))
+        assert _outcome(lambda: reports_to_json(reports)) == outcome
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("parameters", {"n": np.int64(2)}, TypeError), ("parameters", {(1, 2): 0.5}, TypeError),
+        ("passed", np.bool_(True), TypeError), ("parameters", {"loop": _self_holding()}, ValueError)])
+    def test_refusals(self, field, value, error):
+        report = dataclasses.replace(make_report("refused", {}, 1.0, 1.0, 1e-6), **{field: value})
+        for write in (_dumps_all, reports_to_json):
+            with pytest.raises(error):
+                write([report])
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _writer_peak(reports) -> int:
+    """Peak bytes traced while the reports are written to a handle that
+    keeps nothing."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports_to_json(reports, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """A report's text is dropped once it is written: the writer's peak
+    does not grow with the number of reports.  The writer peaks at about
+    2.4 KB; one that leaves per-report garbage for the collector (as
+    json's indent=2 encoder does) peaks at about 72 KB for 100 reports and
+    107 KB for 2,670."""
+
+    def test_peak_does_not_grow_with_the_count(self):
+        reports = run_suite("fourier-oracle", seed=0, r_max=3)
+        assert len(reports) == 2670
+        few, all_ = _writer_peak(reports[:100]), _writer_peak(reports)
+        assert all_ <= 16_000
+        assert abs(all_ - few) <= 4_000
