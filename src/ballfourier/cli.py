@@ -1,10 +1,17 @@
 """Command-line front end: evaluate, transform, verify, tabulate.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/configuration error
-(an ``--output`` path that cannot be written included); a usage error
-found inside a subcommand prints that subcommand's usage.  Outputs are
-deterministic — the same arguments (and seed) produce byte-identical files.
-Floats are written with Python's shortest round-trip representation.
+This module parses and routes: each decision it passes on (what a
+function computes, when an input is refused, how a report is written) is
+made in the library.  Exit codes: 0 success, 1 verification failure, 2
+usage/configuration error.  Every refusal is reported one way, by the
+parser of the subcommand that ran: its usage line, then
+``ballfourier <command>: error: <reason>``.  That holds for the checks
+made here and for every ``ValueError`` (``DomainError`` among them) and
+``OverflowError`` the library raises.  The one exception is an
+``--output`` path that cannot be written, which prints
+``error: cannot write PATH: REASON`` alone.  Outputs are deterministic —
+the same arguments (and seed) produce byte-identical files.  Floats are
+written with Python's shortest round-trip representation.
 
 Every command computes its whole result first and only then writes it,
 through :func:`_write_output`: a usage error therefore writes nothing, and
@@ -30,10 +37,8 @@ import numpy as np
 from .ball import ball_basis_eval
 from .classical import continuous_hahn, gegenbauer, jacobi
 from .dfamily import DParams, d_family_eval
-from .errors import DomainError
 from .tanh_family import FamilyParams, family_eval, fourier_closed_form, theta_factor
-from .verify import (SUITE_NAMES, _sorted_json, fourier_report, report_to_dict, reports_to_json,
-                     run_suite)
+from .verify import SUITE_NAMES, fourier_report, reports_to_csv, reports_to_json, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -147,52 +152,44 @@ def _check_scalar(parser, args) -> None:
         parser.error(f"--fn {args.fn} takes a single --n and a single --x entry")
 
 
+# each eval --fn: the options it requires (as stored; --lambda is lam),
+# whether --n and --x take one entry, and its evaluator
+_EVAL_FUNCTIONS = {
+    "gegenbauer": (("n", "lam", "x"), True,
+                   lambda args: gegenbauer(args.n[0], args.lam, args.x[0])),
+    "jacobi": (("n", "alpha", "beta", "x"), True,
+               lambda args: jacobi(args.n[0], args.alpha, args.beta, args.x[0])),
+    "hahn": (("n", "x", "a", "b", "c", "d"), True,
+             lambda args: continuous_hahn(args.n[0], args.x[0],
+                                          (args.a, args.b, args.c, args.d))),
+    "ball": (("n", "mu", "x"), False,
+             lambda args: ball_basis_eval(args.n, args.mu, np.array(args.x))),
+    "f_r": (("n", "a", "mu", "x"), False,
+            lambda args: family_eval(np.array(args.x), FamilyParams(args.a, args.mu, args.n))),
+    "d_family": (("n", "a1", "a2", "x"), False,
+                 lambda args: d_family_eval(np.array(args.x, dtype=complex),
+                                            DParams(args.a1, args.a2, args.n))),
+}
+
+
 def _eval_value(parser, args):
-    fn = args.fn
-    if fn == "gegenbauer":
-        _require(parser, args, ("n", "lam", "x"))
-        _check_scalar(parser, args)
-        return {"fn": fn, "n": args.n[0], "lambda": args.lam, "x": args.x[0]}, \
-            gegenbauer(args.n[0], args.lam, args.x[0])
-    if fn == "jacobi":
-        _require(parser, args, ("n", "alpha", "beta", "x"))
-        _check_scalar(parser, args)
-        return {"fn": fn, "n": args.n[0], "alpha": args.alpha, "beta": args.beta,
-                "x": args.x[0]}, jacobi(args.n[0], args.alpha, args.beta, args.x[0])
-    if fn == "hahn":
-        _require(parser, args, ("n", "x", "a", "b", "c", "d"))
-        _check_scalar(parser, args)
-        return {"fn": fn, "n": args.n[0], "x": args.x[0],
-                "a": args.a, "b": args.b, "c": args.c, "d": args.d}, \
-            continuous_hahn(args.n[0], args.x[0], (args.a, args.b, args.c, args.d))
-    if fn == "ball":
-        _require(parser, args, ("n", "mu", "x"))
-        _check_point(parser, args)
-        return {"fn": fn, "n": list(args.n), "mu": args.mu, "x": list(args.x)}, \
-            ball_basis_eval(args.n, args.mu, np.array(args.x))
-    if fn == "f_r":
-        _require(parser, args, ("n", "a", "mu", "x"))
-        _check_point(parser, args)
-        params = FamilyParams(args.a, args.mu, args.n)
-        return {"fn": fn, "n": list(args.n), "a": args.a, "mu": args.mu,
-                "x": list(args.x)}, family_eval(np.array(args.x), params)
-    if fn == "d_family":
-        _require(parser, args, ("n", "a1", "a2", "x"))
-        _check_point(parser, args)
-        params = DParams(args.a1, args.a2, args.n)
-        return {"fn": fn, "n": list(args.n), "a1": args.a1, "a2": args.a2,
-                "x": list(args.x)}, d_family_eval(np.array(args.x, dtype=complex), params)
-    parser.error(f"unknown function {fn!r}")
+    names, scalar, evaluate = _EVAL_FUNCTIONS[args.fn]
+    _require(parser, args, names)
+    (_check_scalar if scalar else _check_point)(parser, args)
+    inputs = {"fn": args.fn}
+    for name in names:
+        value = getattr(args, name)
+        if name in ("n", "x"):
+            value = value[0] if scalar else list(value)
+        inputs["lambda" if name == "lam" else name] = value
+    return inputs, evaluate(args)
 
 
 def _cmd_eval(parser, args) -> int:
     if args.n is not None:
         _check_degree(parser, args.n,
                       _JACOBI_DEGREE_LIMIT if args.fn == "jacobi" else _DEGREE_LIMIT)
-    try:
-        inputs, value = _eval_value(parser, args)
-    except (ValueError, DomainError) as exc:
-        parser.error(str(exc))
+    inputs, value = _eval_value(parser, args)
     _check_finite(parser, value)
     value = complex(value)
     _write_record({"inputs": inputs, "value_re": value.real, "value_im": value.imag},
@@ -205,11 +202,8 @@ def _cmd_fourier(parser, args) -> int:
         parser.error("--xi must have as many components as --n")
     _check_r(parser, args, len(args.n))
     _check_degree(parser, args.n, _DEGREE_LIMIT)
-    try:
-        params = FamilyParams(args.a, args.mu, args.n)
-        closed = fourier_closed_form(params, np.array(args.xi))
-    except (ValueError, OverflowError) as exc:
-        parser.error(str(exc))
+    params = FamilyParams(args.a, args.mu, args.n)
+    closed = fourier_closed_form(params, np.array(args.xi))
     _check_finite(parser, closed)
     record = {
         "inputs": {"n": list(args.n), "a": args.a, "mu": args.mu, "xi": list(args.xi)},
@@ -229,32 +223,15 @@ def _cmd_fourier(parser, args) -> int:
     return status
 
 
-def _reports_to_csv(reports, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    header = ["identity_name", "parameters", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-              "abs_error", "rel_error", "tolerance", "passed", "low_confidence"]
-    writer.writerow(header)
-    for report in reports:
-        data = report_to_dict(report)
-        row = [data["identity_name"], _sorted_json(data["parameters"])]
-        row += [repr(data[key]) for key in header[2:9]]
-        row += [str(data["passed"]).lower(), str(data["low_confidence"]).lower()]
-        writer.writerow(row)
-
-
 def _cmd_verify(parser, args) -> int:
-    try:
-        reports = run_suite(args.suite, seed=args.seed, r_max=args.r_max,
-                            tolerance=args.tolerance, quick=args.quick)
-    except ValueError as exc:
-        parser.error(str(exc))
+    reports = run_suite(args.suite, seed=args.seed, r_max=args.r_max,
+                        tolerance=args.tolerance, quick=args.quick)
     if args.format == "json":
         def write(out):
             reports_to_json(reports, out)
             out.write("\n")
     else:
-        def write(out):
-            _reports_to_csv(reports, out)
+        write = partial(reports_to_csv, reports)
     _write_output(write, args.output)
     failed = sum(1 for report in reports if not report.passed)
     if args.output is not None:
@@ -304,8 +281,6 @@ def _cmd_table(parser, args) -> int:
         header = ["x"]
         points = _grid(args.start, args.stop, args.step, args.n[0])
         values = d_family_eval(points.astype(complex), params)
-    else:
-        parser.error(f"unknown table function {fn!r}")
     _check_finite(parser, values)
     rows = zip(points.tolist(), np.asarray(values, dtype=complex).tolist())
 
@@ -348,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
     add_common(p_eval)
-    p_eval.add_argument("--fn", required=True,
-                        choices=("gegenbauer", "jacobi", "hahn", "ball", "f_r", "d_family"))
+    p_eval.add_argument("--fn", required=True, choices=tuple(_EVAL_FUNCTIONS))
     p_eval.add_argument("--n", type=_parse_multi_index, help="degree or multi-index (comma separated)")
     p_eval.add_argument("--lambda", dest="lam", type=_finite_float, help="Gegenbauer parameter")
     p_eval.add_argument("--alpha", type=_finite_float)
@@ -362,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--a1", type=_finite_float)
     p_eval.add_argument("--a2", type=_finite_float)
     p_eval.add_argument("--x", type=_parse_vector, help="evaluation point (comma separated)")
-    p_eval.set_defaults(func=partial(_cmd_eval, p_eval))
+    p_eval.set_defaults(func=_cmd_eval, parser=p_eval)
 
     p_fourier = sub.add_parser("fourier", help="closed-form transform, optionally checked")
     add_common(p_fourier)
@@ -373,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.add_argument("--check", action="store_true",
                            help="compare against the quadrature oracle")
     p_fourier.add_argument("--tolerance", type=_tolerance, default=None)
-    p_fourier.set_defaults(func=partial(_cmd_fourier, p_fourier))
+    p_fourier.set_defaults(func=_cmd_fourier, parser=p_fourier)
     for p in (p_eval, p_fourier):
         p.add_argument("--r", type=int, default=None,
                        help="dimension; cross-checked against vector arguments")
@@ -389,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--quick", action="store_true",
                           help="smaller grids for smoke runs")
-    p_verify.set_defaults(func=partial(_cmd_verify, p_verify))
+    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
 
     p_table = sub.add_parser("table", help="CSV table of values over a grid")
     add_common(p_table)
@@ -407,19 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--stop", type=_finite_float)
     p_table.add_argument("--step", type=_finite_float)
     p_table.add_argument("--grid", type=int, help="grid points per axis (ball tables)")
-    p_table.set_defaults(func=partial(_cmd_table, p_table))
+    p_table.set_defaults(func=_cmd_table, parser=p_table)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # non-finite results are reported as usage errors, not as warnings
         with np.errstate(all="ignore"):
-            return args.func(args)
-    except (ValueError, DomainError, OverflowError, _UnwritableOutput) as exc:
-        parser.exit(USAGE_ERROR, f"error: {exc}\n")
+            return args.func(args.parser, args)
+    except _UnwritableOutput as exc:
+        args.parser.exit(USAGE_ERROR, f"error: {exc}\n")
+    except (ValueError, OverflowError) as exc:
+        # every refusal of the library (a DomainError is a ValueError) is
+        # a usage error of the subcommand that ran
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

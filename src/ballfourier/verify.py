@@ -15,6 +15,7 @@ library, and every quadrature verdict passes one node-doubling gate.
 from __future__ import annotations
 
 import cmath
+import csv
 import dataclasses
 import io
 import itertools
@@ -35,7 +36,7 @@ from .tanh_family import (FamilyParams, axis_ladder, fourier_closed_form,
 
 __all__ = ["VerificationReport", "make_report", "fourier_report", "SplitMix64",
            "SUITE_NAMES", "run_suite", "report_to_dict", "report_from_dict",
-           "reports_to_json", "reports_from_json", "canonical_sort"]
+           "reports_to_json", "reports_to_csv", "reports_from_json", "canonical_sort"]
 
 # a 3F2 value below this fraction of the largest |F_k|, k <= n, of its
 # degree recurrence marks a cancellation-risky series value
@@ -56,11 +57,12 @@ _float_repr = float.__repr__
 _INFINITY = math.inf
 # the newline and indent of a report field in the indented list
 _FIELD_INDENT = "\n    "
-# one report of the indented list, its fields in report_to_dict order
-_REPORT_TEMPLATE = ("{\n    \"identity_name\": %s,\n    \"parameters\": %s,\n    \"lhs_re\": %s,"
-                    "\n    \"lhs_im\": %s,\n    \"rhs_re\": %s,\n    \"rhs_im\": %s,"
-                    "\n    \"abs_error\": %s,\n    \"rel_error\": %s,\n    \"tolerance\": %s,"
-                    "\n    \"passed\": %s,\n    \"low_confidence\": %s\n  }")
+# the report schema: its eleven keys, in the order every writer uses
+_REPORT_KEYS = ("identity_name", "parameters", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+                "abs_error", "rel_error", "tolerance", "passed", "low_confidence")
+# one report of the indented list, a field per schema key
+_REPORT_TEMPLATE = ("{" + ",".join(_FIELD_INDENT + _json_string(key) + ": %s"
+                                   for key in _REPORT_KEYS) + "\n  }")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -455,33 +457,18 @@ def run_suite(name: str, seed: int = 0, r_max: int = 3,
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "identity_name": report.identity_name,
-        "parameters": report.parameters,
-        "lhs_re": report.lhs.real,
-        "lhs_im": report.lhs.imag,
-        "rhs_re": report.rhs.real,
-        "rhs_im": report.rhs.imag,
-        "abs_error": report.abs_error,
-        "rel_error": report.rel_error,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "low_confidence": report.low_confidence,
-    }
+    lhs, rhs = report.lhs, report.rhs
+    return dict(zip(_REPORT_KEYS, (
+        report.identity_name, report.parameters, lhs.real, lhs.imag, rhs.real, rhs.imag,
+        report.abs_error, report.rel_error, report.tolerance, report.passed,
+        report.low_confidence)))
 
 
 def report_from_dict(data: dict) -> VerificationReport:
-    return VerificationReport(
-        identity_name=data["identity_name"],
-        parameters=data["parameters"],
-        lhs=complex(data["lhs_re"], data["lhs_im"]),
-        rhs=complex(data["rhs_re"], data["rhs_im"]),
-        abs_error=data["abs_error"],
-        rel_error=data["rel_error"],
-        tolerance=data["tolerance"],
-        passed=data["passed"],
-        low_confidence=data["low_confidence"],
-    )
+    name, parameters, lhs_re, lhs_im, rhs_re, rhs_im, *verdict = (
+        data[key] for key in _REPORT_KEYS)
+    return VerificationReport(name, parameters, complex(lhs_re, lhs_im),
+                              complex(rhs_re, rhs_im), *verdict)
 
 
 def _json_text(value, indent=_FIELD_INDENT, path=()) -> str:
@@ -572,6 +559,19 @@ def reports_to_json(reports, handle=None) -> str | None:
         opening = ",\n  "
     out.write("[]" if opening == "[\n  " else "\n]")
     return out.getvalue() if handle is None else None
+
+
+def reports_to_csv(reports, handle) -> None:
+    """The reports as CSV on the text ``handle``: a header row of the
+    schema keys, then one row per report, written as it is formatted.
+    ``parameters`` is its JSON with sorted keys, the numbers are their
+    ``repr`` and the two flags are ``true`` or ``false``."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(_REPORT_KEYS)
+    for report in reports:
+        name, parameters, *numbers, passed, low_confidence = report_to_dict(report).values()
+        writer.writerow([name, _sorted_json(parameters), *map(repr, numbers),
+                         str(passed).lower(), str(low_confidence).lower()])
 
 
 def reports_from_json(text: str):

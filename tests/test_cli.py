@@ -91,6 +91,53 @@ class TestEval:
                        '"value_re": 7935268.134225179}\n')
 
 
+# every required option of each eval function, with a value, in the order
+# the function names a missing one
+_EVAL_OPTIONS = {
+    "gegenbauer": [("--n", "3"), ("--lambda", "0.7"), ("--x", "0.3")],
+    "jacobi": [("--n", "3"), ("--alpha", "0.5"), ("--beta", "-0.25"), ("--x", "0.3")],
+    "hahn": [("--n", "2"), ("--x", "0.7"), ("--a", "0.3"), ("--b", "0.4"), ("--c", "0.2"),
+             ("--d", "0.15")],
+    "ball": [("--n", "1,2"), ("--mu", "0.5"), ("--x", "0.3,-0.4")],
+    "f_r": [("--n", "1,2"), ("--a", "1"), ("--mu", "0.5"), ("--x", "0.3,-0.4")],
+    "d_family": [("--n", "1,2"), ("--a1", "0.7"), ("--a2", "1.2"), ("--x", "0.3,-0.4")],
+}
+
+
+def _eval_args(fn, skip=None) -> list:
+    return ["eval", "--fn", fn] + [part for option, value in _EVAL_OPTIONS[fn]
+                                   if option != skip for part in (option, value)]
+
+
+class TestEvalFunctions:
+    @pytest.mark.parametrize("fn, expected", [
+        ("gegenbauer", b'{"inputs": {"fn": "gegenbauer", "lambda": 0.7, "n": 3, "x": 0.3}, '
+                       b'"value_im": 0.0, "value_re": -0.598332}\n'),
+        ("jacobi", b'{"inputs": {"alpha": 0.5, "beta": -0.25, "fn": "jacobi", "n": 3, "x": 0.3}, '
+                   b'"value_im": 0.0, "value_re": -0.5335791015625}\n'),
+        ("hahn", b'{"inputs": {"a": 0.3, "b": 0.4, "c": 0.2, "d": 0.15, "fn": "hahn", "n": 2, '
+                 b'"x": 0.7}, "value_im": -0.3802749999999998, "value_re": 1.4055624999999996}\n'),
+        ("ball", b'{"inputs": {"fn": "ball", "mu": 0.5, "n": [1, 2], "x": [0.3, -0.4]}, '
+                 b'"value_im": 0.0, "value_re": -0.3869999999999999}\n'),
+        ("f_r", b'{"inputs": {"a": 1.0, "fn": "f_r", "mu": 0.5, "n": [1, 2], "x": [0.3, -0.4]}, '
+                b'"value_im": 0.0, "value_re": -0.34724316940961486}\n'),
+        ("d_family", b'{"inputs": {"a1": 0.7, "a2": 1.2, "fn": "d_family", "n": [1, 2], '
+                     b'"x": [0.3, -0.4]}, "value_im": 0.0, "value_re": -0.045913167854334566}\n'),
+    ])
+    def test_output_bytes(self, capsysbinary, fn, expected):
+        assert run_cli(_eval_args(fn), capsysbinary) == (0, expected)
+
+    @pytest.mark.parametrize("fn, option", [(fn, option) for fn, options in _EVAL_OPTIONS.items()
+                                            for option, _ in options])
+    def test_missing_option_exits_2(self, capsys, fn, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(_eval_args(fn, skip=option))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ballfourier eval: error: {option} is required for this function\n" in captured.err
+
+
 class TestFourier:
     def test_check_passes(self, capsys):
         code, out = run_cli(["fourier", "--r", "1", "--n", "0", "--a", "0.5",
@@ -688,6 +735,13 @@ class TestRefusalMessages:
         (["eval", "--fn", "ball", "--r", "3", "--n", "0,1", "--mu", "1", "--x", "0.3,0.4"], "eval"),
         (["fourier", "--n", "1,1", "--a", "1", "--mu", "0.5", "--xi", "0.5"], "fourier"),
         (["verify", "--suite", "parseval", "--r-max", "0"], "verify"),
+        (["eval", "--fn", "hahn", "--n", "200", "--x", "0", "--a", "50", "--b", "50",
+          "--c", "50", "--d", "50"], "eval"),
+        (["eval", "--fn", "d_family", "--n", "0", "--a1", "400", "--a2", "400", "--x", "0"],
+         "eval"),
+        (["table", "--fn", "gegenbauer", "--n", "3", "--lambda", "1", "--start", "0",
+          "--stop", "1", "--step", "-1"], "table"),
+        (["table", "--fn", "ball", "--n", "1,1", "--mu", "0.5", "--grid", "400"], "table"),
     ])
     def test_usage_is_the_subcommand_s(self, capsys, args, command):
         err = self._refusal(args, capsys)

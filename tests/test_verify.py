@@ -200,6 +200,16 @@ class TestLayering:
                        if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not any("quadrature" in (module or "", name) for module, name in cli_imports)
 
+    def test_cli_imports_only_public_names(self):
+        # the CLI parses and routes; a private name it imports from the
+        # library is a decision the library has not made public
+        private = {(node.module, alias.name)
+                   for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").startswith("ballfourier"))
+                   for alias in node.names if alias.name.startswith("_")}
+        assert private == set()
+
     def test_parseval_reports_share_the_gate(self, monkeypatch):
         # all three parseval reports rest on the two quadrature sides, so a
         # drift of either side under node doubling fails every one of them
