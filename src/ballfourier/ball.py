@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .classical import _gegenbauer_recurrence
-from .errors import DomainError
+from .errors import DomainError, _check_vectors, _check_weight
 from .special import _blockwise, _real_array, log_gamma, pochhammer
 
 __all__ = ["tail_sum", "validate_multi_index", "ball_basis_eval", "ball_norm",
@@ -73,14 +73,6 @@ def _axis_parameters(j: int, r: int, m: int, a: float, mu: float):
             m + 2.0 * a + (r - j) / 2.0)
 
 
-def _check_mu(mu: float) -> float:
-    if not mu > -0.5:
-        raise ValueError("ball weight parameter must satisfy mu > -1/2")
-    if mu == 0.0:
-        raise ValueError("mu = 0 is excluded (Gamma(mu) pole in the norms)")
-    return float(mu)
-
-
 def ball_basis_eval(n, mu: float, x):
     """Evaluate the ball basis polynomial indexed by ``n`` at point(s) ``x``.
 
@@ -93,11 +85,9 @@ def ball_basis_eval(n, mu: float, x):
     ||x|| > 1 + 1e-12 raise :class:`DomainError`.
     """
     n = validate_multi_index(n)
-    mu = _check_mu(mu)
+    mu = _check_weight(mu, "mu")
     r = len(n)
-    x = _real_array(x, "x")
-    if x.ndim == 0 or x.shape[-1] != r:
-        raise ValueError(f"point must have {r} coordinates on its last axis")
+    x = _check_vectors(_real_array(x, "x"), r, "x")
     return _blockwise(partial(_ball_block, n, mu), *(x[..., j] for j in range(r)))[0]
 
 
@@ -132,7 +122,7 @@ def ball_norm(n, mu: float) -> float:
     [1/2, 3] and r <= 3 that happens from total degree 95-99 on.
     """
     n = validate_multi_index(n)
-    mu = _check_mu(mu)
+    mu = _check_weight(mu, "mu")
     r = len(n)
     nn = sum(n)
     log_part = (0.5 * r * math.log(math.pi) + log_gamma(mu + 0.5)
@@ -160,7 +150,7 @@ def ball_polynomial(n, mu: float) -> dict:
     from fractions import Fraction
 
     n = validate_multi_index(n)
-    mu, r = Fraction(_check_mu(mu)), len(n)
+    mu, r = Fraction(_check_weight(mu, "mu")), len(n)
     poly = {(0,) * r: Fraction(1)}
     for j in range(1, r + 1):
         nj, lam = n[j - 1], mu + tail_sum(n, j + 1) + Fraction(r - j, 2)
@@ -192,7 +182,7 @@ def ball_operator_residual(n, mu: float) -> float:
     from fractions import Fraction
 
     n = validate_multi_index(n)
-    r, nn, drift = len(n), sum(n), 2 * Fraction(_check_mu(mu)) - 1
+    r, nn, drift = len(n), sum(n), 2 * Fraction(_check_weight(mu, "mu")) - 1
     image = defaultdict(int)
     for alpha, c in ball_polynomial(n, mu).items():
         # x . grad x^alpha = |alpha| x^alpha; times x_j, d/dx_j gives alpha_j + 1

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .errors import _check_decay, _check_jacobi_exponents, _check_order, _check_weight
 from .hypergeometric import hyp3f2_ladder
 from .special import _LOG_DBL_MAX, _blockwise, log_gamma, pochhammer
 
@@ -26,21 +27,6 @@ __all__ = [
     "continuous_hahn_rows",
     "hahn_orthogonality_constant",
 ]
-
-
-def _check_degree(n: int) -> int:
-    if n < 0 or n != int(n):
-        raise ValueError("polynomial degree must be a nonnegative integer")
-    return int(n)
-
-
-def _check_gegenbauer_lambda(lam: float) -> float:
-    if not lam > -0.5:
-        raise ValueError("Gegenbauer parameter must satisfy lambda > -1/2")
-    if lam == 0.0:
-        raise ValueError("Gegenbauer parameter lambda = 0 is excluded "
-                         "(the norm has a Gamma(lambda) pole there)")
-    return float(lam)
 
 
 def _dyadic(values) -> tuple[list[int], int]:
@@ -64,9 +50,8 @@ def jacobi(n: int, alpha: float, beta: float, x: float) -> float:
     prod_{i<n-k}((n-i)2^e + B) (X + 2^e)^k (X - 2^e)^(n-k) is an integer,
     so the sum runs in Python integers with no gcd per operation.
     """
-    n = _check_degree(n)
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("Jacobi parameters must satisfy alpha, beta > -1")
+    n = _check_order(n, "degree")
+    _check_jacobi_exponents(alpha, beta)
     (a, b, xx), e = _dyadic((alpha, beta, x))
     one = 1 << e
     # prefix products over i < k of ((n-i)2^e + A)(X + 2^e) and of
@@ -90,8 +75,8 @@ def gegenbauer(n: int, lam: float, x):
     serves only as the tests' cross-check.  A batch runs per block
     (:func:`special._blockwise`).
     """
-    n = _check_degree(n)
-    lam = _check_gegenbauer_lambda(lam)
+    n = _check_order(n, "degree")
+    lam = _check_weight(lam, "lambda")
     arr = np.asarray(x)
     dtype = np.result_type(arr.dtype, np.float64)
     if n == 0:
@@ -136,8 +121,8 @@ def gegenbauer_norm(n: int, lam: float) -> float:
     OverflowError, as :func:`ball.ball_norm` does; for lambda in [1/2, 3]
     that happens from n = 167-170 on.
     """
-    n = _check_degree(n)
-    lam = _check_gegenbauer_lambda(lam)
+    n = _check_order(n, "degree")
+    lam = _check_weight(lam, "lambda")
     log_part = log_gamma(lam + 0.5) + log_gamma(0.5) - log_gamma(lam + 1.0)
     upper = float(np.exp(log_part)) * lam * pochhammer(2.0 * lam, n)
     lower = math.factorial(n) * (n + lam)
@@ -151,7 +136,7 @@ def continuous_hahn_rows(degrees, x, params):
     ``degrees``, from one call of :func:`hyp3f2_ladder` (s = a + b + c + d
     does not depend on n), which also makes the route choice and the pole
     check.  Each entry is :func:`continuous_hahn` of its degree, bit for bit."""
-    degrees = [_check_degree(n) for n in degrees]
+    degrees = [_check_order(n, "degree") for n in degrees]
     a, b, c, d = map(complex, params)
     series = hyp3f2_ladder(degrees, a + b + c + d, a + 1j * np.asarray(x), a + c, a + d)
     return [(1j ** n) * pochhammer(a + c, n) * pochhammer(a + d, n) / math.factorial(n) * value
@@ -175,9 +160,9 @@ def hahn_orthogonality_constant(n: int, a1: float, a2: float) -> float:
     under the gamma-product weight, for real a1, a2 > 0.  A value past double
     range raises OverflowError, as :func:`gegenbauer_norm` does; at
     a1 = a2 = 1/2 that happens from n = 99 on."""
-    n = _check_degree(n)
-    if not (a1 > 0 and a2 > 0):
-        raise ValueError("Hahn orthogonality requires a1, a2 > 0")
+    n = _check_order(n, "degree")
+    _check_decay(a1, "a1")
+    _check_decay(a2, "a2")
     s = a1 + a2
     log_val = (math.log(math.pi)
                + log_gamma(2.0 * a1 + n) + log_gamma(2.0 * a2 + n)

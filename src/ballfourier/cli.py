@@ -2,7 +2,11 @@
 
 This module parses and routes: each decision it passes on (what a
 function computes, when an input is refused, how a report is written) is
-made in the library.  Exit codes: 0 success, 1 verification failure, 2
+made in the library, input rules included (ranges, degrees, the shape
+of ``--x`` and ``--xi``, the theta ``--axis``).  The CLI checks only its
+own: option presence, the one-entry ``eval`` functions, the table grids,
+the work bounds, ``--r`` and finite results.
+Exit codes: 0 success, 1 verification failure, 2
 usage/configuration error.  Every refusal is reported one way, by the
 parser of the subcommand that ran: its usage line, then
 ``ballfourier <command>: error: <reason>``.  That holds for the checks
@@ -131,12 +135,6 @@ def _check_r(parser, args, length: int) -> None:
         parser.error(f"--r={args.r} contradicts a length-{length} vector argument")
 
 
-def _check_point(parser, args) -> None:
-    _check_r(parser, args, len(args.n))
-    if len(args.x) != len(args.n):
-        parser.error("--x must have as many coordinates as --n")
-
-
 def _check_degree(parser, n, limit: int) -> None:
     if sum(n) > limit:
         parser.error(f"total degree {sum(n)} exceeds the limit {limit}")
@@ -175,7 +173,10 @@ _EVAL_FUNCTIONS = {
 def _eval_value(parser, args):
     names, scalar, evaluate = _EVAL_FUNCTIONS[args.fn]
     _require(parser, args, names)
-    (_check_scalar if scalar else _check_point)(parser, args)
+    if scalar:
+        _check_scalar(parser, args)
+    else:
+        _check_r(parser, args, len(args.n))
     inputs = {"fn": args.fn}
     for name in names:
         value = getattr(args, name)
@@ -198,8 +199,6 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_fourier(parser, args) -> int:
-    if len(args.xi) != len(args.n):
-        parser.error("--xi must have as many components as --n")
     _check_r(parser, args, len(args.n))
     _check_degree(parser, args.n, _DEGREE_LIMIT)
     params = FamilyParams(args.a, args.mu, args.n)
@@ -247,13 +246,9 @@ def _cmd_table(parser, args) -> int:
     if fn == "theta":
         _require(parser, args, ("n", "a", "mu", "start", "stop", "step"))
         params = FamilyParams(args.a, args.mu, args.n)
-        r = len(args.n)
-        j = args.axis if args.axis is not None else 1
-        if not 1 <= j <= r:
-            parser.error("--axis out of range")
         header = ["xi"]
         points = _grid(args.start, args.stop, args.step, sum(args.n))
-        values = theta_factor(j, r, params, points[:, 0])
+        values = theta_factor(args.axis, params.r, params, points[:, 0])
     elif fn == "ball":
         _require(parser, args, ("n", "mu", "grid"))
         if len(args.n) != 2:
@@ -375,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--mu", type=_finite_float)
     p_table.add_argument("--a1", type=_finite_float)
     p_table.add_argument("--a2", type=_finite_float)
-    p_table.add_argument("--axis", type=int, default=None,
+    p_table.add_argument("--axis", type=int, default=1,
                          help="theta axis index j (default 1)")
     p_table.add_argument("--start", type=_finite_float)
     p_table.add_argument("--stop", type=_finite_float)

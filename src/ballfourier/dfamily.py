@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import _axis_parameters, ball_norm, tail_sum, validate_multi_index
+from .errors import _check_decay, _check_vectors
 from .special import _LOG_DBL_MAX, _blockwise, _number, gamma_pair, log_gamma, pochhammer
 from .tanh_family import _axis_tail, axis_ladder
 
@@ -48,8 +49,8 @@ class DParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", validate_multi_index(self.n))
-        if not (self.a1 > 0 and self.a2 > 0):
-            raise ValueError("parameters must satisfy a1 > 0 and a2 > 0")
+        _check_decay(self.a1, "a1")
+        _check_decay(self.a2, "a2")
         if self.a1 + self.a2 == 0.5:
             raise ValueError("a1 + a2 = 1/2 is excluded (coupled weight degenerates)")
 
@@ -67,7 +68,7 @@ def d_axis_rows(j: int, r: int, m: int, degrees, x_j, a1: float, a2: float):
     one gamma pair and one 3F2 ladder (:func:`tanh_family.axis_ladder`),
     since neither depends on n_j.  Vectorized in x_j; each entry equals
     the :func:`d_axis_factor` of its degree bit for bit."""
-    gplus, gminus, series = axis_ladder(j, r, m, a1, a1 + a2 - 0.5, x_j, degrees)
+    _, gplus, gminus, series = axis_ladder(j, r, m, a1, a1 + a2 - 0.5, x_j, degrees)
     pair = gamma_pair(gminus, gplus)
     return [pair * value for value in series]
 
@@ -91,10 +92,8 @@ def d_family_eval(x, params: DParams):
     as Python numbers, and a real ``x`` runs unblocked, because the gamma
     pair of each axis chooses its real or complex route over the whole
     batch."""
-    x = np.asarray(x)
+    x = _check_vectors(np.asarray(x), params.r, "x")
     r = params.r
-    if x.ndim == 0 or x.shape[-1] != r:
-        raise ValueError(f"point must have {r} coordinates on its last axis")
 
     def product(*columns):
         value = None
@@ -119,8 +118,8 @@ def d_orthogonality_constant(n, a1: float, a2: float) -> float:
     OverflowError, as :func:`classical.hahn_orthogonality_constant` does;
     at n = (0,) and a1 = a2 that happens from about 49.54 on."""
     n = validate_multi_index(n)
-    if not (a1 > 0 and a2 > 0):
-        raise ValueError("parameters must satisfy a1 > 0 and a2 > 0")
+    _check_decay(a1, "a1")
+    _check_decay(a2, "a2")
     r = len(n)
     s = a1 + a2
     mu = s - 0.5

@@ -49,18 +49,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorPoleError
+from .errors import DenominatorPoleError, _check_lower, _check_order
 from .special import _blockwise, _number
 
 __all__ = ["HypergeometricSpec", "pfq_diagnostics", "hyp3f2_unit", "hyp3f2_ladder"]
 
 # highest degree of the forward series at Re s <= 0, its measured range
 _FORWARD_DEGREE_LIMIT = 12
-
-
-def _is_nonpositive_integer(value: complex) -> bool:
-    value = complex(value)
-    return value.imag == 0.0 and value.real <= 0.0 and value.real == int(value.real)
 
 
 @dataclass(frozen=True)
@@ -78,17 +73,12 @@ class HypergeometricSpec:
         object.__setattr__(self, "denominator_params",
                            tuple(complex(p) for p in self.denominator_params))
         object.__setattr__(self, "argument", complex(self.argument))
-        order = self.termination_order
-        if order < 0 or order != int(order):
-            raise ValueError("termination_order must be a nonnegative integer")
+        order = _check_order(self.termination_order, "termination_order")
         if not any(p == -complex(order) for p in self.numerator_params):
             raise ValueError(
                 "a numerator parameter equal to -termination_order is required "
                 "(only terminating series are supported)")
-        for d in self.denominator_params:
-            if _is_nonpositive_integer(d) and d.real >= -order:
-                raise DenominatorPoleError(
-                    f"denominator parameter {d} vanishes within the summation range")
+        _check_lower(self.denominator_params, order)
 
 
 def _series_block(numerators, denominators, argument, order: int):
@@ -157,15 +147,21 @@ def _hahn_coefficients(n: int, s, l1, l2):
     F_k = 3F2(-k, k+s-1, u; l1, l2; 1), with
     A_k = -(k+s-1)(k+l1)(k+l2) / ((2k+s-1)(2k+s)) (A_0 = -l1 l2 / s, the
     limit) and C_k = k(k+s-l2-1)(k+s-l1-1) / ((2k+s-2)(2k+s-1)), on
-    Python numbers."""
+    Python numbers.  A divisor that rounds to 0 (A_0 where l1 l2
+    underflows or s overflows, 2k + s - 2 at k = 1 for s <= 2^-53) raises
+    ValueError."""
     rows = []
-    for k in range(n):
-        if k == 0:
-            a, c = -l1 * l2 / s, 0.0
-        else:
-            a = -(k + s - 1) * (k + l1) * (k + l2) / ((2 * k + s - 1) * (2 * k + s))
-            c = k * (k + s - l2 - 1) * (k + s - l1 - 1) / ((2 * k + s - 2) * (2 * k + s - 1))
-        rows.append((a + c, c, 1.0 / a))
+    try:
+        for k in range(n):
+            if k == 0:
+                a, c = -l1 * l2 / s, 0.0
+            else:
+                a = -(k + s - 1) * (k + l1) * (k + l2) / ((2 * k + s - 1) * (2 * k + s))
+                c = k * (k + s - l2 - 1) * (k + s - l1 - 1) / ((2 * k + s - 2) * (2 * k + s - 1))
+            rows.append((a + c, c, 1.0 / a))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"the 3F2 recurrence divides by a term that rounds to 0 at s = {s}, "
+                         f"lower parameters {l1} and {l2}") from exc
     return rows
 
 
@@ -186,12 +182,6 @@ def _ladder_block(u, coefficients, degrees, dtype):
         prev, curr = curr, ((u + b) * curr - c * prev) * inv_a
     kept[n] = curr
     return [kept[k] for k in degrees]
-
-
-def _vanishes_within(q, n: int) -> bool:
-    """Whether q + k = 0 for an integer 0 <= k < n, i.e. the Pochhammer
-    symbol (q)_k of a lower parameter vanishes inside an order-n sum."""
-    return _is_nonpositive_integer(q) and complex(q).real > -n
 
 
 def _python_scalar(value):
@@ -238,9 +228,7 @@ def _hyp3f2(degrees: tuple, s, u, lower1, lower2):
     """:func:`hyp3f2_ladder` once its arguments are checked: the one pole
     check and the one route choice of the continuous-Hahn 3F2."""
     n = max(degrees)
-    if _vanishes_within(lower1, n) or _vanishes_within(lower2, n):
-        raise DenominatorPoleError("a lower parameter's Pochhammer factor vanishes "
-                                   "within the summation range")
+    _check_lower((lower1, lower2), n)
     if complex(s).real > 0:
         return _ladder(degrees, s, u, lower1, lower2)
     if n > _FORWARD_DEGREE_LIMIT:
@@ -257,7 +245,8 @@ def hyp3f2_ladder(degrees, s, u, lower1, lower2):
     The one entry point of the continuous-Hahn 3F2.  ``s``, ``lower1`` and
     ``lower2`` are scalars (an array raises ValueError); ``u`` broadcasts.
     A lower parameter whose Pochhammer factor vanishes below
-    N = max(degrees) raises :class:`DenominatorPoleError`.
+    N = max(degrees) raises :class:`DenominatorPoleError`, and parameters
+    at which a recurrence coefficient divides by 0 raise ValueError.
 
     At Re s > 0 one run of the degree recurrence to N gives every F_k: the
     coefficient rows depend on (s, lower1, lower2) only, so the recurrence
@@ -295,9 +284,7 @@ def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
     :func:`hyp3f2_ladder` with s = upper2 - (n - 1) and u = ``upper3``,
     which alone may be an array (the result broadcasts with it).
     """
-    if n < 0 or n != int(n):
-        raise ValueError("series order n must be a nonnegative integer")
+    n = _check_order(n, "series order n")
     if not _scalars(upper2, lower1, lower2):
         raise ValueError("upper2, lower1 and lower2 must be scalars; only upper3 broadcasts")
-    n = int(n)
     return _hyp3f2((n,), upper2 - (n - 1.0), upper3, lower1, lower2)[0]

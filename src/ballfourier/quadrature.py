@@ -53,10 +53,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .ball import _axis_lambda, _check_mu, _index_list
+from .ball import _axis_lambda, _index_list
 from .classical import continuous_hahn_rows, gegenbauer
 from .dfamily import DParams, d_axis_rows
-from .errors import NonFiniteIntegrandError
+from .errors import NonFiniteIntegrandError, _check_jacobi_exponents, _check_weight
 from .special import log_gamma
 from .tanh_family import (FamilyParams, _axis_keys, _axis_table, _frequency_table,
                           _frequency_vectors, _theta_rows, _x_factor, fourier_prefactor)
@@ -174,8 +174,7 @@ def _jacgauss_cached(k: int, alpha: float, beta: float):
     which is not good enough for the orthogonality tolerances here; the
     symmetric-tridiagonal eigenproblem keeps moments at machine precision.)
     """
-    if min(alpha, beta) <= -1.0:
-        raise ValueError("Jacobi exponents must exceed -1")
+    _check_jacobi_exponents(alpha, beta)
     ab = alpha + beta
     diag = np.empty(k)
     diag[0] = (beta - alpha) / (ab + 2.0)
@@ -354,7 +353,7 @@ def _ball_pairings(indices, pairs, mu: float, spec: QuadratureSpec | None):
     on one Gauss-Jacobi rule per axis (:func:`_ball_rules`): the pairing of
     the factors (1 - t_j^2)^(|n^{j+1}|/2) C_{n_j}^{lambda_j}(t_j), each axis
     key's once."""
-    mu = _check_mu(mu)
+    mu = _check_weight(mu, "mu")
     r = len(indices[0])
     rules = _ball_rules(indices, pairs, mu, spec)
 

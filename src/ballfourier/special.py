@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import PoleError, _check_order
 
 __all__ = [
     "log_gamma",
@@ -497,9 +497,7 @@ def pochhammer(base, order: int):
 
     ``order`` must be a nonnegative integer; the empty product is 1.
     """
-    if order < 0 or order != int(order):
-        raise ValueError("pochhammer order must be a nonnegative integer")
-    order = int(order)
+    order = _check_order(order, "pochhammer order")
     if order == 0:
         arr = np.asarray(base)
         return np.ones_like(arr) if arr.ndim else arr.dtype.type(1)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .ball import _axis_lambda, _axis_parameters, _index_list, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
+from .errors import _check_decay, _check_vectors, _check_weight
 from .hypergeometric import hyp3f2_ladder, hyp3f2_unit
 from .special import _blockwise, _real_array, beta_conjugate, pochhammer
 
@@ -63,10 +64,8 @@ class FamilyParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", validate_multi_index(self.n))
-        if not self.a > 0:
-            raise ValueError("decay parameter must satisfy a > 0")
-        if not self.mu > -0.5 or self.mu == 0.0:
-            raise ValueError("weight parameter must satisfy mu > -1/2, mu != 0")
+        _check_decay(self.a, "a")
+        _check_weight(self.mu, "mu")
 
     @property
     def r(self) -> int:
@@ -94,10 +93,8 @@ def family_eval(x, params: FamilyParams):
     point is a block of one row, whose Gegenbauer recurrences run on
     Python floats (:func:`family_axis_factor`), and keeps its batch entry's
     bits; it comes back as a scalar."""
-    x = _real_array(x, "x")
+    x = _check_vectors(_real_array(x, "x"), params.r, "x")
     r = params.r
-    if x.ndim == 0 or x.shape[-1] != r:
-        raise ValueError(f"point must have {r} coordinates on its last axis")
     values = _blockwise(partial(_axis_product, params), *x.reshape(-1, r).T)[0]
     return values.reshape(x.shape[:-1])[()]
 
@@ -117,15 +114,13 @@ def family_axis_factor(j: int, params: FamilyParams, x):
     over j = 1..r, in axis order (the peel-first recursion unrolled).
     """
     r = params.r
-    if not 1 <= j <= r:
-        raise ValueError("axis index out of range")
-    key = _axis_keys(params.n)[j - 1]
+    m = _axis_tail(j, r, params.n)
     x = _real_array(x, "x")
     t = np.tanh(x)
     # a single point runs the Gegenbauer recurrence on a Python float; only
     # the sech^2 power stays on its one-entry array, as in a batch, since
     # numpy's power of an array and of a scalar can round apart
-    return _x_factor(key, r, params.a, params.mu, 1.0 / np.cosh(x) ** 2,
+    return _x_factor((j, params.n[j - 1], m), r, params.a, params.mu, 1.0 / np.cosh(x) ** 2,
                      t.item() if t.size == 1 else t)
 
 
@@ -149,22 +144,22 @@ def _axis_tail(j: int, r: int, n) -> int:
 def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
     """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
     ``degrees``, from one degree recurrence (:func:`hyp3f2_ladder`):
-    ``(arg_plus, arg_minus, values)``.  The parameters s, lower1, lower2
-    (:func:`_axis_parameters`) and the gamma arguments a + (m +- z)/2 + q
-    depend on (j, m) only, so one ladder serves every member sharing that
-    axis tail.  Theta takes z = i xi; the gamma-pair family takes z = x_j,
-    a = a1 and mu = a1 + a2 - 1/2."""
-    q, _, _, s, lower1, lower2 = _axis_parameters(j, r, m, a, mu)
+    ``(p, arg_plus, arg_minus, values)``.  The sech^2 power p, the
+    parameters s, lower1, lower2 (:func:`_axis_parameters`) and the gamma
+    arguments a + (m +- z)/2 + q depend on (j, m) only, so one ladder
+    serves every member sharing that axis tail.  Theta takes z = i xi; the
+    gamma-pair family takes z = x_j, a = a1 and mu = a1 + a2 - 1/2."""
+    q, p, _, s, lower1, lower2 = _axis_parameters(j, r, m, a, mu)
     arg_plus = a + (m + z) / 2.0 + q
     arg_minus = a + (m - z) / 2.0 + q
-    return arg_plus, arg_minus, hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2)
+    return p, arg_plus, arg_minus, hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2)
 
 
 def _theta_rows(r: int, a: float, mu: float, j: int, m: int, degrees, xi):
     """Theta factors of axis j at tail m for every n_j in ``degrees`` at the
     frequencies ``xi``: one beta factor and one 3F2 ladder."""
-    _, _, series = axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
-    beta = beta_conjugate(_axis_parameters(j, r, m, a, mu)[1], xi / 2.0)
+    p, _, _, series = axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
+    beta = beta_conjugate(p, xi / 2.0)
     return [beta * value for value in series]
 
 
@@ -225,10 +220,7 @@ def fourier_prefactor(params: FamilyParams) -> float:
 
 def _frequency_vectors(xi, r: int) -> np.ndarray:
     """``xi`` as a float array of length-r frequency vectors, shape (..., r)."""
-    xi = _real_array(xi, "xi")
-    if xi.ndim == 0 or xi.shape[-1] != r:
-        raise ValueError(f"frequency vectors must have length {r} on the last axis")
-    return xi
+    return _check_vectors(_real_array(xi, "xi"), r, "xi")
 
 
 def _axis_table(member_keys, tail_rows) -> dict:

@@ -246,7 +246,7 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     scale = abs(float(fourier_prefactor(params)))
     low_confidence = False
     for j in range(1, r + 1):
-        arg_plus, _, values = axis_ladder(
+        _, arg_plus, _, values = axis_ladder(
             j, r, tail_sum(params.n, j + 1), params.a, params.mu, 1j * float(xi[j - 1]),
             range(params.n[j - 1] + 1))
         peak = float(np.max(np.abs(values)))

@@ -21,8 +21,8 @@ import numpy as np
 from ballfourier import (DParams, FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          ball_basis_eval, continuous_hahn, d_family_eval, gamma, gegenbauer,
                          pochhammer, tail_sum)
-from ballfourier.ball import _check_mu, _index_list
-from ballfourier.classical import _check_degree, _check_gegenbauer_lambda
+from ballfourier.ball import _index_list
+from ballfourier.errors import _check_order, _check_weight
 from ballfourier.hypergeometric import _terminating_sum
 from ballfourier.quadrature import _ball_rules, _line_rule, d_pair_spec
 from ballfourier.special import _real_array
@@ -35,8 +35,8 @@ def gegenbauer_series(n: int, lam: float, x):
     Its alternating sum loses up to ~1e-10 relative accuracy by n = 10,
     which is why :func:`ballfourier.gegenbauer` runs the recurrence.
     """
-    n = _check_degree(n)
-    lam = _check_gegenbauer_lambda(lam)
+    n = _check_order(n, "degree")
+    lam = _check_weight(lam, "lambda")
     prefactor = pochhammer(2.0 * lam, n) / math.factorial(n)
     arr = np.asarray(x)
     if not np.iscomplexobj(arr):
@@ -171,7 +171,7 @@ def ball_gram_tensor(indices, mu: float, spec: QuadratureSpec | None = None) -> 
     entry does not depend on the other pairs, so entry [0, 1] of two
     indices is their inner product."""
     indices = _index_list(indices)
-    mu = _check_mu(mu)
+    mu = _check_weight(mu, "mu")
     upper = np.triu_indices(len(indices))
     pairs = list(zip(*upper))
     rules = _ball_rules(indices, pairs, mu, spec)

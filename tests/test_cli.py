@@ -742,6 +742,16 @@ class TestRefusalMessages:
         (["table", "--fn", "gegenbauer", "--n", "3", "--lambda", "1", "--start", "0",
           "--stop", "1", "--step", "-1"], "table"),
         (["table", "--fn", "ball", "--n", "1,1", "--mu", "0.5", "--grid", "400"], "table"),
+        # 3F2 recurrence coefficients whose divisor rounds to 0: an s that
+        # overflows, a product l1 l2 that underflows, 2 + s - 2 at tiny s
+        (["eval", "--fn", "d_family", "--n", "1", "--a1", "0.5", "--a2", "1e308", "--x", "400"],
+         "eval"),
+        (["table", "--fn", "d_family", "--n", "1", "--a1", "0.5", "--a2", "1e308", "--start", "0",
+          "--stop", "1", "--step", "0.5"], "table"),
+        (["eval", "--fn", "hahn", "--n", "1", "--x", "0.3", "--a", "1e-200", "--b", "1",
+          "--c", "0", "--d", "1e-200"], "eval"),
+        (["eval", "--fn", "hahn", "--n", "2", "--x", "0.3", "--a", "-0.5", "--b", "1",
+          "--c", "0", "--d", "-0.4999999999999999"], "eval"),
     ])
     def test_usage_is_the_subcommand_s(self, capsys, args, command):
         err = self._refusal(args, capsys)

@@ -28,6 +28,14 @@ class TestSpecValidation:
         # -3.5 is not an integer; never vanishes
         HypergeometricSpec((-2.0, 1.0), (-3.5,), 1.0, 2)
 
+    def test_accepts_denominator_of_minus_the_order(self):
+        # (-3)_k has the factors -3, ..., k - 4, none of them 0 for k <= 3,
+        # so the sum to order 3 has no pole; mpmath's 2F1 gives 319/128
+        spec = HypergeometricSpec((-3.0, 1.5), (-3.0,), 0.5, 3)
+        value, _ = _terminating_sum([-3.0, 1.5], [-3.0], 0.5, 3)
+        assert value[()] == 2.4921875
+        assert pfq_diagnostics(spec)[0] == value[()]
+
 
 class TestTerminatingSums:
     def test_order_zero_is_one(self):

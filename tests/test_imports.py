@@ -83,6 +83,27 @@ def test_the_check_flags_both_faults():
     assert _faults(source) == (["math", "tail_sum"], ["missing"])
 
 
+def test_private_names_have_a_caller():
+    # a private function or class that nothing in the package refers to
+    # outside its own body is dead, even if the tests import it
+    defs, refs = set(), set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.name, top.name)
+                if top.name.startswith("_"):
+                    defs.add(owner)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                refs.add((name, owner))
+    orphans = sorted(f"{module}:{name}" for module, name in defs
+                     if not any(ref == name and owner != (module, name) for ref, owner in refs))
+    assert orphans == []
+
+
 def test_package_import_leaves_fractions_unloaded():
     # only the exact ball routes use rationals; importing them would add
     # to every process start

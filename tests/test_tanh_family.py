@@ -192,7 +192,7 @@ class TestAxisSeries:
             j = int(rng.integers(1, r + 1))
             z = 1j * float(rng.uniform(-3, 3))
             m, nj = tail_sum(params.n, j + 1), params.n[j - 1]
-            ap, am, (value,) = axis_ladder(j, r, m, params.a, params.mu, z, (nj,))
+            _, ap, am, (value,) = axis_ladder(j, r, m, params.a, params.mu, z, (nj,))
             q, _, _, s, lower1, lower2 = _axis_parameters(j, r, m, params.a, params.mu)
             ap2, am2 = params.a + (m + z) / 2.0 + q, params.a + (m - z) / 2.0 + q
             upper2 = nj + 2.0 * (m + params.mu + (r - j) / 2.0)
@@ -211,10 +211,10 @@ class TestAxisSeries:
         x = rng.uniform(-2, 2, size=7)
         for j in (1, 2, 3):
             m, nj = tail_sum(params.n, j + 1), (params.n[j - 1],)
-            ap, _, (series,) = axis_ladder(j, 3, m, params.a, params.mu, 1j * xi, nj)
+            _, ap, _, (series,) = axis_ladder(j, 3, m, params.a, params.mu, 1j * xi, nj)
             assert np.array_equal(theta_factor(j, 3, params, xi),
                                   beta_conjugate(ap.real, ap.imag) * series)
-            gp, gm, (series,) = axis_ladder(j, 3, m, 0.7, 0.7 + 0.9 - 0.5, x, nj)
+            _, gp, gm, (series,) = axis_ladder(j, 3, m, 0.7, 0.7 + 0.9 - 0.5, x, nj)
             assert np.array_equal(d_axis_factor(j, 3, x, params.n, 0.7, 0.9),
                                   gamma_pair(gm, gp) * series)
 
