@@ -16,7 +16,7 @@ from .quadrature import (QuadratureSpec, ball_inner_product_numeric,
 from .special import gamma, log_gamma, pochhammer
 from .tanh_family import (FamilyParams, family_eval, fourier_closed_form,
                           fourier_closed_form_table, fourier_via_recursion,
-                          tanh_ball_map, theta_factor, theta_factor_hahn)
+                          theta_factor, theta_factor_hahn)
 from .verify import VerificationReport
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "hahn_orthogonality_constant",
     "tail_sum", "validate_multi_index", "ball_basis_eval",
     "ball_norm", "ball_polynomial", "ball_operator_residual",
-    "tanh_ball_map", "family_eval",
+    "family_eval",
     "theta_factor", "theta_factor_hahn", "fourier_closed_form", "fourier_closed_form_table",
     "fourier_via_recursion",
     "d_family_eval", "d_orthogonality_constant",

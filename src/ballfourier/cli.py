@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2
 usage/configuration error.  Every refusal is reported one way, by the
 parser of the subcommand that ran: its usage line, then
 ``ballfourier <command>: error: <reason>``.  That holds for the checks
-made here and for every ``ValueError`` (``DomainError`` among them) and
-``OverflowError`` the library raises.  The one exception is an
+made here, for an option the subcommand does not know, and for every
+``ValueError`` (``DomainError`` among them) and ``OverflowError`` the
+library raises.  The one exception is an
 ``--output`` path that cannot be written, which prints
 ``error: cannot write PATH: REASON`` alone.  Outputs are deterministic —
 the same arguments (and seed) produce byte-identical files.  Floats are
@@ -215,7 +216,8 @@ def _cmd_fourier(parser, args) -> int:
         _check_finite(parser, report.rhs)
         record.update({"oracle_re": report.rhs.real, "oracle_im": report.rhs.imag,
                        "rel_error": report.rel_error, "tolerance": report.tolerance,
-                       "passed": report.passed})
+                       "passed": report.passed,
+                       "low_confidence": report.low_confidence})
         if not report.passed:
             status = VERIFY_FAILURE
     _write_record(record, args.output)
@@ -224,7 +226,7 @@ def _cmd_fourier(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     reports = run_suite(args.suite, seed=args.seed, r_max=args.r_max,
-                        tolerance=args.tolerance, quick=args.quick)
+                        tolerance=args.tolerance)
     if args.format == "json":
         def write(out):
             reports_to_json(reports, out)
@@ -352,12 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
                               allow_abbrev=False)
     add_common(p_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--r-max", dest="r_max", type=int, default=3)
-    p_verify.add_argument("--tolerance", type=_tolerance, default=None)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed of the random parameter draws (default 0)")
+    p_verify.add_argument("--r-max", dest="r_max", type=int, default=3,
+                          help="largest dimension r (default 3); no suite goes past "
+                               "r=3, so --r-max 6 gives the same reports as 3")
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None,
+                          help="relative tolerance of lhs against rhs only; the "
+                               "node-doubling gate keeps the suite's own tolerance")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--quick", action="store_true",
-                          help="smaller grids for smoke runs")
     p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
 
     p_table = sub.add_parser("table", help="CSV table of values over a grid")
@@ -381,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        # an unknown option is refused by the subcommand that ran, too
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         # non-finite results are reported as usage errors, not as warnings
         with np.errstate(all="ignore"):

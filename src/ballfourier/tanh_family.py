@@ -42,7 +42,6 @@ from .special import _blockwise, _real_array, beta_conjugate, pochhammer
 
 __all__ = [
     "FamilyParams",
-    "tanh_ball_map",
     "family_eval",
     "family_axis_factor",
     "theta_factor",
@@ -72,23 +71,13 @@ class FamilyParams:
         return len(self.n)
 
 
-def tanh_ball_map(x):
-    """Map x in R^r to the open unit ball: v_j = tanh(x_j) prod_{k<j} sech(x_k)."""
-    x = _real_array(x, "x")
-    t = np.tanh(x)
-    sech = 1.0 / np.cosh(x)
-    prefix = np.ones_like(sech)
-    if x.shape[-1] > 1:
-        prefix[..., 1:] = np.cumprod(sech[..., :-1], axis=-1)
-    return t * prefix
-
-
 def family_eval(x, params: FamilyParams):
     """Evaluate the family member at point(s) ``x`` of shape (..., r): the
     product, in axis order, of the :func:`family_axis_factor` values
     sech^2(x_j)^{p_j} C_{n_j}^{lambda_j}(tanh x_j).  It equals the sech
-    powers times the ball basis at :func:`tanh_ball_map`, without that
-    form's 1 - |v_{<j}|^2, which cancels as tanh x_j -> 1.  The rows
+    powers times the ball basis at the tanh-mapped point v_j = tanh(x_j)
+    prod_{k<j} sech(x_k), without that form's 1 - |v_{<j}|^2, which
+    cancels as tanh x_j -> 1.  The rows
     x.reshape(-1, r) run per block (:func:`special._blockwise`).  A single
     point is a block of one row, whose Gegenbauer recurrences run on
     Python floats (:func:`family_axis_factor`), and keeps its batch entry's

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -35,8 +34,8 @@ from .tanh_family import (FamilyParams, axis_ladder, fourier_closed_form,
                           fourier_via_recursion, theta_factor_hahn)
 
 __all__ = ["VerificationReport", "make_report", "fourier_report", "SplitMix64",
-           "SUITE_NAMES", "run_suite", "report_to_dict", "report_from_dict",
-           "reports_to_json", "reports_to_csv", "reports_from_json", "canonical_sort"]
+           "SUITE_NAMES", "run_suite", "report_to_dict", "reports_to_json", "reports_to_csv",
+           "canonical_sort"]
 
 # a 3F2 value below this fraction of the largest |F_k|, k <= n, of its
 # degree recurrence marks a cancellation-risky series value
@@ -318,18 +317,15 @@ def fourier_report(params: FamilyParams, xi, tolerance: float | None = None):
                          _FOURIER_TOLERANCE, _FOURIER_FLOOR, [(oracle, fine)], tolerance)
 
 
-def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None,
-                          quick: bool = False):
+def _suite_fourier_oracle(seed: int, r_max: int, tolerance: float | None):
     reports = []
     a_values = (0.5, 1.0, 1.75)
     mu_values = (0.5, 1.25)
     for r in range(1, min(3, r_max) + 1):
         grid = list(itertools.product(_FOURIER_GRID_XI[r], repeat=r))
-        indices = _multi_indices(r, 2 if quick else 4)
-        if quick:
-            indices = indices[: 4]
-        for a in a_values[:2] if quick else a_values:
-            for mu in mu_values[:1] if quick else mu_values:
+        indices = _multi_indices(r, 4)
+        for a in a_values:
+            for mu in mu_values:
                 # one table per route: each per-axis factor once per rule
                 closed = fourier_closed_form_table(indices, a, mu, grid)
                 oracle, fine = _base_and_doubled(
@@ -437,18 +433,15 @@ def canonical_sort(reports):
     return sorted(reports, key=lambda rep: (rep.identity_name, _sorted_json(rep.parameters)))
 
 
-def run_suite(name: str, seed: int = 0, r_max: int = 3,
-              tolerance: float | None = None, quick: bool = False):
-    """Run one named suite (or 'all') and return canonically sorted reports;
-    ``quick`` trims the fourier-oracle grid for smoke runs."""
+def run_suite(name: str, seed: int = 0, r_max: int = 3, tolerance: float | None = None):
+    """Run one named suite (or 'all') and return canonically sorted reports."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
     reports = []
     for suite_name in _SUITES if name == "all" else (name,):
-        options = {"quick": quick} if suite_name == "fourier-oracle" else {}
-        reports.extend(_SUITES[suite_name](seed, r_max, tolerance, **options))
+        reports.extend(_SUITES[suite_name](seed, r_max, tolerance))
     return canonical_sort(reports)
 
 
@@ -462,13 +455,6 @@ def report_to_dict(report: VerificationReport) -> dict:
         report.identity_name, report.parameters, lhs.real, lhs.imag, rhs.real, rhs.imag,
         report.abs_error, report.rel_error, report.tolerance, report.passed,
         report.low_confidence)))
-
-
-def report_from_dict(data: dict) -> VerificationReport:
-    name, parameters, lhs_re, lhs_im, rhs_re, rhs_im, *verdict = (
-        data[key] for key in _REPORT_KEYS)
-    return VerificationReport(name, parameters, complex(lhs_re, lhs_im),
-                              complex(rhs_re, rhs_im), *verdict)
 
 
 def _json_text(value, indent=_FIELD_INDENT, path=()) -> str:
@@ -527,10 +513,10 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def reports_to_json(reports, handle=None) -> str | None:
-    """The reports as one indented JSON list, the text of
-    ``json.dumps([report_to_dict(rep) for rep in reports], indent=2)``,
-    byte for byte.
+def reports_to_json(reports, handle) -> None:
+    """The reports as one indented JSON list on the text ``handle``, the
+    text of ``json.dumps([report_to_dict(rep) for rep in reports],
+    indent=2)``, byte for byte.
 
     Each report fills one fixed template of the eleven schema keys, in
     :func:`report_to_dict` order, and :func:`_json_text` writes its values
@@ -544,21 +530,18 @@ def reports_to_json(reports, handle=None) -> str | None:
     pure-Python encoder, which took longer than the fourier-oracle suite
     and left cyclic garbage at each report for the collector.
 
-    With a text ``handle`` every report is written as soon as it is
-    formatted, so the whole text is never built, and None is returned;
-    without one the text is returned."""
-    out = io.StringIO() if handle is None else handle
+    Every report is written as soon as it is formatted, so the whole text
+    is never built."""
     text = _json_text
     opening = "[\n  "
     for rep in reports:
         lhs, rhs = rep.lhs, rep.rhs
-        out.write(opening + _REPORT_TEMPLATE % (
+        handle.write(opening + _REPORT_TEMPLATE % (
             text(rep.identity_name), text(rep.parameters), text(lhs.real), text(lhs.imag),
             text(rhs.real), text(rhs.imag), text(rep.abs_error), text(rep.rel_error),
             text(rep.tolerance), text(rep.passed), text(rep.low_confidence)))
         opening = ",\n  "
-    out.write("[]" if opening == "[\n  " else "\n]")
-    return out.getvalue() if handle is None else None
+    handle.write("[]" if opening == "[\n  " else "\n]")
 
 
 def reports_to_csv(reports, handle) -> None:
@@ -573,6 +556,3 @@ def reports_to_csv(reports, handle) -> None:
         writer.writerow([name, _sorted_json(parameters), *map(repr, numbers),
                          str(passed).lower(), str(low_confidence).lower()])
 
-
-def reports_from_json(text: str):
-    return [report_from_dict(item) for item in json.loads(text)]

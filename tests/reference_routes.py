@@ -2,8 +2,10 @@
 
 Each is a second derivation of a quantity the library computes by one
 production route: the Gegenbauer polynomial as its definitional terminating
-2F1, the tanh family by peeling x_1 or x_r recursively, and the gamma-pair
-family through continuous Hahn polynomials.  The quadrature oracle sums
+2F1, the tanh family by peeling x_1 or x_r recursively or as the paper
+writes it, through the ball basis at the tanh-mapped point
+(:func:`tanh_ball_map`), and the gamma-pair family through continuous Hahn
+polynomials.  The quadrature oracle sums
 every integral one axis at a time; here the same rules are summed as dense
 tensor grids through the evaluators it referees, with no use of
 separability (:func:`tensor_sum`): the Fourier transform through the
@@ -77,6 +79,17 @@ def family_eval_peel_last(x, params: FamilyParams):
     nr = params.n[-1]
     rest = FamilyParams(params.a + nr / 2.0 + 0.25, params.mu + nr + 0.5, params.n[:-1])
     return tail_factor * family_eval_peel_last(x[..., :-1], rest)
+
+
+def tanh_ball_map(x):
+    """Map x in R^r to the open unit ball: v_j = tanh(x_j) prod_{k<j} sech(x_k)."""
+    x = _real_array(x, "x")
+    t = np.tanh(x)
+    sech = 1.0 / np.cosh(x)
+    prefix = np.ones_like(sech)
+    if x.shape[-1] > 1:
+        prefix[..., 1:] = np.cumprod(sech[..., :-1], axis=-1)
+    return t * prefix
 
 
 def d_axis_factor_hahn(j: int, r: int, x_j, n, a1: float, a2: float):

@@ -6,6 +6,7 @@ Runtime budgets are generous relative to the actual cost; the full module
 runs in well under a minute on a laptop-class machine.
 """
 
+import io
 import itertools
 import json
 import math
@@ -21,7 +22,7 @@ from ballfourier.ball import _polynomial_value
 from ballfourier.quadrature import _jacgauss_cached
 from ballfourier.tanh_family import theta_factor_hahn, fourier_prefactor
 from ballfourier.verify import (SplitMix64, _multi_indices, fourier_value_scale,
-                                reports_from_json, reports_to_json, run_suite)
+                                report_to_dict, reports_to_json, run_suite)
 from conftest import rel_err
 from reference_routes import fourier_numeric_tensor
 
@@ -313,8 +314,9 @@ def test_criterion_11_cli_contract(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
     reports = run_suite("hahn-ort")
-    text = reports_to_json(reports)
-    assert reports_from_json(text) == reports
+    handle = io.StringIO()
+    reports_to_json(reports, handle)
+    assert json.loads(handle.getvalue()) == [report_to_dict(rep) for rep in reports]
     parsed = json.loads(paths[0].read_text())
     assert all(set(item) == {"identity_name", "parameters", "lhs_re", "lhs_im",
                              "rhs_re", "rhs_im", "abs_error", "rel_error",

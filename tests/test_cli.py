@@ -209,7 +209,19 @@ class TestFourier:
         assert code == 1
         record = json.loads(out)
         assert record["passed"] is False
+        assert record["low_confidence"] is True
         assert record["rel_error"] == 0.0
+
+    def test_unresolved_oracle_is_flagged(self, capsys):
+        # the closed form, 1.0039e-181, is right to 4.5e-14 here; the oracle
+        # gives 0.0272 and does not settle under node doubling, and the
+        # record says so
+        code, out = run_cli(["fourier", "--n", "60", "--a", "0.5", "--mu", "0.5",
+                             "--xi", "400", "--check"], capsys)
+        assert code == 1
+        record = json.loads(out)
+        assert record["closed_re"] == pytest.approx(1.0039035361360644e-181, rel=1e-12)
+        assert (record["passed"], record["low_confidence"]) == (False, True)
 
     def test_check_at_high_degree(self, capsys):
         # the check integrates on the whole-line rule; the truncated default
@@ -529,8 +541,8 @@ _CALLS = [
     ("table", "ball", (2,), ("--n", "--mu", "--grid")),
     ("table", "gegenbauer", (1,), ("--n", "--lambda") + _RANGE),
     ("table", "d_family", (1,), ("--n", "--a1", "--a2") + _RANGE),
-    ("verify", "hahn-ort", (1,), ("--seed", "--r-max", "--tolerance", "--format", "--quick")),
-    ("verify", "parseval", (1,), ("--seed", "--r-max", "--tolerance", "--format", "--quick")),
+    ("verify", "hahn-ort", (1,), ("--seed", "--r-max", "--tolerance", "--format")),
+    ("verify", "parseval", (1,), ("--seed", "--r-max", "--tolerance", "--format")),
 ]
 _ALL_FLAGS = sorted({flag for *_, flags in _CALLS for flag in flags} | {"--bogus"})
 
@@ -566,8 +578,7 @@ def _argv(draw):
     if draw(st.sampled_from([False, False, True])):
         chosen.append(draw(st.sampled_from(_ALL_FLAGS)))
     for flag in chosen:
-        argv.append(flag if flag in ("--check", "--quick")
-                    else f"{flag}={_flag_value(draw, flag, r)}")
+        argv.append(flag if flag == "--check" else f"{flag}={_flag_value(draw, flag, r)}")
     return argv
 
 
@@ -612,7 +623,9 @@ class TestOutputBytes:
         args = ["verify", "--suite", "parseval", "--r-max", "2", "--format", fmt]
         reports = run_suite("parseval", r_max=2)
         if fmt == "json":
-            expected = reports_to_json(reports) + "\n"
+            handle = io.StringIO()
+            reports_to_json(reports, handle)
+            expected = handle.getvalue() + "\n"
         else:
             header = ["identity_name", "parameters", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                       "abs_error", "rel_error", "tolerance", "passed", "low_confidence"]
@@ -647,7 +660,7 @@ class TestOutputBytes:
                   "closed_re": closed.real, "closed_im": closed.imag,
                   "oracle_re": report.rhs.real, "oracle_im": report.rhs.imag,
                   "rel_error": report.rel_error, "tolerance": report.tolerance,
-                  "passed": report.passed}
+                  "passed": report.passed, "low_confidence": False}
         expected = json.dumps(record, sort_keys=True).encode()
         (code, out), (file_code, data, file_out) = _run_both(args, capsysbinary, tmp_path)
         assert code == file_code == 0
@@ -752,6 +765,8 @@ class TestRefusalMessages:
           "--c", "0", "--d", "1e-200"], "eval"),
         (["eval", "--fn", "hahn", "--n", "2", "--x", "0.3", "--a", "-0.5", "--b", "1",
           "--c", "0", "--d", "-0.4999999999999999"], "eval"),
+        # an option the subcommand does not know
+        (["verify", "--suite", "hahn-ort", "--quick"], "verify"),
     ])
     def test_usage_is_the_subcommand_s(self, capsys, args, command):
         err = self._refusal(args, capsys)

@@ -1,5 +1,6 @@
 """Every library module, and the tests' reference routes, reads what it
-imports and defines what it exports, and the public signatures are pinned.
+imports and defines what it exports; every exported name has a caller in
+the library, and the public signatures are pinned.
 
 The repository runs no linter, so this walks each module's syntax tree.  An
 imported name that the module never reads, and does not re-export through
@@ -8,6 +9,7 @@ not bind is a broken export.
 """
 
 import ast
+import importlib
 import inspect
 import subprocess
 import sys
@@ -36,11 +38,15 @@ def _read(tree) -> set:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
+def _is_exports(node) -> bool:
+    """Whether ``node`` is the ``__all__ = [...]`` assignment."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+
+
 def _exports(tree) -> list:
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
+        if _is_exports(node):
             return list(ast.literal_eval(node.value))
     return []
 
@@ -104,6 +110,51 @@ def test_private_names_have_a_caller():
     assert orphans == []
 
 
+# exported names that nothing in the library calls, each with its reason;
+# a name leaves this list when it gains a caller or leaves the library
+_UNCALLED_EXPORTS = {
+    name: "wrapped by name in perfbench/tracer.py; deleted with ROADMAP item 20"
+    for name in ("pfq_diagnostics", "ball_inner_product_numeric",
+                 "hahn_orthogonality_integral", "d_biorthogonality_integral")
+}
+
+
+def _uncalled_exports(sources) -> list:
+    """The names in the ``__all__`` lists of ``sources`` (file name to
+    source) that no module but ``__init__.py`` refers to outside the
+    top-level definition of that name and the ``__all__`` lists.  Dunder
+    names (``__version__``) are package metadata, not routes."""
+    exported, refs = set(), set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        exported.update(_exports(tree))
+        if name == "__init__.py":
+            continue
+        for top in tree.body:
+            if not _is_exports(top):
+                # a Name's id or an Attribute's attr, outside the definition
+                refs.update({getattr(node, "id", None) or getattr(node, "attr", None)
+                             for node in ast.walk(top)} - {getattr(top, "name", None)})
+    return sorted(name for name in exported - refs if not name.startswith("__"))
+
+
+def test_public_names_have_a_caller():
+    # the library carries what the CLI, the suites and the benchmark run:
+    # a name exported but called only by the tests is dead code
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert _uncalled_exports(sources) == sorted(_UNCALLED_EXPORTS)
+
+
+def test_the_caller_check_flags_an_uncalled_export():
+    sources = {"__init__.py": "from .a import used, unused\n__all__ = ['used', 'unused']\n",
+               "a.py": ("__all__ = ['used', 'unused', 'recursive', '__version__']\n"
+                        "def used(): return 1\n"
+                        "def unused(): return used()\n"
+                        "def recursive(k): return recursive(k - 1) if k else 0\n"
+                        "__version__ = '1'\n")}
+    assert _uncalled_exports(sources) == ["recursive", "unused"]
+
+
 def test_package_import_leaves_fractions_unloaded():
     # only the exact ball routes use rationals; importing them would add
     # to every process start
@@ -113,19 +164,21 @@ def test_package_import_leaves_fractions_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# the parameter names of every callable the package and its oracle module
-# export; an option added to or removed from a public route shows here as a
-# reviewed diff.  The first entries recorded the removal of the oracle's
-# four ``mode`` options and of ``family_eval_peel_last``.  The exception
-# classes take Exception's arguments.
+# the parameters, with their defaults, of every callable the package and
+# its modules export; an option added to or removed from a public route, or
+# a default changed, shows here as a reviewed diff.  The first entries recorded the removal of the oracle's
+# four ``mode`` options and of ``family_eval_peel_last``; later ones, of
+# ``run_suite``'s ``quick``, of ``reports_to_json``'s optional ``handle``
+# and of ``tanh_ball_map``.  The exception classes take Exception's
+# arguments.
 _PUBLIC_SIGNATURES = {
     "FamilyParams": ("a", "mu", "n"),
     "DParams": ("a1", "a2", "n"),
     "HypergeometricSpec": ("numerator_params", "denominator_params", "argument",
                            "termination_order"),
-    "QuadratureSpec": ("nodes_per_axis", "truncation_halfwidth", "panels"),
+    "QuadratureSpec": ("nodes_per_axis=1024", "truncation_halfwidth=40.0", "panels=64"),
     "VerificationReport": ("identity_name", "parameters", "lhs", "rhs", "abs_error",
-                           "rel_error", "tolerance", "passed", "low_confidence"),
+                           "rel_error", "tolerance", "passed", "low_confidence=False"),
     "PoleError": "exception",
     "DenominatorPoleError": "exception",
     "DomainError": "exception",
@@ -133,11 +186,16 @@ _PUBLIC_SIGNATURES = {
     "log_gamma": ("z",),
     "gamma": ("z",),
     "pochhammer": ("base", "order"),
+    "gamma_pair": ("a", "b"),
+    "beta_conjugate": ("x", "y"),
+    "pfq_diagnostics": ("spec",),
     "hyp3f2_unit": ("n", "upper2", "upper3", "lower1", "lower2"),
+    "hyp3f2_ladder": ("degrees", "s", "u", "lower1", "lower2"),
     "jacobi": ("n", "alpha", "beta", "x"),
     "gegenbauer": ("n", "lam", "x"),
     "gegenbauer_norm": ("n", "lam"),
     "continuous_hahn": ("n", "x", "params"),
+    "continuous_hahn_rows": ("degrees", "x", "params"),
     "hahn_orthogonality_constant": ("n", "a1", "a2"),
     "tail_sum": ("n", "j"),
     "validate_multi_index": ("n",),
@@ -145,40 +203,62 @@ _PUBLIC_SIGNATURES = {
     "ball_norm": ("n", "mu"),
     "ball_polynomial": ("n", "mu"),
     "ball_operator_residual": ("n", "mu"),
-    "tanh_ball_map": ("x",),
     "family_eval": ("x", "params"),
+    "family_axis_factor": ("j", "params", "x"),
     "theta_factor": ("j", "r", "params", "xi"),
     "theta_factor_hahn": ("j", "r", "params", "xi"),
+    "axis_ladder": ("j", "r", "m", "a", "mu", "z", "degrees"),
+    "fourier_prefactor": ("params",),
     "fourier_closed_form": ("params", "xi"),
     "fourier_closed_form_table": ("indices", "a", "mu", "xi"),
-    "fourier_via_recursion": ("params", "xi", "mode"),
+    "fourier_via_recursion": ("params", "xi", "mode='peel_first'"),
+    "d_axis_rows": ("j", "r", "m", "degrees", "x_j", "a1", "a2"),
+    "d_axis_factor": ("j", "r", "x_j", "n", "a1", "a2"),
     "d_family_eval": ("x", "params"),
     "d_orthogonality_constant": ("n", "a1", "a2"),
-    "fourier_numeric": ("params", "xi", "spec"),
-    "fourier_numeric_table": ("indices", "a", "mu", "xi", "spec"),
-    "ball_inner_product_numeric": ("n", "m", "mu", "spec"),
-    "hahn_orthogonality_integral": ("n", "m", "a1", "a2", "spec"),
-    "d_biorthogonality_integral": ("n", "m", "a1", "a2", "spec"),
-    "parseval_sides": ("n", "m", "a1", "a2", "spec"),
+    "fourier_numeric": ("params", "xi", "spec=None"),
+    "fourier_numeric_table": ("indices", "a", "mu", "xi", "spec=None"),
+    "ball_inner_product_numeric": ("n", "m", "mu", "spec=None"),
+    "hahn_orthogonality_integral": ("n", "m", "a1", "a2", "spec=None"),
+    "d_biorthogonality_integral": ("n", "m", "a1", "a2", "spec=None"),
+    "parseval_sides": ("n", "m", "a1", "a2", "spec=None"),
     "ball_default_spec": ("r",),
     "hahn_default_spec": (),
     "d_pair_spec": ("a1", "a2"),
     "tanh_default_spec": (),
-    "ball_gram_matrix": ("indices", "mu", "spec"),
-    "hahn_gram_matrix": ("degrees", "a1", "a2", "spec"),
-    "d_biorthogonality_gram": ("indices", "a1", "a2", "spec"),
+    "ball_gram_matrix": ("indices", "mu", "spec=None"),
+    "hahn_gram_matrix": ("degrees", "a1", "a2", "spec=None"),
+    "d_biorthogonality_gram": ("indices", "a1", "a2", "spec=None"),
+    "make_report": ("identity_name", "parameters", "lhs", "rhs", "tolerance", "abs_floor=0.0",
+                    "low_confidence=False"),
+    "fourier_report": ("params", "xi", "tolerance=None"),
+    "SplitMix64": ("seed",),
+    "run_suite": ("name", "seed=0", "r_max=3", "tolerance=None"),
+    "report_to_dict": ("report",),
+    "reports_to_json": ("reports", "handle"),
+    "reports_to_csv": ("reports", "handle"),
+    "canonical_sort": ("reports",),
 }
 
 
 def test_public_signatures_are_pinned():
     import ballfourier
-    from ballfourier import quadrature
 
-    seen = {}
-    for name in dict.fromkeys([*ballfourier.__all__, *quadrature.__all__]):
-        obj = getattr(ballfourier, name, None) or getattr(quadrature, name)
-        if isinstance(obj, type) and issubclass(obj, Exception):
-            seen[name] = "exception"
-        elif callable(obj):
-            seen[name] = tuple(inspect.signature(obj).parameters)
-    assert seen == _PUBLIC_SIGNATURES
+    modules = [ballfourier] + [importlib.import_module(f"ballfourier.{path.stem}")
+                               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    seen = {name: _signature(getattr(module, name))
+            for module in modules for name in getattr(module, "__all__", ())}
+    assert {name: entry for name, entry in seen.items() if entry is not None} \
+        == _PUBLIC_SIGNATURES
+
+
+def _signature(obj):
+    """The pinned entry of one export: "exception", its parameters (a
+    name, or name=default), or None for a value that is not callable
+    (``SUITE_NAMES``)."""
+    if isinstance(obj, type) and issubclass(obj, Exception):
+        return "exception"
+    if not callable(obj):
+        return None
+    return tuple(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                 for p in inspect.signature(obj).parameters.values())

@@ -6,8 +6,7 @@ import pytest
 
 from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
                          fourier_closed_form, fourier_via_recursion, gegenbauer, hyp3f2_unit,
-                         pochhammer, tail_sum, tanh_ball_map, theta_factor,
-                         theta_factor_hahn)
+                         pochhammer, tail_sum, theta_factor, theta_factor_hahn)
 from ballfourier.ball import _axis_parameters
 from ballfourier.special import beta_conjugate
 from ballfourier.quadrature import fourier_numeric
@@ -15,7 +14,7 @@ from ballfourier.tanh_family import (axis_ladder, family_axis_factor, fourier_cl
                                      fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
-from reference_routes import family_eval_peel_first, family_eval_peel_last
+from reference_routes import family_eval_peel_first, family_eval_peel_last, tanh_ball_map
 
 # frozen direct arithmetic: tanh(1), tanh(1)*sech(1)
 UPSILON_11 = (0.7615941559557649, 0.49355434756457306)
@@ -429,16 +428,20 @@ class TestBatchedClosedForm:
         assert isinstance(value, complex)
 
 
-def _mp_fourier(n, a, mu, xi):
-    """The paper's closed form at 50 digits: the product over axes j of
+def _mp_fourier_at(n, a, mu, xi, dps):
+    """(value, lost): the paper's closed form at ``dps`` digits, the product
+    over axes j of
     2^(m + 2a + (k-2)/2) (2 lam)_{n_j} / n_j! B(b + i xi_j/2, b - i xi_j/2)
     3F2(-n_j, n_j + 2 lam, b + i xi_j/2; m + 2a + k/2, m + mu + (k+1)/2; 1),
-    with m = |n^{j+1}|, k = r - j, lam = m + mu + k/2 and b = a + m/2 + k/4.
-    The terminating 3F2 is summed term by term."""
+    with m = |n^{j+1}|, k = r - j, lam = m + mu + k/2 and b = a + m/2 + k/4,
+    and the digits its sums cancel away: the largest log10 over the axes of
+    the 3F2's largest term over its value.  The terminating 3F2 is summed
+    term by term."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
+    with mp.workdps(dps):
         a, mu = mp.mpf(a), mp.mpf(mu)
         value = mp.mpc(1)
+        lost = 0.0
         r = len(n)
         for j in range(r):
             nj, m, k = n[j], sum(n[j + 1:]), r - 1 - j
@@ -448,19 +451,42 @@ def _mp_fourier(n, a, mu, xi):
             upper = (-nj, nj + 2 * lam, plus)
             lower = (m + 2 * a + mp.mpf(k) / 2, m + mu + mp.mpf(k + 1) / 2)
             term = series = mp.mpc(1)
+            peak = mp.mpf(1)
             for i in range(nj):
                 term *= ((upper[0] + i) * (upper[1] + i) * (upper[2] + i)
                          / ((lower[0] + i) * (lower[1] + i) * (i + 1)))
                 series += term
+                peak = max(peak, abs(term))
+            if series:
+                lost = max(lost, float(mp.log10(peak / abs(series))))
             value *= (mp.power(2, m + 2 * a + mp.mpf(k - 2) / 2) * mp.rf(2 * lam, nj)
                       / mp.factorial(nj) * mp.gamma(plus) * mp.gamma(minus)
                       / mp.gamma(2 * b) * series)
-        return complex(value)
+        return value, lost
+
+
+def _mp_fourier_digits(n, a, mu, xi):
+    """(value, dps): the closed form at a working precision of 30 digits
+    more than its 3F2 sums cancel away, raised until 20 more digits move
+    the value by at most 1e-25 relative."""
+    dps = 30
+    while True:
+        value, lost = _mp_fourier_at(n, a, mu, xi, dps)
+        if dps >= lost + 30:
+            finer = _mp_fourier_at(n, a, mu, xi, dps + 20)[0]
+            if abs(finer - value) <= 1e-25 * abs(finer):
+                return value, dps
+        dps = max(dps + 20, math.ceil(lost) + 40)
+
+
+def _mp_fourier(n, a, mu, xi):
+    """The paper's closed form to double precision (:func:`_mp_fourier_digits`)."""
+    return complex(_mp_fourier_digits(n, a, mu, xi)[0])
 
 
 class TestLargeFrequencies:
     """The closed form far past the |xi| <= 3 of the suites, down to values
-    near 1e-270, against the 50-digit formula."""
+    near 1e-270, against the mpmath formula."""
 
     @pytest.mark.parametrize("a, mu", [(1.0, 0.5), (0.5, 0.5), (1.75, 1.25)])
     def test_matches_mpmath(self, a, mu):
@@ -480,8 +506,28 @@ class TestLargeFrequencies:
         assert worst <= 1e-12
 
 
+class TestHighDegree:
+    """The closed form past the suites' degrees, where the 3F2 sums cancel
+    more digits than 50 hold (at (120,), xi = 20, a 50-digit sum gives
+    -4.8e29 + 2.4e29i for a value of 0.01368)."""
+
+    @pytest.mark.parametrize("n, xi", [((120,), 20.0), ((150,), 3.0)])
+    def test_matches_mpmath(self, n, xi):
+        got = fourier_closed_form(FamilyParams(0.5, 0.5, n), [xi])
+        assert rel_err(got, _mp_fourier(n, 0.5, 0.5, [xi])) <= 1e-12
+
+    @pytest.mark.parametrize("n, xi", [((120,), 20.0), ((150,), 3.0)])
+    def test_reference_precision_is_enough(self, n, xi):
+        value, dps = _mp_fourier_digits(n, 0.5, 0.5, [xi])
+        finer = _mp_fourier_at(n, 0.5, 0.5, [xi], dps + 50)[0]
+        assert abs(finer - value) <= 1e-25 * abs(finer)
+        coarse = _mp_fourier_at(n, 0.5, 0.5, [xi], 50)[0]
+        assert abs(coarse - value) > abs(value)
+
+
 # the real-argument routes, each with the name of its real argument, called
-# on one value z at n = (2,), (a, mu) = (1/2, 1/2)
+# on one value z at n = (2,), (a, mu) = (1/2, 1/2); the tests' tanh_ball_map
+# keeps the refusal it had in the library
 _DEGREE_TWO = FamilyParams(0.5, 0.5, (2,))
 _REAL_ROUTES = {
     "fourier_closed_form": (lambda z: fourier_closed_form(_DEGREE_TWO, [z]), "xi"),
