@@ -23,7 +23,8 @@ import numpy as np
 
 from .ball import _axis_parameters, ball_norm, tail_sum, validate_multi_index
 from .errors import _check_decay, _check_vectors
-from .special import _LOG_DBL_MAX, _blockwise, _number, gamma_pair, log_gamma, pochhammer
+from .special import (_LOG_DBL_MAX, _blockwise, _gamma_pair_block, _number, gamma_pair, log_gamma,
+                      pochhammer)
 from .tanh_family import _axis_tail, axis_ladder
 
 __all__ = [
@@ -78,10 +79,16 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 
     This is the theta factor's 3F2 with the gamma pair in place of the beta
     factor, under a -> a1 and mu -> a1 + a2 - 1/2: the one-degree case of
-    :func:`d_axis_rows`.  A 0-d ``x_j`` runs as a Python number."""
+    :func:`d_axis_rows`.  A 0-d ``x_j`` runs as a Python number, checked
+    here once and passed beneath the argument checks of the gamma pair
+    (``special._gamma_pair_block``), as :func:`tanh_family.axis_ladder`
+    passes it beneath those of the 3F2."""
     z = _number(x_j)
-    return d_axis_rows(j, r, _axis_tail(j, r, n), (n[j - 1],),
-                       np.asarray(x_j) if z is None else z, a1, a2)[0]
+    m = _axis_tail(j, r, n)
+    if z is None:
+        return d_axis_rows(j, r, m, (n[j - 1],), np.asarray(x_j), a1, a2)[0]
+    _, gplus, gminus, series = axis_ladder(j, r, m, a1, a1 + a2 - 0.5, z, (n[j - 1],))
+    return _gamma_pair_block(gminus, gplus)[0] * series[0]
 
 
 def d_family_eval(x, params: DParams):

@@ -2,8 +2,9 @@
 
 Every 3F2 in the library has the continuous-Hahn shape
 F_n = 3F2(-n, n+s-1, u; l1, l2; 1), and :func:`hyp3f2_ladder` is its one
-entry point: it takes scalar (s, l1, l2) and an array or scalar u, makes
-the one lower-parameter pole check and the one route choice.  For Re s > 0
+public entry point: it takes scalar (s, l1, l2) and an array or scalar u,
+and :func:`_hyp3f2` beneath it makes the one lower-parameter pole check
+and the one route choice.  For Re s > 0
 it runs the three-term recurrence of these polynomials in the degree
 (Koekoek, Lesky and Swarttouw, *Hypergeometric Orthogonal Polynomials and
 Their q-Analogues*, 2010, eq. 9.4.3), which keeps its accuracy at every
@@ -28,10 +29,7 @@ scalars).  A 0-d ``u`` enters the recurrence once as a Python number
 in between; the dtype is complex128 if ``u`` or a parameter is complex
 and float64 otherwise, as ``np.result_type`` gives it for a batch, and
 each requested degree is packed once as a numpy scalar of that dtype.
-The argument checks of :func:`hyp3f2_ladder` and
-:func:`hyp3f2_unit` pass a Python number (numpy's float64 and complex128
-scalars among them) without ``np.ndim``, whose per-call cost would
-dominate a 0-d call, and check the degrees in one pass.  A batch runs
+A batch runs
 numpy's array loops, which fuse multiply-adds where the CPU has them.  So
 at complex u a 0-d value and its batch entry can differ in the last bits.
 0-d calls stay off one-entry arrays anyway: running them that way makes
@@ -41,6 +39,24 @@ at most 1.2e-15 ulp of |value| for ``theta_factor`` at real frequencies
 and 4.1 ulp for ``d_axis_factor`` at complex x (up to 7.5 ulp over 900
 further draws); ``tests/test_degree_ladders.py`` pins 1 and 5 ulp on its
 draws.
+
+Each argument is checked and converted once, at the public entry.
+:func:`hyp3f2_ladder` checks the degrees (a nonempty sequence of
+nonnegative integers, in one pass) and :func:`hyp3f2_unit` its order;
+both refuse a non-scalar s, lower1 or lower2, passing a Python number
+(numpy's float64 and complex128 scalars among them) without ``np.ndim``,
+whose per-call cost would dominate a 0-d call, and convert the scalars
+and a 0-d u to Python numbers once (:func:`_numbers`).  The theta and
+gamma-pair axis ladders (``tanh_family.axis_ladder``, itself a public
+entry) apply the same rules (:func:`_checked`) to parameters they form
+as Python floats from ``ball._axis_parameters``, so they enter at
+:func:`_hyp3f2`, without the conversions.  :func:`_hyp3f2` keeps the pole
+check and the Re s route choice, which depend on the parameters, and
+:func:`_ladder` takes Python-float parameters as they are, converting
+only another kind (a complex one's zero imaginary part the coefficient
+rows drop, while the result keeps the complex dtype).  ``tanh_family``'s
+recursion calls :func:`hyp3f2_unit`, which stays on that route with its
+checks.
 """
 
 from __future__ import annotations
@@ -56,6 +72,8 @@ __all__ = ["HypergeometricSpec", "pfq_diagnostics", "hyp3f2_unit", "hyp3f2_ladde
 
 # highest degree of the forward series at Re s <= 0, its measured range
 _FORWARD_DEGREE_LIMIT = 12
+_FLOAT = np.dtype(np.float64)
+_COMPLEX = np.dtype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -191,28 +209,28 @@ def _python_scalar(value):
 
 def _ladder(degrees: tuple, s, u, lower1, lower2):
     """The degree recurrence of :func:`_hyp3f2` (Re s > 0): Python-number
-    coefficient rows, formed once, run over every block of ``u``, or on a
-    0-d ``u`` as a Python number."""
+    coefficient rows, formed once, run over every block of an array ``u``,
+    or once on a Python-number ``u``.  Python-float parameters, as the
+    library's routes pass them, enter the rows as they are."""
     n = max(degrees)
-    value = _number(u)
-    if value is None:
+    floats = type(s) is float and type(lower1) is float and type(lower2) is float
+    complex_params = not floats and complex in (type(s), type(lower1), type(lower2))
+    if isinstance(u, (float, complex)):
+        dtype = _COMPLEX if complex_params or isinstance(u, complex) else _FLOAT
+    else:
         # u in double whatever its dtype: float32 entries would run the
         # recurrence in single precision
         u = np.asarray(u, dtype=np.result_type(np.float64, u))
         dtype = np.result_type(u, s, lower1, lower2)
-    else:
-        u = value
-        # float parameters, as the library's routes pass them, skip np.result_type
-        floats = isinstance(s, float) and isinstance(lower1, float) and isinstance(lower2, float)
-        complex_ = isinstance(u, complex) or (
-            not floats and np.result_type(s, lower1, lower2).kind == "c")
-        dtype = np.dtype(np.complex128 if complex_ else np.float64)
     if n == 0:
         # F_0 = 1 at every entry
         return (np.ones(np.shape(u), dtype=dtype)[()],) * len(degrees)
-    rows = _hahn_coefficients(n, _python_scalar(s), _python_scalar(lower1),
-                              _python_scalar(lower2))
-    if value is not None:
+    if not floats:
+        # Python numbers, whose division by 0 raises; a complex parameter
+        # with zero imaginary part enters as a real
+        s, lower1, lower2 = _python_scalar(s), _python_scalar(lower1), _python_scalar(lower2)
+    rows = _hahn_coefficients(n, s, lower1, lower2)
+    if not isinstance(u, np.ndarray):
         return tuple([dtype.type(v) for v in _ladder_block(u, rows, degrees, dtype)])
     out = _blockwise(lambda u: _ladder_block(u, rows, degrees, dtype), u)
     return tuple([np.asarray(v, dtype=dtype)[()] for v in out])
@@ -225,11 +243,14 @@ def _scalars(*values) -> bool:
 
 
 def _hyp3f2(degrees: tuple, s, u, lower1, lower2):
-    """:func:`hyp3f2_ladder` once its arguments are checked: the one pole
-    check and the one route choice of the continuous-Hahn 3F2."""
+    """The continuous-Hahn 3F2 once its arguments are checked: ``degrees``
+    a tuple of ints, ``s``, ``lower1`` and ``lower2`` scalars (Python
+    floats on the library's routes, :func:`special._number` of the public
+    arguments), and ``u`` a Python number or an array.  It makes the one
+    pole check and the one route choice, which depend on the parameters."""
     n = max(degrees)
     _check_lower((lower1, lower2), n)
-    if complex(s).real > 0:
+    if s.real > 0:
         return _ladder(degrees, s, u, lower1, lower2)
     if n > _FORWARD_DEGREE_LIMIT:
         raise ValueError(f"degree {n} at Re s <= 0 is beyond the forward series' measured "
@@ -237,6 +258,29 @@ def _hyp3f2(degrees: tuple, s, u, lower1, lower2):
     sums = [_terminating_sum([-float(k), s + (k - 1.0), u], [lower1, lower2], 1.0, k)
             for k in degrees]
     return tuple([value[()] for value, _ in sums])
+
+
+def _checked(degrees, s, lower1, lower2) -> tuple:
+    """The argument rules of :func:`hyp3f2_ladder`, which
+    ``tanh_family.axis_ladder`` applies as well: ``degrees`` as a tuple of
+    ints if it is a nonempty sequence of nonnegative integers (checked in
+    one pass), and scalar s, lower1 and lower2."""
+    degrees = tuple(degrees)
+    # an empty, negative or nan entry never reaches int()
+    ints = tuple(map(int, degrees)) if degrees and min(degrees) >= 0 else None
+    if ints != degrees:
+        raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
+    if not _scalars(s, lower1, lower2):
+        raise ValueError("s, lower1 and lower2 must be scalars; only u broadcasts")
+    return ints
+
+
+def _numbers(s, u, lower1, lower2) -> tuple:
+    """The checked scalars s, lower1 and lower2 as Python numbers
+    (:func:`special._number`), and u as one if it is 0-d, for
+    :func:`_hyp3f2`."""
+    value = _number(u)
+    return _number(s), u if value is None else value, _number(lower1), _number(lower2)
 
 
 def hyp3f2_ladder(degrees, s, u, lower1, lower2):
@@ -266,14 +310,8 @@ def hyp3f2_ladder(degrees, s, u, lower1, lower2):
     Returns a tuple with one value per entry of ``degrees`` (a 0-d ``u``
     gives numpy scalars).
     """
-    degrees = tuple(degrees)
-    # an empty, negative or nan entry never reaches int()
-    ints = tuple(map(int, degrees)) if degrees and min(degrees) >= 0 else None
-    if ints != degrees:
-        raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
-    if not _scalars(s, lower1, lower2):
-        raise ValueError("s, lower1 and lower2 must be scalars; only u broadcasts")
-    return _hyp3f2(ints, s, u, lower1, lower2)
+    degrees = _checked(degrees, s, lower1, lower2)
+    return _hyp3f2(degrees, *_numbers(s, u, lower1, lower2))
 
 
 def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
@@ -287,4 +325,6 @@ def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
     n = _check_order(n, "series order n")
     if not _scalars(upper2, lower1, lower2):
         raise ValueError("upper2, lower1 and lower2 must be scalars; only upper3 broadcasts")
-    return _hyp3f2((n,), upper2 - (n - 1.0), upper3, lower1, lower2)[0]
+    _, u, lower1, lower2 = _numbers(upper2, upper3, lower1, lower2)
+    # s as the ladder's callers form it, in the argument's own arithmetic
+    return _hyp3f2((n,), _number(upper2 - (n - 1.0)), u, lower1, lower2)[0]

@@ -28,6 +28,7 @@ Transform convention: forward kernel exp(-i xi . x), no 1/(2 pi) prefactor.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -37,8 +38,9 @@ import numpy as np
 from .ball import _axis_lambda, _axis_parameters, _index_list, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .errors import _check_decay, _check_vectors, _check_weight
-from .hypergeometric import hyp3f2_ladder, hyp3f2_unit
-from .special import _blockwise, _real_array, beta_conjugate, pochhammer
+from .hypergeometric import _checked, _hyp3f2, hyp3f2_unit
+from .special import (_beta_conjugate, _blockwise, _pochhammer, _real_array, _real_number,
+                      beta_conjugate, pochhammer)
 
 __all__ = [
     "FamilyParams",
@@ -122,9 +124,14 @@ def _x_factor(key, r: int, a: float, mu: float, sech2, t):
 
 
 def _axis_tail(j: int, r: int, n) -> int:
-    """m = |n^{j+1}| of axis j, after checking that j is an axis of ``n``."""
+    """m = |n^{j+1}| of axis j, after checking that j is an axis of ``n``:
+    an integer (``operator.index``, so numpy integers pass) in 1..r."""
     if len(n) != r:
         raise ValueError("n must have length r")
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise ValueError(f"axis index must be an integer, not {j!r}") from None
     if not 1 <= j <= r:
         raise ValueError("axis index out of range")
     return tail_sum(n, j + 1)
@@ -132,23 +139,31 @@ def _axis_tail(j: int, r: int, n) -> int:
 
 def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
     """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
-    ``degrees``, from one degree recurrence (:func:`hyp3f2_ladder`):
-    ``(p, arg_plus, arg_minus, values)``.  The sech^2 power p, the
-    parameters s, lower1, lower2 (:func:`_axis_parameters`) and the gamma
-    arguments a + (m +- z)/2 + q depend on (j, m) only, so one ladder
-    serves every member sharing that axis tail.  Theta takes z = i xi; the
-    gamma-pair family takes z = x_j, a = a1 and mu = a1 + a2 - 1/2."""
+    ``degrees``, from one degree recurrence: ``(p, arg_plus, arg_minus,
+    values)``.  The sech^2 power p, the parameters s, lower1, lower2
+    (:func:`_axis_parameters`) and the gamma arguments a + (m +- z)/2 + q
+    depend on (j, m) only, so one ladder serves every member sharing that
+    axis tail.  Theta takes z = i xi; the gamma-pair family takes z = x_j,
+    a = a1 and mu = a1 + a2 - 1/2.
+
+    It checks ``degrees`` and the 3F2 parameters by the rules of
+    :func:`hyp3f2_ladder` and enters the 3F2 beneath that function's
+    conversions, at ``hypergeometric._hyp3f2``: the parameters are the
+    floats of :func:`_axis_parameters`, and z is a Python number (as the
+    single-value routes pass it) or an array."""
     q, p, _, s, lower1, lower2 = _axis_parameters(j, r, m, a, mu)
     arg_plus = a + (m + z) / 2.0 + q
     arg_minus = a + (m - z) / 2.0 + q
-    return p, arg_plus, arg_minus, hyp3f2_ladder(degrees, s, arg_plus, lower1, lower2)
+    degrees = _checked(degrees, s, lower1, lower2)
+    return p, arg_plus, arg_minus, _hyp3f2(degrees, s, arg_plus, lower1, lower2)
 
 
 def _theta_rows(r: int, a: float, mu: float, j: int, m: int, degrees, xi):
     """Theta factors of axis j at tail m for every n_j in ``degrees`` at the
-    frequencies ``xi``: one beta factor and one 3F2 ladder."""
+    frequencies ``xi``, a Python float or one block of an array: one beta
+    factor and one 3F2 ladder, entered beneath their argument checks."""
     p, _, _, series = axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
-    beta = beta_conjugate(p, xi / 2.0)
+    beta = _beta_conjugate(p, xi / 2.0)
     return [beta * value for value in series]
 
 
@@ -161,10 +176,12 @@ def theta_factor(j: int, r: int, params: FamilyParams, xi):
     so the beta factor is :func:`special.beta_conjugate` with one real part
     for all of ``xi``.
     """
-    xi = _real_array(xi, "xi")
+    xi = _real_number(xi, "xi")
     m = _axis_tail(j, r, params.n)
+    if isinstance(xi, float):
+        return _theta_rows(r, params.a, params.mu, j, m, (params.n[j - 1],), xi)[0]
+    # a batch runs per block
     rows = partial(_theta_rows, r, params.a, params.mu, j, m, (params.n[j - 1],))
-    # a 0-d xi reaches the rows as a Python float, a batch per block
     return _blockwise(rows, xi)[0]
 
 
@@ -203,7 +220,7 @@ def fourier_prefactor(params: FamilyParams) -> float:
     m = sum(n)
     for j, nj in enumerate(n, start=1):
         m -= nj  # the tail |n^{j+1}|
-        value *= pochhammer(2.0 * _axis_lambda(j, r, m, mu), nj) / math.factorial(nj)
+        value *= _pochhammer(2.0 * _axis_lambda(j, r, m, mu), nj) / math.factorial(nj)
     return value
 
 
@@ -237,7 +254,9 @@ def _frequency_table(members, xi, tail_rows, head):
     ``tail_rows(j, m, degrees, column)`` gives the factors of the tail
     (j, m) on the distinct entries of xi[..., j - 1], or on a single
     vector's entry as a Python float.  Each row multiplies in axis order,
-    as a one-member table does, so batching changes no bit."""
+    as a one-member table does, so batching changes no bit.  One member at
+    a single vector, whose tails each hold one degree, takes its factors in
+    axis order without the grouping of :func:`_axis_table`."""
     r = members[0].r
     shape = xi.shape[:-1]
     if shape:
@@ -248,6 +267,19 @@ def _frequency_table(members, xi, tail_rows, head):
             return [row[inverse].reshape(shape) for row in tail_rows(j, m, degrees, distinct)]
     else:
         point = xi.tolist()
+        if len(members) == 1:
+            n = members[0].n
+            m = sum(n)
+            factors = []
+            for j, nj in enumerate(n, start=1):
+                m -= nj  # the tail |n^{j+1}|
+                factors.append(tail_rows(j, m, (nj,), point[j - 1])[0])
+            value = head(members[0])
+            for factor in factors:
+                value = value * factor
+            out = np.empty(1, dtype=np.complex128)
+            out[0] = value
+            return out
 
         def rows(j, m, degrees):
             return tail_rows(j, m, degrees, point[j - 1])
@@ -296,7 +328,7 @@ def fourier_closed_form_table(indices, a: float, mu: float, xi):
     return _closed_form_table([FamilyParams(a, mu, n) for n in _index_list(indices)], xi)
 
 
-def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_j):
+def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_j: float):
     """Transform at xi_j of the one-axis factor
     sech(x)^(2a + m + k/2) C_nj^(m + mu + k/2)(tanh x): the factor split
     off by peel-first with m = |n^2| and k = r - 1 further axes, and the
@@ -305,8 +337,8 @@ def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_
     lam = m + mu + k / 2.0
     series = hyp3f2_unit(nj, nj + 2.0 * lam, ap, m + 2.0 * a + k / 2.0,
                          m + mu + (k + 1) / 2.0)
-    return (2.0 ** (m + 2.0 * a + (k - 2) / 2.0) * pochhammer(2.0 * lam, nj)
-            / math.factorial(nj) * beta_conjugate(a + m / 2.0 + k / 4.0, xi_j / 2.0)
+    return (2.0 ** (m + 2.0 * a + (k - 2) / 2.0) * _pochhammer(2.0 * lam, nj)
+            / math.factorial(nj) * _beta_conjugate(a + m / 2.0 + k / 4.0, xi_j / 2.0)
             * series)
 
 
@@ -316,7 +348,9 @@ def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") ->
     ``mode='peel_first'`` splits off the x_1 integral; ``mode='peel_last'``
     splits off x_r and shifts the remaining parameters to
     (a + n_r/2 + 1/4, mu + n_r + 1/2).  Base case r = 1 is the sech-power
-    Gegenbauer transform.
+    Gegenbauer transform.  The levels run as one loop over the axes, on
+    the arguments checked here, and their factors multiply in the
+    recursion's order, h_1 (h_2 (... h_r)).
     """
     xi = _real_array(xi, "xi")
     r = params.r
@@ -325,14 +359,18 @@ def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") ->
     if mode not in ("peel_first", "peel_last"):
         raise ValueError("mode must be 'peel_first' or 'peel_last'")
     a, mu, n = params.a, params.mu, params.n
+    point = xi.tolist()
+    factors = []
     if mode == "peel_first":
-        head = _sech_gegenbauer_transform(a, mu, n[0], tail_sum(n, 2), r - 1, xi.item(0))
-        if r == 1:
-            return head
-        return head * fourier_via_recursion(FamilyParams(a, mu, n[1:]), xi[1:], mode)
-    tail_factor = _sech_gegenbauer_transform(a, mu, n[-1], 0, 0, xi.item(-1))
-    if r == 1:
-        return tail_factor
-    rest = FamilyParams(a + n[-1] / 2.0 + 0.25, mu + n[-1] + 0.5, n[:-1])
-    return tail_factor * fourier_via_recursion(rest, xi[:-1], mode)
-
+        m = sum(n)
+        for j in range(r):
+            m -= n[j]  # |n^{j+2}| of the 1-based axis j + 1
+            factors.append(_sech_gegenbauer_transform(a, mu, n[j], m, r - 1 - j, point[j]))
+    else:
+        for j in reversed(range(r)):
+            factors.append(_sech_gegenbauer_transform(a, mu, n[j], 0, 0, point[j]))
+            a, mu = a + n[j] / 2.0 + 0.25, mu + n[j] + 0.5
+    value = factors.pop()
+    while factors:
+        value = factors.pop() * value
+    return value

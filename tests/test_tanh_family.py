@@ -558,3 +558,34 @@ class TestRealInput:
             call(np.complex128(1.0))
         assert np.all(np.isfinite(call(1.0)))
 
+
+
+# the routes that take an axis index j, each called at n = (2,), r = 1
+_AXIS_ROUTES = {
+    "theta_factor": lambda j: theta_factor(j, 1, _DEGREE_TWO, 0.3),
+    "theta_factor_hahn": lambda j: theta_factor_hahn(j, 1, _DEGREE_TWO, 0.3),
+    "family_axis_factor": lambda j: family_axis_factor(j, _DEGREE_TWO, 0.3),
+    "d_axis_factor": lambda j: __import__("ballfourier").dfamily.d_axis_factor(
+        j, 1, 0.3 + 0.5j, (2,), 0.7, 0.9),
+}
+
+
+class TestAxisIndex:
+    # tanh_family._axis_tail is the one home of the axis rule: a
+    # non-integral j is refused with ValueError, where it used to leak a
+    # TypeError from slicing the multi-index
+    @pytest.mark.parametrize("route", _AXIS_ROUTES)
+    @pytest.mark.parametrize("j", [1.0, 1.5])
+    def test_non_integral_index_is_refused(self, route, j):
+        with pytest.raises(ValueError, match="^axis index must be an integer"):
+            _AXIS_ROUTES[route](j)
+
+    @pytest.mark.parametrize("route", _AXIS_ROUTES)
+    def test_integers_pass_and_the_range_is_checked(self, route):
+        call = _AXIS_ROUTES[route]
+        value = call(1)
+        for j in (np.int64(1), np.uint8(1), True):
+            assert call(j) == value
+        for j in (0, 2, np.int64(-1), False):
+            with pytest.raises(ValueError, match="^axis index out of range$"):
+                call(j)

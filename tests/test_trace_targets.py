@@ -10,11 +10,14 @@ reach every wrapped span but a listed few, so that work moved off a
 wrapped name onto a private one fails here instead of reading as zero.
 """
 
+import os
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 
+import ballfourier
 from ballfourier import cli, verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -72,9 +75,9 @@ def _scalar_calls(lib):
 _SCALAR_SPANS = {
     "fourier_closed_form": {"tanh_family.fourier_closed_form": (1, None),
                             "special.log_gamma": (3, 3)},
-    "fourier_via_recursion peel_first": {"tanh_family.fourier_via_recursion": (3, None),
+    "fourier_via_recursion peel_first": {"tanh_family.fourier_via_recursion": (1, None),
                                          "special.log_gamma": (3, 3)},
-    "fourier_via_recursion peel_last": {"tanh_family.fourier_via_recursion": (3, None),
+    "fourier_via_recursion peel_last": {"tanh_family.fourier_via_recursion": (1, None),
                                         "special.log_gamma": (3, 3)},
     "theta_factor": {"tanh_family.theta_factor": (1, 1), "special.log_gamma": (1, 1)},
     "gegenbauer": {"classical.gegenbauer": (1, 1)},
@@ -99,6 +102,51 @@ def test_single_value_calls_keep_their_spans():
         seen[kind] = {name: (span["calls"], span.get("points"))
                       for name, span in summary.items() if span["calls"]}
     assert seen == _SCALAR_SPANS
+
+
+# Python-level calls into the library that one call of each eval-scalar
+# kind makes (Python 3.11, where each comprehension is a call of its own):
+# each input rule and route decision runs once, at the entry the caller
+# used, so a layer added back to the single-value chain fails here
+_SCALAR_CALL_COUNTS = {
+    "fourier_closed_form": 89,
+    "fourier_via_recursion peel_first": 84,
+    "fourier_via_recursion peel_last": 84,
+    "theta_factor": 27,
+    "gegenbauer": 4,
+    "ball_basis_eval": 31,
+    "d_family_eval": 95,
+    "log_gamma": 4,
+}
+
+
+def _library_calls(call) -> int:
+    """The ``call`` events of ``sys.setprofile`` whose code lives in the
+    package's source files while ``call()`` runs: numpy's own Python
+    helpers do not count, so the number does not depend on numpy."""
+    package = os.path.dirname(ballfourier.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_single_value_chain_keeps_its_length():
+    lib = {name: sys.modules[f"ballfourier.{name}"]
+           for name in ("tanh_family", "dfamily", "classical", "ball", "special")}
+    calls = _scalar_calls(lib)
+    counts = {kind: _library_calls(calls[kind]) for kind in _SCALAR_CALL_COUNTS}
+    assert counts == {kind: min(count, _SCALAR_CALL_COUNTS[kind])
+                      for kind, count in counts.items()}, counts
 
 
 # spans a traced verify-all pass leaves at zero calls, because the suites
