@@ -8,7 +8,7 @@ from .classical import (continuous_hahn, gegenbauer, gegenbauer_norm,
 from .dfamily import DParams, d_family_eval, d_orthogonality_constant
 from .errors import (DenominatorPoleError, DomainError,
                      NonFiniteIntegrandError, PoleError)
-from .hypergeometric import HypergeometricSpec, hyp3f2_unit
+from .hypergeometric import HypergeometricSpec
 from .quadrature import (QuadratureSpec, ball_inner_product_numeric,
                          d_biorthogonality_integral, fourier_numeric,
                          fourier_numeric_table, hahn_orthogonality_integral,
@@ -26,7 +26,6 @@ __all__ = [
     "QuadratureSpec", "VerificationReport",
     "PoleError", "DenominatorPoleError", "DomainError", "NonFiniteIntegrandError",
     "log_gamma", "gamma", "pochhammer",
-    "hyp3f2_unit",
     "jacobi", "gegenbauer", "gegenbauer_norm", "continuous_hahn",
     "hahn_orthogonality_constant",
     "tail_sum", "validate_multi_index", "ball_basis_eval",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import _check_decay, _check_jacobi_exponents, _check_order, _check_weight
 from .hypergeometric import hyp3f2_ladder
-from .special import _LOG_DBL_MAX, _blockwise, log_gamma, pochhammer
+from .special import _LOG_DBL_MAX, _blockwise, _pochhammer, log_gamma, pochhammer
 
 __all__ = [
     "jacobi",
@@ -139,7 +139,7 @@ def continuous_hahn_rows(degrees, x, params):
     degrees = [_check_order(n, "degree") for n in degrees]
     a, b, c, d = map(complex, params)
     series = hyp3f2_ladder(degrees, a + b + c + d, a + 1j * np.asarray(x), a + c, a + d)
-    return [(1j ** n) * pochhammer(a + c, n) * pochhammer(a + d, n) / math.factorial(n) * value
+    return [(1j ** n) * _pochhammer(a + c, n) * _pochhammer(a + d, n) / math.factorial(n) * value
             for n, value in zip(degrees, series)]
 
 

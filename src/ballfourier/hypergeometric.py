@@ -14,12 +14,10 @@ the largest degree asked for returns every requested F_k.  For Re s <= 0,
 where the recurrence can divide by zero, each degree up to 12 takes the
 forward series, and a higher degree raises ValueError; no suite or
 workload reaches it, and its measured accuracy is stated in
-:func:`hyp3f2_ladder`.
-:func:`hyp3f2_unit` is the one-degree case, with s = upper2 - n + 1.  The
-general engine :func:`_terminating_sum` sums a terminating pFq forward with
-compensated (Kahan) addition; it serves the spec objects and the 3F2 at
-Re s <= 0.  Both kernels run cache-blocked through
-:func:`special._blockwise`.
+:func:`hyp3f2_ladder`.  The general engine :func:`_terminating_sum` sums
+a terminating pFq forward with compensated (Kahan) addition; it serves the
+spec objects and the 3F2 at Re s <= 0.  Both kernels run cache-blocked
+through :func:`special._blockwise`.
 
 A 0-d call runs the same recurrence body on Python numbers, whose complex
 multiply is unfused like a numpy scalar's and gives the same bits
@@ -40,23 +38,14 @@ and 4.1 ulp for ``d_axis_factor`` at complex x (up to 7.5 ulp over 900
 further draws); ``tests/test_degree_ladders.py`` pins 1 and 5 ulp on its
 draws.
 
-Each argument is checked and converted once, at the public entry.
-:func:`hyp3f2_ladder` checks the degrees (a nonempty sequence of
-nonnegative integers, in one pass) and :func:`hyp3f2_unit` its order;
-both refuse a non-scalar s, lower1 or lower2, passing a Python number
-(numpy's float64 and complex128 scalars among them) without ``np.ndim``,
-whose per-call cost would dominate a 0-d call, and convert the scalars
-and a 0-d u to Python numbers once (:func:`_numbers`).  The theta and
-gamma-pair axis ladders (``tanh_family.axis_ladder``, itself a public
-entry) apply the same rules (:func:`_checked`) to parameters they form
-as Python floats from ``ball._axis_parameters``, so they enter at
-:func:`_hyp3f2`, without the conversions.  :func:`_hyp3f2` keeps the pole
-check and the Re s route choice, which depend on the parameters, and
-:func:`_ladder` takes Python-float parameters as they are, converting
-only another kind (a complex one's zero imaginary part the coefficient
-rows drop, while the result keeps the complex dtype).  ``tanh_family``'s
-recursion calls :func:`hyp3f2_unit`, which stays on that route with its
-checks.
+Each argument is checked once, at the public entry.  :func:`hyp3f2_ladder`
+is the 3F2's one public entry: :func:`_checked` holds its argument rules,
+and it reads the scalars and a 0-d u as Python numbers.  Two library
+callers form their parameters as Python floats, apply no conversion and
+enter at :func:`_hyp3f2`: the theta and gamma-pair axis ladders
+(``tanh_family.axis_ladder``, itself a public entry, which applies
+:func:`_checked`) and the recursion's axis factor
+(``tanh_family._sech_gegenbauer_transform``).
 """
 
 from __future__ import annotations
@@ -68,7 +57,7 @@ import numpy as np
 from .errors import DenominatorPoleError, _check_lower, _check_order
 from .special import _blockwise, _number
 
-__all__ = ["HypergeometricSpec", "pfq_diagnostics", "hyp3f2_unit", "hyp3f2_ladder"]
+__all__ = ["HypergeometricSpec", "pfq_diagnostics", "hyp3f2_ladder"]
 
 # highest degree of the forward series at Re s <= 0, its measured range
 _FORWARD_DEGREE_LIMIT = 12
@@ -236,12 +225,6 @@ def _ladder(degrees: tuple, s, u, lower1, lower2):
     return tuple([np.asarray(v, dtype=dtype)[()] for v in out])
 
 
-def _scalars(*values) -> bool:
-    """Whether every value is a scalar; a Python number (numpy's float64 and
-    complex128 scalars among them) passes without ``np.ndim``."""
-    return all([isinstance(v, (int, float, complex)) or not np.ndim(v) for v in values])
-
-
 def _hyp3f2(degrees: tuple, s, u, lower1, lower2):
     """The continuous-Hahn 3F2 once its arguments are checked: ``degrees``
     a tuple of ints, ``s``, ``lower1`` and ``lower2`` scalars (Python
@@ -270,17 +253,12 @@ def _checked(degrees, s, lower1, lower2) -> tuple:
     ints = tuple(map(int, degrees)) if degrees and min(degrees) >= 0 else None
     if ints != degrees:
         raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
-    if not _scalars(s, lower1, lower2):
+    # a Python number (numpy's float64 and complex128 scalars among them)
+    # passes without np.ndim
+    if not all([isinstance(v, (int, float, complex)) or not np.ndim(v)
+                for v in (s, lower1, lower2)]):
         raise ValueError("s, lower1 and lower2 must be scalars; only u broadcasts")
     return ints
-
-
-def _numbers(s, u, lower1, lower2) -> tuple:
-    """The checked scalars s, lower1 and lower2 as Python numbers
-    (:func:`special._number`), and u as one if it is 0-d, for
-    :func:`_hyp3f2`."""
-    value = _number(u)
-    return _number(s), u if value is None else value, _number(lower1), _number(lower2)
 
 
 def hyp3f2_ladder(degrees, s, u, lower1, lower2):
@@ -311,20 +289,7 @@ def hyp3f2_ladder(degrees, s, u, lower1, lower2):
     gives numpy scalars).
     """
     degrees = _checked(degrees, s, lower1, lower2)
-    return _hyp3f2(degrees, *_numbers(s, u, lower1, lower2))
+    value = _number(u)
+    return _hyp3f2(degrees, _number(s), u if value is None else value, _number(lower1),
+                   _number(lower2))
 
-
-def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
-    """Terminating 3F2(-n, upper2, upper3; lower1, lower2; 1).
-
-    This is the continuous-Hahn shape every theta factor, gamma-pair factor
-    and Hahn polynomial reduces to: the one-degree case of
-    :func:`hyp3f2_ladder` with s = upper2 - (n - 1) and u = ``upper3``,
-    which alone may be an array (the result broadcasts with it).
-    """
-    n = _check_order(n, "series order n")
-    if not _scalars(upper2, lower1, lower2):
-        raise ValueError("upper2, lower1 and lower2 must be scalars; only upper3 broadcasts")
-    _, u, lower1, lower2 = _numbers(upper2, upper3, lower1, lower2)
-    # s as the ladder's callers form it, in the argument's own arithmetic
-    return _hyp3f2((n,), _number(upper2 - (n - 1.0)), u, lower1, lower2)[0]

@@ -59,11 +59,12 @@ float) refuse complex input for the real routes of :mod:`tanh_family` and
 as a float (the theta rows and the recursion's axis factors pass theirs),
 :func:`_gamma_pair_block` two Python numbers (the D family's 0-d axis
 factor), and :func:`_pochhammer` a checked order (the closed-form
-prefactor and the recursion).  :func:`log_gamma` stays on those paths,
-where its check of a number costs one ``isinstance``.  A 0-d x with a
-batch y, the one real part of the theta beta factors, enters the Lanczos
-planes as a float: each entry sees the same operations as when x is
-broadcast, with 5 array passes per term of the sum instead of 7.
+prefactor, the recursion and the continuous-Hahn routes).
+:func:`log_gamma` stays on those paths, where its check of a number costs
+one ``isinstance``.  A 0-d x with a batch y, the one real part of the
+theta beta factors, enters the Lanczos planes as a float: each entry sees
+the same operations as when x is broadcast, with 5 array passes per term
+of the sum instead of 7.
 """
 
 from __future__ import annotations
@@ -370,7 +371,7 @@ def _log_gamma_complex(z) -> np.ndarray:
 def _number(value):
     """A 0-d ``value`` as a Python float, or a Python complex if its dtype
     is complex; None for an array.  The public entries of this module and
-    of :mod:`hypergeometric` (``_numbers``) and ``dfamily.d_axis_factor``
+    of :mod:`hypergeometric` (``hyp3f2_ladder``) and ``dfamily.d_axis_factor``
     read their single values through it."""
     if isinstance(value, float):  # numpy's float64 scalars among them
         return float(value)

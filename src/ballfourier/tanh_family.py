@@ -38,9 +38,9 @@ import numpy as np
 from .ball import _axis_lambda, _axis_parameters, _index_list, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .errors import _check_decay, _check_vectors, _check_weight
-from .hypergeometric import _checked, _hyp3f2, hyp3f2_unit
+from .hypergeometric import _checked, _hyp3f2
 from .special import (_beta_conjugate, _blockwise, _pochhammer, _real_array, _real_number,
-                      beta_conjugate, pochhammer)
+                      beta_conjugate)
 
 __all__ = [
     "FamilyParams",
@@ -194,8 +194,8 @@ def theta_factor_hahn(j: int, r: int, params: FamilyParams, xi):
     nj = params.n[j - 1]
     big_b = params.mu - params.a + (m + 1.0) / 2.0 + q
     prefactor = math.factorial(nj) / ((1j ** nj)
-                                      * pochhammer(complex(lower1), nj)
-                                      * pochhammer(complex(lower2), nj))
+                                      * _pochhammer(complex(lower1), nj)
+                                      * _pochhammer(complex(lower2), nj))
     hahn = continuous_hahn(nj, xi / 2.0, (big_a, big_b, big_b, big_a))
     return prefactor * beta_conjugate(big_a, xi / 2.0) * hahn
 
@@ -335,8 +335,10 @@ def _sech_gegenbauer_transform(a: float, mu: float, nj: int, m: int, k: int, xi_
     whole r = 1 member (and the peel-last factor) at m = k = 0."""
     ap = a + (m + 1j * xi_j) / 2.0 + k / 4.0
     lam = m + mu + k / 2.0
-    series = hyp3f2_unit(nj, nj + 2.0 * lam, ap, m + 2.0 * a + k / 2.0,
-                         m + mu + (k + 1) / 2.0)
+    # s from the paper's upper parameter n_j + 2 lam, which can round
+    # apart from 2 lam + 1
+    series = _hyp3f2((nj,), (nj + 2.0 * lam) - (nj - 1.0), ap, m + 2.0 * a + k / 2.0,
+                     m + mu + (k + 1) / 2.0)[0]
     return (2.0 ** (m + 2.0 * a + (k - 2) / 2.0) * _pochhammer(2.0 * lam, nj)
             / math.factorial(nj) * _beta_conjugate(a + m / 2.0 + k / 4.0, xi_j / 2.0)
             * series)
@@ -355,7 +357,7 @@ def fourier_via_recursion(params: FamilyParams, xi, mode: str = "peel_first") ->
     xi = _real_array(xi, "xi")
     r = params.r
     if xi.shape != (r,):
-        raise ValueError(f"frequency vector must have length {r}")
+        raise ValueError(f"xi must be one frequency vector of shape ({r},), not {xi.shape}")
     if mode not in ("peel_first", "peel_last"):
         raise ValueError("mode must be 'peel_first' or 'peel_last'")
     a, mu, n = params.a, params.mu, params.n

@@ -25,10 +25,17 @@ from ballfourier import (DParams, FamilyParams, NonFiniteIntegrandError, Quadrat
                          pochhammer, tail_sum)
 from ballfourier.ball import _index_list
 from ballfourier.errors import _check_order, _check_weight
-from ballfourier.hypergeometric import _terminating_sum
+from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from ballfourier.quadrature import _ball_rules, _line_rule, d_pair_spec
 from ballfourier.special import _real_array
 from ballfourier.tanh_family import _axis_tail, _frequency_vectors
+
+
+def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):
+    """3F2(-n, upper2, upper3; lower1, lower2; 1): the one-degree ladder
+    at s = upper2 - (n - 1), with u = ``upper3`` the only argument that
+    broadcasts."""
+    return hyp3f2_ladder((n,), upper2 - (n - 1.0), upper3, lower1, lower2)[0]
 
 
 def gegenbauer_series(n: int, lam: float, x):

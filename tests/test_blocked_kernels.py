@@ -19,8 +19,9 @@ blocking's.
 import numpy as np
 import pytest
 
-from ballfourier import DenominatorPoleError, PoleError, gamma, hyp3f2_unit, log_gamma, special
+from ballfourier import DenominatorPoleError, PoleError, gamma, log_gamma, special
 from ballfourier.hypergeometric import _terminating_sum
+from reference_routes import hyp3f2_unit
 
 B = special._BLOCK
 SIZES = (B - 1, B, B + 1, 3 * B + 7)

@@ -13,8 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ballfourier import (DenominatorPoleError, FamilyParams, hyp3f2_unit, tail_sum,
-                         theta_factor, verify)
+from ballfourier import DenominatorPoleError, FamilyParams, tail_sum, theta_factor, verify
 from ballfourier.dfamily import d_axis_factor
 from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from ballfourier.quadrature import (QuadratureSpec, _jacgauss_cached, ball_default_spec,
@@ -23,6 +22,7 @@ from ballfourier.quadrature import (QuadratureSpec, _jacgauss_cached, ball_defau
                                     doubled_spec, fourier_numeric_table, hahn_gram_matrix,
                                     hahn_orthogonality_integral, tanh_default_spec)
 from ballfourier.tanh_family import fourier_closed_form_table
+from reference_routes import hyp3f2_unit
 
 
 def _same_bits(a, b) -> bool:

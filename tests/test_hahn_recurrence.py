@@ -14,10 +14,11 @@ at non-integer s in (-6, 0) is checked against mpmath at degrees 1..12.
 import numpy as np
 import pytest
 
-from ballfourier import DenominatorPoleError, FamilyParams, hyp3f2_unit, theta_factor
+from ballfourier import DenominatorPoleError, FamilyParams, theta_factor
 from ballfourier.dfamily import d_axis_factor
 from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from conftest import rel_err
+from reference_routes import hyp3f2_unit
 
 mp = pytest.importorskip("mpmath")
 

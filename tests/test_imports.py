@@ -189,7 +189,6 @@ _PUBLIC_SIGNATURES = {
     "gamma_pair": ("a", "b"),
     "beta_conjugate": ("x", "y"),
     "pfq_diagnostics": ("spec",),
-    "hyp3f2_unit": ("n", "upper2", "upper3", "lower1", "lower2"),
     "hyp3f2_ladder": ("degrees", "s", "u", "lower1", "lower2"),
     "jacobi": ("n", "alpha", "beta", "x"),
     "gegenbauer": ("n", "lam", "x"),

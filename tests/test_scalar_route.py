@@ -21,10 +21,11 @@ import pytest
 
 from ballfourier import (DParams, FamilyParams, classical, d_family_eval, family_eval,
                          fourier_closed_form, fourier_via_recursion, gamma, gegenbauer,
-                         hyp3f2_unit, hypergeometric, log_gamma, special, theta_factor)
+                         hypergeometric, log_gamma, special, theta_factor)
 from ballfourier.errors import PoleError
 from ballfourier.hypergeometric import hyp3f2_ladder
 from ballfourier.special import beta_conjugate, gamma_pair
+from reference_routes import hyp3f2_unit
 
 
 def _same_bits(a, b) -> bool:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
-                         fourier_closed_form, fourier_via_recursion, gegenbauer, hyp3f2_unit,
+                         fourier_closed_form, fourier_via_recursion, gegenbauer,
                          pochhammer, tail_sum, theta_factor, theta_factor_hahn)
 from ballfourier.ball import _axis_parameters
 from ballfourier.special import beta_conjugate
@@ -14,7 +14,8 @@ from ballfourier.tanh_family import (axis_ladder, family_axis_factor, fourier_cl
                                      fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
-from reference_routes import family_eval_peel_first, family_eval_peel_last, tanh_ball_map
+from reference_routes import (family_eval_peel_first, family_eval_peel_last, hyp3f2_unit,
+                              tanh_ball_map)
 
 # frozen direct arithmetic: tanh(1), tanh(1)*sech(1)
 UPSILON_11 = (0.7615941559557649, 0.49355434756457306)
@@ -315,6 +316,10 @@ class TestFourierClosedForm:
             for mode in ("peel_first", "peel_last"):
                 other = fourier_via_recursion(params, xi, mode)
                 assert abs(closed - other) / scale <= 1e-11
+        # the recursions take one frequency vector, not a grid of them
+        with pytest.raises(ValueError,
+                           match=r"one frequency vector of shape \(2,\), not \(4, 2\)"):
+            fourier_via_recursion(FamilyParams(1.0, 0.5, (1, 2)), np.zeros((4, 2)))
 
     def test_r2_peel_first_intermediate(self, rng):
         # first peel of the bivariate case: explicit head factor times the

@@ -109,13 +109,13 @@ def test_single_value_calls_keep_their_spans():
 # each input rule and route decision runs once, at the entry the caller
 # used, so a layer added back to the single-value chain fails here
 _SCALAR_CALL_COUNTS = {
-    "fourier_closed_form": 89,
-    "fourier_via_recursion peel_first": 84,
-    "fourier_via_recursion peel_last": 84,
-    "theta_factor": 27,
+    "fourier_closed_form": 86,
+    "fourier_via_recursion peel_first": 54,
+    "fourier_via_recursion peel_last": 54,
+    "theta_factor": 26,
     "gegenbauer": 4,
     "ball_basis_eval": 31,
-    "d_family_eval": 95,
+    "d_family_eval": 92,
     "log_gamma": 4,
 }
 
