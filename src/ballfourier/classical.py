@@ -87,10 +87,11 @@ def gegenbauer(n: int, lam: float, x):
         # keeps its batch entry's bits.  A complex 0-d x stays on arrays
         t = arr.item()
         return dtype.type(_gegenbauer_recurrence(n, lam, t, 1.0, 2.0 * lam * t))
+    # x in double: products with Python floats keep float32 in single precision
+    arr = arr.astype(dtype, copy=False)
 
     def recurrence(x):
-        return (_gegenbauer_recurrence(n, lam, x, np.ones(x.shape, dtype=dtype),
-                                       (2.0 * lam * x).astype(dtype, copy=False)),)
+        return (_gegenbauer_recurrence(n, lam, x, np.ones(x.shape, dtype=dtype), 2.0 * lam * x),)
 
     if arr.ndim == 0:
         return recurrence(arr)[0][()]
@@ -138,7 +139,10 @@ def continuous_hahn_rows(degrees, x, params):
     check.  Each entry is :func:`continuous_hahn` of its degree, bit for bit."""
     degrees = [_check_order(n, "degree") for n in degrees]
     a, b, c, d = map(complex, params)
-    series = hyp3f2_ladder(degrees, a + b + c + d, a + 1j * np.asarray(x), a + c, a + d)
+    x = np.asarray(x)
+    # in double whatever its dtype, as gegenbauer takes x
+    x = x.astype(np.result_type(x, np.float64), copy=False)
+    series = hyp3f2_ladder(degrees, a + b + c + d, a + 1j * x, a + c, a + d)
     return [(1j ** n) * _pochhammer(a + c, n) * _pochhammer(a + d, n) / math.factorial(n) * value
             for n, value in zip(degrees, series)]
 

@@ -10,7 +10,7 @@ whose constant is implemented here in closed form.
 The construction couples the ball weight to the decay parameters through
 mu = a1 + a2 - 1/2; that value is derived, never passed.  The axis factors
 of one axis tail (j, |n^{j+1}|) share their gamma pair and 3F2 ladder
-(:func:`d_axis_rows`), as the theta factors do.
+(:func:`_d_axis_rows`), as the theta factors do.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .ball import _axis_parameters, ball_norm, tail_sum, validate_multi_index
 from .errors import _check_decay, _check_vectors
 from .special import (_LOG_DBL_MAX, _blockwise, _gamma_pair_block, _number, gamma_pair, log_gamma,
                       pochhammer)
-from .tanh_family import _axis_tail, axis_ladder
+from .tanh_family import _axis_ladder, _axis_tail
 
 __all__ = [
     "DParams",
-    "d_axis_rows",
     "d_axis_factor",
     "d_family_eval",
     "d_orthogonality_constant",
@@ -64,12 +63,12 @@ class DParams:
         return self.a1 + self.a2 - 0.5
 
 
-def d_axis_rows(j: int, r: int, m: int, degrees, x_j, a1: float, a2: float):
-    """Axis-j factors at tail m = |n^{j+1}| for every n_j in ``degrees``:
-    one gamma pair and one 3F2 ladder (:func:`tanh_family.axis_ladder`),
-    since neither depends on n_j.  Vectorized in x_j; each entry equals
-    the :func:`d_axis_factor` of its degree bit for bit."""
-    _, gplus, gminus, series = axis_ladder(j, r, m, a1, a1 + a2 - 0.5, x_j, degrees)
+def _d_axis_rows(j: int, r: int, m: int, degrees, x_j, a1: float, a2: float):
+    """Axis-j factors at tail m = |n^{j+1}| for every n_j in ``degrees``, a
+    tuple of ints, unchecked: one gamma pair and one 3F2 ladder
+    (``tanh_family._axis_ladder``), since neither depends on n_j.  Vectorized
+    in x_j; each entry is the :func:`d_axis_factor` of its degree, bit for bit."""
+    _, gplus, gminus, series = _axis_ladder(j, r, m, a1, a1 + a2 - 0.5, x_j, degrees)
     pair = gamma_pair(gminus, gplus)
     return [pair * value for value in series]
 
@@ -79,15 +78,18 @@ def d_axis_factor(j: int, r: int, x_j, n, a1: float, a2: float):
 
     This is the theta factor's 3F2 with the gamma pair in place of the beta
     factor, under a -> a1 and mu -> a1 + a2 - 1/2: the one-degree case of
-    :func:`d_axis_rows`.  A 0-d ``x_j`` runs as a Python number, checked
+    :func:`_d_axis_rows`.  A 0-d ``x_j`` runs as a Python number, checked
     here once and passed beneath the argument checks of the gamma pair
-    (``special._gamma_pair_block``), as :func:`tanh_family.axis_ladder`
-    passes it beneath those of the 3F2."""
+    (``special._gamma_pair_block``) and of the 3F2
+    (``tanh_family._axis_ladder``)."""
     z = _number(x_j)
     m = _axis_tail(j, r, n)
     if z is None:
-        return d_axis_rows(j, r, m, (n[j - 1],), np.asarray(x_j), a1, a2)[0]
-    _, gplus, gminus, series = axis_ladder(j, r, m, a1, a1 + a2 - 0.5, z, (n[j - 1],))
+        # in double: gamma arguments formed from a float32 x_j stay float32
+        x_j = np.asarray(x_j)
+        x_j = x_j.astype(np.result_type(x_j, np.float64), copy=False)
+        return _d_axis_rows(j, r, m, (n[j - 1],), x_j, a1, a2)[0]
+    _, gplus, gminus, series = _axis_ladder(j, r, m, a1, a1 + a2 - 0.5, z, (n[j - 1],))
     return _gamma_pair_block(gminus, gplus)[0] * series[0]
 
 

@@ -39,13 +39,12 @@ further draws); ``tests/test_degree_ladders.py`` pins 1 and 5 ulp on its
 draws.
 
 Each argument is checked once, at the public entry.  :func:`hyp3f2_ladder`
-is the 3F2's one public entry: :func:`_checked` holds its argument rules,
-and it reads the scalars and a 0-d u as Python numbers.  Two library
-callers form their parameters as Python floats, apply no conversion and
-enter at :func:`_hyp3f2`: the theta and gamma-pair axis ladders
-(``tanh_family.axis_ladder``, itself a public entry, which applies
-:func:`_checked`) and the recursion's axis factor
-(``tanh_family._sech_gegenbauer_transform``).
+is the 3F2's one public entry and the only applier of its argument rules;
+it reads the scalars and a 0-d u as Python numbers.  The library callers
+that form their degrees as tuples of ints and their parameters as Python
+floats enter at :func:`_hyp3f2` with no check or conversion: the theta
+and gamma-pair axis ladders (``tanh_family._axis_ladder``) and the
+recursion's axis factor (``tanh_family._sech_gegenbauer_transform``).
 """
 
 from __future__ import annotations
@@ -243,24 +242,6 @@ def _hyp3f2(degrees: tuple, s, u, lower1, lower2):
     return tuple([value[()] for value, _ in sums])
 
 
-def _checked(degrees, s, lower1, lower2) -> tuple:
-    """The argument rules of :func:`hyp3f2_ladder`, which
-    ``tanh_family.axis_ladder`` applies as well: ``degrees`` as a tuple of
-    ints if it is a nonempty sequence of nonnegative integers (checked in
-    one pass), and scalar s, lower1 and lower2."""
-    degrees = tuple(degrees)
-    # an empty, negative or nan entry never reaches int()
-    ints = tuple(map(int, degrees)) if degrees and min(degrees) >= 0 else None
-    if ints != degrees:
-        raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
-    # a Python number (numpy's float64 and complex128 scalars among them)
-    # passes without np.ndim
-    if not all([isinstance(v, (int, float, complex)) or not np.ndim(v)
-                for v in (s, lower1, lower2)]):
-        raise ValueError("s, lower1 and lower2 must be scalars; only u broadcasts")
-    return ints
-
-
 def hyp3f2_ladder(degrees, s, u, lower1, lower2):
     """F_k = 3F2(-k, k+s-1, u; lower1, lower2; 1) for every k of ``degrees``.
 
@@ -288,8 +269,17 @@ def hyp3f2_ladder(degrees, s, u, lower1, lower2):
     Returns a tuple with one value per entry of ``degrees`` (a 0-d ``u``
     gives numpy scalars).
     """
-    degrees = _checked(degrees, s, lower1, lower2)
+    degrees = tuple(degrees)
+    # an empty, negative or nan entry never reaches int()
+    ints = tuple(map(int, degrees)) if degrees and min(degrees) >= 0 else None
+    if ints != degrees:
+        raise ValueError("degrees must be a nonempty sequence of nonnegative integers")
+    # a Python number (numpy's float64 and complex128 scalars among them)
+    # passes without np.ndim
+    if not all([isinstance(v, (int, float, complex)) or not np.ndim(v)
+                for v in (s, lower1, lower2)]):
+        raise ValueError("s, lower1 and lower2 must be scalars; only u broadcasts")
     value = _number(u)
-    return _hyp3f2(degrees, _number(s), u if value is None else value, _number(lower1),
+    return _hyp3f2(ints, _number(s), u if value is None else value, _number(lower1),
                    _number(lower2))
 

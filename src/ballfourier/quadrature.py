@@ -55,7 +55,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .ball import _axis_lambda, _index_list
 from .classical import continuous_hahn_rows, gegenbauer
-from .dfamily import DParams, d_axis_rows
+from .dfamily import DParams, _d_axis_rows
 from .errors import NonFiniteIntegrandError, _check_jacobi_exponents, _check_weight
 from .special import log_gamma
 from .tanh_family import (FamilyParams, _axis_keys, _axis_table, _frequency_table,
@@ -459,9 +459,9 @@ def _d_pairings(rows, cols, a1: float, a2: float, spec: QuadratureSpec | None):
     row_keys = [_axis_keys(n) for n in rows]
     col_keys = [_axis_keys(m) for m in cols]
     plus = {key: w * factor for key, factor in _axis_table(
-        row_keys, lambda j, m, degrees: d_axis_rows(j, r, m, degrees, 1j * x, a1, a2)).items()}
+        row_keys, lambda j, m, degrees: _d_axis_rows(j, r, m, degrees, 1j * x, a1, a2)).items()}
     minus = _axis_table(
-        col_keys, lambda j, m, degrees: d_axis_rows(j, r, m, degrees, -1j * x, a2, a1))
+        col_keys, lambda j, m, degrees: _d_axis_rows(j, r, m, degrees, -1j * x, a2, a1))
     return np.array([[_pairing(keys_n, keys_m, plus, minus) for keys_m in col_keys]
                      for keys_n in row_keys], dtype=np.complex128)
 

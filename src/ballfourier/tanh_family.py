@@ -15,7 +15,7 @@ those axis factors.  Its recursive evaluations, which peel off x_1 or x_r,
 are cross-checks kept with the tests; the x_r one is the integrand of the
 tests' dense Fourier grid.
 :func:`_axis_table` is the one place where keys are grouped by tail.
-:func:`axis_ladder` runs one 3F2 degree ladder per tail for every n_j, and
+:func:`_axis_ladder` runs one 3F2 degree ladder per tail for every n_j, and
 :func:`_x_factor` is the keyed x-side factor.  :func:`_frequency_table`
 builds the closed form (:func:`fourier_closed_form_table`: one beta factor
 and one ladder per tail) and the separated Fourier oracle alike; a single
@@ -38,7 +38,7 @@ import numpy as np
 from .ball import _axis_lambda, _axis_parameters, _index_list, tail_sum, validate_multi_index
 from .classical import continuous_hahn, gegenbauer
 from .errors import _check_decay, _check_vectors, _check_weight
-from .hypergeometric import _checked, _hyp3f2
+from .hypergeometric import _hyp3f2
 from .special import (_beta_conjugate, _blockwise, _pochhammer, _real_array, _real_number,
                       beta_conjugate)
 
@@ -48,7 +48,6 @@ __all__ = [
     "family_axis_factor",
     "theta_factor",
     "theta_factor_hahn",
-    "axis_ladder",
     "fourier_prefactor",
     "fourier_closed_form",
     "fourier_closed_form_table",
@@ -137,7 +136,7 @@ def _axis_tail(j: int, r: int, n) -> int:
     return tail_sum(n, j + 1)
 
 
-def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
+def _axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
     """The per-axis 3F2 of axis j at tail m = |n^{j+1}| for every n_j in
     ``degrees``, from one degree recurrence: ``(p, arg_plus, arg_minus,
     values)``.  The sech^2 power p, the parameters s, lower1, lower2
@@ -146,15 +145,14 @@ def axis_ladder(j: int, r: int, m: int, a: float, mu: float, z, degrees):
     axis tail.  Theta takes z = i xi; the gamma-pair family takes z = x_j,
     a = a1 and mu = a1 + a2 - 1/2.
 
-    It checks ``degrees`` and the 3F2 parameters by the rules of
-    :func:`hyp3f2_ladder` and enters the 3F2 beneath that function's
-    conversions, at ``hypergeometric._hyp3f2``: the parameters are the
-    floats of :func:`_axis_parameters`, and z is a Python number (as the
-    single-value routes pass it) or an array."""
+    It runs no argument check: its callers pass ``degrees`` as a tuple of
+    ints they formed themselves, the parameters are the floats of
+    :func:`_axis_parameters`, and z is a Python number (as the
+    single-value routes pass it) or an array, so it enters the 3F2 at
+    ``hypergeometric._hyp3f2``, beneath :func:`hyp3f2_ladder`'s checks."""
     q, p, _, s, lower1, lower2 = _axis_parameters(j, r, m, a, mu)
     arg_plus = a + (m + z) / 2.0 + q
     arg_minus = a + (m - z) / 2.0 + q
-    degrees = _checked(degrees, s, lower1, lower2)
     return p, arg_plus, arg_minus, _hyp3f2(degrees, s, arg_plus, lower1, lower2)
 
 
@@ -162,7 +160,7 @@ def _theta_rows(r: int, a: float, mu: float, j: int, m: int, degrees, xi):
     """Theta factors of axis j at tail m for every n_j in ``degrees`` at the
     frequencies ``xi``, a Python float or one block of an array: one beta
     factor and one 3F2 ladder, entered beneath their argument checks."""
-    p, _, _, series = axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
+    p, _, _, series = _axis_ladder(j, r, m, a, mu, 1j * xi, degrees)
     beta = _beta_conjugate(p, xi / 2.0)
     return [beta * value for value in series]
 

@@ -28,10 +28,10 @@ from .ball import (_axis_parameters, _polynomial_value, ball_basis_eval, ball_no
                    ball_operator_residual, ball_polynomial, tail_sum)
 from .classical import gegenbauer_norm, hahn_orthogonality_constant
 from .dfamily import d_orthogonality_constant
+from .hypergeometric import hyp3f2_ladder
 from .special import beta_conjugate, gamma
-from .tanh_family import (FamilyParams, axis_ladder, fourier_closed_form,
-                          fourier_closed_form_table, fourier_prefactor,
-                          fourier_via_recursion, theta_factor_hahn)
+from .tanh_family import (FamilyParams, fourier_closed_form, fourier_closed_form_table,
+                          fourier_prefactor, fourier_via_recursion, theta_factor_hahn)
 
 __all__ = ["VerificationReport", "make_report", "fourier_report", "SplitMix64",
            "SUITE_NAMES", "run_suite", "report_to_dict", "reports_to_json", "reports_to_csv",
@@ -241,13 +241,14 @@ def _theta_diagnostics(params: FamilyParams, xi) -> tuple[float, bool]:
     cancellation-risky (its value below a fixed fraction of its peak).  The
     peak of axis j is max over k <= n_j of |F_k|, the same 3F2 at the lower
     degrees k with s held fixed: one ladder per axis gives every row."""
-    r = params.r
+    r, a = params.r, params.a
     scale = abs(float(fourier_prefactor(params)))
     low_confidence = False
     for j in range(1, r + 1):
-        _, arg_plus, _, values = axis_ladder(
-            j, r, tail_sum(params.n, j + 1), params.a, params.mu, 1j * float(xi[j - 1]),
-            range(params.n[j - 1] + 1))
+        m = tail_sum(params.n, j + 1)
+        q, _, _, s, lower1, lower2 = _axis_parameters(j, r, m, a, params.mu)
+        arg_plus = a + (m + 1j * float(xi[j - 1])) / 2.0 + q
+        values = hyp3f2_ladder(range(params.n[j - 1] + 1), s, arg_plus, lower1, lower2)
         peak = float(np.max(np.abs(values)))
         low_confidence = low_confidence or abs(values[-1]) < _LOW_CONFIDENCE_RATIO * peak
         scale *= abs(beta_conjugate(arg_plus.real, arg_plus.imag)) * peak

@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from ballfourier import (continuous_hahn, gegenbauer, gegenbauer_norm,
+from ballfourier import (DParams, continuous_hahn, d_family_eval, gegenbauer, gegenbauer_norm,
                          hahn_orthogonality_constant, jacobi, pochhammer)
+from ballfourier.classical import continuous_hahn_rows
+from ballfourier.dfamily import d_axis_factor
 from ballfourier.quadrature import _jacgauss_cached
 from ballfourier.special import beta_conjugate, log_gamma
 from conftest import rel_err
@@ -303,3 +305,39 @@ class TestRecordedBits:
             for value in values:
                 digest.update(np.asarray(value).tobytes())
         assert digest.hexdigest()[:16] == _GEGENBAUER_SHA256
+
+
+_HAHN = (0.3, 0.61, 0.7, 0.8)
+_D_PARAMS = DParams(0.7, 0.9, (2, 1))
+
+
+class TestSinglePrecisionInput:
+    # products with Python floats keep a float16, float32 or complex64
+    # array in its own precision, so each route converts x to double once,
+    # where it enters
+    @pytest.mark.parametrize("route, x", [
+        pytest.param(lambda x: gegenbauer(2, 0.7, x), np.float32(0.3), id="gegenbauer-f32"),
+        pytest.param(lambda x: gegenbauer(2, 0.7, x), np.float16(0.3), id="gegenbauer-f16"),
+        pytest.param(lambda x: gegenbauer(3, 0.7, x), np.complex64(0.3 + 0.2j),
+                     id="gegenbauer-c64"),
+        pytest.param(lambda x: gegenbauer(5, 0.7, x), np.float32([0.3, -0.7]),
+                     id="gegenbauer-f32-batch"),
+        pytest.param(lambda x: gegenbauer(5, 0.7, x), np.complex64([0.3 + 0.2j, -0.7j]),
+                     id="gegenbauer-c64-batch"),
+        pytest.param(lambda x: continuous_hahn(4, x, _HAHN), np.float32([0.3, 1.7]),
+                     id="continuous_hahn-f32"),
+        pytest.param(lambda x: continuous_hahn_rows((1, 4), x, _HAHN)[1], np.float32(0.3),
+                     id="continuous_hahn_rows-f32"),
+        pytest.param(lambda x: d_family_eval(x, _D_PARAMS),
+                     np.complex64([[0.3 + 0.2j, -0.4 + 1j], [1.1 - 0.3j, 0.2 + 0.1j]]),
+                     id="d_family_eval-c64-batch"),
+        pytest.param(lambda x: d_family_eval(x, _D_PARAMS), np.float32([[0.3, -0.4], [1.1, 0.2]]),
+                     id="d_family_eval-f32-batch"),
+        pytest.param(lambda x: d_axis_factor(1, 2, x, (2, 1), 0.7, 0.9), np.float32([0.3, 1.7]),
+                     id="d_axis_factor-f32"),
+    ])
+    def test_gives_the_value_of_its_double_input(self, route, x):
+        value, double = route(x), route(x.astype(np.result_type(x, np.float64)))
+        assert type(value) is type(double)
+        assert np.asarray(value).dtype == np.asarray(double).dtype
+        assert np.asarray(value).tobytes() == np.asarray(double).tobytes()

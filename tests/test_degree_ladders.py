@@ -67,12 +67,9 @@ class TestLadderKernel:
             assert all(_same_bits(row[i], row_one[0]) for row, row_one in zip(rows, one))
 
     def test_rejects_what_the_recurrence_cannot_run(self):
-        with pytest.raises(ValueError):
-            hyp3f2_ladder((), 1.5, 0.3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            hyp3f2_ladder((2, -1), 1.5, 0.3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            hyp3f2_ladder((2.5,), 1.5, 0.3, 1.0, 1.0)
+        for degrees in ((), (2, -1), (2.5,), (float("nan"),)):
+            with pytest.raises(ValueError, match="nonempty sequence"):
+                hyp3f2_ladder(degrees, 1.5, 0.3, 1.0, 1.0)
         assert hyp3f2_ladder((np.int64(3), 2.0), 1.5, 0.3, 1.0, 1.0) == hyp3f2_ladder(
             (3, 2), 1.5, 0.3, 1.0, 1.0)
         # s = 0, where the recurrence would divide by zero, is the forward
@@ -174,13 +171,13 @@ class TestOneLadderPerTail:
     @staticmethod
     def _recording(monkeypatch, module):
         calls = []
-        ladder = module.axis_ladder
+        ladder = module._axis_ladder
 
         def recording(j, r, m, a, mu, z, degrees):
             calls.append((j, m, a, tuple(degrees)))
             return ladder(j, r, m, a, mu, z, degrees)
 
-        monkeypatch.setattr(module, "axis_ladder", recording)
+        monkeypatch.setattr(module, "_axis_ladder", recording)
         return calls
 
     def test_closed_form_table(self, monkeypatch):
@@ -193,12 +190,21 @@ class TestOneLadderPerTail:
         assert {(j, m): set(degrees) for j, m, _, degrees in calls} == tails
 
     def test_theta_diagnostics(self, monkeypatch):
-        calls = self._recording(monkeypatch, verify)
+        calls = []
+        ladder = verify.hyp3f2_ladder
+
+        def recording(degrees, s, u, lower1, lower2):
+            calls.append((tuple(degrees), s))
+            return ladder(degrees, s, u, lower1, lower2)
+
+        monkeypatch.setattr(verify, "hyp3f2_ladder", recording)
         params = FamilyParams(0.9, 1.1, (4, 0, 3))
         verify.fourier_value_scale(params, np.array([0.5, -1.0, 2.0]))
-        # one ladder per axis, through every degree k <= n_j for the peak
-        assert [(j, m, degrees) for j, m, _, degrees in calls] == [
-            (1, 3, (0, 1, 2, 3, 4)), (2, 3, (0,)), (3, 0, (0, 1, 2, 3))]
+        # one ladder per axis, at s = 2 lambda_j + 1 with lambda_j =
+        # mu + m + (r - j)/2, through every degree k <= n_j for the peak
+        assert calls == [((0, 1, 2, 3, 4), 2.0 * (1.1 + 3 + 1.0) + 1.0),
+                         ((0,), 2.0 * (1.1 + 3 + 0.5) + 1.0),
+                         ((0, 1, 2, 3), 2.0 * (1.1 + 0 + 0.0) + 1.0)]
 
     def test_theta_diagnostics_peak_is_the_ladder_maximum(self):
         # the scale is the prefactor times, per axis, |beta| times the peak
@@ -305,13 +311,13 @@ class TestOneFactorPerAxisKey:
         # one factor per axis key and sign: a = a1 at +ix, a = a2 at -ix
         from ballfourier import quadrature
         calls = []
-        rows = quadrature.d_axis_rows
+        rows = quadrature._d_axis_rows
 
         def recording(j, r, m, degrees, x_j, a1, a2):
             calls.extend((a1, j, nj, m) for nj in degrees)
             return rows(j, r, m, degrees, x_j, a1, a2)
 
-        monkeypatch.setattr(quadrature, "d_axis_rows", recording)
+        monkeypatch.setattr(quadrature, "_d_axis_rows", recording)
         keys = self._keys(self.INDICES)
         base = QuadratureSpec(nodes_per_axis=800, panels=50, truncation_halfwidth=40.0 / 1.75)
         for spec in (base, QuadratureSpec(1600, base.truncation_halfwidth, 100)):

@@ -206,12 +206,10 @@ _PUBLIC_SIGNATURES = {
     "family_axis_factor": ("j", "params", "x"),
     "theta_factor": ("j", "r", "params", "xi"),
     "theta_factor_hahn": ("j", "r", "params", "xi"),
-    "axis_ladder": ("j", "r", "m", "a", "mu", "z", "degrees"),
     "fourier_prefactor": ("params",),
     "fourier_closed_form": ("params", "xi"),
     "fourier_closed_form_table": ("indices", "a", "mu", "xi"),
     "fourier_via_recursion": ("params", "xi", "mode='peel_first'"),
-    "d_axis_rows": ("j", "r", "m", "degrees", "x_j", "a1", "a2"),
     "d_axis_factor": ("j", "r", "x_j", "n", "a1", "a2"),
     "d_family_eval": ("x", "params"),
     "d_orthogonality_constant": ("n", "a1", "a2"),

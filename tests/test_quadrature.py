@@ -585,7 +585,7 @@ class TestFourierTables:
     def test_one_factor_per_axis_key(self, monkeypatch):
         from ballfourier import quadrature, tanh_family
         axis_calls, ladder_calls = [], []
-        axis_integral, ladder = quadrature._fourier_axis_integral, tanh_family.axis_ladder
+        axis_integral, ladder = quadrature._fourier_axis_integral, tanh_family._axis_ladder
 
         def recording_axis(key, r, a, mu, phases, spec):
             axis_calls.append((*key, np.shape(phases)[:-1]))
@@ -596,7 +596,7 @@ class TestFourierTables:
             return ladder(j, r, m, a, mu, z, degrees)
 
         monkeypatch.setattr(quadrature, "_fourier_axis_integral", recording_axis)
-        monkeypatch.setattr(tanh_family, "axis_ladder", recording_ladder)
+        monkeypatch.setattr(tanh_family, "_axis_ladder", recording_ladder)
         indices = self.INDICES[3]
         grid = np.array(list(itertools.product((-3.0, 2.0), repeat=3)))
         fourier_numeric_table(indices, 1.0, 0.5, grid)

@@ -10,8 +10,8 @@ from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
 from ballfourier.ball import _axis_parameters
 from ballfourier.special import beta_conjugate
 from ballfourier.quadrature import fourier_numeric
-from ballfourier.tanh_family import (axis_ladder, family_axis_factor, fourier_closed_form_table,
-                                     fourier_prefactor)
+from ballfourier.tanh_family import (_axis_ladder, family_axis_factor,
+                                     fourier_closed_form_table, fourier_prefactor)
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
 from reference_routes import (family_eval_peel_first, family_eval_peel_last, hyp3f2_unit,
@@ -178,7 +178,7 @@ class TestAxisParameters:
 
 
 class TestAxisSeries:
-    # the per-axis 3F2 of one member: the one-degree case of axis_ladder
+    # the per-axis 3F2 of one member: the one-degree case of _axis_ladder
     def test_matches_the_spec_route(self, rng):
         # the value is the one-degree ladder at s = 2(m + mu + (r - j)/2) + 1
         # (the degree recurrence, s > 0), which is upper2 - n_j + 1 up to
@@ -192,7 +192,7 @@ class TestAxisSeries:
             j = int(rng.integers(1, r + 1))
             z = 1j * float(rng.uniform(-3, 3))
             m, nj = tail_sum(params.n, j + 1), params.n[j - 1]
-            _, ap, am, (value,) = axis_ladder(j, r, m, params.a, params.mu, z, (nj,))
+            _, ap, am, (value,) = _axis_ladder(j, r, m, params.a, params.mu, z, (nj,))
             q, _, _, s, lower1, lower2 = _axis_parameters(j, r, m, params.a, params.mu)
             ap2, am2 = params.a + (m + z) / 2.0 + q, params.a + (m - z) / 2.0 + q
             upper2 = nj + 2.0 * (m + params.mu + (r - j) / 2.0)
@@ -211,10 +211,10 @@ class TestAxisSeries:
         x = rng.uniform(-2, 2, size=7)
         for j in (1, 2, 3):
             m, nj = tail_sum(params.n, j + 1), (params.n[j - 1],)
-            _, ap, _, (series,) = axis_ladder(j, 3, m, params.a, params.mu, 1j * xi, nj)
+            _, ap, _, (series,) = _axis_ladder(j, 3, m, params.a, params.mu, 1j * xi, nj)
             assert np.array_equal(theta_factor(j, 3, params, xi),
                                   beta_conjugate(ap.real, ap.imag) * series)
-            _, gp, gm, (series,) = axis_ladder(j, 3, m, 0.7, 0.7 + 0.9 - 0.5, x, nj)
+            _, gp, gm, (series,) = _axis_ladder(j, 3, m, 0.7, 0.7 + 0.9 - 0.5, x, nj)
             assert np.array_equal(d_axis_factor(j, 3, x, params.n, 0.7, 0.9),
                                   gamma_pair(gm, gp) * series)
 

@@ -109,13 +109,13 @@ def test_single_value_calls_keep_their_spans():
 # each input rule and route decision runs once, at the entry the caller
 # used, so a layer added back to the single-value chain fails here
 _SCALAR_CALL_COUNTS = {
-    "fourier_closed_form": 86,
+    "fourier_closed_form": 80,
     "fourier_via_recursion peel_first": 54,
     "fourier_via_recursion peel_last": 54,
-    "theta_factor": 26,
+    "theta_factor": 24,
     "gegenbauer": 4,
     "ball_basis_eval": 31,
-    "d_family_eval": 92,
+    "d_family_eval": 86,
     "log_gamma": 4,
 }
 
