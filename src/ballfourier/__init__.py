@@ -13,7 +13,7 @@ from .quadrature import (QuadratureSpec, ball_inner_product_numeric,
                          d_biorthogonality_integral, fourier_numeric,
                          fourier_numeric_table, hahn_orthogonality_integral,
                          parseval_sides)
-from .special import gamma, log_gamma, pochhammer
+from .special import gamma, log_gamma
 from .tanh_family import (FamilyParams, family_eval, fourier_closed_form,
                           fourier_closed_form_table, fourier_via_recursion,
                           theta_factor, theta_factor_hahn)
@@ -25,7 +25,7 @@ __all__ = [
     "FamilyParams", "DParams", "HypergeometricSpec",
     "QuadratureSpec", "VerificationReport",
     "PoleError", "DenominatorPoleError", "DomainError", "NonFiniteIntegrandError",
-    "log_gamma", "gamma", "pochhammer",
+    "log_gamma", "gamma",
     "jacobi", "gegenbauer", "gegenbauer_norm", "continuous_hahn",
     "hahn_orthogonality_constant",
     "tail_sum", "validate_multi_index", "ball_basis_eval",

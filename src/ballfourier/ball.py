@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import _gegenbauer_recurrence
 from .errors import DomainError, _check_vectors, _check_weight
-from .special import _blockwise, _real_array, log_gamma, pochhammer
+from .special import _blockwise, _pochhammer, _real_array, log_gamma
 
 __all__ = ["tail_sum", "validate_multi_index", "ball_basis_eval", "ball_norm",
            "ball_polynomial", "ball_operator_residual"]
@@ -118,8 +118,8 @@ def ball_norm(n, mu: float) -> float:
     Gamma factors are combined in log space; the Pochhammer products are
     formed directly (their bases may be negative for mu in (-1/2, 0), and the
     signs cancel against each other).  A product that leaves double range
-    raises OverflowError, as :func:`special.pochhammer` does; for mu in
-    [1/2, 3] and r <= 3 that happens from total degree 95-99 on.
+    raises OverflowError; for mu in [1/2, 3] and r <= 3 that happens from
+    total degree 95-99 on.
     """
     n = validate_multi_index(n)
     mu = _check_weight(mu, "mu")
@@ -127,13 +127,14 @@ def ball_norm(n, mu: float) -> float:
     nn = sum(n)
     log_part = (0.5 * r * math.log(math.pi) + log_gamma(mu + 0.5)
                 - log_gamma(mu + 0.5 * (r + 1) + nn))
-    value = float(np.exp(log_part)) * pochhammer(mu + 0.5 * r, nn)
+    value = float(np.exp(log_part)) * _pochhammer(mu + 0.5 * r, nn)
     for j in range(1, r + 1):
         nj = n[j - 1]
         tj = tail_sum(n, j)
         tj1 = tail_sum(n, j + 1)
-        upper = pochhammer(mu + 0.5 * (r - j), tj) * pochhammer(2.0 * mu + 2.0 * tj1 + r - j, nj)
-        lower = math.factorial(nj) * pochhammer(mu + 0.5 * (r - j + 1), tj)
+        upper = (_pochhammer(mu + 0.5 * (r - j), tj)
+                 * _pochhammer(2.0 * mu + 2.0 * tj1 + r - j, nj))
+        lower = math.factorial(nj) * _pochhammer(mu + 0.5 * (r - j + 1), tj)
         if not (math.isfinite(upper) and math.isfinite(lower)):
             raise OverflowError("ball norm product exceeds double range")
         value *= upper / lower

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import _check_decay, _check_jacobi_exponents, _check_order, _check_weight
 from .hypergeometric import hyp3f2_ladder
-from .special import _LOG_DBL_MAX, _blockwise, _pochhammer, log_gamma, pochhammer
+from .special import _LOG_DBL_MAX, _blockwise, _pochhammer, log_gamma
 
 __all__ = [
     "jacobi",
@@ -125,7 +125,7 @@ def gegenbauer_norm(n: int, lam: float) -> float:
     n = _check_order(n, "degree")
     lam = _check_weight(lam, "lambda")
     log_part = log_gamma(lam + 0.5) + log_gamma(0.5) - log_gamma(lam + 1.0)
-    upper = float(np.exp(log_part)) * lam * pochhammer(2.0 * lam, n)
+    upper = float(np.exp(log_part)) * lam * _pochhammer(2.0 * lam, n)
     lower = math.factorial(n) * (n + lam)
     if not (math.isfinite(upper) and math.isfinite(lower)):
         raise OverflowError("Gegenbauer norm product exceeds double range")

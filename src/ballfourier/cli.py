@@ -5,7 +5,9 @@ function computes, when an input is refused, how a report is written) is
 made in the library, input rules included (ranges, degrees, the shape
 of ``--x`` and ``--xi``, the theta ``--axis``).  The CLI checks only its
 own: option presence, the one-entry ``eval`` functions, the table grids,
-the work bounds, ``--r`` and finite results.
+the work bounds, ``--r`` and finite results.  One table of functions
+(``_FUNCTIONS``) names what each ``--fn`` reads and evaluates it at
+points; ``eval`` applies it to ``--x`` and ``table`` to its grid.
 Exit codes: 0 success, 1 verification failure, 2
 usage/configuration error.  Every refusal is reported one way, by the
 parser of the subcommand that ran: its usage line, then
@@ -126,8 +128,7 @@ def _require(parser: argparse.ArgumentParser, args, names) -> None:
     naming the option as it is spelled (dest ``lam`` is ``--lambda``)."""
     for name in names:
         if getattr(args, name, None) is None:
-            option = next((action.option_strings[0] for action in parser._actions
-                           if action.dest == name), "--" + name.replace("_", "-"))
+            option = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
             parser.error(f"{option} is required for this function")
 
 
@@ -146,53 +147,85 @@ def _check_finite(parser, values) -> None:
         parser.error("the computed value is not finite at these inputs")
 
 
-def _check_scalar(parser, args) -> None:
-    if len(args.n) != 1 or len(args.x) != 1:
-        parser.error(f"--fn {args.fn} takes a single --n and a single --x entry")
+def _check_table_size(rows, degree: int) -> None:
+    if rows > _TABLE_ROW_LIMIT:
+        raise ValueError(f"the table would have more than {_TABLE_ROW_LIMIT} rows")
+    if rows * degree > _TABLE_TERM_LIMIT:
+        raise ValueError(f"rows times total degree exceeds the limit {_TABLE_TERM_LIMIT}")
 
 
-# each eval --fn: the options it requires (as stored; --lambda is lam),
-# whether --n and --x take one entry, and its evaluator
-_EVAL_FUNCTIONS = {
-    "gegenbauer": (("n", "lam", "x"), True,
-                   lambda args: gegenbauer(args.n[0], args.lam, args.x[0])),
-    "jacobi": (("n", "alpha", "beta", "x"), True,
-               lambda args: jacobi(args.n[0], args.alpha, args.beta, args.x[0])),
-    "hahn": (("n", "x", "a", "b", "c", "d"), True,
-             lambda args: continuous_hahn(args.n[0], args.x[0],
-                                          (args.a, args.b, args.c, args.d))),
-    "ball": (("n", "mu", "x"), False,
-             lambda args: ball_basis_eval(args.n, args.mu, np.array(args.x))),
-    "f_r": (("n", "a", "mu", "x"), False,
-            lambda args: family_eval(np.array(args.x), FamilyParams(args.a, args.mu, args.n))),
-    "d_family": (("n", "a1", "a2", "x"), False,
-                 lambda args: d_family_eval(np.array(args.x, dtype=complex),
-                                            DParams(args.a1, args.a2, args.n))),
+def _range_points(args):
+    """Column of the row points start, start + step, ... <= stop."""
+    if args.step <= 0:
+        raise ValueError("--step must be positive")
+    span = (args.stop - args.start) / args.step
+    _check_table_size(span + 1.0, sum(args.n))
+    return np.array([args.start + k * args.step for k in range(int(round(span)) + 1)
+                     if args.start + k * args.step <= args.stop + 1e-12]).reshape(-1, 1)
+
+
+def _disc_points(args):
+    """The points of a grid x grid lattice on [-1, 1]^2 inside the closed disc."""
+    if args.grid < 0:
+        raise ValueError("--grid must not be negative")
+    _check_table_size(args.grid ** 2, sum(args.n))
+    axis = np.linspace(-1.0, 1.0, args.grid)
+    x1, x2 = (c.reshape(-1) for c in np.meshgrid(axis, axis, indexing="ij"))
+    return np.stack([x1, x2], axis=-1)[x1 * x1 + x2 * x2 <= 1.0]
+
+
+def _d_family(args):
+    params = DParams(args.a1, args.a2, args.n)
+    return lambda x: d_family_eval(x.astype(complex), params)
+
+
+def _theta(args):
+    params = FamilyParams(args.a, args.mu, args.n)
+    return lambda x: theta_factor(args.axis, params.r, params, x[..., 0])
+
+
+_RANGE = (("start", "stop", "step"), _range_points)
+# each --fn: the options its function reads, as stored (--lambda is lam; x
+# stands for --x in eval and for the grid options in table); whether eval
+# takes a single --n and --x entry (None: no eval); its table, if any: grid
+# options, points function, point columns and --n entry count (None: any);
+# and a builder that checks its parameters and returns its evaluator at
+# points x of shape (..., d), where a one-coordinate function reads x[..., 0]
+_FUNCTIONS = {
+    "gegenbauer": (("n", "lam", "x"), True, (*_RANGE, ("x",), 1),
+                   lambda args: lambda x: gegenbauer(args.n[0], args.lam, x[..., 0])),
+    "jacobi": (("n", "alpha", "beta", "x"), True, None,
+               lambda args: lambda x: jacobi(args.n[0], args.alpha, args.beta, x[..., 0])),
+    "hahn": (("n", "x", "a", "b", "c", "d"), True, None,
+             lambda args: lambda x: continuous_hahn(args.n[0], x[..., 0],
+                                                    (args.a, args.b, args.c, args.d))),
+    "ball": (("n", "mu", "x"), False, (("grid",), _disc_points, ("x1", "x2"), 2),
+             lambda args: partial(ball_basis_eval, args.n, args.mu)),
+    "f_r": (("n", "a", "mu", "x"), False, None,
+            lambda args: partial(family_eval, params=FamilyParams(args.a, args.mu, args.n))),
+    "d_family": (("n", "a1", "a2", "x"), False, (*_RANGE, ("x",), 1), _d_family),
+    "theta": (("n", "a", "mu", "x"), None, (*_RANGE, ("xi",), None), _theta),
 }
 
 
-def _eval_value(parser, args):
-    names, scalar, evaluate = _EVAL_FUNCTIONS[args.fn]
-    _require(parser, args, names)
-    if scalar:
-        _check_scalar(parser, args)
-    else:
-        _check_r(parser, args, len(args.n))
-    inputs = {"fn": args.fn}
-    for name in names:
-        value = getattr(args, name)
-        if name in ("n", "x"):
-            value = value[0] if scalar else list(value)
-        inputs["lambda" if name == "lam" else name] = value
-    return inputs, evaluate(args)
-
-
 def _cmd_eval(parser, args) -> int:
+    names, scalar, _, build = _FUNCTIONS[args.fn]
     if args.n is not None:
         _check_degree(parser, args.n,
                       _JACOBI_DEGREE_LIMIT if args.fn == "jacobi" else _DEGREE_LIMIT)
-    inputs, value = _eval_value(parser, args)
+    _require(parser, args, names)
+    if not scalar:
+        _check_r(parser, args, len(args.n))
+    elif len(args.n) != 1 or len(args.x) != 1:
+        parser.error(f"--fn {args.fn} takes a single --n and a single --x entry")
+    value = build(args)(np.array(args.x))
     _check_finite(parser, value)
+    inputs = {"fn": args.fn}
+    for name in names:
+        given = getattr(args, name)
+        if name in ("n", "x"):
+            given = given[0] if scalar else list(given)
+        inputs["lambda" if name == "lam" else name] = given
     value = complex(value)
     _write_record({"inputs": inputs, "value_re": value.real, "value_im": value.imag},
                   args.output)
@@ -242,70 +275,26 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_table(parser, args) -> int:
-    fn = args.fn
+    names, _, (grid_names, grid_points, header, entries), build = _FUNCTIONS[args.fn]
     if args.n is not None:
         _check_degree(parser, args.n, _DEGREE_LIMIT)
-    if fn == "theta":
-        _require(parser, args, ("n", "a", "mu", "start", "stop", "step"))
-        params = FamilyParams(args.a, args.mu, args.n)
-        header = ["xi"]
-        points = _grid(args.start, args.stop, args.step, sum(args.n))
-        values = theta_factor(args.axis, params.r, params, points[:, 0])
-    elif fn == "ball":
-        _require(parser, args, ("n", "mu", "grid"))
-        if len(args.n) != 2:
-            parser.error("--fn ball tables are 2-dimensional; give --n with two entries")
-        if args.grid < 0:
-            parser.error("--grid must not be negative")
-        _check_table_size(args.grid ** 2, sum(args.n))
-        header = ["x1", "x2"]
-        axis = np.linspace(-1.0, 1.0, args.grid)
-        x1, x2 = (c.reshape(-1) for c in np.meshgrid(axis, axis, indexing="ij"))
-        points = np.stack([x1, x2], axis=-1)[x1 * x1 + x2 * x2 <= 1.0]
-        values = ball_basis_eval(args.n, args.mu, points)
-    elif fn == "gegenbauer":
-        _require(parser, args, ("n", "lam", "start", "stop", "step"))
-        if len(args.n) != 1:
-            parser.error("--fn gegenbauer tables take a single --n entry")
-        header = ["x"]
-        points = _grid(args.start, args.stop, args.step, args.n[0])
-        values = gegenbauer(args.n[0], args.lam, points[:, 0])
-    elif fn == "d_family":
-        _require(parser, args, ("n", "a1", "a2", "start", "stop", "step"))
-        if len(args.n) != 1:
-            parser.error("--fn d_family tables are 1-dimensional; give a single --n entry")
-        params = DParams(args.a1, args.a2, args.n)
-        header = ["x"]
-        points = _grid(args.start, args.stop, args.step, args.n[0])
-        values = d_family_eval(points.astype(complex), params)
+    _require(parser, args, [o for name in names for o in (grid_names if name == "x" else (name,))])
+    if entries is not None and len(args.n) != entries:
+        parser.error(f"--fn {args.fn} tables take an --n of length {entries}")
+    # the parameters are built, and so checked, before the grid
+    evaluate = build(args)
+    points = grid_points(args)
+    values = evaluate(points)
     _check_finite(parser, values)
     rows = zip(points.tolist(), np.asarray(values, dtype=complex).tolist())
 
     def write(out):
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header + ["value_re", "value_im"])
+        writer.writerow([*header, "value_re", "value_im"])
         for point, value in rows:
             writer.writerow([repr(float(c)) for c in (*point, value.real, value.imag)])
     _write_output(write, args.output)
     return 0
-
-
-def _check_table_size(rows, degree: int) -> None:
-    if rows > _TABLE_ROW_LIMIT:
-        raise ValueError(f"the table would have more than {_TABLE_ROW_LIMIT} rows")
-    if rows * degree > _TABLE_TERM_LIMIT:
-        raise ValueError(f"rows times total degree exceeds the limit {_TABLE_TERM_LIMIT}")
-
-
-def _grid(start: float, stop: float, step: float, degree: int):
-    """Column of the row points start, start + step, ... <= stop."""
-    if step <= 0:
-        raise ValueError("--step must be positive")
-    span = (stop - start) / step
-    _check_table_size(span + 1.0, degree)
-    count = int(round(span))
-    return np.array([start + k * step for k in range(count + 1)
-                     if start + k * step <= stop + 1e-12]).reshape(-1, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,18 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
     add_common(p_eval)
-    p_eval.add_argument("--fn", required=True, choices=tuple(_EVAL_FUNCTIONS))
+    p_eval.add_argument("--fn", required=True, choices=tuple(
+        fn for fn, (_, scalar, _, _) in _FUNCTIONS.items() if scalar is not None))
     p_eval.add_argument("--n", type=_parse_multi_index, help="degree or multi-index (comma separated)")
     p_eval.add_argument("--lambda", dest="lam", type=_finite_float, help="Gegenbauer parameter")
-    p_eval.add_argument("--alpha", type=_finite_float)
-    p_eval.add_argument("--beta", type=_finite_float)
-    p_eval.add_argument("--a", type=_finite_float)
-    p_eval.add_argument("--b", type=_finite_float)
-    p_eval.add_argument("--c", type=_finite_float)
-    p_eval.add_argument("--d", type=_finite_float)
-    p_eval.add_argument("--mu", type=_finite_float)
-    p_eval.add_argument("--a1", type=_finite_float)
-    p_eval.add_argument("--a2", type=_finite_float)
+    for name in ("alpha", "beta", "a", "b", "c", "d", "mu", "a1", "a2"):
+        p_eval.add_argument("--" + name, type=_finite_float)
     p_eval.add_argument("--x", type=_parse_vector, help="evaluation point (comma separated)")
     p_eval.set_defaults(func=_cmd_eval, parser=p_eval)
 
@@ -367,19 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="CSV table of values over a grid")
     add_common(p_table)
-    p_table.add_argument("--fn", required=True,
-                         choices=("theta", "ball", "gegenbauer", "d_family"))
+    # in the order --help has always listed them, which is not the eval order
+    p_table.add_argument("--fn", required=True, choices=("theta", "ball", "gegenbauer", "d_family"))
     p_table.add_argument("--n", type=_parse_multi_index)
     p_table.add_argument("--lambda", dest="lam", type=_finite_float)
-    p_table.add_argument("--a", type=_finite_float)
-    p_table.add_argument("--mu", type=_finite_float)
-    p_table.add_argument("--a1", type=_finite_float)
-    p_table.add_argument("--a2", type=_finite_float)
+    for name in ("a", "mu", "a1", "a2"):
+        p_table.add_argument("--" + name, type=_finite_float)
     p_table.add_argument("--axis", type=int, default=1,
                          help="theta axis index j (default 1)")
-    p_table.add_argument("--start", type=_finite_float)
-    p_table.add_argument("--stop", type=_finite_float)
-    p_table.add_argument("--step", type=_finite_float)
+    for name in ("start", "stop", "step"):
+        p_table.add_argument("--" + name, type=_finite_float)
     p_table.add_argument("--grid", type=int, help="grid points per axis (ball tables)")
     p_table.set_defaults(func=_cmd_table, parser=p_table)
     return parser

@@ -23,8 +23,8 @@ import numpy as np
 
 from .ball import _axis_parameters, ball_norm, tail_sum, validate_multi_index
 from .errors import _check_decay, _check_vectors
-from .special import (_LOG_DBL_MAX, _blockwise, _gamma_pair_block, _number, gamma_pair, log_gamma,
-                      pochhammer)
+from .special import (_LOG_DBL_MAX, _blockwise, _gamma_pair_block, _number, _pochhammer,
+                      gamma_pair, log_gamma)
 from .tanh_family import _axis_ladder, _axis_tail
 
 __all__ = [
@@ -129,6 +129,8 @@ def d_orthogonality_constant(n, a1: float, a2: float) -> float:
     n = validate_multi_index(n)
     _check_decay(a1, "a1")
     _check_decay(a2, "a2")
+    # in double, whatever the precision of a numpy a1 or a2
+    a1, a2 = float(a1), float(a2)
     r = len(n)
     s = a1 + a2
     mu = s - 0.5
@@ -141,5 +143,5 @@ def d_orthogonality_constant(n, a1: float, a2: float) -> float:
         if log_gammas > _LOG_DBL_MAX:
             raise OverflowError("D-family orthogonality constant exceeds double range")
         value *= (math.factorial(nj) ** 2 * float(np.exp(log_gammas)) / 2.0 ** (2 * m + r - j)
-                  / pochhammer(2.0 * m + 2.0 * s + r - j - 1.0, nj) ** 2)
+                  / _pochhammer(2.0 * m + 2.0 * s + r - j - 1.0, nj) ** 2)
     return float(value)

@@ -52,14 +52,13 @@ Each argument is checked once, at the public entry the caller used, and
 the library's own calls go beneath the checks.  The public entries refuse
 and convert: :func:`log_gamma` and :func:`gamma_pair` read a 0-d argument
 through :func:`_number`, and so does :func:`beta_conjugate`, with its
-real part as a float; :func:`pochhammer` checks its order, and
-:func:`_real_array` and :func:`_real_number` (a 0-d value as a Python
-float) refuse complex input for the real routes of :mod:`tanh_family` and
-:mod:`ball`.  Beneath them: :func:`_beta_conjugate` takes one real part
+real part as a float; :func:`_real_array` and :func:`_real_number` (a
+0-d value as a Python float) refuse complex input for the real routes of
+:mod:`tanh_family` and :mod:`ball`.  Beneath them: :func:`_beta_conjugate` takes one real part
 as a float (the theta rows and the recursion's axis factors pass theirs),
 :func:`_gamma_pair_block` two Python numbers (the D family's 0-d axis
 factor), and :func:`_pochhammer` a checked order (the closed-form
-prefactor, the recursion and the continuous-Hahn routes).
+prefactor, the recursion, the continuous-Hahn routes and the norms).
 :func:`log_gamma` stays on those paths, where its check of a number costs
 one ``isinstance``.  A 0-d x with a batch y, the one real part of the
 theta beta factors, enters the Lanczos planes as a float: each entry sees
@@ -74,14 +73,13 @@ import math
 
 import numpy as np
 
-from .errors import PoleError, _check_order
+from .errors import PoleError
 
 __all__ = [
     "log_gamma",
     "gamma",
     "gamma_pair",
     "beta_conjugate",
-    "pochhammer",
 ]
 
 # Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set).
@@ -106,9 +104,6 @@ _LANCZOS_C = (
 _LOG_SQRT_TWO_PI = 0.91893853320467274178
 _LOG_PI = 1.1447298858494001741
 _LOG_TWO = 0.69314718055994530942
-# smallest normal double; the shifted real path takes the log of a
-# subnormal argument at it
-_TINY = float(np.finfo(np.float64).tiny)
 # numpy's one native float64 descriptor: an identity test is its cheapest check
 _FLOAT64 = np.dtype(np.float64)
 # exp() overflows double beyond this; gamma() raises OverflowError instead.
@@ -420,13 +415,13 @@ def log_gamma(z):
                 return _log_gamma_right(a - 1.0)
             # shift once into the Lanczos region; argument stays positive
             return np.where(a >= 0.5, _log_gamma_right(np.maximum(a, 0.5) - 1.0),
-                            _log_gamma_right(a) - np.log(np.maximum(a, _TINY)))
+                            _log_gamma_right(a) - np.log(a))
         return _log_gamma_complex(arr)
     if isinstance(value, float):
         if value >= 0.5:
             return _log_gamma_right(value - 1.0)
         if value > 0.0:
-            return _log_gamma_right(value) - np.log(max(value, _TINY))
+            return _log_gamma_right(value) - np.log(value)
     # the kernel packs the value, except that a reflection comes back as a
     # 0-d batch of one
     return _log_gamma_block(value.real, value.imag)[0][()]
@@ -443,8 +438,18 @@ def _gamma_real(a: np.ndarray) -> np.ndarray:
         out[right] = np.exp(lg)
     if np.any(~right):
         zr = a[~right]
-        # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)), 1 - z >= 0.5
-        out[~right] = np.pi / (np.sin(np.pi * zr) * np.exp(_log_gamma_right(-zr)))
+        # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)), 1 - z >= 0.5;
+        # where Gamma(1 - z) passes double range the quotient is formed in
+        # log space and may underflow to zero, quietly
+        sin = np.sin(np.pi * zr)
+        lg = _log_gamma_right(-zr)
+        with np.errstate(over="ignore", divide="ignore"):
+            values = np.where(lg > _LOG_DBL_MAX,
+                              np.copysign(np.exp(_LOG_PI - np.log(np.abs(sin)) - lg), sin),
+                              np.pi / (sin * np.exp(lg)))
+        if np.isinf(values).any():
+            raise OverflowError("gamma overflow: argument too close to 0 for double range")
+        out[~right] = values
     return out
 
 
@@ -539,16 +544,10 @@ def _beta_from_log(x, lg):
     return sign * np.exp(2.0 * lg.real - lg2.real)
 
 
-def pochhammer(base, order: int):
-    """Rising factorial ``(base)_order = base (base+1) ... (base+order-1)``.
-
-    ``order`` must be a nonnegative integer; the empty product is 1.
-    """
-    return _pochhammer(base, _check_order(order, "pochhammer order"))
-
-
 def _pochhammer(base, order: int):
-    """:func:`pochhammer` once ``order`` is checked (an int >= 0)."""
+    """Rising factorial ``(base)_order = base (base+1) ... (base+order-1)``
+    for a checked ``order`` (an int >= 0); the empty product is 1.  The
+    base is taken as given, so the callers pass Python numbers or doubles."""
     if order == 0:
         arr = np.asarray(base)
         return np.ones_like(arr) if arr.ndim else arr.dtype.type(1)

@@ -12,7 +12,9 @@ separability (:func:`tensor_sum`): the Fourier transform through the
 peel-last recursion, the ball inner products through ``ball_basis_eval`` at
 the nested-radius points, and the gamma-pair pairing through
 ``d_family_eval``.  The tests compare them with the production routes;
-nothing in the package imports them.
+nothing in the package imports them.  Two are checked entries to a kernel
+the library runs only beneath its own checks: the rising factorial
+(:func:`pochhammer`) and the one-degree 3F2 (:func:`hyp3f2_unit`).
 """
 
 import math
@@ -22,13 +24,27 @@ import numpy as np
 
 from ballfourier import (DParams, FamilyParams, NonFiniteIntegrandError, QuadratureSpec,
                          ball_basis_eval, continuous_hahn, d_family_eval, gamma, gegenbauer,
-                         pochhammer, tail_sum)
+                         tail_sum)
 from ballfourier.ball import _index_list
 from ballfourier.errors import _check_order, _check_weight
 from ballfourier.hypergeometric import _terminating_sum, hyp3f2_ladder
 from ballfourier.quadrature import _ball_rules, _line_rule, d_pair_spec
-from ballfourier.special import _real_array
+from ballfourier.special import _pochhammer, _real_array
 from ballfourier.tanh_family import _axis_tail, _frequency_vectors
+
+
+def pochhammer(base, order: int):
+    """Rising factorial ``(base)_order = base (base+1) ... (base+order-1)``.
+
+    ``order`` must be a nonnegative integer; the empty product is 1.  A
+    numpy base of integer, bool or sub-double dtype is taken in double
+    (complex128 if complex), so its product neither wraps nor loses
+    precision; a Python int stays exact.
+    """
+    order = _check_order(order, "pochhammer order")
+    if isinstance(base, (np.ndarray, np.generic)):
+        base = base.astype(np.result_type(base, np.float64), copy=False)
+    return _pochhammer(base, order)
 
 
 def hyp3f2_unit(n: int, upper2, upper3, lower1, lower2):

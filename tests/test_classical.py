@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from ballfourier import (DParams, continuous_hahn, d_family_eval, gegenbauer, gegenbauer_norm,
-                         hahn_orthogonality_constant, jacobi, pochhammer)
+                         hahn_orthogonality_constant, jacobi)
 from ballfourier.classical import continuous_hahn_rows
-from ballfourier.dfamily import d_axis_factor
+from ballfourier.dfamily import d_axis_factor, d_orthogonality_constant
 from ballfourier.quadrature import _jacgauss_cached
 from ballfourier.special import beta_conjugate, log_gamma
 from conftest import rel_err
-from reference_routes import gegenbauer_series
+from reference_routes import gegenbauer_series, pochhammer
 
 # independent direct-summation oracle (mpmath, dps=50): p_2(0.3; 1, 1/2, 1/2, 1)
 HAHN_P2_EXAMPLE = -0.35
@@ -335,6 +335,11 @@ class TestSinglePrecisionInput:
                      id="d_family_eval-f32-batch"),
         pytest.param(lambda x: d_axis_factor(1, 2, x, (2, 1), 0.7, 0.9), np.float32([0.3, 1.7]),
                      id="d_axis_factor-f32"),
+        # the parameters, not x, of the D-family constant
+        pytest.param(lambda a1: d_orthogonality_constant((1, 0, 2), a1, 0.8), np.float32(0.6),
+                     id="d_orthogonality_constant-f32"),
+        pytest.param(lambda a1: d_orthogonality_constant((3,), a1, 0.8), np.float16(0.6),
+                     id="d_orthogonality_constant-f16"),
     ])
     def test_gives_the_value_of_its_double_input(self, route, x):
         value, double = route(x), route(x.astype(np.result_type(x, np.float64)))

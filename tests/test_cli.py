@@ -364,6 +364,27 @@ class TestTable:
             assert repr(record["value_re"]) == value_re
             assert repr(record["value_im"]) == value_im
 
+    @pytest.mark.parametrize("fn, options, grid, coords", [
+        ("gegenbauer", ["--n", "5", "--lambda", "0.7"],
+         ["--start", "-0.9", "--stop", "0.9", "--step", "0.3"], 1),
+        ("ball", ["--n", "2,1", "--mu", "0.7"], ["--grid", "9"], 2),
+        ("d_family", ["--n", "3", "--a1", "0.7", "--a2", "1.2"],
+         ["--start", "-2", "--stop", "2", "--step", "0.5"], 1),
+    ])
+    def test_eval_gives_the_table_bits(self, capsys, fn, options, grid, coords):
+        # one --fn table evaluates both commands: the row of a table point
+        # and an eval at that point carry the same value bits
+        code, out = run_cli(["table", "--fn", fn, *options, *grid], capsys)
+        assert code == 0
+        # the row of largest value, so the compared bits are not a zero
+        row = max((line.split(",") for line in out.strip().splitlines()[1:]),
+                  key=lambda cells: abs(float(cells[coords])))
+        code, out = run_cli(["eval", "--fn", fn, *options, "--x=" + ",".join(row[:coords])],
+                            capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert [repr(record["value_re"]), repr(record["value_im"])] == row[coords:]
+
     def test_gegenbauer_rejects_extra_degrees(self, capsys):
         code, out = run_cli(["table", "--fn", "gegenbauer", "--n", "1,5", "--lambda", "1",
                              "--start", "0", "--stop", "0.5", "--step", "0.5"], capsys)
@@ -782,6 +803,32 @@ class TestRefusalMessages:
         err = self._refusal(args, capsys)
         assert "error: --lambda is required for this function" in err
         assert "--lam " not in err
+
+    @pytest.mark.parametrize("fn, args, entries", [
+        ("ball", ["--n", "1", "--mu", "0.5", "--grid", "3"], 2),
+        ("ball", ["--n", "1,1,1", "--mu", "0.5", "--grid", "3"], 2),
+        ("gegenbauer", ["--n", "1,5", "--lambda", "1", "--start", "0", "--stop", "1",
+                        "--step", "0.5"], 1),
+        ("d_family", ["--n", "1,2", "--a1", "1", "--a2", "0.75", "--start", "0", "--stop", "1",
+                      "--step", "0.5"], 1),
+    ])
+    def test_table_entry_count_has_one_message(self, capsys, fn, args, entries):
+        err = self._refusal(["table", "--fn", fn, *args], capsys)
+        assert err.endswith(f"ballfourier table: error: --fn {fn} tables take an --n "
+                            f"of length {entries}\n"), err
+
+    @pytest.mark.parametrize("args, reason", [
+        (["--fn", "theta", "--n", "2", "--a", "-0.25", "--mu", "1", "--start", "0",
+          "--stop", "1", "--step", "-0.5"], "decay parameter must satisfy a > 0"),
+        (["--fn", "theta", "--n", "2", "--a", "1", "--mu", "-2", "--start", "0",
+          "--stop", "1e9", "--step", "1e-3"], "mu must satisfy mu > -1/2"),
+        (["--fn", "d_family", "--n", "2", "--a1", "1", "--a2", "0", "--start", "0",
+          "--stop", "1", "--step", "0"], "decay parameter must satisfy a2 > 0"),
+    ])
+    def test_family_tables_name_a_bad_parameter_before_a_bad_grid(self, capsys, args, reason):
+        # theta and d_family tables build FamilyParams / DParams before their grid
+        err = self._refusal(["table", *args], capsys)
+        assert err.splitlines()[-1].startswith(f"ballfourier table: error: {reason}"), err
 
     def test_missing_option_with_a_plain_name(self, capsys):
         err = self._refusal(["eval", "--fn", "d_family", "--n", "1", "--a1", "0.7",

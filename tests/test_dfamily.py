@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ballfourier import (DParams, ball_norm, continuous_hahn, d_family_eval,
-                         d_orthogonality_constant, gamma, pochhammer)
+                         d_orthogonality_constant, gamma)
 from ballfourier import verify
 from ballfourier.quadrature import d_biorthogonality_gram
 from conftest import rel_err
-from reference_routes import d_family_eval_hahn, hyp3f2_unit
+from reference_routes import d_family_eval_hahn, hyp3f2_unit, pochhammer
 
 
 def reference_constant_r1(n, a1, a2):

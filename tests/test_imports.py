@@ -155,6 +155,35 @@ def test_the_caller_check_flags_an_uncalled_export():
     assert _uncalled_exports(sources) == ["recursive", "unused"]
 
 
+def _imported_modules(tree) -> set:
+    """Top-level names of the modules a syntax tree imports, at any depth
+    (function-level imports among them); a relative import is ``"."``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    # scipy and sympy may be installed, but the package depends on numpy alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", ".", "ballfourier"}
+    foreign = {path.name: sorted(_imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+                                 - allowed)
+               for path in SRC.glob("*.py")}
+    assert {name: found for name, found in foreign.items() if found} == {}
+
+
+def test_the_import_check_sees_function_level_imports():
+    source = ("import numpy as np\nfrom . import special\nfrom __future__ import annotations\n"
+              "def f():\n    import scipy.special\n    from fractions import Fraction\n"
+              "    from sympy import Rational\n")
+    assert _imported_modules(ast.parse(source)) == {"numpy", ".", "__future__", "scipy",
+                                                    "fractions", "sympy"}
+
+
 def test_package_import_leaves_fractions_unloaded():
     # only the exact ball routes use rationals; importing them would add
     # to every process start
@@ -185,7 +214,6 @@ _PUBLIC_SIGNATURES = {
     "NonFiniteIntegrandError": "exception",
     "log_gamma": ("z",),
     "gamma": ("z",),
-    "pochhammer": ("base", "order"),
     "gamma_pair": ("a", "b"),
     "beta_conjugate": ("x", "y"),
     "pfq_diagnostics": ("spec",),

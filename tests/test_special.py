@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballfourier import PoleError, gamma, log_gamma, pochhammer
+from ballfourier import PoleError, gamma, log_gamma
 from ballfourier.special import beta_conjugate, gamma_pair
 from conftest import rel_err, ulp_diff
+from reference_routes import pochhammer
 
 # frozen from the 50-digit Stirling/reflection oracle (mpmath, dps=50)
 GAMMA_1_PLUS_I = complex(0.49801566811835604271369111746219809195087853682,
@@ -58,6 +59,29 @@ class TestPochhammer:
         assert pochhammer(np.float64(1e150), 2) == np.float64(1e150) * np.float64(1e150 + 1)
         assert pochhammer(np.array([1.0, 2.0]), 3).tolist() == [6.0, 24.0]
 
+    def test_numpy_integer_base_does_not_wrap(self):
+        # in int64 the products of 30 factors wrapped around silently
+        values = pochhammer(np.array([2, 3]), 30)
+        assert values.dtype == np.float64
+        for value, base in zip(values, (2, 3)):
+            exact = math.factorial(base + 29) // math.factorial(base - 1)
+            assert rel_err(value, exact) <= 1e-14
+        assert pochhammer(np.int64(2), 30) == values[0]
+        assert pochhammer(np.bool_(True), 3) == 6.0
+
+    @pytest.mark.parametrize("base", [np.float32(1.7), np.float16(1.7), np.complex64(1.7 + 0.3j),
+                                      np.array([0.3, 1.7], dtype=np.float32),
+                                      np.array(2.5, dtype=np.float16)])
+    def test_sub_double_base_gives_the_bits_of_its_double(self, base):
+        value = pochhammer(base, 5)
+        double = pochhammer(base.astype(np.result_type(base, np.float64)), 5)
+        assert np.asarray(value).dtype == np.result_type(base, np.float64)
+        assert np.array_equal(value, double)
+
+    def test_half_precision_base_past_its_range(self):
+        # 300 * 301 = 90,300 is past float16's 65,504 but fits a double
+        assert pochhammer(np.float16(300), 2) == 90300.0
+
     @given(st.integers(min_value=-30, max_value=30),
            st.integers(min_value=0, max_value=8),
            st.integers(min_value=0, max_value=8))
@@ -102,6 +126,16 @@ class TestLogGamma:
             ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
             assert rel_err(log_gamma(z), ref) <= 1e-13
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, 2e-308, 2.2250738585072014e-308])
+    def test_subnormal_and_tiny_arguments_match_mpmath(self, x):
+        # log Gamma(x) = -log x - euler x + ..., finite down to the least subnormal
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        ref = float(mp.loggamma(mp.mpf(x)))
+        assert rel_err(log_gamma(x), ref) <= 1e-15
+        assert rel_err(log_gamma(np.array([x, 0.3]))[0], ref) <= 1e-15
+        assert rel_err(log_gamma(complex(x, 0.0)), ref) <= 1e-15
 
     def test_non_finite_input_returns_non_finite(self):
         # the shift recurrence toward Re z >= 1/2 never moves Re z = -inf
@@ -180,6 +214,28 @@ class TestGamma:
             gamma(200.0)
         with pytest.raises(OverflowError):
             gamma(200.0 + 0j)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [1e-310, 5e-324, -1e-310, -5e-324])
+    def test_overflow_near_zero_raises(self, z):
+        # 1/z passes double range below about 5.6e-309
+        with pytest.raises(OverflowError):
+            gamma(z)
+        with pytest.raises(OverflowError):
+            gamma(np.array([1.5, z]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [-171.5, -172.3, -180.25, -200.5, -250.7, 1e-300, -3e-308])
+    def test_ends_of_double_range_match_mpmath(self, z):
+        # Gamma(1 - z) past double range: the reflection quotient is
+        # subnormal or underflows to a signed zero, without a warning
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        ref = float(mp.gamma(mp.mpf(z)))
+        value = gamma(z)
+        assert math.copysign(1.0, value) == math.copysign(1.0, ref)
+        assert abs(value - ref) <= 1e-13 * abs(ref) + 2.0 * 5e-324, (value, ref)
+        assert gamma(np.array([z]))[0] == value
 
     def test_reflection_identity(self, rng):
         for z in _random_z_away_from_poles(rng, 1000):

@@ -6,7 +6,7 @@ import pytest
 
 from ballfourier import (FamilyParams, ball_basis_eval, family_eval,
                          fourier_closed_form, fourier_via_recursion, gegenbauer,
-                         pochhammer, tail_sum, theta_factor, theta_factor_hahn)
+                         tail_sum, theta_factor, theta_factor_hahn)
 from ballfourier.ball import _axis_parameters
 from ballfourier.special import beta_conjugate
 from ballfourier.quadrature import fourier_numeric
@@ -15,7 +15,7 @@ from ballfourier.tanh_family import (_axis_ladder, family_axis_factor,
 from ballfourier.verify import fourier_value_scale
 from conftest import rel_err
 from reference_routes import (family_eval_peel_first, family_eval_peel_last, hyp3f2_unit,
-                              tanh_ball_map)
+                              pochhammer, tanh_ball_map)
 
 # frozen direct arithmetic: tanh(1), tanh(1)*sech(1)
 UPSILON_11 = (0.7615941559557649, 0.49355434756457306)

@@ -120,32 +120,59 @@ _SCALAR_CALL_COUNTS = {
 }
 
 
-def _library_calls(call) -> int:
-    """The ``call`` events of ``sys.setprofile`` whose code lives in the
-    package's source files while ``call()`` runs: numpy's own Python
-    helpers do not count, so the number does not depend on numpy."""
+def _library_listing(call) -> list:
+    """The function names of the ``call`` events of ``sys.setprofile``
+    whose code lives in the package's source files while ``call()`` runs:
+    numpy's own Python helpers do not count, so the listing does not
+    depend on numpy."""
     package = os.path.dirname(ballfourier.__file__) + os.sep
-    count = 0
+    names = []
 
     def profile(frame, event, arg):
-        nonlocal count
         if event == "call" and frame.f_code.co_filename.startswith(package):
-            count += 1
+            names.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return count
+    return names
 
 
 def test_single_value_chain_keeps_its_length():
     lib = {name: sys.modules[f"ballfourier.{name}"]
            for name in ("tanh_family", "dfamily", "classical", "ball", "special")}
     calls = _scalar_calls(lib)
-    counts = {kind: _library_calls(calls[kind]) for kind in _SCALAR_CALL_COUNTS}
+    counts = {kind: len(_library_listing(calls[kind])) for kind in _SCALAR_CALL_COUNTS}
     assert counts == {kind: min(count, _SCALAR_CALL_COUNTS[kind])
+                      for kind, count in counts.items()}, counts
+
+
+# library calls of one call of each closed-form norm (Python 3.11): each
+# checks its orders at its own entry and forms its Pochhammer products
+# beneath that check, so no second order check is in the listing (through
+# a checked rising factorial, ball_norm((2, 3, 1), 0.7) made 10 more)
+_NORM_CALL_COUNTS = {
+    "ball_norm": 35,
+    "gegenbauer_norm": 16,
+    "d_orthogonality_constant": 66,
+}
+
+
+def test_norms_check_their_orders_once():
+    calls = {
+        "ball_norm": lambda: ballfourier.ball_norm((2, 3, 1), 0.7),
+        "gegenbauer_norm": lambda: ballfourier.gegenbauer_norm(5, 0.7),
+        "d_orthogonality_constant":
+            lambda: ballfourier.d_orthogonality_constant((2, 1), 0.6, 0.8),
+    }
+    listings = {kind: _library_listing(call) for kind, call in calls.items()}
+    # gegenbauer_norm checks its degree itself; the others validate a multi-index
+    assert {kind: names.count("_check_order") for kind, names in listings.items()} \
+        == {"ball_norm": 0, "gegenbauer_norm": 1, "d_orthogonality_constant": 0}
+    counts = {kind: len(names) for kind, names in listings.items()}
+    assert counts == {kind: min(count, _NORM_CALL_COUNTS[kind])
                       for kind, count in counts.items()}, counts
 
 
